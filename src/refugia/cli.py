@@ -1,15 +1,12 @@
 """Command-line entry point: refugia <kind> --config <path> [--out DIR] [--quiet].
 
 Exit status: 0 when all stages succeed (and, for verify, all audits pass),
-1 for configuration problems, 2 for run failures. The REFUGIA_THREADS
-environment variable caps internal data parallelism (BLAS thread pools),
-best effort.
+1 for configuration problems, 2 for run failures.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -24,21 +21,6 @@ _HELP = {
     "bifurcate": "full pipeline: branches, report, and diagram",
     "verify": "bifurcate plus a pass/fail audit gate on the exit status",
 }
-
-
-def _cap_threads() -> None:
-    cap = os.environ.get("REFUGIA_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(int(cap))
-    except (ImportError, ValueError):
-        pass
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,7 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _cap_threads()
 
     try:
         text = Path(args.config).read_text(encoding="utf-8")

@@ -32,12 +32,13 @@ from .errors import (
 from .fields import SystemState, constant_state
 from .geometry import DomainGeometry
 from .operators import (
+    PERMC_SPEC,
     ModelParams,
     assemble_jacobian,
     residual_mu_derivative,
     residual_steady,
 )
-from .spectral import StabilityFlag, classify_value, leading_eigenvalue
+from .spectral import EigenPair, StabilityFlag, classify_value, leading_eigenvalue
 from .steady import KernelTangent, NewtonConfig, newton_solve, solve_kernel_function
 
 #: |mu - mu*| and |gamma| bands inside which the sign relation is not audited
@@ -67,6 +68,7 @@ class BranchPoint:
     flag: StabilityFlag
     residual_norm: float
     eigen_residual: float = float("nan")
+    complex_pair: bool = False
 
 
 @dataclass
@@ -75,6 +77,9 @@ class Branch:
     points: list[BranchPoint]
     params: ModelParams  # mu field is per-point; the rest is shared
     geom: DomainGeometry
+    #: predator-free branch only: leading pairs of the u-block and of the
+    #: v-block at mu = 0 (see trace_semitrivial)
+    blocks: tuple[EigenPair, EigenPair] | None = None
 
     def mus(self) -> np.ndarray:
         return np.array([p.mu for p in self.points])
@@ -91,10 +96,31 @@ def amplitude_of(state: SystemState) -> float:
     return float(state.v.values.mean()) if state.v.values.size else 0.0
 
 
-def _semitrivial_gamma(params: ModelParams, mu: float, geom: DomainGeometry):
+def _semitrivial_blocks(
+    params: ModelParams, geom: DomainGeometry
+) -> tuple[EigenPair, EigenPair]:
+    """Leading pairs of the two diagonal blocks of the linearization at (lam, 0).
+
+    There the Jacobian is block upper-triangular (the v-equation's u-derivative
+    carries a factor v = 0). The u-block does not involve mu, and the v-block
+    at mu is the v-block at mu = 0 minus mu*I, so the two pairs give the
+    leading eigenvalue max(g_u, g_v0 - mu) for every mu.
+    """
     st = constant_state(geom, params.lam, 0.0)
-    J = assemble_jacobian(params.with_mu(mu), st.u, st.v, geom)
-    return leading_eigenvalue(J)
+    J = assemble_jacobian(params.with_mu(0.0), st.u, st.v, geom).tocsr()
+    n = geom.n_omega
+    return leading_eigenvalue(J[:n, :n]), leading_eigenvalue(J[n:, n:])
+
+
+def _semitrivial_leading(
+    blocks: tuple[EigenPair, EigenPair], mu: float
+) -> tuple[float, EigenPair]:
+    """Leading eigenvalue at mu on the predator-free line and the block pair
+    it comes from."""
+    g_u, g_v0 = blocks
+    if g_u.value >= g_v0.value - mu:
+        return g_u.value, g_u
+    return g_v0.value - mu, g_v0
 
 
 def trace_semitrivial(
@@ -103,17 +129,24 @@ def trace_semitrivial(
     n_points: int,
     geom: DomainGeometry,
 ) -> Branch:
-    """The predator-free branch: states are exactly (lam, 0), no solve needed;
-    the leading eigenvalue is computed per point. The s field is not
-    meaningful on this branch and is recorded as 0."""
+    """The predator-free branch: states are exactly (lam, 0), no solve needed.
+
+    The leading eigenvalue needs two block eigen solves per branch, not one
+    full solve per point: gamma(mu) = max(g_u, g_v0 - mu), with g_u the
+    leading eigenvalue of the mu-independent u-block and g_v0 that of the
+    v-block at mu = 0. Both pairs stay on the branch for
+    detect_transcritical. The s field is not meaningful on this branch and is
+    recorded as 0.
+    """
     lo, hi = mu_range
     if lo <= 0 or hi < lo or (n_points > 1 and hi == lo):
         raise ValueError("mu_range must satisfy 0 < lo <= hi (lo < hi for several points)")
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
+    blocks = _semitrivial_blocks(params_base, geom)
     pts = []
     for mu in np.linspace(lo, hi, n_points):
-        ep = _semitrivial_gamma(params_base, float(mu), geom)
+        gamma, ep = _semitrivial_leading(blocks, float(mu))
         st = constant_state(geom, params_base.lam, 0.0)
         pts.append(
             BranchPoint(
@@ -121,13 +154,14 @@ def trace_semitrivial(
                 state=st,
                 s=0.0,
                 amplitude=0.0,
-                gamma=ep.value,
-                flag=classify_value(ep.value),
+                gamma=gamma,
+                flag=classify_value(gamma),
                 residual_norm=0.0,
                 eigen_residual=ep.residual,
+                complex_pair=ep.complex_pair,
             )
         )
-    return Branch(BranchLabel.SEMITRIVIAL, pts, params_base, geom)
+    return Branch(BranchLabel.SEMITRIVIAL, pts, params_base, geom, blocks)
 
 
 def detect_transcritical(branch: Branch, tol_gamma: float = 1e-10, max_iter: int = 100) -> float:
@@ -135,12 +169,13 @@ def detect_transcritical(branch: Branch, tol_gamma: float = 1e-10, max_iter: int
 
     Bracketing root find (regula falsi with bisection safeguard) on the
     leading eigenvalue as a function of mu, to |gamma| <= tol_gamma. The
-    eigenvalue is affine in mu near the crossing, so this converges in a
-    handful of evaluations. Raises NoCrossing when gamma has constant sign
-    over the branch.
+    eigenvalue comes from the branch's two block pairs, so the root find
+    solves no eigenproblem; it is affine in mu near the crossing, so this
+    converges in a handful of evaluations. Raises NoCrossing when gamma has
+    constant sign over the branch.
     """
-    if branch.label is not BranchLabel.SEMITRIVIAL:
-        raise ValueError("crossing detection runs on the semitrivial branch")
+    if branch.label is not BranchLabel.SEMITRIVIAL or branch.blocks is None:
+        raise ValueError("crossing detection runs on a branch from trace_semitrivial")
     gam = branch.gammas()
     mus = branch.mus()
     near = np.abs(gam) <= tol_gamma
@@ -156,12 +191,11 @@ def detect_transcritical(branch: Branch, tol_gamma: float = 1e-10, max_iter: int
     mu_lo, g_lo = float(mus[i]), float(gam[i])
     mu_hi, g_hi = float(mus[i + 1]), float(gam[i + 1])
 
-    geom, params = branch.geom, branch.params
     for it in range(max_iter):
         mu_new = (g_hi * mu_lo - g_lo * mu_hi) / (g_hi - g_lo)
         if not (mu_lo < mu_new < mu_hi):  # secant degenerated; bisect
             mu_new = 0.5 * (mu_lo + mu_hi)
-        g_new = _semitrivial_gamma(params, mu_new, geom).value
+        g_new = _semitrivial_leading(branch.blocks, mu_new)[0]
         if abs(g_new) <= tol_gamma:
             return mu_new
         if np.sign(g_new) == np.sign(g_lo):
@@ -170,7 +204,7 @@ def detect_transcritical(branch: Branch, tol_gamma: float = 1e-10, max_iter: int
             mu_hi, g_hi = mu_new, g_new
         if it % 3 == 2:  # safeguard: force bracket shrinkage
             mu_mid = 0.5 * (mu_lo + mu_hi)
-            g_mid = _semitrivial_gamma(params, mu_mid, geom).value
+            g_mid = _semitrivial_leading(branch.blocks, mu_mid)[0]
             if abs(g_mid) <= tol_gamma:
                 return mu_mid
             if np.sign(g_mid) == np.sign(g_lo):
@@ -199,6 +233,7 @@ def _point_from_state(
         flag=classify_value(ep.value),
         residual_norm=float(np.max(np.abs(res))),
         eigen_residual=ep.residual,
+        complex_pair=ep.complex_pair,
     )
 
 
@@ -274,7 +309,8 @@ def _bordered_correct(
             format="csc",
         )
         try:
-            delta = spla.splu(bordered).solve(-np.concatenate([res, [con]]))
+            lu = spla.splu(bordered, permc_spec=PERMC_SPEC)
+            delta = lu.solve(-np.concatenate([res, [con]]))
         except RuntimeError:
             return None
         if not np.all(np.isfinite(delta)):
@@ -400,7 +436,8 @@ def solve_at_amplitude(
             format="csc",
         )
         try:
-            delta = spla.splu(bordered).solve(-np.concatenate([res, [con]]))
+            lu = spla.splu(bordered, permc_spec=PERMC_SPEC)
+            delta = lu.solve(-np.concatenate([res, [con]]))
         except RuntimeError as exc:
             raise NoConvergence(f"amplitude-pinned solve failed: {exc}") from exc
         if not np.all(np.isfinite(delta)):

@@ -26,6 +26,9 @@ from .geometry import DomainGeometry, _face_matrix
 #: fields dipping below this are an error; values in [TOL_NEGATIVE, 0] clamp to 0
 TOL_NEGATIVE = -1e-12
 
+#: fill-reducing column ordering for every sparse LU of these operators
+PERMC_SPEC = "MMD_AT_PLUS_A"
+
 
 @dataclass(frozen=True)
 class ModelParams:

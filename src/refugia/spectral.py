@@ -1,12 +1,14 @@
 """Leading-eigenvalue computation and linearized stability classification.
 
-The workhorse is real shift-and-invert power iteration over a small shift
-ladder, polished by Rayleigh-quotient iteration. The ladder combines fixed
-shifts {0, +1/2, -1/2} with a shift just right of the Gershgorin right edge,
-which always brackets the rightmost real eigenvalue, plus an upward climb
-from the best candidate found. On the predator-free branch the leading
-eigenvalue has a closed form (the constant predator mode is grid-exact),
-which serves as an analytic oracle.
+The leading eigenvalue comes from one shift-invert Arnoldi solve (ARPACK
+through scipy.sparse.linalg.eigs). The shift sits just right of the
+Gershgorin right edge, which bounds every real part, so J - sigma*I is
+nonsingular and is factored exactly once; the eigenvalues nearest the shift
+converge first. Among the returned pairs, the one of largest real part that
+meets the residual contract wins. Matrices too small for ARPACK take the same
+selection over a dense eigendecomposition. On the predator-free branch the
+leading eigenvalue has a closed form (the constant predator mode is
+grid-exact), which serves as an analytic oracle.
 """
 
 from __future__ import annotations
@@ -19,13 +21,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EigenNoConvergence
-from .operators import ModelParams
+from .operators import PERMC_SPEC, ModelParams
 
 #: eigenvalues within this margin of zero classify as MARGINAL
 STABILITY_MARGIN = 1e-6
 
 #: residual contract: ||J x - value x||_inf <= RESIDUAL_TOL * ||x||_inf
 RESIDUAL_TOL = 1e-8
+
+#: eigenpairs requested from ARPACK per call
+N_PAIRS = 6
 
 
 class StabilityFlag(enum.Enum):
@@ -38,8 +43,9 @@ class StabilityFlag(enum.Enum):
 class EigenPair:
     """Leading eigenvalue (largest real part found), its eigenvector with
     inf-norm 1, and the achieved residual. For a dominating complex pair the
-    real part is reported, complex_pair is set, and the residual refers to
-    the two-dimensional invariant-subspace block."""
+    real part is reported, complex_pair is set, the vector is the real part of
+    the eigenvector scaled to a largest entry of 1, and the residual is that
+    of the complex eigenpair."""
 
     value: float
     vector: np.ndarray
@@ -54,156 +60,49 @@ def _gershgorin_right_edge(J: sp.spmatrix) -> float:
     return float(np.max(diag + (abs_rows - np.abs(diag))))
 
 
-def _factorize(J: sp.csc_matrix, sigma: float):
-    """LU of (J - sigma I), perturbing sigma if it hits an eigenvalue exactly."""
+def _candidates(J: sp.csr_matrix):
+    """Eigenvalues and eigenvector columns nearest the right edge of the
+    spectrum: shift-invert Arnoldi with one LU, or dense for tiny matrices."""
     n = J.shape[0]
-    eye = sp.identity(n, format="csc")
-    for attempt in range(4):
-        try:
-            return spla.splu((J - sigma * eye).tocsc()), sigma
-        except RuntimeError:
-            sigma = sigma + 1e-8 * (1.0 + abs(sigma)) * 10.0**attempt
-    return None, sigma
+    if n < N_PAIRS + 2:  # ARPACK needs k < n - 1
+        return np.linalg.eig(J.toarray())
+    edge = _gershgorin_right_edge(J)
+    sigma = edge + 0.01 * (1.0 + abs(edge))
+    shifted = (J - sigma * sp.identity(n, format="csr")).tocsc()
+    try:
+        lu = spla.splu(shifted, permc_spec=PERMC_SPEC)
+        op = spla.LinearOperator(J.shape, matvec=lu.solve, dtype=float)
+        return spla.eigs(J, k=N_PAIRS, sigma=sigma, OPinv=op, v0=np.ones(n))
+    except spla.ArpackNoConvergence as exc:
+        return exc.eigenvalues, exc.eigenvectors
+    except RuntimeError as exc:
+        raise EigenNoConvergence(f"shift-invert at sigma = {sigma:g} failed: {exc}") from exc
 
 
-def _rayleigh(J, x) -> float:
-    return float((x @ (J @ x)) / (x @ x))
+def leading_eigenvalue(J: sp.spmatrix, residual_tol: float = RESIDUAL_TOL) -> EigenPair:
+    """Eigenvalue of largest real part among the pairs nearest the shift.
 
-
-def _normalize(y: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(y)))
-    return y / y[k]  # fixes both scale and sign deterministically
-
-
-class _Candidate:
-    __slots__ = ("value", "vector", "residual", "history")
-
-    def __init__(self):
-        self.value = np.nan
-        self.vector = None
-        self.residual = np.inf
-        self.history = []
-
-
-def _iterate_from_shift(J, Jcsc, sigma, x0, floor, power_iters=40, rayleigh_iters=15):
-    """Inverse power iteration at fixed shift, then Rayleigh polishing."""
-    cand = _Candidate()
-    lu, sigma = _factorize(Jcsc, sigma)
-    if lu is None:
-        return cand
-    x = _normalize(x0.astype(float))
-    stale = 0
-    for _ in range(power_iters):
-        y = lu.solve(x)
-        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) == 0.0:
-            return cand
-        x = _normalize(y)
-        theta = _rayleigh(J, x)
-        res = float(np.max(np.abs(J @ x - theta * x)))
-        cand.history.append(x)
-        if res < cand.residual:
-            cand.value, cand.vector, cand.residual = theta, x.copy(), res
-            stale = 0
-        else:
-            stale += 1
-        if res <= max(floor, 1e-10) or stale >= 4:
-            break
-    for _ in range(rayleigh_iters):
-        if cand.residual <= floor:
-            break
-        lu, _ = _factorize(Jcsc, cand.value)
-        if lu is None:
-            break
-        y = lu.solve(cand.vector)
-        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) == 0.0:
-            break
-        x = _normalize(y)
-        theta = _rayleigh(J, x)
-        res = float(np.max(np.abs(J @ x - theta * x)))
-        cand.history.append(x)
-        if res < cand.residual:
-            cand.value, cand.vector, cand.residual = theta, x.copy(), res
-        else:
-            break
-    return cand
-
-
-def _complex_block(J, history):
-    """Project onto the span of the last two iterates; a complex conjugate
-    pair dominating the iteration shows up as complex eigenvalues of the
-    projected 2x2 block with a small block residual."""
-    if len(history) < 2:
-        return None
-    q1 = history[-1] / np.linalg.norm(history[-1])
-    q2 = history[-2] - (history[-2] @ q1) * q1
-    nq2 = np.linalg.norm(q2)
-    if nq2 < 1e-12:
-        return None
-    q2 = q2 / nq2
-    Q = np.column_stack([q1, q2])
-    T = Q.T @ (J @ Q)
-    w = np.linalg.eigvals(T)
-    block_res = float(np.max(np.abs(J @ Q - Q @ T)))
-    if np.max(np.abs(w.imag)) <= 1e-10:
-        return None
-    lead = w[np.argmax(w.real)]
-    return float(lead.real), Q[:, 0], block_res
-
-
-def leading_eigenvalue(
-    J: sp.spmatrix,
-    residual_tol: float = RESIDUAL_TOL,
-    extra_shifts: tuple[float, ...] = (),
-) -> EigenPair:
-    """Eigenvalue of largest real part reachable by shift-and-invert iteration.
-
-    Raises EigenNoConvergence if no candidate meets the residual contract and
-    no dominating complex pair can be identified.
+    Raises EigenNoConvergence if no returned pair meets the residual contract.
     """
-    J = J.tocsr()
-    n = J.shape[0]
     if J.shape[0] != J.shape[1]:
         raise ValueError("operator must be square")
-    Jcsc = J.tocsc()
-    norm_inf = float(np.max(np.asarray(abs(J).sum(axis=1)).ravel())) or 1.0
-    floor = max(5e-15 * norm_inf, 1e-14)
-    x0 = np.ones(n)
-
-    edge = _gershgorin_right_edge(J)
-    shifts = [0.0, 0.5, -0.5, edge + 0.01 * (1.0 + abs(edge))]
-    shifts.extend(extra_shifts)
-
-    converged: list[_Candidate] = []
-    attempted: list[_Candidate] = []
-    for sigma in shifts:
-        cand = _iterate_from_shift(J, Jcsc, sigma, x0, floor)
-        attempted.append(cand)
-        if cand.vector is not None and cand.residual <= residual_tol:
-            converged.append(cand)
-
-    if converged:
-        best = max(converged, key=lambda c: c.value)
-        # climb upward in case a larger real eigenvalue sits beyond the ladder
-        for _ in range(8):
-            cand = _iterate_from_shift(J, Jcsc, best.value + 0.5, x0, floor)
-            if (
-                cand.vector is not None
-                and cand.residual <= residual_tol
-                and cand.value > best.value + 1e-10
-            ):
-                best = cand
-            else:
-                break
-        return EigenPair(best.value, best.vector, best.residual)
-
-    for cand in attempted:
-        block = _complex_block(J, cand.history)
-        if block is not None and block[2] <= 1e-6 * norm_inf:
-            real_part, vec, res = block
-            return EigenPair(real_part, _normalize(vec), res, complex_pair=True)
-
+    J = J.tocsr()
+    values, vectors = _candidates(J)
+    residuals = []
+    for i in np.argsort(-values.real, kind="stable"):
+        lam = values[i]
+        x = vectors[:, i]
+        x = x / x[np.argmax(np.abs(x))]  # largest entry 1: fixes scale, sign and phase
+        complex_pair = abs(lam.imag) > 1e-10
+        if not complex_pair:
+            lam, x = lam.real, x.real
+        res = float(np.max(np.abs(J @ x - lam * x)))
+        if res <= residual_tol:
+            return EigenPair(float(lam.real), np.real(x), res, complex_pair)
+        residuals.append(res)
     raise EigenNoConvergence(
-        f"no eigenpair met residual {residual_tol:g} over shifts {shifts}"
+        f"no eigenpair met residual {residual_tol:g}; best of {len(residuals)} "
+        f"was {min(residuals, default=np.inf):.3e}"
     )
 
 

@@ -19,9 +19,9 @@ import scipy.sparse.linalg as spla
 from .errors import LinearSolveFailure, NoConvergence, SingularJacobian
 from .fields import Region, ScalarField, SystemState
 from .geometry import DomainGeometry
-from .operators import ModelParams, assemble_jacobian, residual_steady
+from .operators import PERMC_SPEC, ModelParams, assemble_jacobian, residual_steady
 
-#: direct sparse solves must meet this relative residual
+#: direct sparse solves must meet this normwise backward error
 LINSOLVE_RTOL = 1e-12
 
 
@@ -75,7 +75,7 @@ def newton_solve(
         st = SystemState.from_vector(x, geom.n_omega)
         J = assemble_jacobian(params, st.u, st.v, geom)
         try:
-            lu = spla.splu(J.tocsc())
+            lu = spla.splu(J.tocsc(), permc_spec=PERMC_SPEC)
         except RuntimeError as exc:
             raise SingularJacobian(f"Newton linear solve failed: {exc}") from exc
         delta = lu.solve(-res)
@@ -104,6 +104,18 @@ def newton_solve(
     raise NoConvergence(f"residual {rnorm:.3e} after {cfg.max_iter} iterations")
 
 
+def _backward_error(A: sp.spmatrix, x: np.ndarray, b: np.ndarray) -> float:
+    """Normwise backward error ||A x - b|| / (||A|| ||x|| + ||b||) in the inf-norm.
+
+    Unlike the relative residual ||A x - b|| / ||b||, which grows with
+    cond(A) ~ h^-2 under rounding alone, this stays at machine precision for
+    a backward-stable solve on every grid.
+    """
+    norm_a = float(np.max(np.asarray(abs(A).sum(axis=1)).ravel()))
+    scale = norm_a * np.max(np.abs(x)) + np.max(np.abs(b))
+    return float(np.max(np.abs(A @ x - b)) / max(scale, 1e-300))
+
+
 @dataclass
 class KernelTangent:
     """Null direction of the bifurcation-point linearization: alpha on the
@@ -111,17 +123,10 @@ class KernelTangent:
     tangent in (u, v) coordinates is (-alpha, 1)."""
 
     alpha: ScalarField
-    beta_const: float = 1.0
 
     def direction(self, geom: DomainGeometry) -> np.ndarray:
         """Concatenated (-alpha, 1) over [u cells; v cells]."""
-        return np.concatenate(
-            [-self.alpha.values, np.full(geom.n_omega1, self.beta_const)]
-        )
-
-    def unit_direction(self, geom: DomainGeometry) -> np.ndarray:
-        d = self.direction(geom)
-        return d / np.max(np.abs(d))
+        return np.concatenate([-self.alpha.values, np.ones(geom.n_omega1)])
 
 
 def solve_kernel_function(params: ModelParams, geom: DomainGeometry) -> KernelTangent:
@@ -135,13 +140,13 @@ def solve_kernel_function(params: ModelParams, geom: DomainGeometry) -> KernelTa
     A = (sp.identity(n, format="csr") - geom.lap_omega).tocsc()
     rhs = np.where(geom.omega1_flat, params.b, 0.0) / (1.0 + params.m * params.lam)
     try:
-        lu = spla.splu(A)
+        lu = spla.splu(A, permc_spec=PERMC_SPEC)
         alpha = lu.solve(rhs)
         # one pass of iterative refinement to push the residual to the floor
         alpha += lu.solve(rhs - A @ alpha)
     except RuntimeError as exc:
         raise LinearSolveFailure(f"kernel-function solve failed: {exc}") from exc
-    rel = np.linalg.norm(A @ alpha - rhs) / max(np.linalg.norm(rhs), 1e-300)
-    if not np.all(np.isfinite(alpha)) or rel > LINSOLVE_RTOL:
-        raise LinearSolveFailure(f"kernel-function solve met only {rel:.3e} relative residual")
+    err = _backward_error(A, alpha, rhs)
+    if not np.all(np.isfinite(alpha)) or err > LINSOLVE_RTOL:
+        raise LinearSolveFailure(f"kernel-function solve met only {err:.3e} backward error")
     return KernelTangent(ScalarField(alpha, Region.OMEGA))

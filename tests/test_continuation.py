@@ -15,8 +15,8 @@ from refugia.continuation import (
 )
 from refugia.errors import ContinuationStalled, FellBackToSemitrivial, NoCrossing
 from refugia.fields import constant_state
-from refugia.operators import ModelParams, residual_steady
-from refugia.spectral import StabilityFlag
+from refugia.operators import ModelParams, assemble_jacobian, residual_steady
+from refugia.spectral import StabilityFlag, leading_eigenvalue
 from refugia.steady import NewtonConfig, newton_solve
 
 
@@ -57,6 +57,33 @@ def test_semitrivial_trace_gammas(semi):
     assert flags[0] is StabilityFlag.UNSTABLE  # mu = 0.8
     assert flags[-1] is StabilityFlag.STABLE  # mu = 1.2
     assert StabilityFlag.MARGINAL in flags  # the mu = 1.0 point
+
+
+def test_semitrivial_blocks_match_full_jacobian(geom16):
+    # gamma(mu) = max(g_u, g_v0 - mu) from the two diagonal blocks agrees with
+    # the full-Jacobian solve on both sides of the cap at -lam
+    p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
+    branch = trace_semitrivial(p, (0.5, 2.5), 5, geom16)
+    assert branch.blocks is not None
+    st = constant_state(geom16, p.lam, 0.0)
+    for point in branch.points:
+        ep = leading_eigenvalue(assemble_jacobian(p.with_mu(point.mu), st.u, st.v, geom16))
+        assert point.gamma == pytest.approx(ep.value, abs=1e-10)
+        assert point.eigen_residual <= 1e-10
+        assert not point.complex_pair
+
+
+def test_detect_transcritical_solves_no_eigenproblem(params, geom16, monkeypatch):
+    import refugia.continuation as cont
+
+    # mu* = 1 falls strictly between samples, so the root find runs
+    branch = trace_semitrivial(params, (0.805, 1.205), 9, geom16)
+
+    def forbidden(J, *args, **kwargs):
+        raise AssertionError("detect_transcritical must reuse the branch's block pairs")
+
+    monkeypatch.setattr(cont, "leading_eigenvalue", forbidden)
+    assert detect_transcritical(branch) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_semitrivial_single_point(params, geom16):

@@ -138,7 +138,9 @@ def test_bifurcate_run_deterministic(tmp_path):
     assert "report.txt" in d1
     assert "diagram.svg" in d1
     header = (tmp_path / "a" / "branch_nontrivial.csv").read_text().splitlines()[0]
-    assert header == "label,index,mu,amplitude,s,gamma,flag,residual_norm"
+    assert header == (
+        "label,index,mu,amplitude,s,gamma,flag,residual_norm,eigen_residual,complex_pair"
+    )
 
 
 def test_continue_kind_stops_after_branch(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import smooth_positive
+from refugia.continuation import solve_at_amplitude
 from refugia.fields import Region, ScalarField, SystemState, constant_state
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
 from refugia.operators import ModelParams, assemble_jacobian
@@ -135,3 +136,35 @@ def test_complex_pair_is_flagged():
     assert ep.complex_pair
     assert ep.value == pytest.approx(0.0, abs=1e-10)
     assert classify_value(ep.value) is StabilityFlag.MARGINAL
+
+
+ENRICHED = ModelParams(lam=4.0, m=2.0, c=2.0, b=1.0, mu=8.0 / 9.0)  # mu* = 8/9
+
+
+@pytest.mark.parametrize(
+    "grid,refuge",
+    [
+        (GridSpec(12, 12), RefugeShape.empty()),
+        (GridSpec(12, 12), RefugeShape.rectangle((0.5, 0.5), (0.125, 0.125))),
+        (GridSpec(14, 10, lx=1.4), RefugeShape.disc((0.6, 0.45), 0.2)),
+    ],
+    ids=["no-refuge", "centred-square", "off-centre-disc"],
+)
+def test_dense_oracle_along_enriched_branch(grid, refuge):
+    # walk the coexistence branch by pinned amplitude up to the
+    # paradox-of-enrichment regime and compare with the dense spectrum
+    geom = build_geometry(grid, refuge)
+    mu, state = ENRICHED.mu, None
+    for amplitude in np.linspace(0.5, 10.0, 20):
+        point = solve_at_amplitude(ENRICHED, geom, float(amplitude), mu, state_guess=state)
+        mu, state = point.mu, point.state
+        J = assemble_jacobian(ENRICHED.with_mu(mu), state.u, state.v, geom)
+        ep = leading_eigenvalue(J)
+        dense = np.max(np.linalg.eigvals(J.toarray()).real)
+        assert ep.value == pytest.approx(dense, abs=1e-8)
+        assert ep.residual <= 1e-8
+        assert point.gamma == ep.value and point.complex_pair == ep.complex_pair
+    if refuge.kind == "empty":
+        # without a refuge the branch ends near a Hopf point: -0.2 +/- 0.529i
+        assert ep.complex_pair and point.complex_pair
+        assert ep.value == pytest.approx(-0.2, abs=1e-8)
