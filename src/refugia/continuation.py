@@ -48,6 +48,9 @@ GAMMA_BAND = 1e-6
 #: default initial mu offset at branch switching, as a fraction of mu*
 DELTA_SWITCH_FRACTION = 1e-2
 
+#: bordered Newton meets its linear constraint to this, relative to max(1, |target|)
+CONSTRAINT_TOL = 1e-12
+
 
 class RegionOfApplicabilityWarning(UserWarning):
     """The sign-relation audit was fed a branch it is not meant for."""
@@ -220,10 +223,12 @@ def _point_from_state(
     s: float,
     params: ModelParams,
     geom: DomainGeometry,
+    residual_norm: float,
 ) -> BranchPoint:
+    """Branch point at a converged state; residual_norm is the inf-norm of the
+    steady residual the solver already evaluated there."""
     J = assemble_jacobian(params.with_mu(mu), state.u, state.v, geom)
     ep = leading_eigenvalue(J)
-    res = residual_steady(params.with_mu(mu), state.u, state.v, geom)
     return BranchPoint(
         mu=mu,
         state=state,
@@ -231,7 +236,7 @@ def _point_from_state(
         amplitude=amplitude_of(state),
         gamma=ep.value,
         flag=classify_value(ep.value),
-        residual_norm=float(np.max(np.abs(res))),
+        residual_norm=residual_norm,
         eigen_residual=ep.residual,
         complex_pair=ep.complex_pair,
     )
@@ -268,56 +273,65 @@ def branch_switch(
         )
     dx = result.state.as_vector() - constant_state(geom, params.lam, 0.0).as_vector()
     s_init = float(np.sqrt(np.mean(dx**2) + (mu_sw - mu_star) ** 2))
-    return _point_from_state(result.state, mu_sw, s_init, params, geom)
+    return _point_from_state(result.state, mu_sw, s_init, params, geom, result.residual_norm)
 
 
 def _metric_norm(dx: np.ndarray, dmu: float) -> float:
     return float(np.sqrt(np.mean(dx**2) + dmu**2))
 
 
-def _bordered_correct(
+def _bordered_newton(
     x: np.ndarray,
     mu: float,
-    t_x: np.ndarray,
-    t_mu: float,
-    y0_x: np.ndarray,
-    y0_mu: float,
-    ds: float,
+    row_x: np.ndarray,
+    row_mu: float,
+    target: float,
     params: ModelParams,
     geom: DomainGeometry,
     tol_residual: float,
     max_iter: int = 20,
-):
-    """Newton on [steady residual; arclength constraint] with (x, mu) unknown."""
-    n = x.size
+) -> tuple[SystemState, float, float]:
+    """Newton on [steady residual; row_x.x + row_mu*mu - target] over (x, mu).
+
+    The one corrector for every (state, mu) solve with a linear constraint
+    (Keller 1977; Govaerts 2000): pseudo-arclength steps and amplitude-pinned
+    solves differ only in the constraint row. Iterates are clamped to x >= 0.
+    Returns the state, mu and the residual inf-norm there. Raises
+    NoConvergence when a mu iterate leaves mu > 0, the bordered LU fails or
+    gives a non-finite update, or max_iter iterations do not converge.
+    """
     n_cells = geom.n_omega
-    scale = 1.0 / n  # metric weight of the state part
+    con_tol = CONSTRAINT_TOL * max(1.0, abs(target))
+    rnorm = float("nan")
     for _ in range(max_iter):
+        if not mu > 0.0:
+            raise NoConvergence(f"bordered Newton: mu iterate {mu:.6g} is not positive")
         st = SystemState.from_vector(x, n_cells)
         p_mu = params.with_mu(mu)
         res = residual_steady(p_mu, st.u, st.v, geom)
-        con = scale * float(t_x @ (x - y0_x)) + t_mu * (mu - y0_mu) - ds
-        if np.max(np.abs(res)) <= tol_residual and abs(con) <= 1e-10 * max(1.0, abs(ds)):
-            return SystemState.from_vector(x, n_cells), mu, float(np.max(np.abs(res)))
+        rnorm = float(np.max(np.abs(res)))
+        con = float(row_x @ x) + row_mu * mu - target
+        if rnorm <= tol_residual and abs(con) <= con_tol:
+            return st, mu, rnorm
         J = assemble_jacobian(p_mu, st.u, st.v, geom)
         dmu_col = residual_mu_derivative(st.v, geom)
         bordered = sp.bmat(
             [
                 [J, sp.csc_matrix(dmu_col.reshape(-1, 1))],
-                [sp.csc_matrix((scale * t_x).reshape(1, -1)), sp.csc_matrix([[t_mu]])],
+                [sp.csc_matrix(row_x.reshape(1, -1)), sp.csc_matrix([[row_mu]])],
             ],
             format="csc",
         )
         try:
             lu = spla.splu(bordered, permc_spec=PERMC_SPEC)
-            delta = lu.solve(-np.concatenate([res, [con]]))
-        except RuntimeError:
-            return None
+        except RuntimeError as exc:
+            raise NoConvergence(f"bordered Newton: LU failed: {exc}") from exc
+        delta = lu.solve(-np.concatenate([res, [con]]))
         if not np.all(np.isfinite(delta)):
-            return None
+            raise NoConvergence("bordered Newton: non-finite update")
         x = np.maximum(x + delta[:-1], 0.0)
         mu = mu + float(delta[-1])
-    return None
+    raise NoConvergence(f"bordered Newton: residual {rnorm:.3e} after {max_iter} iterations")
 
 
 def continue_branch(
@@ -361,24 +375,26 @@ def continue_branch(
         if amplitude_cap is not None and points[-1].amplitude >= amplitude_cap:
             break
         ds_cur = ds
-        accepted = None
-        while accepted is None:
+        # arclength constraint (t_x/n).(x - y_x) + t_mu*(mu - y_mu) = ds
+        row_x = t_x / n
+        at_y = float(row_x @ y_x) + t_mu * y_mu
+        while True:
             x_pred = np.maximum(y_x + ds_cur * t_x, 0.0)
             mu_pred = y_mu + ds_cur * t_mu
-            accepted = _bordered_correct(
-                x_pred, mu_pred, t_x, t_mu, y_x, y_mu, ds_cur,
-                params, geom, cfg.tol_residual,
-            )
-            if accepted is None:
+            try:
+                state_new, mu_new, rnorm = _bordered_newton(
+                    x_pred, mu_pred, row_x, t_mu, at_y + ds_cur, params, geom, cfg.tol_residual
+                )
+                break
+            except NoConvergence as exc:
                 ds_cur *= 0.5
                 if ds_cur < ds / min_ds_factor:
                     raise ContinuationStalled(
                         f"corrector kept failing down to ds = {ds_cur:.3e} "
                         f"after {len(points) - 1} accepted steps"
-                    )
-        state_new, mu_new, _ = accepted
+                    ) from exc
         s_accum += ds_cur
-        points.append(_point_from_state(state_new, mu_new, s_accum, params, geom))
+        points.append(_point_from_state(state_new, mu_new, s_accum, params, geom, rnorm))
 
         x_new = state_new.as_vector()
         sec_x, sec_mu = x_new - y_x, mu_new - y_mu
@@ -409,42 +425,18 @@ def solve_at_amplitude(
     tangent structure.
     """
     cfg = newton_cfg or NewtonConfig()
-    n_cells = geom.n_omega
     if state_guess is None:
         kt = tangent if tangent is not None else solve_kernel_function(params, geom)
         x = constant_state(geom, params.lam, 0.0).as_vector() + amplitude * kt.direction(geom)
         x = np.maximum(x, 0.0)
     else:
         x = state_guess.as_vector()
-    mu = mu_guess
     n1 = geom.n_omega1
-    c_x = np.concatenate([np.zeros(geom.n_omega), np.full(n1, 1.0 / n1)])
-    for _ in range(max_iter):
-        st = SystemState.from_vector(x, n_cells)
-        p_mu = params.with_mu(mu)
-        res = residual_steady(p_mu, st.u, st.v, geom)
-        con = float(st.v.values.mean()) - amplitude
-        if np.max(np.abs(res)) <= cfg.tol_residual and abs(con) <= 1e-12:
-            return _point_from_state(st, mu, amplitude, params, geom)
-        J = assemble_jacobian(p_mu, st.u, st.v, geom)
-        dmu_col = residual_mu_derivative(st.v, geom)
-        bordered = sp.bmat(
-            [
-                [J, sp.csc_matrix(dmu_col.reshape(-1, 1))],
-                [sp.csc_matrix(c_x.reshape(1, -1)), sp.csc_matrix([[0.0]])],
-            ],
-            format="csc",
-        )
-        try:
-            lu = spla.splu(bordered, permc_spec=PERMC_SPEC)
-            delta = lu.solve(-np.concatenate([res, [con]]))
-        except RuntimeError as exc:
-            raise NoConvergence(f"amplitude-pinned solve failed: {exc}") from exc
-        if not np.all(np.isfinite(delta)):
-            raise NoConvergence("amplitude-pinned solve produced non-finite update")
-        x = np.maximum(x + delta[:-1], 0.0)
-        mu = mu + float(delta[-1])
-    raise NoConvergence(f"amplitude-pinned solve: no convergence in {max_iter} iterations")
+    row_x = np.concatenate([np.zeros(geom.n_omega), np.full(n1, 1.0 / n1)])
+    state, mu, rnorm = _bordered_newton(
+        x, mu_guess, row_x, 0.0, amplitude, params, geom, cfg.tol_residual, max_iter
+    )
+    return _point_from_state(state, mu, amplitude, params, geom, rnorm)
 
 
 @dataclass

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .continuation import Branch
@@ -14,17 +16,19 @@ def _f(x: float) -> str:
 
 
 def write_state_raster(path, geom: DomainGeometry, state: SystemState) -> None:
-    """One row per cell: i, j, region, u, v (v is 0 inside the refuge)."""
-    nx, ny = geom.grid.nx, geom.grid.ny
-    u = state.u.values.reshape(nx, ny)
-    v = np.zeros((nx, ny))
-    v[geom.omega1_mask] = state.v.values
+    """One row per cell: i, j, region, u, v (v is 0 inside the refuge).
+
+    The whole table is formatted by one %-operation over the interleaved
+    columns; '%.17g' gives the same text as _f.
+    """
+    i, j = np.divmod(np.arange(geom.n_omega), geom.grid.ny)
+    region = np.where(geom.omega1_flat, "omega1", "refuge")
+    v = geom.to_grid(state.v).ravel()
+    columns = (i.tolist(), j.tolist(), region.tolist(), state.u.values.tolist(), v.tolist())
+    cells = chain.from_iterable(zip(*columns))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("i,j,region,u,v\n")
-        for i in range(nx):
-            for j in range(ny):
-                region = "omega1" if geom.omega1_mask[i, j] else "refuge"
-                fh.write(f"{i},{j},{region},{_f(u[i, j])},{_f(v[i, j])}\n")
+        fh.write("%d,%d,%s,%.17g,%.17g\n" * geom.n_omega % tuple(cells))
 
 
 def write_branch_csv(path, branch: Branch) -> None:

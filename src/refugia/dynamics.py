@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 from .errors import LinearSolveFailure, StepRejected
 from .fields import Region, ScalarField, SystemState
 from .geometry import DomainGeometry
-from .operators import ModelParams, frozen_diffusion_matrix, rhs_transient
+from .operators import ModelParams, _kinetics, frozen_diffusion_matrix, rhs_transient
 
 #: post-solve values below this reject the step (dt too large)
 REJECT_BELOW = -1e-8
@@ -74,19 +74,12 @@ def imex_step(
     """One IMEX step: implicit frozen-coefficient diffusion, explicit reaction."""
     u_old = state.u.values
     v_old = state.v.values
-    ug = u_old.reshape(geom.grid.nx, geom.grid.ny)
-    vg = np.zeros_like(ug)
-    vg[geom.omega1_mask] = v_old
-    b_field = np.where(geom.omega1_mask, params.b, 0.0)
-    holling = ug / (1.0 + params.m * ug)
-    react_u = params.r * ug * (1.0 - ug / params.lam) - b_field * holling * vg
-    u1 = ug[geom.omega1_mask]
-    react_v = -params.mu * v_old + params.c * (u1 / (1.0 + params.m * u1)) * v_old
+    react_u, react_v = _kinetics(params, u_old, v_old, geom, params.r)
 
     n = geom.n_omega
     A = frozen_diffusion_matrix(u_old, geom)
     M_u = sp.identity(n, format="csr") - (dt * params.d_u) * A
-    u_new = _cg(M_u, u_old + dt * react_u.ravel(), u_old, "prey")
+    u_new = _cg(M_u, u_old + dt * react_u, u_old, "prey")
 
     if _mat_v is None:
         _mat_v = sp.identity(geom.n_omega1, format="csr") - (dt * params.d_v) * geom.lap_omega1

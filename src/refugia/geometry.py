@@ -140,12 +140,10 @@ class DomainGeometry:
     area_omega1: float
     v_index: np.ndarray  # (nx, ny) int, -1 outside OMEGA1
     omega1_flat: np.ndarray = field(repr=False)  # flat bool over cells
-    # interior faces of OMEGA in flat cell indices, per axis
-    face_u_x: tuple[np.ndarray, np.ndarray] = field(repr=False, default=None)
-    face_u_y: tuple[np.ndarray, np.ndarray] = field(repr=False, default=None)
-    # faces internal to OMEGA1 in v-vector indices, per axis
-    face_v_x: tuple[np.ndarray, np.ndarray] = field(repr=False, default=None)
-    face_v_y: tuple[np.ndarray, np.ndarray] = field(repr=False, default=None)
+    #: face table (a, b, w) of OMEGA: interior faces in flat cell indices
+    faces_u: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+    #: face table (a, b, w) of OMEGA1: faces internal to it in v-vector indices
+    faces_v: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
     @property
     def n_omega(self) -> int:
@@ -185,43 +183,45 @@ class DomainGeometry:
     @cached_property
     def lap_omega(self) -> sp.csr_matrix:
         """Zero-flux 5-point Laplacian over OMEGA (symmetric, rows sum to 0)."""
-        return _face_matrix(
-            self.n_omega, self.face_u_x, self.face_u_y, self.grid, ones=True
-        )
+        return _face_matrix(self.n_omega, self.faces_u, 1.0, 1.0)
 
     @cached_property
     def lap_omega1(self) -> sp.csr_matrix:
         """Zero-flux 5-point Laplacian over OMEGA1 (refuge faces excluded)."""
-        return _face_matrix(
-            self.n_omega1, self.face_v_x, self.face_v_y, self.grid, ones=True
-        )
+        return _face_matrix(self.n_omega1, self.faces_v, 1.0, 1.0)
 
 
-def _face_matrix(n, faces_x, faces_y, grid, ones=False, vals_x=None, vals_y=None):
-    """Assemble a flux-divergence matrix from face tables.
+def _face_table(index: np.ndarray, inside: np.ndarray, grid: GridSpec):
+    """Faces between neighbouring cells that both lie inside a region.
 
-    For a face (a, b) with axis weight w and side values (pa, pb) the matrix
-    gets entries (a,b) += w*pb, (b,a) += w*pa, (a,a) -= w*pa, (b,b) -= w*pb.
+    Returns (a, b, w): the region indices of the two cells (a before b along
+    the axis) and the face weight w = 1/h^2 of the face's axis; x-faces come
+    first.
+    """
+    ok_x = inside[:-1, :] & inside[1:, :]
+    ok_y = inside[:, :-1] & inside[:, 1:]
+    a = np.concatenate([index[:-1, :][ok_x], index[:, :-1][ok_y]])
+    b = np.concatenate([index[1:, :][ok_x], index[:, 1:][ok_y]])
+    w = np.concatenate(
+        [np.full(int(ok_x.sum()), 1.0 / grid.hx**2), np.full(int(ok_y.sum()), 1.0 / grid.hy**2)]
+    )
+    return a, b, w
+
+
+def _face_matrix(n, table, pa, pb):
+    """Assemble a flux-divergence matrix from a face table.
+
+    For a face (a, b) with weight w and side values (pa, pb) the matrix gets
+    entries (a,b) += w*pb, (b,a) += w*pa, (a,a) -= w*pa, (b,b) -= w*pb.
     With pa = pb = 1 this is the Laplacian; with pa = pb = face-average it is
     the frozen-coefficient diffusion operator; with pa, pb = cell values it is
     the linearization of the density-dependent diffusion.
     """
-    rows, cols, data = [], [], []
-    for (a, b), w, vals in (
-        (faces_x, 1.0 / grid.hx**2, vals_x),
-        (faces_y, 1.0 / grid.hy**2, vals_y),
-    ):
-        if ones:
-            pa = pb = np.ones(a.size)
-        else:
-            pa, pb = vals
-        rows.append(a), cols.append(b), data.append(w * pb)
-        rows.append(b), cols.append(a), data.append(w * pa)
-        rows.append(a), cols.append(a), data.append(-w * pa)
-        rows.append(b), cols.append(b), data.append(-w * pb)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.concatenate(data)
+    a, b, w = table
+    wa, wb = w * pa, w * pb
+    rows = np.concatenate([a, b, a, b])
+    cols = np.concatenate([b, a, a, b])
+    data = np.concatenate([wb, wa, -wa, -wb])
     return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
@@ -256,13 +256,8 @@ def build_geometry(grid: GridSpec, refuge: RefugeShape) -> DomainGeometry:
     v_index[omega1] = np.arange(int(omega1.sum()))
 
     idx = np.arange(grid.n_cells).reshape(grid.nx, grid.ny)
-    face_u_x = (idx[:-1, :].ravel(), idx[1:, :].ravel())
-    face_u_y = (idx[:, :-1].ravel(), idx[:, 1:].ravel())
-
-    ok_x = omega1[:-1, :] & omega1[1:, :]
-    ok_y = omega1[:, :-1] & omega1[:, 1:]
-    face_v_x = (v_index[:-1, :][ok_x], v_index[1:, :][ok_x])
-    face_v_y = (v_index[:, :-1][ok_y], v_index[:, 1:][ok_y])
+    faces_u = _face_table(idx, np.ones_like(omega1), grid)
+    faces_v = _face_table(v_index, omega1, grid)
 
     return DomainGeometry(
         grid=grid,
@@ -272,10 +267,8 @@ def build_geometry(grid: GridSpec, refuge: RefugeShape) -> DomainGeometry:
         area_omega1=area,
         v_index=v_index,
         omega1_flat=omega1.ravel(),
-        face_u_x=face_u_x,
-        face_u_y=face_u_y,
-        face_v_x=face_v_x,
-        face_v_y=face_v_y,
+        faces_u=faces_u,
+        faces_v=faces_v,
     )
 
 

@@ -9,7 +9,12 @@ The density-dependent diffusion div(u grad u) is discretized in conservative
 flux form with arithmetic face averages, so constants are annihilated and the
 discrete integral over the habitat telescopes to zero. The transient system
 carries coefficients d_u, d_v and logistic rate r in front of the same terms,
-with the prey growth written as r*u*(1 - u/lam).
+with the prey growth written as (r/lam)*(lam*u - u^2).
+
+Both diffusion operators act through the geometry's face tables: the
+difference form below for residuals, the matrix form of geometry._face_matrix
+for Jacobians and implicit steps. The pointwise kinetics are written once,
+in _kinetics.
 """
 
 from __future__ import annotations
@@ -73,6 +78,22 @@ def clamp_nonnegative(values: np.ndarray, what: str = "field") -> np.ndarray:
     return values
 
 
+def _face_divergence(table, x: np.ndarray, density: bool = False) -> np.ndarray:
+    """Difference-form flux divergence over a face table.
+
+    Each face (a, b, w) carries the flux w*(x_b - x_a), times the face average
+    (x_a + x_b)/2 when density is set (div(x grad x)); the flux enters cell a
+    with a plus sign and cell b with a minus sign. Constants give zero fluxes,
+    hence exact zeros.
+    """
+    a, b, w = table
+    xa, xb = x[a], x[b]
+    flux = w * (xb - xa)
+    if density:
+        flux *= 0.5 * (xa + xb)
+    return np.bincount(np.concatenate([a, b]), np.concatenate([flux, -flux]), minlength=x.size)
+
+
 def laplacian_neumann(f: ScalarField, geom: DomainGeometry) -> ScalarField:
     """Zero-flux 5-point Laplacian of a field on its own region.
 
@@ -80,29 +101,8 @@ def laplacian_neumann(f: ScalarField, geom: DomainGeometry) -> ScalarField:
     the region contribute nothing (ghost reflection).
     """
     geom.check_field(f)
-    nx, ny = geom.grid.nx, geom.grid.ny
-    if f.region is Region.OMEGA:
-        g = f.values.reshape(nx, ny)
-        ok_x = ok_y = None
-    else:
-        g = _v_on_grid(f, geom)
-        m = geom.omega1_mask
-        ok_x = m[:-1, :] & m[1:, :]
-        ok_y = m[:, :-1] & m[:, 1:]
-    out = np.zeros_like(g)
-    dx = (g[1:, :] - g[:-1, :]) / geom.grid.hx**2
-    if ok_x is not None:
-        dx = np.where(ok_x, dx, 0.0)
-    out[:-1, :] += dx
-    out[1:, :] -= dx
-    dy = (g[:, 1:] - g[:, :-1]) / geom.grid.hy**2
-    if ok_y is not None:
-        dy = np.where(ok_y, dy, 0.0)
-    out[:, :-1] += dy
-    out[:, 1:] -= dy
-    if f.region is Region.OMEGA:
-        return ScalarField(out.ravel(), Region.OMEGA)
-    return ScalarField(out[geom.omega1_mask], Region.OMEGA1)
+    table = geom.faces_u if f.region is Region.OMEGA else geom.faces_v
+    return ScalarField(_face_divergence(table, f.values), f.region)
 
 
 def nonlinear_diffusion(u: ScalarField, geom: DomainGeometry) -> ScalarField:
@@ -111,21 +111,28 @@ def nonlinear_diffusion(u: ScalarField, geom: DomainGeometry) -> ScalarField:
         raise RegionMismatch("nonlinear diffusion acts on prey fields (OMEGA)")
     geom.check_field(u)
     vals = clamp_nonnegative(u.values, "prey density")
-    g = vals.reshape(geom.grid.nx, geom.grid.ny)
-    out = np.zeros_like(g)
-    dx = (g[1:, :] - g[:-1, :]) * (0.5 * (g[1:, :] + g[:-1, :])) / geom.grid.hx**2
-    out[:-1, :] += dx
-    out[1:, :] -= dx
-    dy = (g[:, 1:] - g[:, :-1]) * (0.5 * (g[:, 1:] + g[:, :-1])) / geom.grid.hy**2
-    out[:, :-1] += dy
-    out[:, 1:] -= dy
-    return ScalarField(out.ravel(), Region.OMEGA)
+    return ScalarField(_face_divergence(geom.faces_u, vals, density=True), Region.OMEGA)
 
 
-def _v_on_grid(v: ScalarField, geom: DomainGeometry) -> np.ndarray:
-    g = np.zeros((geom.grid.nx, geom.grid.ny))
-    g[geom.omega1_mask] = v.values
-    return g
+def _kinetics(
+    params: ModelParams, u: np.ndarray, v: np.ndarray, geom: DomainGeometry, r: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise kinetics (f_u, f_v), flat over OMEGA and OMEGA1.
+
+        f_u = (r/lam)*(lam*u - u^2) - b(x)*u*v/(1 + m*u)
+        f_v = -mu*v + c*u*v/(1 + m*u)
+
+    The steady system passes r = lam (then r/lam is exactly 1), the transient
+    one its logistic rate. Inside the refuge the attack rate is zero, so the
+    prey equation has no predation term there.
+    """
+    o1 = geom.omega1_flat
+    u1 = u[o1]
+    holling = u1 / (1.0 + params.m * u1)
+    f_u = (r / params.lam) * (params.lam * u - u**2)
+    f_u[o1] -= params.b * holling * v
+    f_v = -params.mu * v + params.c * holling * v
+    return f_u, f_v
 
 
 def reaction_terms(
@@ -138,27 +145,18 @@ def reaction_terms(
     """
     geom.check_field(u)
     geom.check_field(v)
-    ug = u.values.reshape(geom.grid.nx, geom.grid.ny)
-    vg = _v_on_grid(v, geom)
-    b_field = np.where(geom.omega1_mask, params.b, 0.0)
-    holling = ug / (1.0 + params.m * ug)
-    f_u = params.lam * ug - ug**2 - b_field * holling * vg
-    u1 = ug[geom.omega1_mask]
-    f_v = -params.mu * v.values + params.c * (u1 / (1.0 + params.m * u1)) * v.values
-    return (
-        ScalarField(f_u.ravel(), Region.OMEGA),
-        ScalarField(f_v, Region.OMEGA1),
-    )
+    f_u, f_v = _kinetics(params, u.values, v.values, geom, params.lam)
+    return ScalarField(f_u, Region.OMEGA), ScalarField(f_v, Region.OMEGA1)
 
 
 def residual_steady(
     params: ModelParams, u: ScalarField, v: ScalarField, geom: DomainGeometry
 ) -> np.ndarray:
     """Concatenated steady residual [prey equation on OMEGA; predator on OMEGA1]."""
-    f_u, f_v = reaction_terms(params, u, v, geom)
-    diff_u = nonlinear_diffusion(u, geom)
-    lap_v = laplacian_neumann(v, geom)
-    return np.concatenate([diff_u.values + f_u.values, lap_v.values + f_v.values])
+    diff_u = nonlinear_diffusion(u, geom).values
+    lap_v = laplacian_neumann(v, geom).values
+    f_u, f_v = _kinetics(params, u.values, v.values, geom, params.lam)
+    return np.concatenate([diff_u + f_u, lap_v + f_v])
 
 
 def rhs_transient(
@@ -166,24 +164,19 @@ def rhs_transient(
 ) -> tuple[ScalarField, ScalarField]:
     """Right-hand side of the transient system.
 
-        du/dt = d_u * div(u grad u) + r*u*(1 - u/lam) - b(x)*u*v/(1 + m*u)
+        du/dt = d_u * div(u grad u) + (r/lam)*(lam*u - u^2) - b(x)*u*v/(1 + m*u)
         dv/dt = d_v * lap v - mu*v + c*u*v/(1 + m*u)
 
     With d_u = d_v = 1 and r = lam the prey reaction equals lam*u - u^2 and
     the right-hand side coincides with the steady residual.
     """
-    geom.check_field(u)
-    geom.check_field(v)
-    ug = u.values.reshape(geom.grid.nx, geom.grid.ny)
-    vg = _v_on_grid(v, geom)
-    b_field = np.where(geom.omega1_mask, params.b, 0.0)
-    holling = ug / (1.0 + params.m * ug)
-    react_u = params.r * ug * (1.0 - ug / params.lam) - b_field * holling * vg
-    du = params.d_u * nonlinear_diffusion(u, geom).values + react_u.ravel()
-    u1 = ug[geom.omega1_mask]
-    react_v = -params.mu * v.values + params.c * (u1 / (1.0 + params.m * u1)) * v.values
-    dv = params.d_v * laplacian_neumann(v, geom).values + react_v
-    return ScalarField(du, Region.OMEGA), ScalarField(dv, Region.OMEGA1)
+    diff_u = nonlinear_diffusion(u, geom).values
+    lap_v = laplacian_neumann(v, geom).values
+    f_u, f_v = _kinetics(params, u.values, v.values, geom, params.r)
+    return (
+        ScalarField(params.d_u * diff_u + f_u, Region.OMEGA),
+        ScalarField(params.d_v * lap_v + f_v, Region.OMEGA1),
+    )
 
 
 def diffusion_linearization(u_values: np.ndarray, geom: DomainGeometry) -> sp.csr_matrix:
@@ -193,33 +186,15 @@ def diffusion_linearization(u_values: np.ndarray, geom: DomainGeometry) -> sp.cs
     (p, q) the flux derivative is w*(u_q*a_q - u_p*a_p), i.e. side values
     (u_p, u_q) in the face-matrix convention.
     """
-    up = u_values
-    ax, bx = geom.face_u_x
-    ay, by = geom.face_u_y
-    return _face_matrix(
-        geom.n_omega,
-        geom.face_u_x,
-        geom.face_u_y,
-        geom.grid,
-        vals_x=(up[ax], up[bx]),
-        vals_y=(up[ay], up[by]),
-    )
+    a, b, _ = geom.faces_u
+    return _face_matrix(geom.n_omega, geom.faces_u, u_values[a], u_values[b])
 
 
 def frozen_diffusion_matrix(u_values: np.ndarray, geom: DomainGeometry) -> sp.csr_matrix:
     """Linear operator a -> div(ubar grad a) with face coefficients frozen at u."""
-    ax, bx = geom.face_u_x
-    ay, by = geom.face_u_y
-    fx = 0.5 * (u_values[ax] + u_values[bx])
-    fy = 0.5 * (u_values[ay] + u_values[by])
-    return _face_matrix(
-        geom.n_omega,
-        geom.face_u_x,
-        geom.face_u_y,
-        geom.grid,
-        vals_x=(fx, fx),
-        vals_y=(fy, fy),
-    )
+    a, b, _ = geom.faces_u
+    avg = 0.5 * (u_values[a] + u_values[b])
+    return _face_matrix(geom.n_omega, geom.faces_u, avg, avg)
 
 
 def assemble_jacobian(
@@ -235,7 +210,7 @@ def assemble_jacobian(
     geom.check_field(v)
     n, n1 = geom.n_omega, geom.n_omega1
     uv = u.values
-    vg = _v_on_grid(v, geom).ravel()
+    vg = geom.to_grid(v).ravel()
     b_flat = np.where(geom.omega1_flat, params.b, 0.0)
     denom = 1.0 + params.m * uv
 

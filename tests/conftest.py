@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
 from refugia.operators import ModelParams
 
 CENTER_RECT = RefugeShape.rectangle((0.5, 0.5), (0.125, 0.125))
+
+# property tests: the same few examples on every run, no timing deadline and
+# no example database on disk
+settings.register_profile(
+    "refugia", derandomize=True, deadline=None, max_examples=20, database=None
+)
+settings.load_profile("refugia")
 
 
 @pytest.fixture(scope="session")

@@ -13,8 +13,15 @@ from refugia.continuation import (
     trace_semitrivial,
     verify_sign_relation,
 )
-from refugia.errors import ContinuationStalled, FellBackToSemitrivial, NoCrossing
+from refugia.errors import (
+    ContinuationStalled,
+    FellBackToSemitrivial,
+    NoConvergence,
+    NoCrossing,
+    RefugiaError,
+)
 from refugia.fields import constant_state
+from refugia.geometry import GridSpec, RefugeShape, build_geometry
 from refugia.operators import ModelParams, assemble_jacobian, residual_steady
 from refugia.spectral import StabilityFlag, leading_eigenvalue
 from refugia.steady import NewtonConfig, newton_solve
@@ -231,6 +238,38 @@ def test_solve_at_amplitude_contract(mu_star, params, geom32):
     assert point.amplitude == pytest.approx(0.05, abs=1e-12)
     assert point.mu < mu_star
     assert point.residual_norm <= 1e-10
+
+
+def test_pinned_sweep_past_the_fold_raises_no_convergence():
+    # enriched parameters without a refuge: the pinned sweep reaches the
+    # complex pair -0.2 +/- 0.53i at amplitude 10; at 10.5, past the amplitude
+    # fold, the corrector drives mu below zero, which is a NoConvergence
+    p = ModelParams(lam=4.0, m=2.0, c=2.0, b=1.0, mu=8.0 / 9.0)
+    geom = build_geometry(GridSpec(12, 12), RefugeShape.empty())
+    mu, state = p.mu, None
+    for amplitude in np.linspace(0.5, 10.0, 20):
+        point = solve_at_amplitude(p, geom, float(amplitude), mu, state_guess=state)
+        mu, state = point.mu, point.state
+    assert point.complex_pair
+    with pytest.raises(NoConvergence, match="not positive") as info:
+        solve_at_amplitude(p, geom, 10.5, mu, state_guess=state)
+    assert isinstance(info.value, RefugiaError)
+
+
+def test_continue_branch_keeps_mu_positive(params, geom16):
+    # walking the predator-free line down in mu: steps that would end at
+    # mu <= 0 fail in the corrector and halve, until the step floor stalls
+    start = trace_semitrivial(params, (0.1, 0.1), 1, geom16).points[0]
+    with pytest.raises(ContinuationStalled):
+        continue_branch(
+            start,
+            (None, -1.0),
+            n_steps=20,
+            ds=0.05,
+            params=params,
+            geom=geom16,
+            label=BranchLabel.SEMITRIVIAL,
+        )
 
 
 def test_sign_relation_on_physical_branch(nontrivial, mu_star):

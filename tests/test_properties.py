@@ -1,0 +1,127 @@
+"""Property tests of the face-table operators over random refuges and grids.
+
+Rectangles and discs of random size and position (always more than two cell
+widths inside the habitat), or no refuge, on grids with nx != ny and
+lx != ly in general.
+"""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from refugia.fields import Region, ScalarField, SystemState
+from refugia.geometry import GridSpec, RefugeShape, build_geometry
+from refugia.operators import (
+    ModelParams,
+    assemble_jacobian,
+    frozen_diffusion_matrix,
+    laplacian_neumann,
+    nonlinear_diffusion,
+    residual_steady,
+)
+
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def geometries(draw):
+    grid = GridSpec(
+        draw(st.integers(12, 20)),
+        draw(st.integers(12, 20)),
+        draw(st.floats(0.8, 1.5)),
+        draw(st.floats(0.8, 1.5)),
+    )
+    edge = 2.5 * max(grid.hx, grid.hy)  # refuge margin to keep, > 2h
+    room = 0.5 * min(grid.lx, grid.ly) - edge  # > 0 for these ranges
+
+    def centre(half, length):
+        return edge + half + draw(unit) * (length - 2.0 * (edge + half))
+
+    kind = draw(st.sampled_from(["rectangle", "disc", "empty"]))
+    if kind == "rectangle":
+        wx = draw(st.floats(0.2, 0.95)) * (0.5 * grid.lx - edge)
+        wy = draw(st.floats(0.2, 0.95)) * (0.5 * grid.ly - edge)
+        refuge = RefugeShape.rectangle((centre(wx, grid.lx), centre(wy, grid.ly)), (wx, wy))
+    elif kind == "disc":
+        r = draw(st.floats(0.2, 0.95)) * room
+        refuge = RefugeShape.disc((centre(r, grid.lx), centre(r, grid.ly)), r)
+    else:
+        refuge = RefugeShape.empty()
+    return build_geometry(grid, refuge)
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _fields(geom, seed):
+    rng = np.random.default_rng(seed)
+    u = ScalarField(rng.uniform(0.2, 1.5, geom.n_omega), Region.OMEGA)
+    v = ScalarField(rng.uniform(0.0, 1.0, geom.n_omega1), Region.OMEGA1)
+    return u, v
+
+
+@given(geometries(), st.floats(-3.0, 3.0), st.floats(0.0, 3.0))
+def test_constants_map_to_exact_zeros(geom, c, c_pos):
+    for f in (
+        ScalarField(np.full(geom.n_omega, c), Region.OMEGA),
+        ScalarField(np.full(geom.n_omega1, c), Region.OMEGA1),
+    ):
+        assert np.all(laplacian_neumann(f, geom).values == 0.0)
+    u = ScalarField(np.full(geom.n_omega, c_pos), Region.OMEGA)
+    assert np.all(nonlinear_diffusion(u, geom).values == 0.0)
+
+
+@given(geometries(), seeds)
+def test_flux_divergences_sum_to_zero(geom, seed):
+    u, v = _fields(geom, seed)
+    outs = (laplacian_neumann(u, geom), laplacian_neumann(v, geom), nonlinear_diffusion(u, geom))
+    for out in outs:
+        assert abs(out.values.sum()) <= 1e-7  # telescoping fluxes, 1/h^2 scale
+    # the matrix forms of the same face tables conserve too, column by column
+    for M in (geom.lap_omega, geom.lap_omega1, frozen_diffusion_matrix(u.values, geom)):
+        assert np.max(np.abs(M.sum(axis=0))) <= 1e-7
+
+
+@given(geometries(), seeds)
+def test_matrix_and_difference_forms_agree(geom, seed):
+    u, v = _fields(geom, seed)
+    scale = 1.0 / min(geom.grid.hx, geom.grid.hy) ** 2
+    np.testing.assert_allclose(
+        geom.lap_omega1 @ v.values,
+        laplacian_neumann(v, geom).values,
+        rtol=0,
+        atol=1e-12 * scale,
+    )
+    np.testing.assert_allclose(
+        frozen_diffusion_matrix(u.values, geom) @ u.values,
+        nonlinear_diffusion(u, geom).values,
+        rtol=0,
+        atol=1e-12 * scale,
+    )
+
+
+@given(
+    geometries(),
+    seeds,
+    st.floats(0.5, 4.0),
+    st.floats(0.0, 2.0),
+    st.floats(0.5, 3.0),
+    st.floats(0.5, 2.0),
+    st.floats(0.1, 2.0),
+)
+def test_jacobian_matches_finite_differences(geom, seed, lam, m, c, b, mu):
+    params = ModelParams(lam=lam, m=m, c=c, b=b, mu=mu)
+    u, v = _fields(geom, seed)
+    x0 = np.concatenate([u.values, v.values])
+    J = assemble_jacobian(params, u, v, geom)
+
+    def resid(x):
+        state = SystemState.from_vector(x, geom.n_omega)
+        return residual_steady(params, state.u, state.v, geom)
+
+    d = np.random.default_rng(seed + 1).normal(size=x0.size)
+    d /= np.max(np.abs(d))
+    eps = 1e-6
+    fd = (resid(x0 + eps * d) - resid(x0 - eps * d)) / (2 * eps)
+    jd = J @ d
+    assert np.linalg.norm(fd - jd) <= 1e-6 * np.linalg.norm(jd)
