@@ -2,13 +2,15 @@
 
 The format is line-based: blank lines and `#` comments are ignored, every
 other line must read `section.key = value`. Unknown and duplicate keys are
-rejected. All problems are collected and reported together with their line
-numbers. `render_config` produces canonical text that parses back to an
-equal configuration.
+rejected, and so is a float key that reads as nan or inf. All problems are
+collected and reported together with their line numbers. `render_config`
+produces canonical text that parses back to an equal configuration.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 from .dynamics import TransientConfig
@@ -46,45 +48,84 @@ class RunConfig:
     out_dir: str | None
 
 
-# key -> (converter, default); REQUIRED means the key must be present
 _REQUIRED = object()
+_BOUNDS = {">": operator.gt, ">=": operator.ge}
+_POSITIVE = (">", 0)
 
-_SCHEMA: dict[str, tuple] = {
-    "experiment.kind": (str, _REQUIRED),
-    "experiment.seed": (int, 0),
-    "geometry.nx": (int, 64),
-    "geometry.ny": (int, 64),
-    "geometry.lx": (float, 1.0),
-    "geometry.ly": (float, 1.0),
-    "geometry.refuge.kind": (str, "empty"),
-    "geometry.refuge.center_x": (float, None),
-    "geometry.refuge.center_y": (float, None),
-    "geometry.refuge.half_width_x": (float, None),
-    "geometry.refuge.half_width_y": (float, None),
-    "geometry.refuge.radius": (float, None),
-    "params.lambda": (float, _REQUIRED),
-    "params.m": (float, _REQUIRED),
-    "params.c": (float, _REQUIRED),
-    "params.b": (float, _REQUIRED),
-    "params.mu": (float, None),
-    "params.mu_min": (float, None),
-    "params.mu_max": (float, None),
-    "params.mu_points": (int, None),
-    "params.d_u": (float, 1.0),
-    "params.d_v": (float, 1.0),
-    "params.r": (float, 1.0),
-    "solver.newton.tol_residual": (float, 1e-10),
-    "solver.newton.max_iter": (int, 50),
-    "solver.transient.dt": (float, 0.1),
-    "solver.transient.t_end": (float, 400.0),
-    "solver.transient.steady_tol": (float, 1e-7),
-    "solver.transient.max_steps": (int, 100_000),
-    "solver.continuation.ds": (float, 0.02),
-    "solver.continuation.n_steps": (int, 24),
-    "solver.continuation.s0": (float, 0.05),
-    "solver.continuation.amplitude_cap": (float, None),
-    "output.dir": (str, None),
+
+def _item(values: tuple | None, i: int):
+    return None if values is None else values[i]
+
+
+#: Every key in canonical order: (key, type, default, single-key lower bound,
+#: read-back from a RunConfig). The default is _REQUIRED when the key must be
+#: given and None when it may stay unset; where the field the key fills has a
+#: default of its own, that is the key's default. parse_config converts, fills
+#: and bounds by this table, render_config writes it back in this order; the
+#: rules that involve several keys are in parse_config.
+_KEYS = (
+    ("experiment.kind", str, _REQUIRED, None, lambda c: c.kind),
+    ("experiment.seed", int, 0, (">=", 0), lambda c: c.seed),
+    ("geometry.nx", int, 64, (">=", 4), lambda c: c.grid.nx),
+    ("geometry.ny", int, 64, (">=", 4), lambda c: c.grid.ny),
+    ("geometry.lx", float, GridSpec.lx, _POSITIVE, lambda c: c.grid.lx),
+    ("geometry.ly", float, GridSpec.ly, _POSITIVE, lambda c: c.grid.ly),
+    ("geometry.refuge.kind", str, "empty", None, lambda c: c.refuge.kind),
+    ("geometry.refuge.center_x", float, None, None, lambda c: _item(c.refuge.center, 0)),
+    ("geometry.refuge.center_y", float, None, None, lambda c: _item(c.refuge.center, 1)),
+    ("geometry.refuge.half_width_x", float, None, _POSITIVE,
+     lambda c: _item(c.refuge.half_width, 0)),
+    ("geometry.refuge.half_width_y", float, None, _POSITIVE,
+     lambda c: _item(c.refuge.half_width, 1)),
+    ("geometry.refuge.radius", float, None, _POSITIVE, lambda c: c.refuge.radius),
+    ("params.lambda", float, _REQUIRED, _POSITIVE, lambda c: c.params.lam),
+    ("params.m", float, _REQUIRED, (">=", 0), lambda c: c.params.m),
+    ("params.c", float, _REQUIRED, _POSITIVE, lambda c: c.params.c),
+    ("params.b", float, _REQUIRED, _POSITIVE, lambda c: c.params.b),
+    ("params.mu", float, None, _POSITIVE, lambda c: c.mu),
+    ("params.mu_min", float, None, _POSITIVE, lambda c: _item(c.mu_range, 0)),
+    ("params.mu_max", float, None, None, lambda c: _item(c.mu_range, 1)),
+    ("params.mu_points", int, None, (">=", 2), lambda c: _item(c.mu_range, 2)),
+    ("params.d_u", float, ModelParams.d_u, _POSITIVE, lambda c: c.params.d_u),
+    ("params.d_v", float, ModelParams.d_v, _POSITIVE, lambda c: c.params.d_v),
+    ("params.r", float, ModelParams.r, _POSITIVE, lambda c: c.params.r),
+    ("solver.newton.tol_residual", float, NewtonConfig.tol_residual, _POSITIVE,
+     lambda c: c.newton.tol_residual),
+    ("solver.newton.max_iter", int, NewtonConfig.max_iter, (">=", 1),
+     lambda c: c.newton.max_iter),
+    ("solver.transient.dt", float, TransientConfig.dt, _POSITIVE, lambda c: c.transient.dt),
+    ("solver.transient.t_end", float, TransientConfig.t_end, _POSITIVE,
+     lambda c: c.transient.t_end),
+    ("solver.transient.steady_tol", float, TransientConfig.steady_tol, _POSITIVE,
+     lambda c: c.transient.steady_tol),
+    ("solver.transient.max_steps", int, TransientConfig.max_steps, (">=", 1),
+     lambda c: c.transient.max_steps),
+    ("solver.continuation.ds", float, ContinuationSettings.ds, _POSITIVE,
+     lambda c: c.continuation.ds),
+    ("solver.continuation.n_steps", int, ContinuationSettings.n_steps, (">=", 1),
+     lambda c: c.continuation.n_steps),
+    ("solver.continuation.s0", float, ContinuationSettings.s0, _POSITIVE,
+     lambda c: c.continuation.s0),
+    ("solver.continuation.amplitude_cap", float, ContinuationSettings.amplitude_cap, _POSITIVE,
+     lambda c: c.continuation.amplitude_cap),
+    ("output.dir", str, None, None, lambda c: c.out_dir),
+)
+
+#: refuge kind -> the shape keys it takes; the other shape keys must stay unset
+_SHAPE_KEYS = {
+    "rectangle": ("geometry.refuge.center_x", "geometry.refuge.center_y",
+                  "geometry.refuge.half_width_x", "geometry.refuge.half_width_y"),
+    "disc": ("geometry.refuge.center_x", "geometry.refuge.center_y", "geometry.refuge.radius"),
+    "empty": (),
 }
+_RANGE_KEYS = ("params.mu_min", "params.mu_max", "params.mu_points")
+
+
+def _read(conv, text: str):
+    value = conv(text)
+    if conv is float and not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
 def parse_config(text: str, kind_override: str | None = None) -> RunConfig:
@@ -113,249 +154,114 @@ def parse_config(text: str, kind_override: str | None = None) -> RunConfig:
         raw[key] = (lineno, value)
     if parse_issues:
         raise ParseError(parse_issues)
-
-    issues: list[tuple[int, str]] = []
-    values: dict[str, object] = {}
-    for key, (lineno, value) in raw.items():
-        if key not in _SCHEMA:
-            issues.append((lineno, f"unknown key {key!r}"))
-            continue
-        conv = _SCHEMA[key][0]
-        try:
-            values[key] = conv(value)
-        except ValueError:
-            issues.append((lineno, f"{key}: cannot read {value!r} as {conv.__name__}"))
-    for key, (_, default) in _SCHEMA.items():
-        if key in values:
-            continue
-        if default is _REQUIRED:
-            if key == "experiment.kind" and kind_override is not None:
-                values[key] = kind_override
-            else:
-                issues.append((0, f"missing required key {key!r}"))
-        else:
-            values[key] = default
+    if kind_override is not None:
+        raw.setdefault("experiment.kind", (0, kind_override))
 
     def line_of(key: str) -> int:
         return raw[key][0] if key in raw else 0
 
-    def check(cond: bool, key: str, msg: str) -> bool:
-        if not cond:
-            issues.append((line_of(key), msg))
-        return cond
+    known = {row[0] for row in _KEYS}
+    issues = [(line_of(key), f"unknown key {key!r}") for key in raw if key not in known]
+    v: dict[str, object] = {}
+    for key, conv, default, bound, _ in _KEYS:
+        if key in raw:
+            try:
+                value = _read(conv, raw[key][1])
+            except ValueError:
+                what = "a finite float" if conv is float else conv.__name__
+                issues.append((line_of(key), f"{key}: cannot read {raw[key][1]!r} as {what}"))
+                continue
+        elif default is _REQUIRED:
+            issues.append((0, f"missing required key {key!r}"))
+            continue
+        else:
+            value = default
+        if bound is not None and value is not None and not _BOUNDS[bound[0]](value, bound[1]):
+            issues.append((line_of(key), f"{key} must be {bound[0]} {bound[1]}, got {value!r}"))
+        v[key] = value
 
-    kind = values.get("experiment.kind")
-    if kind is not None:
-        check(kind in KINDS, "experiment.kind", f"experiment.kind must be one of {KINDS}")
-        if kind_override is not None and kind != kind_override:
-            issues.append(
-                (line_of("experiment.kind"),
-                 f"experiment.kind = {kind!r} conflicts with requested {kind_override!r}")
-            )
+    def given_iff(keys: tuple[str, ...], wanted: tuple[str, ...], context: str) -> None:
+        """Each of keys must be given exactly when it is in wanted."""
+        for key in keys:
+            if key in wanted and key not in raw:
+                issues.append((0, f"{key} required for {context}"))
+            elif key in raw and key not in wanted:
+                issues.append((line_of(key), f"{key} does not apply to {context}"))
 
-    check(values.get("geometry.nx", 4) >= 4, "geometry.nx", "geometry.nx must be >= 4")
-    check(values.get("geometry.ny", 4) >= 4, "geometry.ny", "geometry.ny must be >= 4")
-    check(values.get("geometry.lx", 1.0) > 0, "geometry.lx", "geometry.lx must be > 0")
-    check(values.get("geometry.ly", 1.0) > 0, "geometry.ly", "geometry.ly must be > 0")
+    kind = v.get("experiment.kind")
+    if kind is not None and kind not in KINDS:
+        issues.append((line_of("experiment.kind"), f"experiment.kind must be one of {KINDS}"))
+    if kind_override not in (None, kind):
+        issues.append((line_of("experiment.kind"),
+                       f"experiment.kind = {kind!r} conflicts with requested {kind_override!r}"))
 
-    rkind = values.get("geometry.refuge.kind")
-    check(rkind in REFUGE_KINDS, "geometry.refuge.kind",
-          f"geometry.refuge.kind must be one of {REFUGE_KINDS}")
-    rect_keys = ("geometry.refuge.center_x", "geometry.refuge.center_y",
-                 "geometry.refuge.half_width_x", "geometry.refuge.half_width_y")
-    disc_keys = ("geometry.refuge.center_x", "geometry.refuge.center_y",
-                 "geometry.refuge.radius")
-    if rkind == "rectangle":
-        for key in rect_keys:
-            check(values.get(key) is not None, key, f"{key} required for a rectangle refuge")
-        check(values.get("geometry.refuge.radius") is None, "geometry.refuge.radius",
-              "radius does not apply to a rectangle refuge")
-    elif rkind == "disc":
-        for key in disc_keys:
-            check(values.get(key) is not None, key, f"{key} required for a disc refuge")
-        for key in ("geometry.refuge.half_width_x", "geometry.refuge.half_width_y"):
-            check(values.get(key) is None, key, f"{key} does not apply to a disc refuge")
-    elif rkind == "empty":
-        for key in set(rect_keys) | set(disc_keys):
-            check(values.get(key) is None, key, f"{key} does not apply to an empty refuge")
+    rkind = v.get("geometry.refuge.kind")
+    if rkind in _SHAPE_KEYS:
+        shape_keys = _SHAPE_KEYS["rectangle"] + ("geometry.refuge.radius",)
+        given_iff(shape_keys, _SHAPE_KEYS[rkind], f"geometry.refuge.kind = {rkind}")
+    else:
+        issues.append((line_of("geometry.refuge.kind"),
+                       f"geometry.refuge.kind must be one of {REFUGE_KINDS}"))
 
-    lam = values.get("params.lambda")
-    if lam is not None:
-        check(lam > 0, "params.lambda", "params.lambda must be > 0")
-    if values.get("params.m") is not None:
-        check(values["params.m"] >= 0, "params.m",
-              f"params.m must be >= 0, got {values['params.m']}")
-    for key in ("params.c", "params.b"):
-        if values.get(key) is not None:
-            check(values[key] > 0, key, f"{key} must be > 0")
-    for key in ("params.d_u", "params.d_v", "params.r"):
-        check(values.get(key, 1.0) > 0, key, f"{key} must be > 0")
-
-    mu = values.get("params.mu")
-    mu_min = values.get("params.mu_min")
-    mu_max = values.get("params.mu_max")
-    mu_points = values.get("params.mu_points")
-    has_range = any(x is not None for x in (mu_min, mu_max, mu_points))
     if kind in RANGE_KINDS:
-        if mu is not None:
+        if "params.mu" in raw:
             issues.append((line_of("params.mu"),
                            f"kind={kind} needs a mu range; scalar params.mu rejected"))
-        for key, val in (("params.mu_min", mu_min), ("params.mu_max", mu_max),
-                         ("params.mu_points", mu_points)):
-            check(val is not None, key, f"{key} required for kind={kind}")
-        if mu_min is not None:
-            check(mu_min > 0, "params.mu_min", "params.mu_min must be > 0")
-        if mu_min is not None and mu_max is not None:
-            check(mu_max > mu_min, "params.mu_max", "params.mu_max must exceed params.mu_min")
-        if mu_points is not None:
-            check(mu_points >= 2, "params.mu_points", "params.mu_points must be >= 2")
+        given_iff(_RANGE_KEYS, _RANGE_KEYS, f"kind={kind}")
     elif kind in KINDS:
-        check(mu is not None, "params.mu", f"params.mu required for kind={kind}")
-        if mu is not None:
-            check(mu > 0, "params.mu", "params.mu must be > 0")
-        if has_range:
-            for key in ("params.mu_min", "params.mu_max", "params.mu_points"):
-                if values.get(key) is not None:
-                    issues.append((line_of(key), f"{key} does not apply to kind={kind}"))
+        given_iff(("params.mu",) + _RANGE_KEYS, ("params.mu",), f"kind={kind}")
+    mu_min, mu_max = v.get("params.mu_min"), v.get("params.mu_max")
+    if mu_min is not None and mu_max is not None and not mu_max > mu_min:
+        issues.append((line_of("params.mu_max"), "params.mu_max must exceed params.mu_min"))
 
-    check(values.get("solver.newton.tol_residual", 1.0) > 0,
-          "solver.newton.tol_residual", "newton tolerance must be > 0")
-    check(values.get("solver.newton.max_iter", 1) >= 1,
-          "solver.newton.max_iter", "newton max_iter must be >= 1")
-    check(values.get("solver.transient.dt", 1.0) > 0,
-          "solver.transient.dt", "transient dt must be > 0")
-    check(values.get("solver.transient.steady_tol", 1.0) > 0,
-          "solver.transient.steady_tol", "transient steady_tol must be > 0")
-    check(values.get("solver.transient.max_steps", 1) >= 1,
-          "solver.transient.max_steps", "transient max_steps must be >= 1")
-    check(values.get("solver.continuation.ds", 1.0) > 0,
-          "solver.continuation.ds", "continuation ds must be > 0")
-    check(values.get("solver.continuation.n_steps", 1) >= 1,
-          "solver.continuation.n_steps", "continuation n_steps must be >= 1")
-    s0 = values.get("solver.continuation.s0", 0.05)
-    if lam is not None and lam > 0:
-        check(0 < s0 <= 0.1 * lam, "solver.continuation.s0",
-              f"continuation s0 must lie in (0, 0.1*lambda] = (0, {0.1*lam:g}]")
-    cap = values.get("solver.continuation.amplitude_cap")
-    if cap is not None:
-        check(cap > 0, "solver.continuation.amplitude_cap", "amplitude_cap must be > 0")
+    lam, s0 = v.get("params.lambda"), v.get("solver.continuation.s0")
+    if lam is not None and s0 is not None and lam > 0 and s0 > 0.1 * lam:
+        issues.append((line_of("solver.continuation.s0"),
+                       f"solver.continuation.s0 must be <= 0.1*params.lambda = {0.1 * lam:g}"))
 
     if issues:
         raise ValidationError(sorted(issues))
 
-    if rkind == "rectangle":
-        refuge = RefugeShape.rectangle(
-            (values["geometry.refuge.center_x"], values["geometry.refuge.center_y"]),
-            (values["geometry.refuge.half_width_x"], values["geometry.refuge.half_width_y"]),
-        )
-    elif rkind == "disc":
-        refuge = RefugeShape.disc(
-            (values["geometry.refuge.center_x"], values["geometry.refuge.center_y"]),
-            values["geometry.refuge.radius"],
-        )
-    else:
-        refuge = RefugeShape.empty()
+    def pair(kx: str, ky: str) -> tuple[float, float] | None:
+        return None if v[kx] is None else (v[kx], v[ky])
 
-    grid = GridSpec(values["geometry.nx"], values["geometry.ny"],
-                    values["geometry.lx"], values["geometry.ly"])
-    params = ModelParams(
-        lam=values["params.lambda"],
-        m=values["params.m"],
-        c=values["params.c"],
-        b=values["params.b"],
-        mu=mu if mu is not None else values["params.mu_min"],
-        d_u=values["params.d_u"],
-        d_v=values["params.d_v"],
-        r=values["params.r"],
-    )
+    mu = v["params.mu"]
     return RunConfig(
-        kind=values["experiment.kind"],
-        seed=values["experiment.seed"],
-        grid=grid,
-        refuge=refuge,
-        params=params,
+        kind=kind,
+        seed=v["experiment.seed"],
+        grid=GridSpec(v["geometry.nx"], v["geometry.ny"], v["geometry.lx"], v["geometry.ly"]),
+        refuge=RefugeShape(
+            rkind,
+            center=pair("geometry.refuge.center_x", "geometry.refuge.center_y"),
+            half_width=pair("geometry.refuge.half_width_x", "geometry.refuge.half_width_y"),
+            radius=v["geometry.refuge.radius"],
+        ),
+        params=ModelParams(v["params.lambda"], v["params.m"], v["params.c"], v["params.b"],
+                           mu if mu is not None else mu_min,
+                           v["params.d_u"], v["params.d_v"], v["params.r"]),
         mu=mu,
-        mu_range=(mu_min, mu_max, mu_points) if kind in RANGE_KINDS else None,
-        newton=NewtonConfig(
-            tol_residual=values["solver.newton.tol_residual"],
-            max_iter=values["solver.newton.max_iter"],
-        ),
-        transient=TransientConfig(
-            dt=values["solver.transient.dt"],
-            t_end=values["solver.transient.t_end"],
-            steady_tol=values["solver.transient.steady_tol"],
-            max_steps=values["solver.transient.max_steps"],
-        ),
-        continuation=ContinuationSettings(
-            ds=values["solver.continuation.ds"],
-            n_steps=values["solver.continuation.n_steps"],
-            s0=values["solver.continuation.s0"],
-            amplitude_cap=cap,
-        ),
-        out_dir=values["output.dir"],
+        mu_range=(mu_min, mu_max, v["params.mu_points"]) if kind in RANGE_KINDS else None,
+        newton=NewtonConfig(v["solver.newton.tol_residual"], v["solver.newton.max_iter"]),
+        transient=TransientConfig(v["solver.transient.dt"], v["solver.transient.t_end"],
+                                  v["solver.transient.steady_tol"],
+                                  v["solver.transient.max_steps"]),
+        continuation=ContinuationSettings(v["solver.continuation.ds"],
+                                          v["solver.continuation.n_steps"],
+                                          v["solver.continuation.s0"],
+                                          v["solver.continuation.amplitude_cap"]),
+        out_dir=v["output.dir"],
     )
-
-
-def _fmt_value(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
 
 
 def render_config(cfg: RunConfig) -> str:
-    """Canonical text form; parse_config(render_config(cfg)) equals cfg."""
-    pairs: list[tuple[str, object]] = [
-        ("experiment.kind", cfg.kind),
-        ("experiment.seed", cfg.seed),
-        ("geometry.nx", cfg.grid.nx),
-        ("geometry.ny", cfg.grid.ny),
-        ("geometry.lx", cfg.grid.lx),
-        ("geometry.ly", cfg.grid.ly),
-        ("geometry.refuge.kind", cfg.refuge.kind),
-    ]
-    if cfg.refuge.kind == "rectangle":
-        pairs += [
-            ("geometry.refuge.center_x", cfg.refuge.center[0]),
-            ("geometry.refuge.center_y", cfg.refuge.center[1]),
-            ("geometry.refuge.half_width_x", cfg.refuge.half_width[0]),
-            ("geometry.refuge.half_width_y", cfg.refuge.half_width[1]),
-        ]
-    elif cfg.refuge.kind == "disc":
-        pairs += [
-            ("geometry.refuge.center_x", cfg.refuge.center[0]),
-            ("geometry.refuge.center_y", cfg.refuge.center[1]),
-            ("geometry.refuge.radius", cfg.refuge.radius),
-        ]
-    pairs += [
-        ("params.lambda", cfg.params.lam),
-        ("params.m", cfg.params.m),
-        ("params.c", cfg.params.c),
-        ("params.b", cfg.params.b),
-    ]
-    if cfg.mu is not None:
-        pairs.append(("params.mu", cfg.mu))
-    if cfg.mu_range is not None:
-        pairs += [
-            ("params.mu_min", cfg.mu_range[0]),
-            ("params.mu_max", cfg.mu_range[1]),
-            ("params.mu_points", cfg.mu_range[2]),
-        ]
-    pairs += [
-        ("params.d_u", cfg.params.d_u),
-        ("params.d_v", cfg.params.d_v),
-        ("params.r", cfg.params.r),
-        ("solver.newton.tol_residual", cfg.newton.tol_residual),
-        ("solver.newton.max_iter", cfg.newton.max_iter),
-        ("solver.transient.dt", cfg.transient.dt),
-        ("solver.transient.t_end", cfg.transient.t_end),
-        ("solver.transient.steady_tol", cfg.transient.steady_tol),
-        ("solver.transient.max_steps", cfg.transient.max_steps),
-        ("solver.continuation.ds", cfg.continuation.ds),
-        ("solver.continuation.n_steps", cfg.continuation.n_steps),
-        ("solver.continuation.s0", cfg.continuation.s0),
-    ]
-    if cfg.continuation.amplitude_cap is not None:
-        pairs.append(("solver.continuation.amplitude_cap", cfg.continuation.amplitude_cap))
-    if cfg.out_dir is not None:
-        pairs.append(("output.dir", cfg.out_dir))
-    return "\n".join(f"{k} = {_fmt_value(v)}" for k, v in pairs) + "\n"
+    """Canonical text form; parse_config(render_config(cfg)) equals cfg.
+
+    Keys come in table order, unset ones are left out, floats are written
+    with 17 significant digits so they read back exactly.
+    """
+    lines = []
+    for key, conv, _, _, get in _KEYS:
+        value = get(cfg)
+        if value is not None:
+            lines.append(f"{key} = {value:.17g}" if conv is float else f"{key} = {value}")
+    return "\n".join(lines) + "\n"

@@ -1,7 +1,7 @@
 """Branch tracing and the bifurcation audit.
 
 The predator-free line is traced directly (its states are known), the leading
-eigenvalue crossing on it is located by a bracketing root find, the
+eigenvalue crossing on it is located in closed form from its block pairs, the
 coexistence branch is entered along the kernel tangent and continued by
 pseudo-arclength, and the stability exchange, eigenvalue sign relation, and
 branch tangency are audited into a report.
@@ -50,6 +50,9 @@ DELTA_SWITCH_FRACTION = 1e-2
 
 #: bordered Newton meets its linear constraint to this, relative to max(1, |target|)
 CONSTRAINT_TOL = 1e-12
+
+#: continuation halves a failing step down to ds/MIN_DS_FACTOR before it gives up
+MIN_DS_FACTOR = 64
 
 
 class RegionOfApplicabilityWarning(UserWarning):
@@ -167,54 +170,24 @@ def trace_semitrivial(
     return Branch(BranchLabel.SEMITRIVIAL, pts, params_base, geom, blocks)
 
 
-def detect_transcritical(branch: Branch, tol_gamma: float = 1e-10, max_iter: int = 100) -> float:
+def detect_transcritical(branch: Branch) -> float:
     """Locate the eigenvalue crossing on the predator-free branch.
 
-    Bracketing root find (regula falsi with bisection safeguard) on the
-    leading eigenvalue as a function of mu, to |gamma| <= tol_gamma. The
-    eigenvalue comes from the branch's two block pairs, so the root find
-    solves no eigenproblem; it is affine in mu near the crossing, so this
-    converges in a handful of evaluations. Raises NoCrossing when gamma has
-    constant sign over the branch.
+    On this line gamma(mu) = max(g_u, g_v0 - mu) (see trace_semitrivial), which
+    decreases in mu. So once the sampled gamma changes sign, the crossing is
+    exactly mu = g_v0, and no eigenproblem is solved here. Raises NoCrossing
+    when gamma has constant sign over the branch.
     """
     if branch.label is not BranchLabel.SEMITRIVIAL or branch.blocks is None:
         raise ValueError("crossing detection runs on a branch from trace_semitrivial")
     gam = branch.gammas()
-    mus = branch.mus()
-    near = np.abs(gam) <= tol_gamma
-    if np.any(near):
-        return float(mus[np.argmax(near)])
-    sign_change = np.flatnonzero(np.sign(gam[:-1]) != np.sign(gam[1:]))
-    if sign_change.size == 0:
+    if np.all(gam > 0) or np.all(gam < 0):
+        mus = branch.mus()
         raise NoCrossing(
             f"leading eigenvalue keeps sign {np.sign(gam[0]):+.0f} over mu in "
             f"[{mus[0]:g}, {mus[-1]:g}]"
         )
-    i = int(sign_change[0])
-    mu_lo, g_lo = float(mus[i]), float(gam[i])
-    mu_hi, g_hi = float(mus[i + 1]), float(gam[i + 1])
-
-    for it in range(max_iter):
-        mu_new = (g_hi * mu_lo - g_lo * mu_hi) / (g_hi - g_lo)
-        if not (mu_lo < mu_new < mu_hi):  # secant degenerated; bisect
-            mu_new = 0.5 * (mu_lo + mu_hi)
-        g_new = _semitrivial_leading(branch.blocks, mu_new)[0]
-        if abs(g_new) <= tol_gamma:
-            return mu_new
-        if np.sign(g_new) == np.sign(g_lo):
-            mu_lo, g_lo = mu_new, g_new
-        else:
-            mu_hi, g_hi = mu_new, g_new
-        if it % 3 == 2:  # safeguard: force bracket shrinkage
-            mu_mid = 0.5 * (mu_lo + mu_hi)
-            g_mid = _semitrivial_leading(branch.blocks, mu_mid)[0]
-            if abs(g_mid) <= tol_gamma:
-                return mu_mid
-            if np.sign(g_mid) == np.sign(g_lo):
-                mu_lo, g_lo = mu_mid, g_mid
-            else:
-                mu_hi, g_hi = mu_mid, g_mid
-    raise NoConvergence(f"crossing refinement did not reach |gamma| <= {tol_gamma:g}")
+    return float(branch.blocks[1].value)
 
 
 def _point_from_state(
@@ -344,7 +317,6 @@ def continue_branch(
     label: BranchLabel = BranchLabel.NONTRIVIAL,
     newton_cfg: NewtonConfig | None = None,
     amplitude_cap: float | None = None,
-    min_ds_factor: int = 64,
 ) -> Branch:
     """Pseudo-arclength predictor-corrector continuation from a converged point.
 
@@ -352,7 +324,7 @@ def continue_branch(
     array over the unknowns or None for a pure-mu direction, or a single
     concatenated array of length n_unknowns + 1. Subsequent tangents are
     secants through the last two points. The step halves on corrector failure
-    down to ds/min_ds_factor, after which ContinuationStalled is raised.
+    down to ds/MIN_DS_FACTOR, after which ContinuationStalled is raised.
     """
     cfg = newton_cfg or NewtonConfig()
     n = geom.n_unknowns
@@ -388,7 +360,7 @@ def continue_branch(
                 break
             except NoConvergence as exc:
                 ds_cur *= 0.5
-                if ds_cur < ds / min_ds_factor:
+                if ds_cur < ds / MIN_DS_FACTOR:
                     raise ContinuationStalled(
                         f"corrector kept failing down to ds = {ds_cur:.3e} "
                         f"after {len(points) - 1} accepted steps"

@@ -1,0 +1,184 @@
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from refugia import cli
+from refugia.config import _KEYS, KINDS, RANGE_KINDS, REFUGE_KINDS, parse_config, render_config
+from refugia.errors import ValidationError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+RECT_STEADY = {
+    "experiment.kind": "steady",
+    "geometry.nx": "16",
+    "geometry.ny": "16",
+    "geometry.refuge.kind": "rectangle",
+    "geometry.refuge.center_x": "0.5",
+    "geometry.refuge.center_y": "0.5",
+    "geometry.refuge.half_width_x": "0.125",
+    "geometry.refuge.half_width_y": "0.125",
+    "params.lambda": "1.0",
+    "params.m": "1.0",
+    "params.c": "2.0",
+    "params.b": "1.0",
+    "params.mu": "1.2",
+}
+DISC_STEADY = {
+    **{k: v for k, v in RECT_STEADY.items() if "half_width" not in k},
+    "geometry.refuge.kind": "disc",
+    "geometry.refuge.radius": "0.2",
+}
+
+
+def _text(key: str, value: str) -> tuple[str, int]:
+    """A steady config with key set to value, and the line that key is on.
+
+    The refuge is a disc when key is its radius, a rectangle otherwise."""
+    base = DISC_STEADY if key == "geometry.refuge.radius" else RECT_STEADY
+    lines = [f"{k} = {v}" for k, v in {**base, key: value}.items()]
+    return "\n".join(lines) + "\n", 1 + [ln.split(" = ")[0] for ln in lines].index(key)
+
+
+def _assert_rejected_on_line(text: str, key: str, lineno: int, bound: str | None = None):
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    hits = [msg for ln, msg in err.value.issues if ln == lineno and key in msg]
+    assert hits, err.value.issues
+    if bound is not None:
+        assert any(bound in msg for msg in hits), hits
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("geometry.refuge.radius", "-0.1"),
+        ("geometry.refuge.radius", "0"),
+        ("geometry.refuge.half_width_x", "0"),
+        ("geometry.refuge.half_width_y", "-0.01"),
+    ],
+)
+def test_bad_refuge_size_is_a_validation_issue(key, value):
+    text, lineno = _text(key, value)
+    _assert_rejected_on_line(text, key, lineno, "> 0")
+
+
+def test_cli_reports_bad_refuge_size_without_traceback(tmp_path, capsys):
+    text, lineno = _text("geometry.refuge.radius", "-0.1")
+    path = tmp_path / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["steady", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"line {lineno}: geometry.refuge.radius must be > 0" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("params.lambda", "inf"),
+        ("params.mu", "inf"),
+        ("params.mu", "-inf"),
+        ("solver.transient.dt", "inf"),
+        ("solver.transient.t_end", "nan"),
+        ("solver.transient.t_end", "-5"),
+        ("solver.transient.t_end", "0"),
+        ("geometry.refuge.center_x", "nan"),
+        ("experiment.seed", "-1"),
+    ],
+)
+def test_non_finite_and_out_of_range_values_rejected(key, value):
+    text, lineno = _text(key, value)
+    _assert_rejected_on_line(text, key, lineno)
+
+
+def _positive(**kw):
+    return st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False, **kw)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _literal(value) -> str:
+    return value if isinstance(value, str) else repr(value)
+
+
+@pytest.mark.parametrize("refuge", REFUGE_KINDS)
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+def test_render_parse_round_trip(kind, refuge, data):
+    """Random valid configs: parse(render(cfg)) == cfg and render is a fixed point."""
+    lam = data.draw(st.floats(min_value=1e-6, max_value=1e6), label="lambda")
+    given_: dict[str, object] = {
+        "experiment.kind": kind,
+        "params.lambda": lam,
+        "params.m": data.draw(st.floats(min_value=0.0, allow_infinity=False)),
+        "params.c": data.draw(_positive()),
+        "params.b": data.draw(_positive()),
+    }
+    optional = {
+        "experiment.seed": st.integers(min_value=0, max_value=2**63),
+        "geometry.nx": st.integers(min_value=4, max_value=4096),
+        "geometry.ny": st.integers(min_value=4, max_value=4096),
+        "geometry.lx": _positive(),
+        "geometry.ly": _positive(),
+        "params.d_u": _positive(),
+        "params.d_v": _positive(),
+        "params.r": _positive(),
+        "solver.newton.tol_residual": _positive(),
+        "solver.newton.max_iter": st.integers(min_value=1, max_value=10**6),
+        "solver.transient.dt": _positive(),
+        "solver.transient.t_end": _positive(),
+        "solver.transient.steady_tol": _positive(),
+        "solver.transient.max_steps": st.integers(min_value=1, max_value=10**9),
+        "solver.continuation.ds": _positive(),
+        "solver.continuation.n_steps": st.integers(min_value=1, max_value=10**4),
+        "solver.continuation.amplitude_cap": _positive(),
+        "output.dir": st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True),
+    }
+    for key, strategy in optional.items():
+        value = data.draw(st.none() | strategy, label=key)
+        if value is not None:
+            given_[key] = value
+    # the default s0 = 0.05 is only valid for lambda >= 0.5
+    if lam < 0.5 or data.draw(st.booleans(), label="give s0"):
+        given_["solver.continuation.s0"] = data.draw(_positive(max_value=0.1 * lam), label="s0")
+    if refuge != "empty" or data.draw(st.booleans(), label="give refuge kind"):
+        given_["geometry.refuge.kind"] = refuge
+    if refuge != "empty":
+        given_["geometry.refuge.center_x"] = data.draw(_FINITE)
+        given_["geometry.refuge.center_y"] = data.draw(_FINITE)
+    if refuge == "rectangle":
+        given_["geometry.refuge.half_width_x"] = data.draw(_positive())
+        given_["geometry.refuge.half_width_y"] = data.draw(_positive())
+    if refuge == "disc":
+        given_["geometry.refuge.radius"] = data.draw(_positive())
+    if kind in RANGE_KINDS:
+        lo, hi = sorted(data.draw(st.lists(_positive(), min_size=2, max_size=2, unique=True)))
+        given_["params.mu_min"], given_["params.mu_max"] = lo, hi
+        given_["params.mu_points"] = data.draw(st.integers(min_value=2, max_value=1000))
+    else:
+        given_["params.mu"] = data.draw(_positive())
+
+    order = data.draw(st.permutations(sorted(given_)), label="line order")
+    cfg = parse_config("".join(f"{key} = {_literal(given_[key])}\n" for key in order))
+    text = render_config(cfg)
+    assert parse_config(text) == cfg
+    assert render_config(parse_config(text)) == text
+    rendered = dict(line.split(" = ", 1) for line in text.splitlines())
+    types = {key: conv for key, conv, *_ in _KEYS}
+    for key, value in given_.items():
+        assert types[key](rendered[key]) == value
+
+
+def test_readme_config_block_lists_every_key_in_table_order():
+    readme = README.read_text(encoding="utf-8")
+    section = readme[readme.index("### Configuration"):]
+    block = section[section.index("```ini\n") + len("```ini\n"):]
+    block = block[: block.index("```")]
+    key_line = re.compile(r"^#?\s*([a-z_][a-z0-9_]*(?:\.[a-z0-9_]+)+)\s*=", re.M)
+    keys = [m.group(1) for m in key_line.finditer(block)]
+    assert keys == [row[0] for row in _KEYS]
