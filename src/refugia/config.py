@@ -14,8 +14,8 @@ import operator
 from dataclasses import dataclass
 
 from .dynamics import TransientConfig
-from .errors import ParseError, ValidationError
-from .geometry import GridSpec, RefugeShape
+from .errors import ParseError, RefugeTouchesBoundary, ValidationError
+from .geometry import GridSpec, RefugeShape, check_refuge_clearance
 from .operators import ModelParams
 from .steady import NewtonConfig
 
@@ -219,23 +219,33 @@ def parse_config(text: str, kind_override: str | None = None) -> RunConfig:
         issues.append((line_of("solver.continuation.s0"),
                        f"solver.continuation.s0 must be <= 0.1*params.lambda = {0.1 * lam:g}"))
 
-    if issues:
-        raise ValidationError(sorted(issues))
-
     def pair(kx: str, ky: str) -> tuple[float, float] | None:
         return None if v[kx] is None else (v[kx], v[ky])
+
+    if not issues:
+        # the refuge must fit the grid by build_geometry's rule, which needs
+        # every geometry key valid
+        grid = GridSpec(v["geometry.nx"], v["geometry.ny"], v["geometry.lx"], v["geometry.ly"])
+        refuge = RefugeShape(
+            rkind,
+            center=pair("geometry.refuge.center_x", "geometry.refuge.center_y"),
+            half_width=pair("geometry.refuge.half_width_x", "geometry.refuge.half_width_y"),
+            radius=v["geometry.refuge.radius"],
+        )
+        try:
+            check_refuge_clearance(grid, refuge)
+        except RefugeTouchesBoundary as exc:
+            issues.append((line_of("geometry.refuge.kind"),
+                           f"geometry.refuge must stay clear of the habitat boundary: {exc}"))
+    if issues:
+        raise ValidationError(sorted(issues))
 
     mu = v["params.mu"]
     return RunConfig(
         kind=kind,
         seed=v["experiment.seed"],
-        grid=GridSpec(v["geometry.nx"], v["geometry.ny"], v["geometry.lx"], v["geometry.ly"]),
-        refuge=RefugeShape(
-            rkind,
-            center=pair("geometry.refuge.center_x", "geometry.refuge.center_y"),
-            half_width=pair("geometry.refuge.half_width_x", "geometry.refuge.half_width_y"),
-            radius=v["geometry.refuge.radius"],
-        ),
+        grid=grid,
+        refuge=refuge,
         params=ModelParams(v["params.lambda"], v["params.m"], v["params.c"], v["params.b"],
                            mu if mu is not None else mu_min,
                            v["params.d_u"], v["params.d_v"], v["params.r"]),

@@ -5,10 +5,17 @@ the step start, for predators with the constant-coefficient Laplacian),
 reactions explicitly. Time accuracy is deliberately first order: only the
 attractor is consumed, as independent evidence for the stability assignments
 made by the eigenvalue machinery.
+
+The predator matrix I - dt*d_v*L is constant, so it is factored once and
+solved directly. The prey matrix I - dt*d_u*A(u) is symmetric positive
+definite and drifts slowly with u; it is solved by CG preconditioned with
+the LU of an earlier step's matrix, refactored once a solve needs more than
+REFACTOR_ITERS iterations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +25,16 @@ import scipy.sparse.linalg as spla
 from .errors import LinearSolveFailure, StepRejected
 from .fields import Region, ScalarField, SystemState
 from .geometry import DomainGeometry
-from .operators import ModelParams, _kinetics, frozen_diffusion_matrix, rhs_transient
+from .operators import PERMC_SPEC, ModelParams, _kinetics, frozen_diffusion_matrix, rhs_transient
 
 #: post-solve values below this reject the step (dt too large)
 REJECT_BELOW = -1e-8
 
-#: inner CG solves target this relative residual
+#: prey CG solves target this relative residual (of the unpreconditioned system)
 CG_RTOL = 1e-12
+
+#: a prey solve needing more CG iterations than this refactors the preconditioner
+REFACTOR_ITERS = 12
 
 
 @dataclass(frozen=True)
@@ -35,8 +45,12 @@ class TransientConfig:
     max_steps: int = 100_000
 
     def __post_init__(self):
-        if self.dt <= 0 or self.steady_tol <= 0:
-            raise ValueError("dt and steady_tol must be positive")
+        for name in ("dt", "t_end", "steady_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps!r}")
 
 
 @dataclass
@@ -48,11 +62,46 @@ class TransientResult:
     steps: int
 
 
-def _cg(M, rhs, x0, what):
-    x, info = spla.cg(M, rhs, x0=x0, rtol=CG_RTOL, atol=0.0, maxiter=20 * rhs.size)
-    if info != 0:
-        raise LinearSolveFailure(f"CG for {what} update returned info={info}")
-    return x
+def _factor(M: sp.spmatrix, what: str):
+    try:
+        return spla.splu(M.tocsc(), permc_spec=PERMC_SPEC)
+    except RuntimeError as exc:
+        raise LinearSolveFailure(f"LU of the {what} matrix failed: {exc}") from exc
+
+
+class _ImplicitSolver:
+    """Implicit solves of IMEX steps with one (geom, params, dt): the predator
+    LU, and the prey solve with its lagged-LU preconditioner."""
+
+    def __init__(self, geom: DomainGeometry, params: ModelParams, dt: float):
+        self.geom = geom
+        self.prey_scale = dt * params.d_u
+        eye = sp.identity(geom.n_omega1, format="csc")
+        self.lu_v = _factor(eye - (dt * params.d_v) * geom.lap_omega1, "predator")
+        self.precond_u = None  # solve with the LU of a lagged prey matrix, built on first use
+
+    def prey(self, u_old: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve (I - dt*d_u*A(u_old)) u = rhs by preconditioned CG from u_old."""
+        n = u_old.size
+        M_u = sp.identity(n, format="csr") - self.prey_scale * frozen_diffusion_matrix(
+            u_old, self.geom
+        )
+        if self.precond_u is None:
+            lu = _factor(M_u, "prey")
+            self.precond_u = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+        iters = 0
+
+        def count(_):
+            nonlocal iters
+            iters += 1
+
+        u_new, info = spla.cg(M_u, rhs, x0=u_old, rtol=CG_RTOL, atol=0.0, maxiter=20 * n,
+                              M=self.precond_u, callback=count)
+        if info != 0:
+            raise LinearSolveFailure(f"CG for prey update returned info={info}")
+        if iters > REFACTOR_ITERS:
+            self.precond_u = None
+        return u_new
 
 
 def _clamp_step(values: np.ndarray, what: str) -> np.ndarray:
@@ -69,21 +118,20 @@ def imex_step(
     params: ModelParams,
     dt: float,
     geom: DomainGeometry,
-    _mat_v: sp.spmatrix | None = None,
+    _solver: _ImplicitSolver | None = None,
 ) -> SystemState:
-    """One IMEX step: implicit frozen-coefficient diffusion, explicit reaction."""
+    """One IMEX step: implicit frozen-coefficient diffusion, explicit reaction.
+
+    _solver carries the factorizations between steps with the same geom,
+    params and dt; without one the step factors its own matrices.
+    """
     u_old = state.u.values
     v_old = state.v.values
     react_u, react_v = _kinetics(params, u_old, v_old, geom, params.r)
-
-    n = geom.n_omega
-    A = frozen_diffusion_matrix(u_old, geom)
-    M_u = sp.identity(n, format="csr") - (dt * params.d_u) * A
-    u_new = _cg(M_u, u_old + dt * react_u, u_old, "prey")
-
-    if _mat_v is None:
-        _mat_v = sp.identity(geom.n_omega1, format="csr") - (dt * params.d_v) * geom.lap_omega1
-    v_new = _cg(_mat_v, v_old + dt * react_v, v_old, "predator")
+    if _solver is None:
+        _solver = _ImplicitSolver(geom, params, dt)
+    u_new = _solver.prey(u_old, u_old + dt * react_u)
+    v_new = _solver.lu_v.solve(v_old + dt * react_v)
 
     return SystemState(
         ScalarField(_clamp_step(u_new, "prey"), Region.OMEGA),
@@ -103,7 +151,7 @@ def run_to_steady(
     inspect the rate history.
     """
     state = state0.copy()
-    mat_v = sp.identity(geom.n_omega1, format="csr") - (cfg.dt * params.d_v) * geom.lap_omega1
+    solver = _ImplicitSolver(geom, params, cfg.dt)
 
     def rates(st):
         du, dv = rhs_transient(params, st.u, st.v, geom)
@@ -115,7 +163,7 @@ def run_to_steady(
     steps = 0
     converged = max(du_n, dv_n) <= cfg.steady_tol
     while not converged and steps < cfg.max_steps and t < cfg.t_end - 1e-12:
-        state = imex_step(state, params, cfg.dt, geom, _mat_v=mat_v)
+        state = imex_step(state, params, cfg.dt, geom, _solver=solver)
         t += cfg.dt
         steps += 1
         du_n, dv_n = rates(state)

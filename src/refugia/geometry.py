@@ -225,18 +225,22 @@ def _face_matrix(n, table, pa, pb):
     return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
+def check_refuge_clearance(grid: GridSpec, refuge: RefugeShape) -> None:
+    """Raise RefugeTouchesBoundary when the refuge closure comes within 2h of
+    the habitat boundary (h the larger cell spacing), which enforces the
+    strict-interior requirement on the discrete level."""
+    h = max(grid.hx, grid.hy)
+    margin = refuge.margin_to_boundary(grid)
+    if margin <= 2.0 * h:
+        raise RefugeTouchesBoundary(f"refuge margin {margin:.6g} <= 2h = {2*h:.6g}")
+
+
 def build_geometry(grid: GridSpec, refuge: RefugeShape) -> DomainGeometry:
     """Classify cells, measure the predator domain, and build face tables.
 
-    Raises RefugeTouchesBoundary when the refuge closure comes within 2h of
-    the habitat boundary (h the larger cell spacing), which enforces the
-    strict-interior requirement on the discrete level.
+    Raises RefugeTouchesBoundary as check_refuge_clearance does.
     """
-    h = max(grid.hx, grid.hy)
-    if refuge.kind != "empty" and refuge.margin_to_boundary(grid) <= 2.0 * h:
-        raise RefugeTouchesBoundary(
-            f"refuge margin {refuge.margin_to_boundary(grid):.6g} <= 2h = {2*h:.6g}"
-        )
+    check_refuge_clearance(grid, refuge)
 
     x, y = grid.cell_centers()
     in_refuge = refuge.contains(x, y)

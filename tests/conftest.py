@@ -1,5 +1,8 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import settings
 
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
@@ -34,6 +37,49 @@ def geom64():
 def params_a():
     """The standard parameter set: threshold at mu = 1."""
     return ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
+
+
+@dataclass
+class ScipyCounters:
+    """What the package asked of scipy.sparse.linalg during one test."""
+
+    splu_shapes: list = field(default_factory=list)  # matrix shape of each splu call
+    cg_calls: int = 0
+    cg_iters: int = 0
+    eigs_calls: int = 0
+
+
+@pytest.fixture
+def scipy_counters(monkeypatch):
+    """Count splu, cg (with iterations) and eigs calls made through spla.<name>.
+
+    The package calls these through the module attributes, so replacing them
+    here sees every call; cg iterations are counted by a chained callback."""
+    counts = ScipyCounters()
+    splu, cg, eigs = spla.splu, spla.cg, spla.eigs
+
+    def counted_splu(A, *args, **kwargs):
+        counts.splu_shapes.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    def counted_cg(*args, callback=None, **kwargs):
+        counts.cg_calls += 1
+
+        def count(xk):
+            counts.cg_iters += 1
+            if callback is not None:
+                callback(xk)
+
+        return cg(*args, callback=count, **kwargs)
+
+    def counted_eigs(*args, **kwargs):
+        counts.eigs_calls += 1
+        return eigs(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted_splu)
+    monkeypatch.setattr(spla, "cg", counted_cg)
+    monkeypatch.setattr(spla, "eigs", counted_eigs)
+    return counts
 
 
 def smooth_positive(grid, rng, base=1.0, wobble=0.1, floor=0.05):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from refugia import cli
 from refugia.config import _KEYS, KINDS, RANGE_KINDS, REFUGE_KINDS, parse_config, render_config
 from refugia.errors import ValidationError
+from refugia.geometry import GridSpec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -95,15 +96,56 @@ def test_non_finite_and_out_of_range_values_rejected(key, value):
     _assert_rejected_on_line(text, key, lineno)
 
 
+def _refuge_outside_habitat() -> tuple[str, int]:
+    """The 16-cell disc steady config with the disc moved out of the unit box."""
+    cfg = {**DISC_STEADY, "geometry.refuge.center_x": "5", "geometry.refuge.radius": "0.1"}
+    lines = [f"{k} = {v}" for k, v in cfg.items()]
+    return "\n".join(lines) + "\n", 1 + list(cfg).index("geometry.refuge.kind")
+
+
+def test_refuge_outside_habitat_is_a_validation_issue():
+    text, lineno = _refuge_outside_habitat()
+    _assert_rejected_on_line(text, "geometry.refuge", lineno, "margin -4.1 <= 2h = 0.125")
+
+
+def test_cli_reports_refuge_outside_habitat_without_output(tmp_path, capsys):
+    text, lineno = _refuge_outside_habitat()
+    path = tmp_path / "outside.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["steady", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"line {lineno}: geometry.refuge must stay clear of the habitat boundary" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def _positive(**kw):
     return st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False, **kw)
 
 
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
-
-
 def _literal(value) -> str:
     return value if isinstance(value, str) else repr(value)
+
+
+def _refuge_inside(data, refuge: str, lx: float, ly: float, h: float) -> dict[str, float]:
+    """Shape keys of a refuge that keeps 3h from the boundary of [0, lx] x [0, ly].
+
+    The centre lies in the middle half of the box [3h, l - 3h] on each axis,
+    and the refuge reaches at most a quarter of that box's width from it."""
+    keys, reach = {}, []
+    for axis, length in (("x", lx), ("y", ly)):
+        lo, hi = 3.0 * h, length - 3.0 * h
+        quarter = 0.25 * (hi - lo)
+        keys[f"geometry.refuge.center_{axis}"] = data.draw(
+            st.floats(min_value=lo + quarter, max_value=hi - quarter), label=f"center_{axis}"
+        )
+        reach.append(quarter)
+    if refuge == "rectangle":
+        keys["geometry.refuge.half_width_x"] = data.draw(_positive(max_value=reach[0]))
+        keys["geometry.refuge.half_width_y"] = data.draw(_positive(max_value=reach[1]))
+    else:
+        keys["geometry.refuge.radius"] = data.draw(_positive(max_value=min(reach)))
+    return keys
 
 
 @pytest.mark.parametrize("refuge", REFUGE_KINDS)
@@ -139,6 +181,15 @@ def test_render_parse_round_trip(kind, refuge, data):
         "solver.continuation.amplitude_cap": _positive(),
         "output.dir": st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True),
     }
+    if refuge != "empty":
+        # the refuge must keep more than 2h clear of the habitat boundary (h the
+        # larger cell spacing), so the grid is fine and of moderate aspect ratio
+        optional.update({
+            "geometry.nx": st.integers(min_value=32, max_value=4096),
+            "geometry.ny": st.integers(min_value=32, max_value=4096),
+            "geometry.lx": st.floats(min_value=0.5, max_value=1.5),
+            "geometry.ly": st.floats(min_value=0.5, max_value=1.5),
+        })
     for key, strategy in optional.items():
         value = data.draw(st.none() | strategy, label=key)
         if value is not None:
@@ -149,13 +200,11 @@ def test_render_parse_round_trip(kind, refuge, data):
     if refuge != "empty" or data.draw(st.booleans(), label="give refuge kind"):
         given_["geometry.refuge.kind"] = refuge
     if refuge != "empty":
-        given_["geometry.refuge.center_x"] = data.draw(_FINITE)
-        given_["geometry.refuge.center_y"] = data.draw(_FINITE)
-    if refuge == "rectangle":
-        given_["geometry.refuge.half_width_x"] = data.draw(_positive())
-        given_["geometry.refuge.half_width_y"] = data.draw(_positive())
-    if refuge == "disc":
-        given_["geometry.refuge.radius"] = data.draw(_positive())
+        defaults = {key: default for key, _, default, *_ in _KEYS}
+        nx, ny, lx, ly = (given_.get(key, defaults[key]) for key in
+                          ("geometry.nx", "geometry.ny", "geometry.lx", "geometry.ly"))
+        grid = GridSpec(nx, ny, lx, ly)
+        given_.update(_refuge_inside(data, refuge, lx, ly, max(grid.hx, grid.hy)))
     if kind in RANGE_KINDS:
         lo, hi = sorted(data.draw(st.lists(_positive(), min_size=2, max_size=2, unique=True)))
         given_["params.mu_min"], given_["params.mu_max"] = lo, hi

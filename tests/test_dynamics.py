@@ -1,12 +1,27 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from conftest import smooth_positive
-from refugia.dynamics import TransientConfig, imex_step, run_to_steady
-from refugia.errors import StepRejected
+from conftest import CENTER_RECT, smooth_positive
+from refugia import dynamics
+from refugia.dynamics import TransientConfig, _ImplicitSolver, imex_step, run_to_steady
+from refugia.errors import LinearSolveFailure, StepRejected
 from refugia.fields import Region, ScalarField, SystemState, constant_state
-from refugia.operators import ModelParams, residual_steady
+from refugia.geometry import GridSpec, RefugeShape, build_geometry
+from refugia.operators import (
+    ModelParams,
+    _kinetics,
+    frozen_diffusion_matrix,
+    residual_steady,
+    rhs_transient,
+)
 from refugia.steady import NewtonConfig, newton_solve
+
+COEXIST = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=0.9, r=1.0)
+COEXIST_RUN = TransientConfig(dt=0.2, t_end=2000.0, steady_tol=1e-6)
 
 
 def test_semitrivial_is_fixed_point(geom32):
@@ -100,3 +115,115 @@ def test_nonnegativity_preserved_under_stable_dt(geom16):
         st = imex_step(st, p, dt, geom16)
         assert st.u.values.min() >= 0.0
         assert st.v.values.min() >= 0.0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"dt": math.nan},
+        {"dt": math.inf},
+        {"t_end": math.nan},
+        {"t_end": math.inf},
+        {"t_end": -1.0},
+        {"t_end": 0.0},
+        {"steady_tol": math.nan},
+        {"steady_tol": math.inf},
+        {"max_steps": 0},
+    ],
+)
+def test_transient_config_rejects_nonsense(kwargs):
+    with pytest.raises(ValueError):
+        TransientConfig(**kwargs)
+
+
+def _spsolve_step(state, params, dt, geom):
+    """Reference IMEX step: both implicit systems by spsolve on the frozen matrices."""
+    u, v = state.u.values, state.v.values
+    react_u, react_v = _kinetics(params, u, v, geom, params.r)
+    M_u = sp.identity(geom.n_omega) - (dt * params.d_u) * frozen_diffusion_matrix(u, geom)
+    M_v = sp.identity(geom.n_omega1) - (dt * params.d_v) * geom.lap_omega1
+    u_new = spla.spsolve(M_u.tocsc(), u + dt * react_u)
+    v_new = spla.spsolve(M_v.tocsc(), v + dt * react_v)
+    return SystemState(
+        ScalarField(np.maximum(u_new, 0.0), Region.OMEGA),
+        ScalarField(np.maximum(v_new, 0.0), Region.OMEGA1),
+    )
+
+
+@pytest.mark.parametrize(
+    "grid,refuge",
+    [
+        (GridSpec(12, 12), RefugeShape.empty()),
+        (GridSpec(12, 12), CENTER_RECT),
+        (GridSpec(14, 10, lx=1.4), RefugeShape.disc((0.6, 0.45), 0.2)),
+    ],
+    ids=["12-empty", "12-square", "14x10-disc"],
+)
+def test_imex_step_matches_spsolve_oracle(grid, refuge):
+    """A fresh step, then a step through the lagged prey LU of the first one."""
+    geom = build_geometry(grid, refuge)
+    rng = np.random.default_rng(5)
+    state = SystemState(
+        ScalarField(smooth_positive(grid, rng, 0.8, 0.3).ravel(), Region.OMEGA),
+        geom.from_grid(smooth_positive(grid, rng, 0.3, 0.2), Region.OMEGA1),
+    )
+    dt = 0.2
+    fresh = imex_step(state, COEXIST, dt, geom)
+    ref = _spsolve_step(state, COEXIST, dt, geom)
+    assert np.max(np.abs(fresh.as_vector() - ref.as_vector())) <= 1e-12
+
+    solver = _ImplicitSolver(geom, COEXIST, dt)
+    first = imex_step(state, COEXIST, dt, geom, _solver=solver)
+    lagged = imex_step(first, COEXIST, dt, geom, _solver=solver)
+    ref = _spsolve_step(first, COEXIST, dt, geom)
+    assert np.max(np.abs(lagged.as_vector() - ref.as_vector())) <= 1e-12
+
+
+def test_run_to_steady_matches_spsolve_stepping(geom32):
+    out = run_to_steady(constant_state(geom32, 1.0, 0.05), COEXIST, COEXIST_RUN, geom32)
+
+    def rate(st):
+        du, dv = rhs_transient(COEXIST, st.u, st.v, geom32)
+        return max(du.inf_norm, dv.inf_norm)
+
+    state, steps = constant_state(geom32, 1.0, 0.05), 0
+    while rate(state) > COEXIST_RUN.steady_tol and steps <= out.steps:
+        state = _spsolve_step(state, COEXIST, COEXIST_RUN.dt, geom32)
+        steps += 1
+    assert out.converged
+    assert out.steps == steps
+    assert np.max(np.abs(out.state.as_vector() - state.as_vector())) <= 1e-10
+
+
+def test_coexistence_run_solver_counters(geom32, scipy_counters):
+    """The predator matrix is factored once and the lagged prey LU keeps CG short."""
+    out = run_to_steady(constant_state(geom32, 1.0, 0.05), COEXIST, COEXIST_RUN, geom32)
+    assert out.converged
+    shapes = scipy_counters.splu_shapes
+    predator, prey = (geom32.n_omega1,) * 2, (geom32.n_omega,) * 2
+    assert shapes.count(predator) == 1
+    assert 1 <= shapes.count(prey) <= 3
+    assert len(shapes) == shapes.count(predator) + shapes.count(prey)
+    assert scipy_counters.cg_iters / out.steps <= 10
+
+
+def test_slow_prey_solve_refactors_the_preconditioner(geom16, scipy_counters, monkeypatch):
+    """With a zero iteration budget every solve is slow, so every next step refactors."""
+    monkeypatch.setattr(dynamics, "REFACTOR_ITERS", 0)
+    solver = _ImplicitSolver(geom16, COEXIST, 0.2)
+    state = constant_state(geom16, 0.9, 0.1)
+    for _ in range(3):
+        nxt = imex_step(state, COEXIST, 0.2, geom16, _solver=solver)
+        ref = _spsolve_step(state, COEXIST, 0.2, geom16)
+        assert np.max(np.abs(nxt.as_vector() - ref.as_vector())) <= 1e-12
+        state = nxt
+    assert scipy_counters.splu_shapes.count((geom16.n_omega, geom16.n_omega)) == 3
+
+
+def test_lu_failure_is_a_linear_solve_failure(geom16, monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    with pytest.raises(LinearSolveFailure, match="predator"):
+        imex_step(constant_state(geom16, 1.0, 0.1), COEXIST, 0.2, geom16)
