@@ -10,7 +10,6 @@ from .geometry import (
     DomainGeometry,
     GridSpec,
     RefugeShape,
-    attack_rate_field,
     build_geometry,
 )
 from .operators import ModelParams, assemble_jacobian, residual_steady
@@ -24,7 +23,6 @@ __all__ = [
     "DomainGeometry",
     "GridSpec",
     "RefugeShape",
-    "attack_rate_field",
     "build_geometry",
     "ModelParams",
     "assemble_jacobian",

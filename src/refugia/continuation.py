@@ -20,15 +20,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (
-    ContinuationStalled,
-    FellBackToSemitrivial,
-    NoConvergence,
-    NoCrossing,
-)
+from .errors import ContinuationStalled, FellBackToSemitrivial, NoConvergence, NoCrossing
 from .fields import SystemState, constant_state
 from .geometry import DomainGeometry
 from .operators import (
@@ -51,8 +45,14 @@ DELTA_SWITCH_FRACTION = 1e-2
 #: bordered Newton meets its linear constraint to this, relative to max(1, |target|)
 CONSTRAINT_TOL = 1e-12
 
+#: the chord corrector refactors J when the residual inf-norm shrinks by less than this
+CHORD_CONTRACTION = 0.1
+
 #: continuation halves a failing step down to ds/MIN_DS_FACTOR before it gives up
 MIN_DS_FACTOR = 64
+
+#: a corrected point farther than MAX_STEP_RATIO*ds from the last one left the branch
+MAX_STEP_RATIO = 2.0
 
 
 class RegionOfApplicabilityWarning(UserWarning):
@@ -253,6 +253,31 @@ def _metric_norm(dx: np.ndarray, dmu: float) -> float:
     return float(np.sqrt(np.mean(dx**2) + dmu**2))
 
 
+def _keller_solver(J, f_mu: np.ndarray, row_x: np.ndarray, row_mu: float):
+    """solve(res, con) -> (dx, dmu) for [[J, f_mu], [row_x, row_mu]] (dx, dmu) = -(res, con).
+
+    Keller's block elimination over one LU of J: J b = f_mu, J a = -res,
+    dmu = (-con - row_x.a) / (row_mu - row_x.b), dx = a - b*dmu. Raises
+    NoConvergence when J cannot be factored or the Schur scalar
+    row_mu - row_x.b is zero or non-finite.
+    """
+    try:
+        lu = spla.splu(J.tocsc(), permc_spec=PERMC_SPEC)
+    except RuntimeError as exc:
+        raise NoConvergence(f"bordered Newton: LU of J failed: {exc}") from exc
+    b = lu.solve(f_mu)
+    schur = row_mu - float(row_x @ b)
+    if not (np.isfinite(schur) and schur != 0.0):
+        raise NoConvergence(f"bordered Newton: Schur scalar {schur:.3e} is singular")
+
+    def solve(res: np.ndarray, con: float) -> tuple[np.ndarray, float]:
+        a = lu.solve(-res)
+        dmu = (-con - float(row_x @ a)) / schur
+        return a - b * dmu, dmu
+
+    return solve
+
+
 def _bordered_newton(
     x: np.ndarray,
     mu: float,
@@ -262,48 +287,42 @@ def _bordered_newton(
     params: ModelParams,
     geom: DomainGeometry,
     tol_residual: float,
-    max_iter: int = 20,
+    max_iter: int,
 ) -> tuple[SystemState, float, float]:
-    """Newton on [steady residual; row_x.x + row_mu*mu - target] over (x, mu).
+    """Chord Newton on [steady residual; row_x.x + row_mu*mu - target] over (x, mu).
 
     The one corrector for every (state, mu) solve with a linear constraint
     (Keller 1977; Govaerts 2000): pseudo-arclength steps and amplitude-pinned
-    solves differ only in the constraint row. Iterates are clamped to x >= 0.
-    Returns the state, mu and the residual inf-norm there. Raises
-    NoConvergence when a mu iterate leaves mu > 0, the bordered LU fails or
-    gives a non-finite update, or max_iter iterations do not converge.
+    solves differ only in the constraint row. Updates come from
+    _keller_solver over an LU of J, which is kept across iterations and
+    refactored at the current iterate only when the residual inf-norm shrinks
+    by less than CHORD_CONTRACTION. Iterates are clamped to x >= 0. Returns
+    the state, mu and the residual inf-norm there. Raises NoConvergence when
+    a mu iterate leaves mu > 0, _keller_solver fails, an update is
+    non-finite, or max_iter iterations do not converge.
     """
-    n_cells = geom.n_omega
     con_tol = CONSTRAINT_TOL * max(1.0, abs(target))
-    rnorm = float("nan")
+    rnorm = prev = float("inf")
+    solve = None
     for _ in range(max_iter):
         if not mu > 0.0:
             raise NoConvergence(f"bordered Newton: mu iterate {mu:.6g} is not positive")
-        st = SystemState.from_vector(x, n_cells)
+        st = SystemState.from_vector(x, geom.n_omega)
         p_mu = params.with_mu(mu)
         res = residual_steady(p_mu, st.u, st.v, geom)
         rnorm = float(np.max(np.abs(res)))
         con = float(row_x @ x) + row_mu * mu - target
         if rnorm <= tol_residual and abs(con) <= con_tol:
             return st, mu, rnorm
-        J = assemble_jacobian(p_mu, st.u, st.v, geom)
-        dmu_col = residual_mu_derivative(st.v, geom)
-        bordered = sp.bmat(
-            [
-                [J, sp.csc_matrix(dmu_col.reshape(-1, 1))],
-                [sp.csc_matrix(row_x.reshape(1, -1)), sp.csc_matrix([[row_mu]])],
-            ],
-            format="csc",
-        )
-        try:
-            lu = spla.splu(bordered, permc_spec=PERMC_SPEC)
-        except RuntimeError as exc:
-            raise NoConvergence(f"bordered Newton: LU failed: {exc}") from exc
-        delta = lu.solve(-np.concatenate([res, [con]]))
-        if not np.all(np.isfinite(delta)):
+        if solve is None or rnorm > CHORD_CONTRACTION * prev:
+            J = assemble_jacobian(p_mu, st.u, st.v, geom)
+            solve = _keller_solver(J, residual_mu_derivative(st.v, geom), row_x, row_mu)
+        prev = rnorm
+        dx, dmu = solve(res, con)
+        if not (np.isfinite(dmu) and np.all(np.isfinite(dx))):
             raise NoConvergence("bordered Newton: non-finite update")
-        x = np.maximum(x + delta[:-1], 0.0)
-        mu = mu + float(delta[-1])
+        x = np.maximum(x + dx, 0.0)
+        mu = mu + dmu
     raise NoConvergence(f"bordered Newton: residual {rnorm:.3e} after {max_iter} iterations")
 
 
@@ -323,8 +342,12 @@ def continue_branch(
     direction is the initial tangent guess: either a pair (dx, dmu) with dx an
     array over the unknowns or None for a pure-mu direction, or a single
     concatenated array of length n_unknowns + 1. Subsequent tangents are
-    secants through the last two points. The step halves on corrector failure
-    down to ds/MIN_DS_FACTOR, after which ContinuationStalled is raised.
+    secants through the last two points. The corrector meets
+    newton_cfg.tol_residual within newton_cfg.max_iter iterations. The step
+    halves on corrector failure, and when the corrected point lies farther
+    than MAX_STEP_RATIO*ds from the last one (the arclength hyperplane can
+    cross another branch), down to ds/MIN_DS_FACTOR, after which
+    ContinuationStalled is raised.
     """
     cfg = newton_cfg or NewtonConfig()
     n = geom.n_unknowns
@@ -355,8 +378,13 @@ def continue_branch(
             mu_pred = y_mu + ds_cur * t_mu
             try:
                 state_new, mu_new, rnorm = _bordered_newton(
-                    x_pred, mu_pred, row_x, t_mu, at_y + ds_cur, params, geom, cfg.tol_residual
+                    x_pred, mu_pred, row_x, t_mu, at_y + ds_cur,
+                    params, geom, cfg.tol_residual, cfg.max_iter,
                 )
+                x_new = state_new.as_vector()
+                jump = _metric_norm(x_new - y_x, mu_new - y_mu)
+                if jump > MAX_STEP_RATIO * ds_cur:
+                    raise NoConvergence(f"corrected point lies {jump / ds_cur:.3g} steps away")
                 break
             except NoConvergence as exc:
                 ds_cur *= 0.5
@@ -368,7 +396,6 @@ def continue_branch(
         s_accum += ds_cur
         points.append(_point_from_state(state_new, mu_new, s_accum, params, geom, rnorm))
 
-        x_new = state_new.as_vector()
         sec_x, sec_mu = x_new - y_x, mu_new - y_mu
         sec_nrm = _metric_norm(sec_x, sec_mu)
         if sec_nrm > 0:
@@ -388,7 +415,6 @@ def solve_at_amplitude(
     state_guess: SystemState | None = None,
     tangent: KernelTangent | None = None,
     newton_cfg: NewtonConfig | None = None,
-    max_iter: int = 30,
 ) -> BranchPoint:
     """Coexistence point with the predator amplitude pinned and mu free.
 
@@ -406,7 +432,7 @@ def solve_at_amplitude(
     n1 = geom.n_omega1
     row_x = np.concatenate([np.zeros(geom.n_omega), np.full(n1, 1.0 / n1)])
     state, mu, rnorm = _bordered_newton(
-        x, mu_guess, row_x, 0.0, amplitude, params, geom, cfg.tol_residual, max_iter
+        x, mu_guess, row_x, 0.0, amplitude, params, geom, cfg.tol_residual, cfg.max_iter
     )
     return _point_from_state(state, mu, amplitude, params, geom, rnorm)
 

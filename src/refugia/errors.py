@@ -13,10 +13,6 @@ class RefugeTouchesBoundary(RefugiaError):
     """Refuge closure is not strictly inside the habitat (margin <= 2h)."""
 
 
-class NonPositiveAttackRate(RefugiaError):
-    """Attack rate b must be strictly positive."""
-
-
 class RegionMismatch(RefugiaError):
     """A field's region or length disagrees with the geometry."""
 

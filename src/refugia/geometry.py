@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateGrid, NonPositiveAttackRate, RefugeTouchesBoundary
+from .errors import DegenerateGrid, RefugeTouchesBoundary
 from .fields import Region, ScalarField
 
 
@@ -274,26 +274,3 @@ def build_geometry(grid: GridSpec, refuge: RefugeShape) -> DomainGeometry:
         faces_u=faces_u,
         faces_v=faces_v,
     )
-
-
-def attack_rate_field(geom: DomainGeometry, b: float) -> ScalarField:
-    """Attack rate over OMEGA: b on the predator domain, 0 on the refuge."""
-    if b <= 0:
-        raise NonPositiveAttackRate(f"attack rate must be positive, got {b}")
-    g = np.where(geom.omega1_mask, float(b), 0.0)
-    return ScalarField(g.ravel(), Region.OMEGA)
-
-
-def dump_mask(geom: DomainGeometry, path) -> None:
-    """Write the cell classification as a PGM-style text raster."""
-    shade = {
-        int(CellClass.REFUGE_INTERIOR): 0,
-        int(CellClass.PREDATOR_DOMAIN): 255,
-        int(CellClass.OUTER_BOUNDARY_ADJACENT): 180,
-    }
-    nx, ny = geom.grid.nx, geom.grid.ny
-    lines = ["P2", f"{nx} {ny}", "255"]
-    for j in range(ny - 1, -1, -1):  # top row first, image convention
-        lines.append(" ".join(str(shade[int(geom.cell_class[i, j])]) for i in range(nx)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -249,13 +249,3 @@ def assemble_jacobian(
 def residual_mu_derivative(v: ScalarField, geom: DomainGeometry) -> np.ndarray:
     """d(residual)/d(mu): zero on prey rows, -v on predator rows."""
     return np.concatenate([np.zeros(geom.n_omega), -v.values])
-
-
-def dump_operator(op: sp.spmatrix, path) -> None:
-    """Write a sparse operator as 'row col value' text lines (coordinate form)."""
-    coo = op.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# shape {coo.shape[0]} {coo.shape[1]} nnz {coo.nnz}\n")
-        for r, c, val in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r} {c} {val:.17g}\n")

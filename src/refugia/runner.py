@@ -92,15 +92,28 @@ class _Stages:
         self.manifest.stages.append((name, "ok", ""))
 
 
+def _lock_owner_alive(lock: Path) -> bool:
+    """False only when the PID in the lock file names no existing process."""
+    try:
+        os.kill(int(lock.read_text()), 0)
+    except ProcessLookupError:
+        return False
+    except (OSError, ValueError):  # unreadable, or alive under another user
+        pass
+    return True
+
+
 @contextlib.contextmanager
 def _dir_lock(out_dir: Path):
+    """Own out_dir while the run lasts: a lock file holding this PID. A lock
+    left by a dead process (a killed run, say) is taken over."""
     lock = out_dir / LOCK_NAME
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise OutputDirLocked(
-            f"{out_dir} is owned by another run (remove {lock} if that run is dead)"
-        ) from None
+        if _lock_owner_alive(lock):
+            raise OutputDirLocked(f"{out_dir} is owned by a live run (pid in {lock})") from None
+        fd = os.open(lock, os.O_WRONLY | os.O_TRUNC)
     os.write(fd, str(os.getpid()).encode())
     os.close(fd)
     try:

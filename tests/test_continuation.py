@@ -20,9 +20,14 @@ from refugia.errors import (
     NoCrossing,
     RefugiaError,
 )
-from refugia.fields import constant_state
+from refugia.fields import SystemState, constant_state
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
-from refugia.operators import ModelParams, assemble_jacobian, residual_steady
+from refugia.operators import (
+    ModelParams,
+    assemble_jacobian,
+    residual_mu_derivative,
+    residual_steady,
+)
 from refugia.spectral import StabilityFlag, leading_eigenvalue
 from refugia.steady import NewtonConfig, newton_solve
 
@@ -313,3 +318,129 @@ def test_sign_relation_needs_five_points(nontrivial, mu_star):
 def test_amplitude_of_helper(nontrivial):
     point = nontrivial.points[-1]
     assert amplitude_of(point.state) == pytest.approx(point.state.v.values.mean())
+
+
+@pytest.mark.parametrize(
+    "grid,refuge",
+    [
+        (GridSpec(12, 12), RefugeShape.empty()),
+        (GridSpec(12, 12), RefugeShape.rectangle((0.5, 0.5), (0.125, 0.125))),
+        (GridSpec(14, 10, lx=1.4), RefugeShape.disc((0.6, 0.45), 0.2)),
+    ],
+)
+def test_keller_update_matches_dense_bordered_solve(grid, refuge):
+    # one corrector update from a fixed off-branch iterate against
+    # numpy.linalg.solve of the dense bordered system
+    import refugia.continuation as cont
+
+    geom = build_geometry(grid, refuge)
+    p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=0.9)
+    X, Y = grid.cell_centers()
+    u = 0.8 + 0.1 * np.cos(np.pi * X / grid.lx) * np.cos(2 * np.pi * Y / grid.ly)
+    v = 0.3 + 0.05 * np.sin(np.pi * X / grid.lx) + 0.02 * Y
+    x = np.concatenate([u.ravel(), v[geom.omega1_mask]])
+    st = SystemState.from_vector(x, geom.n_omega)
+    J = assemble_jacobian(p, st.u, st.v, geom)
+    f_mu = residual_mu_derivative(st.v, geom)
+    rng = np.random.default_rng(7)
+    row_x, row_mu = rng.normal(size=x.size) / x.size, 0.3
+    res, con = residual_steady(p, st.u, st.v, geom), 0.01
+
+    dx, dmu = cont._keller_solver(J, f_mu, row_x, row_mu)(res, con)
+    bordered = np.block([[J.toarray(), f_mu[:, None]], [row_x[None, :], np.array([[row_mu]])]])
+    expected = np.linalg.solve(bordered, -np.concatenate([res, [con]]))
+    got = np.concatenate([dx, [dmu]])
+    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_corrector_factors_only_j_once_per_step(
+    switch_point, mu_star, params, geom32, scipy_counters, monkeypatch
+):
+    # the corrector factors J, never the (n+1)x(n+1) bordered matrix, and on
+    # the standard branch one LU serves a whole step (chord iteration); the
+    # one LU per point inside leading_eigenvalue is counted apart
+    import refugia.continuation as cont
+
+    eigen_lus = []
+    leading = cont.leading_eigenvalue
+
+    def counted_leading(J, *args, **kwargs):
+        before = len(scipy_counters.splu_shapes)
+        ep = leading(J, *args, **kwargs)
+        eigen_lus.append(len(scipy_counters.splu_shapes) - before)
+        return ep
+
+    monkeypatch.setattr(cont, "leading_eigenvalue", counted_leading)
+    n = geom32.n_unknowns
+    base = constant_state(geom32, params.lam, 0.0).as_vector()
+    direction = (switch_point.state.as_vector() - base, switch_point.mu - mu_star)
+    scipy_counters.splu_shapes.clear()
+    branch = continue_branch(
+        switch_point, direction, n_steps=6, ds=0.025, params=params, geom=geom32
+    )
+    steps = len(branch.points) - 1
+    assert steps == 6
+    shapes = scipy_counters.splu_shapes
+    assert (n + 1, n + 1) not in shapes
+    assert set(shapes) == {(n, n)}
+    assert len(shapes) - sum(eigen_lus) <= steps
+
+
+def test_failed_lu_of_j_is_no_convergence(params, geom16, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def singular(A, *args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    guess = constant_state(geom16, 0.9, 0.05)
+    monkeypatch.setattr(spla, "splu", singular)
+    with pytest.raises(NoConvergence, match="LU of J failed") as info:
+        solve_at_amplitude(params, geom16, 0.05, 0.95, state_guess=guess)
+    assert isinstance(info.value, RefugiaError)
+
+
+def test_corrector_honours_newton_max_iter(switch_point, mu_star, params, geom32, monkeypatch):
+    # solver.newton.max_iter bounds every corrector attempt of continuation
+    import refugia.continuation as cont
+
+    attempts = []
+    corrector, residual = cont._bordered_newton, cont.residual_steady
+
+    def counted_corrector(*args, **kwargs):
+        attempts.append(0)
+        return corrector(*args, **kwargs)
+
+    def counted_residual(*args, **kwargs):
+        attempts[-1] += 1
+        return residual(*args, **kwargs)
+
+    monkeypatch.setattr(cont, "_bordered_newton", counted_corrector)
+    monkeypatch.setattr(cont, "residual_steady", counted_residual)
+    base = constant_state(geom32, params.lam, 0.0).as_vector()
+    direction = (switch_point.state.as_vector() - base, switch_point.mu - mu_star)
+    with pytest.raises(ContinuationStalled):
+        continue_branch(
+            switch_point, direction, n_steps=2, ds=0.02, params=params, geom=geom32,
+            newton_cfg=NewtonConfig(tol_residual=1e-16, max_iter=6),
+        )
+    assert attempts and max(attempts) <= 6
+
+
+def test_continuation_does_not_jump_off_the_branch():
+    # enriched parameters (mu* = 8/9) with the centred square refuge: past the
+    # amplitude maximum the arclength hyperplane also cuts the predator-free
+    # line, and an unguarded corrector once landed there (mu 0.16 -> 4.0,
+    # 62 steps away), leaving amplitude-0 points on the "nontrivial" branch
+    p = ModelParams(lam=4.0, m=2.0, c=2.0, b=1.0, mu=8.0 / 9.0)
+    geom = build_geometry(GridSpec(12, 12), RefugeShape.rectangle((0.5, 0.5), (0.125, 0.125)))
+    start = solve_at_amplitude(p, geom, 0.2, 8.0 / 9.0)
+    base = constant_state(geom, p.lam, 0.0).as_vector()
+    direction = (start.state.as_vector() - base, start.mu - 8.0 / 9.0)
+    branch = continue_branch(start, direction, n_steps=126, ds=0.1, params=p, geom=geom)
+    assert np.all(branch.amplitudes() > 0.1)
+    pts = branch.points
+    for a, b in zip(pts, pts[1:]):
+        dist = np.sqrt(
+            np.mean((b.state.as_vector() - a.state.as_vector()) ** 2) + (b.mu - a.mu) ** 2
+        )
+        assert dist <= 2.0 * (b.s - a.s)

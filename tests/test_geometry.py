@@ -3,7 +3,6 @@ import pytest
 
 from refugia.errors import (
     DegenerateGrid,
-    NonPositiveAttackRate,
     RefugeTouchesBoundary,
     RegionMismatch,
 )
@@ -12,9 +11,7 @@ from refugia.geometry import (
     CellClass,
     GridSpec,
     RefugeShape,
-    attack_rate_field,
     build_geometry,
-    dump_mask,
 )
 
 
@@ -89,40 +86,7 @@ def test_disc_area_converges_first_order():
     assert errors[2] < errors[0]
 
 
-def test_attack_rate_values(geom64):
-    field = attack_rate_field(geom64, 1.0)
-    assert set(np.unique(field.values)) == {0.0, 1.0}
-    g = field.values.reshape(64, 64)
-    center = g[32, 32]  # cell center (0.5078, 0.5078), inside the refuge
-    assert center == 0.0
-    corner = g[3, 3]  # (0.0546, 0.0546), outside
-    assert corner == 1.0
-
-
-def test_attack_rate_empty_refuge_constant():
-    geom = build_geometry(GridSpec(16, 16), RefugeShape.empty())
-    field = attack_rate_field(geom, 2.0)
-    assert np.all(field.values == 2.0)
-
-
-def test_attack_rate_requires_positive_b(geom64):
-    with pytest.raises(NonPositiveAttackRate):
-        attack_rate_field(geom64, 0.0)
-    with pytest.raises(NonPositiveAttackRate):
-        attack_rate_field(geom64, -1.0)
-
-
 def test_field_length_checked(geom64):
     bad = ScalarField(np.zeros(10), Region.OMEGA)
     with pytest.raises(RegionMismatch):
         geom64.check_field(bad)
-
-
-def test_mask_dump_is_pgm(tmp_path, geom16):
-    path = tmp_path / "mask.pgm"
-    dump_mask(geom16, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "P2"
-    assert lines[1] == "16 16"
-    data = [int(tok) for row in lines[3:] for tok in row.split()]
-    assert len(data) == 256

@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -182,10 +185,23 @@ def test_simulate_run(tmp_path):
 
 
 def test_output_dir_lock(tmp_path):
+    # the lock names a live process (this one), so the directory stays owned
     cfg = parse_config(MINIMAL + "geometry.nx = 16\ngeometry.ny = 16\n")
-    (tmp_path / LOCK_NAME).write_text("12345")
+    (tmp_path / LOCK_NAME).write_text(str(os.getpid()))
     with pytest.raises(OutputDirLocked):
         run_experiment(cfg, out_dir=tmp_path)
+    assert (tmp_path / LOCK_NAME).read_text() == str(os.getpid())
+
+
+def test_stale_output_dir_lock_is_taken_over(tmp_path):
+    # a lock left by a dead run (the PID of an already reaped child) is stale
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    cfg = parse_config(MINIMAL + "geometry.nx = 16\ngeometry.ny = 16\n")
+    (tmp_path / LOCK_NAME).write_text(str(child.pid))
+    manifest = run_experiment(cfg, out_dir=tmp_path)
+    assert manifest.exit_ok
+    assert not (tmp_path / LOCK_NAME).exists()
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -8,7 +8,6 @@ from refugia.geometry import GridSpec, RefugeShape, build_geometry
 from refugia.operators import (
     ModelParams,
     assemble_jacobian,
-    dump_operator,
     laplacian_neumann,
     nonlinear_diffusion,
     reaction_terms,
@@ -259,15 +258,3 @@ def test_block_triangular_spectrum_at_any_prey_profile():
         np.concatenate([np.linalg.eigvals(J[:n, :n]), np.linalg.eigvals(J[n:, n:])])
     )
     np.testing.assert_allclose(spectrum, blocks, rtol=0, atol=1e-7)
-
-
-def test_operator_dump_round_trips(tmp_path, geom16):
-    st = constant_state(geom16, 1.0, 0.0)
-    J = assemble_jacobian(PARAMS, st.u, st.v, geom16)
-    path = tmp_path / "op.txt"
-    dump_operator(J, path)
-    lines = path.read_text().splitlines()
-    header = lines[0].split()
-    assert header[2:4] == [str(J.shape[0]), str(J.shape[1])]
-    row, col, val = lines[1].split()
-    assert J[int(row), int(col)] == pytest.approx(float(val), rel=1e-15)
