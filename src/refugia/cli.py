@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .config import KINDS, parse_config
-from .errors import ConfigError, OutputDirLocked
+from .errors import ConfigError, OutputDirUnusable
 from .runner import run_experiment
 
 _HELP = {
@@ -43,7 +43,7 @@ def main(argv=None) -> int:
 
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"refugia: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:
@@ -57,7 +57,7 @@ def main(argv=None) -> int:
 
     try:
         manifest = run_experiment(cfg, out_dir=args.out, quiet=args.quiet)
-    except OutputDirLocked as exc:
+    except OutputDirUnusable as exc:
         print(f"refugia: {exc}", file=sys.stderr)
         return 2
     if not manifest.exit_ok:

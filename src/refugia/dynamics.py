@@ -6,11 +6,14 @@ reactions explicitly. Time accuracy is deliberately first order: only the
 attractor is consumed, as independent evidence for the stability assignments
 made by the eigenvalue machinery.
 
-The predator matrix I - dt*d_v*L is constant, so it is factored once and
-solved directly. The prey matrix I - dt*d_u*A(u) is symmetric positive
-definite and drifts slowly with u; it is solved by CG preconditioned with
-the LU of an earlier step's matrix, refactored once a solve needs more than
-REFACTOR_ITERS iterations.
+Steps are taken in increment (delta) form over the one right-hand side
+F = rhs_transient(u, v) per state, which also gives the rate history:
+u_new = u + (I - dt*d_u*A(u))^-1 (dt*F_u), v_new = v + (I - dt*d_v*L)^-1 (dt*F_v).
+As A(u)*u = div(u grad u) on the grid, this is the frozen-coefficient step.
+The predator matrix is constant, so it is factored once. The prey operator
+is symmetric positive definite and drifts slowly with u; CG applies it in
+difference form, preconditioned with the LU of an earlier step's assembled
+matrix, refactored once a solve needs more than REFACTOR_ITERS iterations.
 """
 
 from __future__ import annotations
@@ -25,12 +28,13 @@ import scipy.sparse.linalg as spla
 from .errors import LinearSolveFailure, StepRejected
 from .fields import Region, ScalarField, SystemState
 from .geometry import DomainGeometry
-from .operators import PERMC_SPEC, ModelParams, _kinetics, frozen_diffusion_matrix, rhs_transient
+from .operators import PERMC_SPEC, ModelParams, frozen_diffusion_matrix, rhs_transient
+from .operators import _face_average, _face_divergence
 
 #: post-solve values below this reject the step (dt too large)
 REJECT_BELOW = -1e-8
 
-#: prey CG solves target this relative residual (of the unpreconditioned system)
+#: prey CG solves stop at an unpreconditioned residual of CG_RTOL * ||u_old||_2
 CG_RTOL = 1e-12
 
 #: a prey solve needing more CG iterations than this refactors the preconditioner
@@ -75,33 +79,45 @@ class _ImplicitSolver:
 
     def __init__(self, geom: DomainGeometry, params: ModelParams, dt: float):
         self.geom = geom
+        self.dt = dt
         self.prey_scale = dt * params.d_u
         eye = sp.identity(geom.n_omega1, format="csc")
         self.lu_v = _factor(eye - (dt * params.d_v) * geom.lap_omega1, "predator")
         self.precond_u = None  # solve with the LU of a lagged prey matrix, built on first use
 
-    def prey(self, u_old: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I - dt*d_u*A(u_old)) u = rhs by preconditioned CG from u_old."""
-        n = u_old.size
-        M_u = sp.identity(n, format="csr") - self.prey_scale * frozen_diffusion_matrix(
-            u_old, self.geom
-        )
+    def advance(self, state: SystemState, rate_u: ScalarField, rate_v: ScalarField) -> SystemState:
+        """The step from state driven by its rates (rate_u, rate_v) = rhs_transient(state).
+
+        The prey increment solves (I - dt*d_u*A(u)) du = dt*rate_u by CG from zero.
+        """
+        u, v = state.u.values, state.v.values
+        n, faces, s = u.size, self.geom.faces_u, self.prey_scale
         if self.precond_u is None:
-            lu = _factor(M_u, "prey")
+            lagged = sp.identity(n, format="csr") - s * frozen_diffusion_matrix(u, self.geom)
+            lu = _factor(lagged, "prey")
             self.precond_u = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+        coef = _face_average(faces, u)
+        M_u = spla.LinearOperator(
+            (n, n), matvec=lambda x: x - s * _face_divergence(faces, x, coef), dtype=float
+        )
         iters = 0
 
         def count(_):
             nonlocal iters
             iters += 1
 
-        u_new, info = spla.cg(M_u, rhs, x0=u_old, rtol=CG_RTOL, atol=0.0, maxiter=20 * n,
-                              M=self.precond_u, callback=count)
+        du, info = spla.cg(M_u, self.dt * rate_u.values, rtol=0.0,
+                           atol=CG_RTOL * np.linalg.norm(u), maxiter=20 * n,
+                           M=self.precond_u, callback=count)
         if info != 0:
             raise LinearSolveFailure(f"CG for prey update returned info={info}")
         if iters > REFACTOR_ITERS:
             self.precond_u = None
-        return u_new
+        dv = self.lu_v.solve(self.dt * rate_v.values)
+        return SystemState(
+            ScalarField(_clamp_step(u + du, "prey"), Region.OMEGA),
+            ScalarField(_clamp_step(v + dv, "predator"), Region.OMEGA1),
+        )
 
 
 def _clamp_step(values: np.ndarray, what: str) -> np.ndarray:
@@ -125,18 +141,9 @@ def imex_step(
     _solver carries the factorizations between steps with the same geom,
     params and dt; without one the step factors its own matrices.
     """
-    u_old = state.u.values
-    v_old = state.v.values
-    react_u, react_v = _kinetics(params, u_old, v_old, geom, params.r)
     if _solver is None:
         _solver = _ImplicitSolver(geom, params, dt)
-    u_new = _solver.prey(u_old, u_old + dt * react_u)
-    v_new = _solver.lu_v.solve(v_old + dt * react_v)
-
-    return SystemState(
-        ScalarField(_clamp_step(u_new, "prey"), Region.OMEGA),
-        ScalarField(_clamp_step(v_new, "predator"), Region.OMEGA1),
-    )
+    return _solver.advance(state, *rhs_transient(params, state.u, state.v, geom))
 
 
 def run_to_steady(
@@ -147,26 +154,23 @@ def run_to_steady(
 ) -> TransientResult:
     """Step until the instantaneous rates drop below steady_tol.
 
+    Each state's right-hand side is evaluated once: it is the history row's
+    rates, the convergence test and the drive of the next step.
     Non-convergence within the horizon is a flag, not an error; callers
     inspect the rate history.
     """
-    state = state0.copy()
+    state = state0
     solver = _ImplicitSolver(geom, params, cfg.dt)
-
-    def rates(st):
-        du, dv = rhs_transient(params, st.u, st.v, geom)
-        return du.inf_norm, dv.inf_norm
-
-    du_n, dv_n = rates(state)
-    rows = [(0.0, state.u.inf_norm, state.v.inf_norm, du_n, dv_n)]
+    rows = []
     t = 0.0
     steps = 0
-    converged = max(du_n, dv_n) <= cfg.steady_tol
-    while not converged and steps < cfg.max_steps and t < cfg.t_end - 1e-12:
-        state = imex_step(state, params, cfg.dt, geom, _solver=solver)
-        t += cfg.dt
-        steps += 1
-        du_n, dv_n = rates(state)
+    while True:
+        rate_u, rate_v = rhs_transient(params, state.u, state.v, geom)
+        du_n, dv_n = rate_u.inf_norm, rate_v.inf_norm
         rows.append((t, state.u.inf_norm, state.v.inf_norm, du_n, dv_n))
         converged = max(du_n, dv_n) <= cfg.steady_tol
-    return TransientResult(state, converged, np.array(rows), t, steps)
+        if converged or steps >= cfg.max_steps or t >= cfg.t_end - 1e-12:
+            return TransientResult(state, converged, np.array(rows), t, steps)
+        state = solver.advance(state, rate_u, rate_v)
+        t += cfg.dt
+        steps += 1

@@ -57,7 +57,11 @@ class EmptyBranchList(RefugiaError):
     """Plot emission refused: nothing to draw."""
 
 
-class OutputDirLocked(RefugiaError):
+class OutputDirUnusable(RefugiaError):
+    """The output directory cannot be created or used."""
+
+
+class OutputDirLocked(OutputDirUnusable):
     """Another run owns the output directory (lock file present)."""
 
 

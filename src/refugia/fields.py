@@ -28,9 +28,6 @@ class ScalarField:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).ravel()
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.values.copy(), self.region)
-
     @property
     def inf_norm(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
@@ -46,9 +43,6 @@ class SystemState:
     def __post_init__(self):
         if self.u.region is not Region.OMEGA or self.v.region is not Region.OMEGA1:
             raise ValueError("SystemState expects u on OMEGA and v on OMEGA1")
-
-    def copy(self) -> "SystemState":
-        return SystemState(self.u.copy(), self.v.copy())
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.u.values, self.v.values])

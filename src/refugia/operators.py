@@ -12,9 +12,10 @@ carries coefficients d_u, d_v and logistic rate r in front of the same terms,
 with the prey growth written as (r/lam)*(lam*u - u^2).
 
 Both diffusion operators act through the geometry's face tables: the
-difference form below for residuals, the matrix form of geometry._face_matrix
-for Jacobians and implicit steps. The pointwise kinetics are written once,
-in _kinetics.
+difference form of _face_divergence for residuals, right-hand sides and the
+implicit step's prey operator, the matrix form of geometry._face_matrix for
+Jacobians and preconditioners. The pointwise kinetics are written once, in
+_kinetics.
 """
 
 from __future__ import annotations
@@ -78,19 +79,22 @@ def clamp_nonnegative(values: np.ndarray, what: str = "field") -> np.ndarray:
     return values
 
 
-def _face_divergence(table, x: np.ndarray, density: bool = False) -> np.ndarray:
+def _face_average(table, x: np.ndarray) -> np.ndarray:
+    """Arithmetic face averages (x_a + x_b)/2 over a face table."""
+    a, b, _ = table
+    return 0.5 * (x[a] + x[b])
+
+
+def _face_divergence(table, x: np.ndarray, coef=1.0) -> np.ndarray:
     """Difference-form flux divergence over a face table.
 
-    Each face (a, b, w) carries the flux w*(x_b - x_a), times the face average
-    (x_a + x_b)/2 when density is set (div(x grad x)); the flux enters cell a
-    with a plus sign and cell b with a minus sign. Constants give zero fluxes,
-    hence exact zeros.
+    Each face (a, b, w) carries the flux w*(x_b - x_a) times its coefficient
+    (1 for the Laplacian, a face average for density-dependent diffusion);
+    the flux enters cell a with a plus sign and cell b with a minus sign.
+    Constants give zero fluxes, hence exact zeros.
     """
     a, b, w = table
-    xa, xb = x[a], x[b]
-    flux = w * (xb - xa)
-    if density:
-        flux *= 0.5 * (xa + xb)
+    flux = w * (x[b] - x[a]) * coef
     return np.bincount(np.concatenate([a, b]), np.concatenate([flux, -flux]), minlength=x.size)
 
 
@@ -111,7 +115,8 @@ def nonlinear_diffusion(u: ScalarField, geom: DomainGeometry) -> ScalarField:
         raise RegionMismatch("nonlinear diffusion acts on prey fields (OMEGA)")
     geom.check_field(u)
     vals = clamp_nonnegative(u.values, "prey density")
-    return ScalarField(_face_divergence(geom.faces_u, vals, density=True), Region.OMEGA)
+    faces = geom.faces_u
+    return ScalarField(_face_divergence(faces, vals, _face_average(faces, vals)), Region.OMEGA)
 
 
 def _kinetics(
@@ -191,9 +196,8 @@ def diffusion_linearization(u_values: np.ndarray, geom: DomainGeometry) -> sp.cs
 
 
 def frozen_diffusion_matrix(u_values: np.ndarray, geom: DomainGeometry) -> sp.csr_matrix:
-    """Linear operator a -> div(ubar grad a) with face coefficients frozen at u."""
-    a, b, _ = geom.faces_u
-    avg = 0.5 * (u_values[a] + u_values[b])
+    """Matrix of a -> div(ubar grad a) with face coefficients frozen at u."""
+    avg = _face_average(geom.faces_u, u_values)
     return _face_matrix(geom.n_omega, geom.faces_u, avg, avg)
 
 

@@ -24,6 +24,12 @@ from .operators import ModelParams
 from .spectral import StabilityFlag
 from .steady import solve_kernel_function
 
+#: verify gate: largest relative gap between detected and analytic mu*
+GAP_TOL = 1e-3
+
+#: verify gate: smallest cosine between the emerging branch and the kernel tangent
+COSINE_MIN = 0.99
+
 
 @dataclass
 class ExchangeCell:
@@ -57,15 +63,15 @@ class BifurcationReport:
     intersection_shrinks: bool | None
     notes: list[str] = field(default_factory=list)
 
-    def passes(self, gap_tol: float = 1e-3, cosine_min: float = 0.99) -> bool:
+    def passes(self) -> bool:
         """Gate used by the verify experiment."""
         gates = [
-            self.relative_gap <= gap_tol,
+            self.relative_gap <= GAP_TOL,
             self.audit_status == "PASS",
             self.slope_sign_negative is True,
             all(cell.ok for cell in self.exchange if cell.n_points > 0),
             self.no_both_stable is True,
-            self.tangent_cosine is not None and self.tangent_cosine >= cosine_min,
+            self.tangent_cosine is not None and self.tangent_cosine >= COSINE_MIN,
         ]
         return all(gates)
 
@@ -172,29 +178,16 @@ def build_report(
         base = constant_state(geom, params.lam, 0.0).as_vector()
         by_amp = sorted(nontrivial.points, key=lambda p: p.amplitude)
         smallest = by_amp[0]
-        dev = np.concatenate(
-            [
-                params.lam - smallest.state.u.values,
-                smallest.state.v.values,
-            ]
-        ) / smallest.amplitude
-        tangent_cosine = float(
-            dev @ tan / (np.linalg.norm(dev) * np.linalg.norm(tan))
-        )
+        dev = np.concatenate([params.lam - smallest.state.u.values, smallest.state.v.values])
+        dev /= smallest.amplitude
+        tangent_cosine = float(dev @ tan / (np.linalg.norm(dev) * np.linalg.norm(tan)))
         tangent_angle = float(np.degrees(np.arccos(np.clip(tangent_cosine, -1.0, 1.0))))
 
         for p in by_amp[:3]:
-            diff = p.state.as_vector() - (
-                base + p.amplitude * np.concatenate([-kt.alpha.values, np.ones(geom.n_omega1)])
-            )
+            diff = p.state.as_vector() - (base + p.amplitude * kt.direction(geom))
             tangent_ratios.append((p.amplitude, float(np.max(np.abs(diff)) / p.amplitude)))
-            intersection.append(
-                (
-                    p.amplitude,
-                    float(np.max(np.abs(p.state.u.values - params.lam))),
-                    abs(p.mu - mu_star),
-                )
-            )
+            u_dev = float(np.max(np.abs(p.state.u.values - params.lam)))
+            intersection.append((p.amplitude, u_dev, abs(p.mu - mu_star)))
         if len(intersection) >= 2:
             udevs = [row[1] for row in intersection]
             gaps = [row[2] for row in intersection]
@@ -212,12 +205,8 @@ def build_report(
             audit = verify_sign_relation(nontrivial, mu_star)
             audit_status = "PASS" if audit.all_pass else "FAIL"
 
-        semi_stable_mus = [
-            p.mu for p in semitrivial.points if p.flag is StabilityFlag.STABLE
-        ]
-        nontrivial_stable_mus = [
-            p.mu for p in nontrivial.points if p.flag is StabilityFlag.STABLE
-        ]
+        semi_stable_mus = [p.mu for p in semitrivial.points if p.flag is StabilityFlag.STABLE]
+        nontrivial_stable_mus = [p.mu for p in nontrivial.points if p.flag is StabilityFlag.STABLE]
         no_both_stable = all(m > mu_star for m in semi_stable_mus) and all(
             m < mu_star for m in nontrivial_stable_mus
         )

@@ -28,7 +28,7 @@ from .continuation import (
 )
 from .csvio import write_audit_csv, write_branch_csv, write_state_raster, write_timeseries
 from .dynamics import run_to_steady
-from .errors import OutputDirLocked, RefugiaError
+from .errors import OutputDirLocked, OutputDirUnusable, RefugiaError
 from .fields import Region, ScalarField, SystemState, constant_state
 from .geometry import build_geometry
 from .operators import assemble_jacobian
@@ -123,12 +123,6 @@ def _dir_lock(out_dir: Path):
             lock.unlink()
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
-
-
 def _perturbed_start(cfg: RunConfig, geom) -> SystemState:
     """Seeded start near (lam, small predators) for transient experiments."""
     rng = np.random.default_rng(cfg.seed)
@@ -146,7 +140,10 @@ def run_experiment(cfg: RunConfig, out_dir=None, quiet: bool = True) -> RunManif
     recorded rather than raised (configuration-level errors still raise).
     """
     out = Path(out_dir if out_dir is not None else (cfg.out_dir or "."))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputDirUnusable(f"cannot create output directory {out}: {exc.strerror}") from exc
     manifest = RunManifest(
         config_text=render_config(cfg),
         version=__version__,
@@ -163,7 +160,8 @@ def run_experiment(cfg: RunConfig, out_dir=None, quiet: bool = True) -> RunManif
         manifest.finished = datetime.now(timezone.utc).isoformat()
         for p in sorted(out.rglob("*")):
             if p.is_file() and p.name not in (MANIFEST_NAME, LOCK_NAME):
-                manifest.files.append((str(p.relative_to(out)), _sha256(p)))
+                digest = hashlib.sha256(p.read_bytes()).hexdigest()
+                manifest.files.append((str(p.relative_to(out)), digest))
         (out / MANIFEST_NAME).write_text(manifest.to_text(), encoding="utf-8")
     return manifest
 

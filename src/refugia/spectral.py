@@ -79,7 +79,7 @@ def _candidates(J: sp.csr_matrix):
         raise EigenNoConvergence(f"shift-invert at sigma = {sigma:g} failed: {exc}") from exc
 
 
-def leading_eigenvalue(J: sp.spmatrix, residual_tol: float = RESIDUAL_TOL) -> EigenPair:
+def leading_eigenvalue(J: sp.spmatrix) -> EigenPair:
     """Eigenvalue of largest real part among the pairs nearest the shift.
 
     Raises EigenNoConvergence if no returned pair meets the residual contract.
@@ -97,11 +97,11 @@ def leading_eigenvalue(J: sp.spmatrix, residual_tol: float = RESIDUAL_TOL) -> Ei
         if not complex_pair:
             lam, x = lam.real, x.real
         res = float(np.max(np.abs(J @ x - lam * x)))
-        if res <= residual_tol:
+        if res <= RESIDUAL_TOL:
             return EigenPair(float(lam.real), np.real(x), res, complex_pair)
         residuals.append(res)
     raise EigenNoConvergence(
-        f"no eigenpair met residual {residual_tol:g}; best of {len(residuals)} "
+        f"no eigenpair met residual {RESIDUAL_TOL:g}; best of {len(residuals)} "
         f"was {min(residuals, default=np.inf):.3e}"
     )
 
@@ -116,15 +116,15 @@ def semitrivial_leading_analytic(params: ModelParams) -> float:
     return max(-params.lam, params.c * params.lam / (1.0 + params.m * params.lam) - params.mu)
 
 
-def classify_value(value: float, margin: float = STABILITY_MARGIN) -> StabilityFlag:
-    if value < -margin:
+def classify_value(value: float) -> StabilityFlag:
+    if value < -STABILITY_MARGIN:
         return StabilityFlag.STABLE
-    if value > margin:
+    if value > STABILITY_MARGIN:
         return StabilityFlag.UNSTABLE
     return StabilityFlag.MARGINAL
 
 
-def classify_stability(J: sp.spmatrix, margin: float = STABILITY_MARGIN) -> StabilityFlag:
+def classify_stability(J: sp.spmatrix) -> StabilityFlag:
     """Stability of the state whose linearization is J, by the sign of the
     leading eigenvalue with a symmetric marginality band."""
-    return classify_value(leading_eigenvalue(J).value, margin)
+    return classify_value(leading_eigenvalue(J).value)

@@ -24,13 +24,17 @@ from .operators import PERMC_SPEC, ModelParams, assemble_jacobian, residual_stea
 #: direct sparse solves must meet this normwise backward error
 LINSOLVE_RTOL = 1e-12
 
+#: the line search scales a rejected Newton step by this factor
+BACKTRACK_FACTOR = 0.5
+
+#: the line search gives up once the step fraction falls below this
+MIN_STEP = 2.0**-10
+
 
 @dataclass(frozen=True)
 class NewtonConfig:
     tol_residual: float = 1e-10  # inf-norm of the steady residual
     max_iter: int = 50
-    backtrack_factor: float = 0.5
-    min_step: float = 2.0**-10
 
     def __post_init__(self):
         if self.tol_residual <= 0:
@@ -91,8 +95,8 @@ def newton_solve(
             rnorm_trial = float(np.max(np.abs(res_trial)))
             if rnorm_trial < rnorm:
                 break
-            step *= cfg.backtrack_factor
-            if step < cfg.min_step:
+            step *= BACKTRACK_FACTOR
+            if step < MIN_STEP:
                 raise NoConvergence(
                     f"line search stalled at residual {rnorm:.3e} (iteration {it})"
                 )

@@ -195,8 +195,19 @@ def test_run_to_steady_matches_spsolve_stepping(geom32):
     assert np.max(np.abs(out.state.as_vector() - state.as_vector())) <= 1e-10
 
 
-def test_coexistence_run_solver_counters(geom32, scipy_counters):
-    """The predator matrix is factored once and the lagged prey LU keeps CG short."""
+def test_coexistence_run_solver_counters(geom32, scipy_counters, monkeypatch):
+    """The predator matrix is factored once and the lagged prey LU keeps CG short;
+    the prey matrix is assembled only to be factored, and each state's
+    right-hand side is evaluated once."""
+    calls = {"frozen_diffusion_matrix": 0, "rhs_transient": 0}
+    for name in calls:
+        fn = getattr(dynamics, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(dynamics, name, counted)
     out = run_to_steady(constant_state(geom32, 1.0, 0.05), COEXIST, COEXIST_RUN, geom32)
     assert out.converged
     shapes = scipy_counters.splu_shapes
@@ -205,6 +216,8 @@ def test_coexistence_run_solver_counters(geom32, scipy_counters):
     assert 1 <= shapes.count(prey) <= 3
     assert len(shapes) == shapes.count(predator) + shapes.count(prey)
     assert scipy_counters.cg_iters / out.steps <= 10
+    assert calls["frozen_diffusion_matrix"] == shapes.count(prey)
+    assert calls["rhs_transient"] == out.steps + 1
 
 
 def test_slow_prey_solve_refactors_the_preconditioner(geom16, scipy_counters, monkeypatch):

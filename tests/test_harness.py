@@ -215,6 +215,29 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main(["steady", "--config", str(tmp_path / "missing.cfg")]) == 1
 
 
+def test_cli_reports_output_path_under_a_file(tmp_path, capsys):
+    cfg_path = tmp_path / "ok.cfg"
+    cfg_path.write_text(MINIMAL + "geometry.nx = 16\ngeometry.ny = 16\n")
+    blocker = tmp_path / "plain"
+    blocker.write_text("not a directory")
+    out = blocker / "sub"
+    assert cli.main(["steady", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("refugia: ") and str(out) in err
+    assert "Traceback" not in err
+
+
+def test_cli_reports_non_utf8_config(tmp_path, capsys):
+    cfg_path = tmp_path / "latin.cfg"
+    cfg_path.write_bytes(b"\xff\xfe" + MINIMAL.encode())
+    assert cli.main(["steady", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("refugia: cannot read config: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_verify_gate_nonzero(tmp_path):
     text = BIF_SMALL.replace("bifurcate", "verify").replace(
         "params.mu_min = 0.8", "params.mu_min = 2.0"
