@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .fields import Region, ScalarField, SystemState, constant_state
 from .geometry import (
-    CellClass,
     DomainGeometry,
     GridSpec,
     RefugeShape,
@@ -19,7 +18,6 @@ __all__ = [
     "ScalarField",
     "SystemState",
     "constant_state",
-    "CellClass",
     "DomainGeometry",
     "GridSpec",
     "RefugeShape",

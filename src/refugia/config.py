@@ -15,14 +15,12 @@ from dataclasses import dataclass
 
 from .dynamics import TransientConfig
 from .errors import ParseError, RefugeTouchesBoundary, ValidationError
-from .geometry import GridSpec, RefugeShape, check_refuge_clearance
+from .geometry import REFUGE_KINDS, GridSpec, RefugeShape, check_refuge_clearance
 from .operators import ModelParams
 from .steady import NewtonConfig
 
 KINDS = ("simulate", "steady", "continue", "bifurcate", "verify")
 RANGE_KINDS = ("continue", "bifurcate", "verify")
-
-REFUGE_KINDS = ("rectangle", "disc", "empty")
 
 
 @dataclass(frozen=True)

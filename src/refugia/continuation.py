@@ -20,15 +20,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
-from .errors import ContinuationStalled, FellBackToSemitrivial, NoConvergence, NoCrossing
+from .errors import ContinuationStalled, NoConvergence, NoCrossing
 from .fields import SystemState, constant_state
 from .geometry import DomainGeometry
 from .operators import (
-    PERMC_SPEC,
     ModelParams,
     assemble_jacobian,
+    factor,
     residual_mu_derivative,
     residual_steady,
 )
@@ -39,7 +38,7 @@ from .steady import KernelTangent, NewtonConfig, newton_solve, solve_kernel_func
 MU_BAND = 1e-4
 GAMMA_BAND = 1e-6
 
-#: default initial mu offset at branch switching, as a fraction of mu*
+#: mu offset of the branch-switch corrector below mu*, as a fraction of mu*
 DELTA_SWITCH_FRACTION = 1e-2
 
 #: bordered Newton meets its linear constraint to this, relative to max(1, |target|)
@@ -220,30 +219,25 @@ def branch_switch(
     params: ModelParams,
     geom: DomainGeometry,
     s0: float,
-    delta_switch: float | None = None,
     newton_cfg: NewtonConfig | None = None,
-    tangent: KernelTangent | None = None,
 ) -> BranchPoint:
     """Step off the predator-free line onto the coexistence branch.
 
-    Predictor: (lam, 0) + s0 * (-alpha, 1) at mu = mu* - delta_switch;
-    corrector: plain Newton at that fixed mu. Raises FellBackToSemitrivial
-    when the corrected amplitude collapses below s0/10 (predictor too weak;
-    increase s0 or delta_switch).
+    Predictor: (lam, 0) + s0 * (-alpha, 1) at mu = mu* - DELTA_SWITCH_FRACTION*mu*;
+    corrector: plain Newton at that fixed mu. When that Newton collapses onto
+    the predator-free state (amplitude below s0/10: s0 is small or the branch
+    is flat in mu), the point is the amplitude-pinned solve at s0 from mu*.
     """
     if not 0.0 < s0 <= 0.1 * params.lam:
         raise ValueError(f"s0 must lie in (0, 0.1*lam], got {s0}")
-    delta = DELTA_SWITCH_FRACTION * mu_star if delta_switch is None else delta_switch
-    mu_sw = mu_star - delta
-    kt = tangent if tangent is not None else solve_kernel_function(params, geom)
+    cfg = newton_cfg or NewtonConfig()
+    mu_sw = mu_star - DELTA_SWITCH_FRACTION * mu_star
+    kt = solve_kernel_function(params, geom)
     x0 = constant_state(geom, params.lam, 0.0).as_vector() + s0 * kt.direction(geom)
     predictor = SystemState.from_vector(np.maximum(x0, 0.0), geom.n_omega)
-    result = newton_solve(predictor, params.with_mu(mu_sw), newton_cfg or NewtonConfig(), geom)
-    amp = amplitude_of(result.state)
-    if amp < s0 / 10.0:
-        raise FellBackToSemitrivial(
-            f"corrected amplitude {amp:.3e} < s0/10 = {s0/10:.3e} at mu = {mu_sw:g}"
-        )
+    result = newton_solve(predictor, params.with_mu(mu_sw), cfg, geom)
+    if amplitude_of(result.state) < s0 / 10.0:
+        return solve_at_amplitude(params, geom, s0, mu_star, tangent=kt, newton_cfg=cfg)
     dx = result.state.as_vector() - constant_state(geom, params.lam, 0.0).as_vector()
     s_init = float(np.sqrt(np.mean(dx**2) + (mu_sw - mu_star) ** 2))
     return _point_from_state(result.state, mu_sw, s_init, params, geom, result.residual_norm)
@@ -261,10 +255,7 @@ def _keller_solver(J, f_mu: np.ndarray, row_x: np.ndarray, row_mu: float):
     NoConvergence when J cannot be factored or the Schur scalar
     row_mu - row_x.b is zero or non-finite.
     """
-    try:
-        lu = spla.splu(J.tocsc(), permc_spec=PERMC_SPEC)
-    except RuntimeError as exc:
-        raise NoConvergence(f"bordered Newton: LU of J failed: {exc}") from exc
+    lu = factor(J, NoConvergence, "bordered Newton: LU of J failed")
     b = lu.solve(f_mu)
     schur = row_mu - float(row_x @ b)
     if not (np.isfinite(schur) and schur != 0.0):
@@ -339,9 +330,8 @@ def continue_branch(
 ) -> Branch:
     """Pseudo-arclength predictor-corrector continuation from a converged point.
 
-    direction is the initial tangent guess: either a pair (dx, dmu) with dx an
-    array over the unknowns or None for a pure-mu direction, or a single
-    concatenated array of length n_unknowns + 1. Subsequent tangents are
+    direction is the initial tangent guess, a pair (dx, dmu) with dx an array
+    over the unknowns or None for a pure-mu direction. Subsequent tangents are
     secants through the last two points. The corrector meets
     newton_cfg.tol_residual within newton_cfg.max_iter iterations. The step
     halves on corrector failure, and when the corrected point lies farther
@@ -351,12 +341,8 @@ def continue_branch(
     """
     cfg = newton_cfg or NewtonConfig()
     n = geom.n_unknowns
-    if isinstance(direction, tuple):
-        dx0, dmu0 = direction
-        dx0 = np.zeros(n) if dx0 is None else np.asarray(dx0, dtype=float)
-    else:
-        arr = np.asarray(direction, dtype=float)
-        dx0, dmu0 = arr[:-1], float(arr[-1])
+    dx0, dmu0 = direction
+    dx0 = np.zeros(n) if dx0 is None else np.asarray(dx0, dtype=float)
     nrm = _metric_norm(dx0, dmu0)
     if nrm == 0.0:
         raise ValueError("direction must be nonzero")
@@ -420,7 +406,7 @@ def solve_at_amplitude(
 
     Newton on [steady residual; mean(v) - amplitude = 0] over (state, mu).
     Used to sample the branch at prescribed amplitudes when auditing the
-    tangent structure.
+    tangent structure, and by branch_switch when its fixed-mu Newton collapses.
     """
     cfg = newton_cfg or NewtonConfig()
     if state_guess is None:

@@ -28,8 +28,7 @@ import scipy.sparse.linalg as spla
 from .errors import LinearSolveFailure, StepRejected
 from .fields import Region, ScalarField, SystemState
 from .geometry import DomainGeometry
-from .operators import PERMC_SPEC, ModelParams, frozen_diffusion_matrix, rhs_transient
-from .operators import _face_average, _face_divergence
+from .operators import ModelParams, factor, frozen_diffusion, frozen_diffusion_matrix, rhs_transient
 
 #: post-solve values below this reject the step (dt too large)
 REJECT_BELOW = -1e-8
@@ -66,13 +65,6 @@ class TransientResult:
     steps: int
 
 
-def _factor(M: sp.spmatrix, what: str):
-    try:
-        return spla.splu(M.tocsc(), permc_spec=PERMC_SPEC)
-    except RuntimeError as exc:
-        raise LinearSolveFailure(f"LU of the {what} matrix failed: {exc}") from exc
-
-
 class _ImplicitSolver:
     """Implicit solves of IMEX steps with one (geom, params, dt): the predator
     LU, and the prey solve with its lagged-LU preconditioner."""
@@ -82,7 +74,8 @@ class _ImplicitSolver:
         self.dt = dt
         self.prey_scale = dt * params.d_u
         eye = sp.identity(geom.n_omega1, format="csc")
-        self.lu_v = _factor(eye - (dt * params.d_v) * geom.lap_omega1, "predator")
+        self.lu_v = factor(eye - (dt * params.d_v) * geom.lap_omega1, LinearSolveFailure,
+                           "LU of the predator matrix failed")
         self.precond_u = None  # solve with the LU of a lagged prey matrix, built on first use
 
     def advance(self, state: SystemState, rate_u: ScalarField, rate_v: ScalarField) -> SystemState:
@@ -91,15 +84,13 @@ class _ImplicitSolver:
         The prey increment solves (I - dt*d_u*A(u)) du = dt*rate_u by CG from zero.
         """
         u, v = state.u.values, state.v.values
-        n, faces, s = u.size, self.geom.faces_u, self.prey_scale
+        n, s = u.size, self.prey_scale
         if self.precond_u is None:
             lagged = sp.identity(n, format="csr") - s * frozen_diffusion_matrix(u, self.geom)
-            lu = _factor(lagged, "prey")
+            lu = factor(lagged, LinearSolveFailure, "LU of the prey matrix failed")
             self.precond_u = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-        coef = _face_average(faces, u)
-        M_u = spla.LinearOperator(
-            (n, n), matvec=lambda x: x - s * _face_divergence(faces, x, coef), dtype=float
-        )
+        A_u = frozen_diffusion(u, self.geom)
+        M_u = spla.LinearOperator((n, n), matvec=lambda x: x - s * A_u(x), dtype=float)
         iters = 0
 
         def count(_):

@@ -45,10 +45,6 @@ class NoCrossing(RefugiaError):
     """The leading eigenvalue does not change sign over the scanned range."""
 
 
-class FellBackToSemitrivial(RefugiaError):
-    """Branch-switch corrector collapsed onto the semitrivial solution."""
-
-
 class ContinuationStalled(RefugiaError):
     """Corrector kept failing after the step size was reduced to its floor."""
 
@@ -66,20 +62,16 @@ class OutputDirLocked(OutputDirUnusable):
 
 
 class ConfigError(RefugiaError):
-    """Base class for configuration problems."""
+    """Base class for configuration problems; carries (line, message) pairs."""
+
+    def __init__(self, issues):
+        self.issues = list(issues)
+        super().__init__("; ".join(f"line {ln}: {msg}" for ln, msg in self.issues))
 
 
 class ParseError(ConfigError):
-    """Config text could not be parsed; carries (line, message) pairs."""
-
-    def __init__(self, issues):
-        self.issues = list(issues)
-        super().__init__("; ".join(f"line {ln}: {msg}" for ln, msg in self.issues))
+    """Config text could not be parsed."""
 
 
 class ValidationError(ConfigError):
-    """Config parsed but violates the schema; carries (line, message) pairs."""
-
-    def __init__(self, issues):
-        self.issues = list(issues)
-        super().__init__("; ".join(f"line {ln}: {msg}" for ln, msg in self.issues))
+    """Config parsed but violates the schema."""

@@ -15,7 +15,6 @@ ravel of that array.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -25,11 +24,8 @@ import scipy.sparse as sp
 from .errors import DegenerateGrid, RefugeTouchesBoundary
 from .fields import Region, ScalarField
 
-
-class CellClass(enum.IntEnum):
-    REFUGE_INTERIOR = 0
-    PREDATOR_DOMAIN = 1
-    OUTER_BOUNDARY_ADJACENT = 2
+#: the refuge shapes RefugeShape (and the run config) accept
+REFUGE_KINDS = ("rectangle", "disc", "empty")
 
 
 @dataclass(frozen=True)
@@ -75,11 +71,9 @@ class RefugeShape:
     half_width: tuple[float, float] | None = None
     radius: float | None = None
 
-    _KINDS = ("rectangle", "disc", "empty")
-
     def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"refuge kind must be one of {self._KINDS}")
+        if self.kind not in REFUGE_KINDS:
+            raise ValueError(f"refuge kind must be one of {REFUGE_KINDS}")
         if self.kind == "rectangle" and (self.center is None or self.half_width is None):
             raise ValueError("rectangle refuge needs center and half_width")
         if self.kind == "disc" and (self.center is None or self.radius is None):
@@ -135,11 +129,10 @@ class DomainGeometry:
 
     grid: GridSpec
     refuge: RefugeShape
-    cell_class: np.ndarray  # (nx, ny) int8
     omega1_mask: np.ndarray  # (nx, ny) bool
     area_omega1: float
-    v_index: np.ndarray  # (nx, ny) int, -1 outside OMEGA1
-    omega1_flat: np.ndarray = field(repr=False)  # flat bool over cells
+    #: flat bool over cells; the v-vector lists the OMEGA1 cells in flat order
+    omega1_flat: np.ndarray = field(repr=False)
     #: face table (a, b, w) of OMEGA: interior faces in flat cell indices
     faces_u: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
     #: face table (a, b, w) of OMEGA1: faces internal to it in v-vector indices
@@ -236,7 +229,7 @@ def check_refuge_clearance(grid: GridSpec, refuge: RefugeShape) -> None:
 
 
 def build_geometry(grid: GridSpec, refuge: RefugeShape) -> DomainGeometry:
-    """Classify cells, measure the predator domain, and build face tables.
+    """Mask the refuge, measure the predator domain, and build face tables.
 
     Raises RefugeTouchesBoundary as check_refuge_clearance does.
     """
@@ -245,31 +238,27 @@ def build_geometry(grid: GridSpec, refuge: RefugeShape) -> DomainGeometry:
     x, y = grid.cell_centers()
     in_refuge = refuge.contains(x, y)
 
-    cls = np.full((grid.nx, grid.ny), CellClass.PREDATOR_DOMAIN, dtype=np.int8)
-    cls[in_refuge] = CellClass.REFUGE_INTERIOR
     edge = np.zeros_like(in_refuge)
     edge[0, :] = edge[-1, :] = edge[:, 0] = edge[:, -1] = True
-    cls[edge & ~in_refuge] = CellClass.OUTER_BOUNDARY_ADJACENT
     if np.any(edge & in_refuge):
         raise RefugeTouchesBoundary("refuge cells touch the habitat boundary")
 
     omega1 = ~in_refuge
     area = float(omega1.sum()) * grid.hx * grid.hy
 
-    v_index = np.full((grid.nx, grid.ny), -1, dtype=np.int64)
-    v_index[omega1] = np.arange(int(omega1.sum()))
+    # v-vector index of each OMEGA1 cell: the OMEGA1 cells in flat order
+    idx1 = np.full((grid.nx, grid.ny), -1, dtype=np.int64)
+    idx1[omega1] = np.arange(int(omega1.sum()))
 
     idx = np.arange(grid.n_cells).reshape(grid.nx, grid.ny)
     faces_u = _face_table(idx, np.ones_like(omega1), grid)
-    faces_v = _face_table(v_index, omega1, grid)
+    faces_v = _face_table(idx1, omega1, grid)
 
     return DomainGeometry(
         grid=grid,
         refuge=refuge,
-        cell_class=cls,
         omega1_mask=omega1,
         area_omega1=area,
-        v_index=v_index,
         omega1_flat=omega1.ravel(),
         faces_u=faces_u,
         faces_v=faces_v,

@@ -11,11 +11,12 @@ discrete integral over the habitat telescopes to zero. The transient system
 carries coefficients d_u, d_v and logistic rate r in front of the same terms,
 with the prey growth written as (r/lam)*(lam*u - u^2).
 
-Both diffusion operators act through the geometry's face tables: the
-difference form of _face_divergence for residuals, right-hand sides and the
-implicit step's prey operator, the matrix form of geometry._face_matrix for
+Both diffusion operators act through the geometry's face tables, which no
+module outside this one and geometry reads: the difference form of
+_face_divergence for residuals, right-hand sides and the implicit step's prey
+operator (frozen_diffusion), the matrix form of geometry._face_matrix for
 Jacobians and preconditioners. The pointwise kinetics are written once, in
-_kinetics.
+_kinetics, and every sparse LU of these operators is made by factor.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import NegativePrey, RegionMismatch
 from .fields import Region, ScalarField
@@ -79,6 +81,15 @@ def clamp_nonnegative(values: np.ndarray, what: str = "field") -> np.ndarray:
     return values
 
 
+def factor(M: sp.spmatrix, error: type[Exception], what: str):
+    """Sparse LU of M in the PERMC_SPEC column ordering; a failed
+    factorization raises error(f"{what}: {reason}")."""
+    try:
+        return spla.splu(M.tocsc(), permc_spec=PERMC_SPEC)
+    except RuntimeError as exc:
+        raise error(f"{what}: {exc}") from exc
+
+
 def _face_average(table, x: np.ndarray) -> np.ndarray:
     """Arithmetic face averages (x_a + x_b)/2 over a face table."""
     a, b, _ = table
@@ -115,8 +126,15 @@ def nonlinear_diffusion(u: ScalarField, geom: DomainGeometry) -> ScalarField:
         raise RegionMismatch("nonlinear diffusion acts on prey fields (OMEGA)")
     geom.check_field(u)
     vals = clamp_nonnegative(u.values, "prey density")
+    return ScalarField(frozen_diffusion(vals, geom)(vals), Region.OMEGA)
+
+
+def frozen_diffusion(u_values: np.ndarray, geom: DomainGeometry):
+    """The matvec x -> div(ubar grad x), face coefficients ubar frozen at u;
+    applied to u itself it is div(u grad u)."""
     faces = geom.faces_u
-    return ScalarField(_face_divergence(faces, vals, _face_average(faces, vals)), Region.OMEGA)
+    coef = _face_average(faces, u_values)
+    return lambda x: _face_divergence(faces, x, coef)
 
 
 def _kinetics(
@@ -213,35 +231,36 @@ def assemble_jacobian(
     geom.check_field(u)
     geom.check_field(v)
     n, n1 = geom.n_omega, geom.n_omega1
-    uv = u.values
-    vg = geom.to_grid(v).ravel()
-    b_flat = np.where(geom.omega1_flat, params.b, 0.0)
+    uv, vv = u.values, v.values
+    # the v-unknowns are the OMEGA1 cells in flat order: cell o1[k] is unknown n + k
+    o1 = np.flatnonzero(geom.omega1_flat)
+    vcols = n + np.arange(n1)
     denom = 1.0 + params.m * uv
+    d1 = denom[o1]
 
     duu = diffusion_linearization(uv, geom).tocoo()
     rows = [duu.row]
     cols = [duu.col]
     data = [duu.data]
 
-    # prey reaction diagonal: lam - 2u - b(x)*v / (1 + m*u)^2
-    diag_u = params.lam - 2.0 * uv - b_flat * vg / denom**2
+    # prey reaction diagonal: lam - 2u - b(x)*v / (1 + m*u)^2, b = 0 in the refuge
+    diag_u = params.lam - 2.0 * uv
+    diag_u[o1] -= params.b * vv / d1**2
     cells = np.arange(n)
     rows.append(cells), cols.append(cells), data.append(diag_u)
 
-    o1 = np.flatnonzero(geom.omega1_flat)
-    vcols = n + geom.v_index.ravel()[o1]
     # d(prey)/dv: -b * u/(1 + m*u) on predator-domain cells
     rows.append(o1)
     cols.append(vcols)
-    data.append(-params.b * uv[o1] / denom[o1])
+    data.append(-params.b * uv[o1] / d1)
     # d(predator)/du: c * v / (1 + m*u)^2
     rows.append(vcols)
     cols.append(o1)
-    data.append(params.c * vg[o1] / denom[o1] ** 2)
+    data.append(params.c * vv / d1**2)
     # d(predator)/dv: lap - mu + c*u/(1 + m*u)
     lv = geom.lap_omega1.tocoo()
     rows.append(lv.row + n), cols.append(lv.col + n), data.append(lv.data)
-    diag_v = -params.mu + params.c * uv[o1] / denom[o1]
+    diag_v = -params.mu + params.c * uv[o1] / d1
     rows.append(vcols), cols.append(vcols), data.append(diag_v)
 
     return sp.coo_matrix(

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EigenNoConvergence
-from .operators import PERMC_SPEC, ModelParams
+from .operators import ModelParams, factor
 
 #: eigenvalues within this margin of zero classify as MARGINAL
 STABILITY_MARGIN = 1e-6
@@ -68,15 +68,15 @@ def _candidates(J: sp.csr_matrix):
         return np.linalg.eig(J.toarray())
     edge = _gershgorin_right_edge(J)
     sigma = edge + 0.01 * (1.0 + abs(edge))
-    shifted = (J - sigma * sp.identity(n, format="csr")).tocsc()
+    what = f"shift-invert at sigma = {sigma:g} failed"
+    lu = factor(J - sigma * sp.identity(n, format="csr"), EigenNoConvergence, what)
+    op = spla.LinearOperator(J.shape, matvec=lu.solve, dtype=float)
     try:
-        lu = spla.splu(shifted, permc_spec=PERMC_SPEC)
-        op = spla.LinearOperator(J.shape, matvec=lu.solve, dtype=float)
         return spla.eigs(J, k=N_PAIRS, sigma=sigma, OPinv=op, v0=np.ones(n))
     except spla.ArpackNoConvergence as exc:
         return exc.eigenvalues, exc.eigenvectors
-    except RuntimeError as exc:
-        raise EigenNoConvergence(f"shift-invert at sigma = {sigma:g} failed: {exc}") from exc
+    except RuntimeError as exc:  # any other ARPACK failure
+        raise EigenNoConvergence(f"{what}: {exc}") from exc
 
 
 def leading_eigenvalue(J: sp.spmatrix) -> EigenPair:

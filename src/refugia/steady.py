@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import LinearSolveFailure, NoConvergence, SingularJacobian
 from .fields import Region, ScalarField, SystemState
 from .geometry import DomainGeometry
-from .operators import PERMC_SPEC, ModelParams, assemble_jacobian, residual_steady
+from .operators import ModelParams, assemble_jacobian, factor, residual_steady
 
 #: direct sparse solves must meet this normwise backward error
 LINSOLVE_RTOL = 1e-12
@@ -78,11 +77,7 @@ def newton_solve(
             return SteadyResult(SystemState.from_vector(x, geom.n_omega), it, rnorm, history)
         st = SystemState.from_vector(x, geom.n_omega)
         J = assemble_jacobian(params, st.u, st.v, geom)
-        try:
-            lu = spla.splu(J.tocsc(), permc_spec=PERMC_SPEC)
-        except RuntimeError as exc:
-            raise SingularJacobian(f"Newton linear solve failed: {exc}") from exc
-        delta = lu.solve(-res)
+        delta = factor(J, SingularJacobian, "Newton linear solve failed").solve(-res)
         if not np.all(np.isfinite(delta)) or np.max(np.abs(delta)) > 1e12 * (
             1.0 + np.max(np.abs(x))
         ):
@@ -143,13 +138,10 @@ def solve_kernel_function(params: ModelParams, geom: DomainGeometry) -> KernelTa
     n = geom.n_omega
     A = (sp.identity(n, format="csr") - geom.lap_omega).tocsc()
     rhs = np.where(geom.omega1_flat, params.b, 0.0) / (1.0 + params.m * params.lam)
-    try:
-        lu = spla.splu(A, permc_spec=PERMC_SPEC)
-        alpha = lu.solve(rhs)
-        # one pass of iterative refinement to push the residual to the floor
-        alpha += lu.solve(rhs - A @ alpha)
-    except RuntimeError as exc:
-        raise LinearSolveFailure(f"kernel-function solve failed: {exc}") from exc
+    lu = factor(A, LinearSolveFailure, "kernel-function solve failed")
+    alpha = lu.solve(rhs)
+    # one pass of iterative refinement to push the residual to the floor
+    alpha += lu.solve(rhs - A @ alpha)
     err = _backward_error(A, alpha, rhs)
     if not np.all(np.isfinite(alpha)) or err > LINSOLVE_RTOL:
         raise LinearSolveFailure(f"kernel-function solve met only {err:.3e} backward error")

@@ -8,6 +8,8 @@ the amplitude-zero line.
 
 from __future__ import annotations
 
+import itertools
+
 from .continuation import Branch
 from .errors import EmptyBranchList
 from .spectral import StabilityFlag
@@ -109,21 +111,11 @@ def emit_plot(branches: list[Branch], report, path) -> None:
 
     # stability overlays: one path per run of constant flag (needs >= 2 points)
     for b in branches:
-        run: list = []
-        flag = None
-
-        def flush():
-            if flag is not None and len(run) >= 2:
+        for flag, group in itertools.groupby(b.points, key=lambda p: p.flag):
+            run = list(group)
+            if len(run) >= 2:
                 d = "M " + " L ".join(f"{sx(p.mu):.2f} {sy(p.amplitude):.2f}" for p in run)
                 parts.append(f'<path d="{d}" {_STYLE[flag]}/>')
-
-        for p in b.points:
-            if p.flag is not flag:
-                flush()
-                run, flag = [p], p.flag
-            else:
-                run.append(p)
-        flush()
 
     if mu_star is not None:
         parts.append(

@@ -15,7 +15,6 @@ from refugia.continuation import (
 )
 from refugia.errors import (
     ContinuationStalled,
-    FellBackToSemitrivial,
     NoConvergence,
     NoCrossing,
     RefugiaError,
@@ -128,8 +127,23 @@ def test_branch_switch_amplitude_tracks_s0(switch_point, mu_star):
 
 
 def test_branch_switch_falls_back_for_tiny_s0(mu_star, params, geom32):
-    with pytest.raises(FellBackToSemitrivial):
-        branch_switch(mu_star, params, geom32, s0=0.002)
+    # the fixed-mu Newton collapses onto (lam, 0) here; the amplitude-pinned
+    # solve at s0 takes over
+    point = branch_switch(mu_star, params, geom32, s0=0.002)
+    assert point.amplitude == pytest.approx(0.002, rel=1e-9)
+    assert point.mu < mu_star
+    assert np.all(point.state.v.values > 0)
+
+
+def test_branch_switch_survives_a_flat_branch():
+    # with lam = 4, m = 2 the branch is flat in mu, and the Newton at the
+    # fixed mu* - 0.01*mu* lands on the predator-free state for every s0
+    p = ModelParams(lam=4.0, m=2.0, c=2.0, b=1.0, mu=8.0 / 9.0)
+    geom = build_geometry(GridSpec(16, 16), RefugeShape.rectangle((0.5, 0.5), (0.125, 0.125)))
+    point = branch_switch(8.0 / 9.0, p, geom, s0=0.05)
+    assert point.amplitude == pytest.approx(0.05, rel=1e-9)
+    assert np.all(point.state.v.values > 0)
+    assert point.residual_norm <= NewtonConfig().tol_residual
 
 
 def test_branch_switch_rejects_bad_s0(mu_star, params, geom32):
@@ -142,9 +156,9 @@ def test_branch_switch_rejects_bad_s0(mu_star, params, geom32):
 def test_branch_switch_deviation_aligns_with_kernel(mu_star, params, geom32):
     from refugia.steady import solve_kernel_function
 
-    # at s0 = 0.02 the default mu offset overshoots the branch amplitude and
-    # the corrector falls back; the documented remedy is a matching offset
-    point = branch_switch(mu_star, params, geom32, s0=0.02, delta_switch=0.005)
+    # at s0 = 0.02 the fixed mu offset overshoots the branch amplitude, so
+    # the point comes from the amplitude-pinned fallback
+    point = branch_switch(mu_star, params, geom32, s0=0.02)
     kt = solve_kernel_function(params, geom32)
     dev_u = (params.lam - point.state.u.values) / point.amplitude
     cos = dev_u @ kt.alpha.values / (

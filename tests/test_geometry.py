@@ -8,7 +8,6 @@ from refugia.errors import (
 )
 from refugia.fields import Region, ScalarField
 from refugia.geometry import (
-    CellClass,
     GridSpec,
     RefugeShape,
     build_geometry,
@@ -26,8 +25,8 @@ def test_rectangular_refuge_area_matches_analytic(geom64):
 def test_empty_refuge_fills_habitat():
     geom = build_geometry(GridSpec(32, 32), RefugeShape.empty())
     assert geom.area_omega1 == pytest.approx(1.0, abs=0.0)
-    assert np.all(geom.cell_class != CellClass.REFUGE_INTERIOR)
     assert geom.omega1_mask.all()
+    assert geom.n_omega1 == geom.grid.n_cells
 
 
 def test_refuge_touching_edge_rejected():
@@ -61,18 +60,18 @@ def test_degenerate_grid_rejected():
 )
 def test_cell_classes_partition(refuge):
     geom = build_geometry(GridSpec(48, 48), refuge)
-    n_refuge = int((geom.cell_class == CellClass.REFUGE_INTERIOR).sum())
-    assert n_refuge + geom.n_omega1 == geom.grid.n_cells
-    # every cell got exactly one of the three classes
-    assert set(np.unique(geom.cell_class)) <= {int(c) for c in CellClass}
+    in_refuge = refuge.contains(*geom.grid.cell_centers())
+    # every cell is either in the refuge or in the predator domain
+    np.testing.assert_array_equal(geom.omega1_mask, ~in_refuge)
+    assert int(in_refuge.sum()) + geom.n_omega1 == geom.grid.n_cells
+    np.testing.assert_array_equal(geom.omega1_flat, geom.omega1_mask.ravel())
 
 
 def test_refuge_cells_never_touch_boundary():
     geom = build_geometry(GridSpec(40, 40), RefugeShape.disc((0.5, 0.5), 0.3))
-    cls = geom.cell_class
-    edge = np.zeros_like(cls, dtype=bool)
+    edge = np.zeros_like(geom.omega1_mask)
     edge[0, :] = edge[-1, :] = edge[:, 0] = edge[:, -1] = True
-    assert not np.any((cls == CellClass.REFUGE_INTERIOR) & edge)
+    assert np.all(geom.omega1_mask[edge])
 
 
 def test_disc_area_converges_first_order():

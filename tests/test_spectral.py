@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from conftest import smooth_positive
 from refugia.continuation import solve_at_amplitude
+from refugia.errors import EigenNoConvergence
 from refugia.fields import Region, ScalarField, SystemState, constant_state
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
 from refugia.operators import ModelParams, assemble_jacobian
@@ -38,6 +40,25 @@ def test_semitrivial_leading_matches_formula(geom16):
     # the predator part of the eigenvector is the (near-)constant mode
     v_part = ep.vector[geom16.n_omega :]
     assert np.ptp(v_part) <= 1e-6 * np.max(np.abs(v_part))
+
+
+def test_failed_shift_invert_is_eigen_no_convergence(geom16, monkeypatch):
+    # a failing LU of J - sigma*I, and an ARPACK failure other than
+    # non-convergence, both surface as EigenNoConvergence
+    J = _semitrivial_jacobian(ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.2), geom16)
+
+    def arpack_error(*args, **kwargs):
+        raise spla.ArpackError(-9999)
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "eigs", arpack_error)
+    with pytest.raises(EigenNoConvergence, match="shift-invert .* failed: ARPACK"):
+        leading_eigenvalue(J)
+    monkeypatch.setattr(spla, "splu", singular)
+    with pytest.raises(EigenNoConvergence, match="shift-invert .* failed: Factor"):
+        leading_eigenvalue(J)
 
 
 def test_semitrivial_marginal_at_threshold(geom16):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from refugia.dynamics import TransientConfig, run_to_steady
-from refugia.errors import NoConvergence, SingularJacobian
+from refugia.errors import LinearSolveFailure, NoConvergence, SingularJacobian
 from refugia.fields import SystemState, constant_state
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
 from refugia.operators import ModelParams, assemble_jacobian
@@ -79,18 +79,21 @@ def test_newton_quadratic_tail(geom32):
 
 def test_failed_factorization_raises_singular_jacobian(geom16, monkeypatch):
     # the error contract: a failing linear solve surfaces as SingularJacobian
-    # (callers treat it as a bifurcation-proximity signal and offset mu)
-    import refugia.steady as steady_mod
+    # (callers treat it as a bifurcation-proximity signal and offset mu), and
+    # a failing kernel-function LU as LinearSolveFailure
+    import scipy.sparse.linalg as spla
 
     def broken_splu(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(steady_mod.spla, "splu", broken_splu)
+    monkeypatch.setattr(spla, "splu", broken_splu)
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
     x0 = constant_state(geom16, 1.0, 0.0).as_vector()
     x0[geom16.n_omega :] += 1e-3
     with pytest.raises(SingularJacobian):
         newton_solve(SystemState.from_vector(x0, geom16.n_omega), p, CFG, geom16)
+    with pytest.raises(LinearSolveFailure, match="kernel-function solve failed: Factor"):
+        solve_kernel_function(p, geom16)
 
 
 def test_newton_at_threshold_still_finds_a_root(geom16):
