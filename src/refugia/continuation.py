@@ -220,6 +220,7 @@ def branch_switch(
     geom: DomainGeometry,
     s0: float,
     newton_cfg: NewtonConfig | None = None,
+    tangent: KernelTangent | None = None,
 ) -> BranchPoint:
     """Step off the predator-free line onto the coexistence branch.
 
@@ -227,12 +228,13 @@ def branch_switch(
     corrector: plain Newton at that fixed mu. When that Newton collapses onto
     the predator-free state (amplitude below s0/10: s0 is small or the branch
     is flat in mu), the point is the amplitude-pinned solve at s0 from mu*.
+    tangent is solve_kernel_function(params, geom), solved here when absent.
     """
     if not 0.0 < s0 <= 0.1 * params.lam:
         raise ValueError(f"s0 must lie in (0, 0.1*lam], got {s0}")
     cfg = newton_cfg or NewtonConfig()
     mu_sw = mu_star - DELTA_SWITCH_FRACTION * mu_star
-    kt = solve_kernel_function(params, geom)
+    kt = tangent if tangent is not None else solve_kernel_function(params, geom)
     x0 = constant_state(geom, params.lam, 0.0).as_vector() + s0 * kt.direction(geom)
     predictor = SystemState.from_vector(np.maximum(x0, 0.0), geom.n_omega)
     result = newton_solve(predictor, params.with_mu(mu_sw), cfg, geom)

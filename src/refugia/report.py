@@ -22,7 +22,7 @@ from .fields import constant_state
 from .geometry import DomainGeometry
 from .operators import ModelParams
 from .spectral import StabilityFlag
-from .steady import solve_kernel_function
+from .steady import KernelTangent, solve_kernel_function
 
 #: verify gate: largest relative gap between detected and analytic mu*
 GAP_TOL = 1e-3
@@ -141,8 +141,12 @@ def build_report(
     mu_star: float,
     params: ModelParams,
     geom: DomainGeometry,
+    tangent: KernelTangent | None = None,
 ) -> BifurcationReport:
-    """Aggregate detection, tangency, slope, sign-relation, and exchange audits."""
+    """Aggregate detection, tangency, slope, sign-relation, and exchange audits.
+
+    tangent is solve_kernel_function(params, geom), solved here when absent
+    and needed."""
     mu_analytic = params.c * params.lam / (1.0 + params.m * params.lam)
     gap = abs(mu_star - mu_analytic) / abs(mu_analytic)
 
@@ -173,7 +177,7 @@ def build_report(
         exchange.append(_exchange_cell(nontrivial, "mu<mu*", mu_star, StabilityFlag.STABLE))
         exchange.append(_exchange_cell(nontrivial, "mu>mu*", mu_star, StabilityFlag.UNSTABLE))
 
-        kt = solve_kernel_function(params, geom)
+        kt = tangent if tangent is not None else solve_kernel_function(params, geom)
         tan = np.concatenate([kt.alpha.values, np.ones(geom.n_omega1)])
         base = constant_state(geom, params.lam, 0.0).as_vector()
         by_amp = sorted(nontrivial.points, key=lambda p: p.amplitude)

@@ -44,6 +44,7 @@ class ScipyCounters:
     """What the package asked of scipy.sparse.linalg during one test."""
 
     splu_shapes: list = field(default_factory=list)  # matrix shape of each splu call
+    splu_calls: list = field(default_factory=list)  # (matrix, positional, keyword) per call
     cg_calls: int = 0
     cg_iters: int = 0
     eigs_calls: int = 0
@@ -51,7 +52,8 @@ class ScipyCounters:
 
 @pytest.fixture
 def scipy_counters(monkeypatch):
-    """Count splu, cg (with iterations) and eigs calls made through spla.<name>.
+    """Count splu, cg (with iterations) and eigs calls made through spla.<name>,
+    and record each splu call's matrix and arguments.
 
     The package calls these through the module attributes, so replacing them
     here sees every call; cg iterations are counted by a chained callback."""
@@ -60,6 +62,7 @@ def scipy_counters(monkeypatch):
 
     def counted_splu(A, *args, **kwargs):
         counts.splu_shapes.append(A.shape)
+        counts.splu_calls.append((A, args, kwargs))
         return splu(A, *args, **kwargs)
 
     def counted_cg(*args, callback=None, **kwargs):

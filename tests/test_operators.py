@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import smooth_positive
-from refugia.errors import NegativePrey, RegionMismatch
+from refugia.config import parse_config
+from refugia.dynamics import TransientConfig, run_to_steady
+from refugia.errors import LinearSolveFailure, NegativePrey, RegionMismatch
 from refugia.fields import Region, ScalarField, SystemState, constant_state
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
+from refugia.runner import run_experiment
 from refugia.operators import (
+    PERMC_SPEC,
     ModelParams,
     assemble_jacobian,
+    factor,
     laplacian_neumann,
     nonlinear_diffusion,
     reaction_terms,
@@ -258,3 +264,60 @@ def test_block_triangular_spectrum_at_any_prey_profile():
         np.concatenate([np.linalg.eigvals(J[:n, :n]), np.linalg.eigvals(J[n:, n:])])
     )
     np.testing.assert_allclose(spectrum, blocks, rtol=0, atol=1e-7)
+
+
+VERIFY_DISC = """
+experiment.kind = verify
+geometry.nx = 14
+geometry.ny = 10
+geometry.lx = 1.4
+geometry.refuge.kind = disc
+geometry.refuge.center_x = 0.6
+geometry.refuge.center_y = 0.45
+geometry.refuge.radius = 0.2
+params.lambda = 1.0
+params.m = 1.0
+params.c = 2.0
+params.b = 1.0
+params.mu_min = 0.8
+params.mu_max = 1.2
+params.mu_points = 5
+solver.continuation.n_steps = 6
+solver.continuation.ds = 0.03
+"""
+
+
+def test_every_lu_is_pattern_symmetric_in_symmetric_mode(scipy_counters, tmp_path):
+    """factor's SymmetricMode assumes a symmetric pattern: check it on every
+    matrix a verify pipeline and a transient run factor, and that no call
+    changes the ordering or loosens partial pivoting."""
+    cfg = parse_config(VERIFY_DISC)
+    manifest = run_experiment(cfg, tmp_path)
+    assert manifest.exit_ok
+    geom = build_geometry(cfg.grid, cfg.refuge)
+    coexist = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=0.9)
+    run_to_steady(constant_state(geom, 1.0, 0.05), coexist, TransientConfig(max_steps=5), geom)
+
+    assert len(scipy_counters.splu_calls) >= 10
+    for A, args, kwargs in scipy_counters.splu_calls:
+        pattern = A.tocsc(copy=True)  # the stored entries, explicit zeros included
+        pattern.data[:] = 1.0
+        assert (pattern != pattern.T).nnz == 0
+        assert not args
+        assert kwargs["permc_spec"] == PERMC_SPEC == "MMD_AT_PLUS_A"
+        assert kwargs["options"]["SymmetricMode"] is True
+        assert kwargs.get("diag_pivot_thresh") in (None, 1.0)
+        assert kwargs["options"].get("DiagPivotThresh", 1.0) == 1.0
+
+
+def test_factor_keeps_partial_pivoting():
+    """Tiny diagonal pivots in 2x2 blocks: only row exchanges keep the solve
+    accurate (a diagonal-preferring threshold of 0 loses about 1e-3)."""
+    k = 20
+    blocks = sp.block_diag([np.array([[1e-13, 1.0], [1.0, 1.0]])] * k)
+    coupling = 1e-3 * sp.diags([np.ones(2 * k - 1), np.ones(2 * k - 1)], [-1, 1])
+    A = (blocks + coupling).tocsr()
+    b = np.random.default_rng(3).normal(size=2 * k)
+    x = factor(A, LinearSolveFailure, "pivot test").solve(b)
+    ref = np.linalg.solve(A.toarray(), b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
