@@ -45,10 +45,12 @@ def write_branch_csv(path, branch: Branch) -> None:
 
 
 def write_timeseries(path, history: np.ndarray) -> None:
+    """One row per history row (t, u_inf, v_inf, dudt_inf, dvdt_inf), formatted
+    by one %-operation as in write_state_raster."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,u_inf,v_inf,dudt_inf,dvdt_inf\n")
-        for row in history:
-            fh.write(",".join(_f(x) for x in row) + "\n")
+        rows = "%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(history)
+        fh.write(rows % tuple(history.ravel().tolist()))
 
 
 def write_audit_csv(path, audit) -> None:

@@ -45,15 +45,19 @@ class ScipyCounters:
 
     splu_shapes: list = field(default_factory=list)  # matrix shape of each splu call
     splu_calls: list = field(default_factory=list)  # (matrix, positional, keyword) per call
-    cg_calls: int = 0
-    cg_iters: int = 0
+    cg_solves: list = field(default_factory=list)  # (x0 passed, iterations) per cg call
     eigs_calls: int = 0
+
+    @property
+    def cg_iters(self) -> int:
+        return sum(iters for _, iters in self.cg_solves)
 
 
 @pytest.fixture
 def scipy_counters(monkeypatch):
-    """Count splu, cg (with iterations) and eigs calls made through spla.<name>,
-    and record each splu call's matrix and arguments.
+    """Count splu, cg and eigs calls made through spla.<name>, and record each
+    splu call's matrix and arguments and, per cg call, whether it was given a
+    starting guess x0 and how many iterations it took.
 
     The package calls these through the module attributes, so replacing them
     here sees every call; cg iterations are counted by a chained callback."""
@@ -66,14 +70,17 @@ def scipy_counters(monkeypatch):
         return splu(A, *args, **kwargs)
 
     def counted_cg(*args, callback=None, **kwargs):
-        counts.cg_calls += 1
+        iters = 0
 
         def count(xk):
-            counts.cg_iters += 1
+            nonlocal iters
+            iters += 1
             if callback is not None:
                 callback(xk)
 
-        return cg(*args, callback=count, **kwargs)
+        result = cg(*args, callback=count, **kwargs)
+        counts.cg_solves.append((kwargs.get("x0") is not None, iters))
+        return result
 
     def counted_eigs(*args, **kwargs):
         counts.eigs_calls += 1

@@ -215,9 +215,54 @@ def test_coexistence_run_solver_counters(geom32, scipy_counters, monkeypatch):
     assert shapes.count(predator) == 1
     assert 1 <= shapes.count(prey) <= 3
     assert len(shapes) == shapes.count(predator) + shapes.count(prey)
-    assert scipy_counters.cg_iters / out.steps <= 10
+    assert scipy_counters.cg_iters / out.steps <= 1.5
     assert calls["frozen_diffusion_matrix"] == shapes.count(prey)
     assert calls["rhs_transient"] == out.steps + 1
+    # one prey solve per step: the first from zero, every later one from the
+    # projected start, and none slow enough to refactor the preconditioner
+    solves = scipy_counters.cg_solves
+    assert [x0 for x0, _ in solves] == [False] + [True] * (out.steps - 1)
+    assert max(iters for _, iters in solves) <= dynamics.REFACTOR_ITERS
+
+
+def test_stale_history_is_harmless(scipy_counters):
+    """One solver across unrelated states: the projected CG start is only a
+    guess, so each step still matches the oracle; stepping one state twice
+    makes the history exactly collinear, and the repeat solve starts converged."""
+    grid = GridSpec(12, 12)
+    geom = build_geometry(grid, CENTER_RECT)
+    rng = np.random.default_rng(11)
+    profile = SystemState(
+        ScalarField(smooth_positive(grid, rng, 0.8, 0.3).ravel(), Region.OMEGA),
+        geom.from_grid(smooth_positive(grid, rng, 0.3, 0.2), Region.OMEGA1),
+    )
+    scaled = SystemState(
+        ScalarField(3.0 * profile.u.values, Region.OMEGA),
+        ScalarField(3.0 * profile.v.values, Region.OMEGA1),
+    )
+    dt = 0.2
+    solver = _ImplicitSolver(geom, COEXIST, dt)
+    for state in (profile, constant_state(geom, 0.7, 0.2), scaled):
+        nxt = imex_step(state, COEXIST, dt, geom, _solver=solver)
+        ref = _spsolve_step(state, COEXIST, dt, geom)
+        assert np.max(np.abs(nxt.as_vector() - ref.as_vector())) <= 1e-12
+
+    first = imex_step(profile, COEXIST, dt, geom, _solver=solver)
+    again = imex_step(profile, COEXIST, dt, geom, _solver=solver)
+    assert scipy_counters.cg_solves[-1] == (True, 0)
+    assert np.isfinite(again.as_vector()).all()
+    assert np.max(np.abs(again.as_vector() - first.as_vector())) <= 1e-12
+
+
+def test_run_ends_on_the_horizon():
+    """t is steps*dt, not a running sum that rounding carries past t_end."""
+    geom = build_geometry(GridSpec(12, 12), CENTER_RECT)
+    cfg = TransientConfig(dt=0.7, t_end=212.8, steady_tol=1e-300)
+    out = run_to_steady(constant_state(geom, 1.0, 0.05), COEXIST, cfg, geom)
+    assert not out.converged
+    assert out.steps == 304
+    assert out.t_final <= cfg.t_end + 1e-9
+    assert out.history[-1, 0] == out.t_final
 
 
 def test_slow_prey_solve_refactors_the_preconditioner(geom16, scipy_counters, monkeypatch):
