@@ -24,15 +24,15 @@ import numpy as np
 from .errors import ContinuationStalled, NoConvergence, NoCrossing
 from .fields import SystemState, constant_state
 from .geometry import DomainGeometry
-from .operators import (
-    ModelParams,
-    assemble_jacobian,
-    factor,
-    residual_mu_derivative,
-    residual_steady,
-)
+from .operators import ModelParams, assemble_jacobian
 from .spectral import EigenPair, StabilityFlag, classify_value, leading_eigenvalue
-from .steady import KernelTangent, NewtonConfig, newton_solve, solve_kernel_function
+from .steady import (
+    KernelTangent,
+    NewtonConfig,
+    bordered_newton,
+    newton_solve,
+    solve_kernel_function,
+)
 
 #: |mu - mu*| and |gamma| bands inside which the sign relation is not audited
 MU_BAND = 1e-4
@@ -40,12 +40,6 @@ GAMMA_BAND = 1e-6
 
 #: mu offset of the branch-switch corrector below mu*, as a fraction of mu*
 DELTA_SWITCH_FRACTION = 1e-2
-
-#: bordered Newton meets its linear constraint to this, relative to max(1, |target|)
-CONSTRAINT_TOL = 1e-12
-
-#: the chord corrector refactors J when the residual inf-norm shrinks by less than this
-CHORD_CONTRACTION = 0.1
 
 #: continuation halves a failing step down to ds/MIN_DS_FACTOR before it gives up
 MIN_DS_FACTOR = 64
@@ -225,7 +219,7 @@ def branch_switch(
     """Step off the predator-free line onto the coexistence branch.
 
     Predictor: (lam, 0) + s0 * (-alpha, 1) at mu = mu* - DELTA_SWITCH_FRACTION*mu*;
-    corrector: plain Newton at that fixed mu. When that Newton collapses onto
+    corrector: newton_solve at that fixed mu. When that Newton collapses onto
     the predator-free state (amplitude below s0/10: s0 is small or the branch
     is flat in mu), the point is the amplitude-pinned solve at s0 from mu*.
     tangent is solve_kernel_function(params, geom), solved here when absent.
@@ -236,7 +230,7 @@ def branch_switch(
     mu_sw = mu_star - DELTA_SWITCH_FRACTION * mu_star
     kt = tangent if tangent is not None else solve_kernel_function(params, geom)
     x0 = constant_state(geom, params.lam, 0.0).as_vector() + s0 * kt.direction(geom)
-    predictor = SystemState.from_vector(np.maximum(x0, 0.0), geom.n_omega)
+    predictor = SystemState.from_vector(x0, geom.n_omega)
     result = newton_solve(predictor, params.with_mu(mu_sw), cfg, geom)
     if amplitude_of(result.state) < s0 / 10.0:
         return solve_at_amplitude(params, geom, s0, mu_star, tangent=kt, newton_cfg=cfg)
@@ -247,76 +241,6 @@ def branch_switch(
 
 def _metric_norm(dx: np.ndarray, dmu: float) -> float:
     return float(np.sqrt(np.mean(dx**2) + dmu**2))
-
-
-def _keller_solver(J, f_mu: np.ndarray, row_x: np.ndarray, row_mu: float):
-    """solve(res, con) -> (dx, dmu) for [[J, f_mu], [row_x, row_mu]] (dx, dmu) = -(res, con).
-
-    Keller's block elimination over one LU of J: J b = f_mu, J a = -res,
-    dmu = (-con - row_x.a) / (row_mu - row_x.b), dx = a - b*dmu. Raises
-    NoConvergence when J cannot be factored or the Schur scalar
-    row_mu - row_x.b is zero or non-finite.
-    """
-    lu = factor(J, NoConvergence, "bordered Newton: LU of J failed")
-    b = lu.solve(f_mu)
-    schur = row_mu - float(row_x @ b)
-    if not (np.isfinite(schur) and schur != 0.0):
-        raise NoConvergence(f"bordered Newton: Schur scalar {schur:.3e} is singular")
-
-    def solve(res: np.ndarray, con: float) -> tuple[np.ndarray, float]:
-        a = lu.solve(-res)
-        dmu = (-con - float(row_x @ a)) / schur
-        return a - b * dmu, dmu
-
-    return solve
-
-
-def _bordered_newton(
-    x: np.ndarray,
-    mu: float,
-    row_x: np.ndarray,
-    row_mu: float,
-    target: float,
-    params: ModelParams,
-    geom: DomainGeometry,
-    tol_residual: float,
-    max_iter: int,
-) -> tuple[SystemState, float, float]:
-    """Chord Newton on [steady residual; row_x.x + row_mu*mu - target] over (x, mu).
-
-    The one corrector for every (state, mu) solve with a linear constraint
-    (Keller 1977; Govaerts 2000): pseudo-arclength steps and amplitude-pinned
-    solves differ only in the constraint row. Updates come from
-    _keller_solver over an LU of J, which is kept across iterations and
-    refactored at the current iterate only when the residual inf-norm shrinks
-    by less than CHORD_CONTRACTION. Iterates are clamped to x >= 0. Returns
-    the state, mu and the residual inf-norm there. Raises NoConvergence when
-    a mu iterate leaves mu > 0, _keller_solver fails, an update is
-    non-finite, or max_iter iterations do not converge.
-    """
-    con_tol = CONSTRAINT_TOL * max(1.0, abs(target))
-    rnorm = prev = float("inf")
-    solve = None
-    for _ in range(max_iter):
-        if not mu > 0.0:
-            raise NoConvergence(f"bordered Newton: mu iterate {mu:.6g} is not positive")
-        st = SystemState.from_vector(x, geom.n_omega)
-        p_mu = params.with_mu(mu)
-        res = residual_steady(p_mu, st.u, st.v, geom)
-        rnorm = float(np.max(np.abs(res)))
-        con = float(row_x @ x) + row_mu * mu - target
-        if rnorm <= tol_residual and abs(con) <= con_tol:
-            return st, mu, rnorm
-        if solve is None or rnorm > CHORD_CONTRACTION * prev:
-            J = assemble_jacobian(p_mu, st.u, st.v, geom)
-            solve = _keller_solver(J, residual_mu_derivative(st.v, geom), row_x, row_mu)
-        prev = rnorm
-        dx, dmu = solve(res, con)
-        if not (np.isfinite(dmu) and np.all(np.isfinite(dx))):
-            raise NoConvergence("bordered Newton: non-finite update")
-        x = np.maximum(x + dx, 0.0)
-        mu = mu + dmu
-    raise NoConvergence(f"bordered Newton: residual {rnorm:.3e} after {max_iter} iterations")
 
 
 def continue_branch(
@@ -362,12 +286,10 @@ def continue_branch(
         row_x = t_x / n
         at_y = float(row_x @ y_x) + t_mu * y_mu
         while True:
-            x_pred = np.maximum(y_x + ds_cur * t_x, 0.0)
-            mu_pred = y_mu + ds_cur * t_mu
             try:
-                state_new, mu_new, rnorm = _bordered_newton(
-                    x_pred, mu_pred, row_x, t_mu, at_y + ds_cur,
-                    params, geom, cfg.tol_residual, cfg.max_iter,
+                state_new, mu_new, history = bordered_newton(
+                    y_x + ds_cur * t_x, y_mu + ds_cur * t_mu, row_x, t_mu, at_y + ds_cur,
+                    params, geom, cfg,
                 )
                 x_new = state_new.as_vector()
                 jump = _metric_norm(x_new - y_x, mu_new - y_mu)
@@ -382,7 +304,7 @@ def continue_branch(
                         f"after {len(points) - 1} accepted steps"
                     ) from exc
         s_accum += ds_cur
-        points.append(_point_from_state(state_new, mu_new, s_accum, params, geom, rnorm))
+        points.append(_point_from_state(state_new, mu_new, s_accum, params, geom, history[-1]))
 
         sec_x, sec_mu = x_new - y_x, mu_new - y_mu
         sec_nrm = _metric_norm(sec_x, sec_mu)
@@ -414,15 +336,12 @@ def solve_at_amplitude(
     if state_guess is None:
         kt = tangent if tangent is not None else solve_kernel_function(params, geom)
         x = constant_state(geom, params.lam, 0.0).as_vector() + amplitude * kt.direction(geom)
-        x = np.maximum(x, 0.0)
     else:
         x = state_guess.as_vector()
     n1 = geom.n_omega1
     row_x = np.concatenate([np.zeros(geom.n_omega), np.full(n1, 1.0 / n1)])
-    state, mu, rnorm = _bordered_newton(
-        x, mu_guess, row_x, 0.0, amplitude, params, geom, cfg.tol_residual, cfg.max_iter
-    )
-    return _point_from_state(state, mu, amplitude, params, geom, rnorm)
+    state, mu, history = bordered_newton(x, mu_guess, row_x, 0.0, amplitude, params, geom, cfg)
+    return _point_from_state(state, mu, amplitude, params, geom, history[-1])
 
 
 @dataclass
@@ -446,16 +365,11 @@ class SignRelationAudit:
         return self.n_fail == 0 and self.n_pass > 0
 
 
-def verify_sign_relation(
-    branch: Branch,
-    mu_star: float,
-    mu_band: float = MU_BAND,
-    gamma_band: float = GAMMA_BAND,
-) -> SignRelationAudit:
+def verify_sign_relation(branch: Branch, mu_star: float) -> SignRelationAudit:
     """Audit sign(mu - mu*) == sign(gamma) pointwise along the branch.
 
-    Points inside the marginality bands are excluded (the relation is
-    asymptotic and numerically meaningless there). On the nontrivial branch
+    Points inside the marginality bands MU_BAND and GAMMA_BAND are excluded
+    (the relation is asymptotic and meaningless there). On the nontrivial branch
     the relation holds on both sides of mu*; on the semitrivial line it is
     reversed (gamma = mu* - mu), so feeding that branch in draws a
     RegionOfApplicabilityWarning and an inapplicable audit.
@@ -473,7 +387,7 @@ def verify_sign_relation(
     rows = []
     n_excluded = 0
     for p in branch.points:
-        if abs(p.mu - mu_star) <= mu_band or abs(p.gamma) <= gamma_band:
+        if abs(p.mu - mu_star) <= MU_BAND or abs(p.gamma) <= GAMMA_BAND:
             n_excluded += 1
             continue
         rows.append(

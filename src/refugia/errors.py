@@ -29,12 +29,12 @@ class StepRejected(RefugiaError):
     """A time step produced values below -1e-8; the step size is too large."""
 
 
-class SingularJacobian(RefugiaError):
-    """Newton's linear solve failed; expected exactly at the bifurcation point."""
-
-
 class NoConvergence(RefugiaError):
     """Newton iteration exhausted its budget without meeting the tolerance."""
+
+
+class SingularJacobian(NoConvergence):
+    """Newton could not factor J or its update blew up; expected near mu*."""
 
 
 class EigenNoConvergence(RefugiaError):

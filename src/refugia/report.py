@@ -63,17 +63,23 @@ class BifurcationReport:
     intersection_shrinks: bool | None
     notes: list[str] = field(default_factory=list)
 
+    def failed_gates(self) -> list[str]:
+        """One "name value" entry per failed gate of the verify experiment."""
+        cosine = self.tangent_cosine
+        gates = [
+            ("relative_gap", self.relative_gap, self.relative_gap <= GAP_TOL),
+            ("audit_status", self.audit_status, self.audit_status == "PASS"),
+            ("slope_sign_negative", self.slope_sign_negative, self.slope_sign_negative is True),
+            *((f"exchange[{c.branch} | {c.side}].ok", c.ok, c.ok or c.n_points == 0)
+              for c in self.exchange),
+            ("no_both_stable", self.no_both_stable, self.no_both_stable is True),
+            ("tangent_cosine", _fmt(cosine), cosine is not None and cosine >= COSINE_MIN),
+        ]
+        return [f"{name} {value}" for name, value, ok in gates if not ok]
+
     def passes(self) -> bool:
         """Gate used by the verify experiment."""
-        gates = [
-            self.relative_gap <= GAP_TOL,
-            self.audit_status == "PASS",
-            self.slope_sign_negative is True,
-            all(cell.ok for cell in self.exchange if cell.n_points > 0),
-            self.no_both_stable is True,
-            self.tangent_cosine is not None and self.tangent_cosine >= COSINE_MIN,
-        ]
-        return all(gates)
+        return not self.failed_gates()
 
     def to_text(self) -> str:
         lines = [
@@ -106,7 +112,9 @@ class BifurcationReport:
             )
         for i, note in enumerate(self.notes):
             lines.append(f"note.{i} = {note}")
-        lines.append(f"verdict = {'PASS' if self.passes() else 'FAIL'}")
+        failed = self.failed_gates()
+        lines += [f"failed_gate.{i} = {gate}" for i, gate in enumerate(failed)]
+        lines.append(f"verdict = {'FAIL' if failed else 'PASS'}")
         return "\n".join(lines) + "\n"
 
 

@@ -247,5 +247,5 @@ def _dispatch(cfg: RunConfig, out: Path, stages: _Stages) -> None:
 
     if cfg.kind == "verify":
         with stages.stage("verdict"):
-            if not rep.passes():
-                raise RefugiaError("verification gate failed; see report.txt")
+            if failed := rep.failed_gates():
+                raise RefugiaError(f"verification gate failed: {'; '.join(failed)}")

@@ -270,14 +270,14 @@ def test_pinned_sweep_past_the_fold_raises_no_convergence():
         point = solve_at_amplitude(p, geom, float(amplitude), mu, state_guess=state)
         mu, state = point.mu, point.state
     assert point.complex_pair
-    with pytest.raises(NoConvergence, match="not positive") as info:
+    with pytest.raises(NoConvergence, match="is negative") as info:
         solve_at_amplitude(p, geom, 10.5, mu, state_guess=state)
     assert isinstance(info.value, RefugiaError)
 
 
 def test_continue_branch_keeps_mu_positive(params, geom16):
     # walking the predator-free line down in mu: steps that would end at
-    # mu <= 0 fail in the corrector and halve, until the step floor stalls
+    # mu < 0 fail in the corrector and halve, until the step floor stalls
     start = trace_semitrivial(params, (0.1, 0.1), 1, geom16).points[0]
     with pytest.raises(ContinuationStalled):
         continue_branch(
@@ -308,14 +308,18 @@ def test_sign_relation_warns_on_semitrivial(semi, mu_star):
     assert audit.n_pass == 0
 
 
-def test_sign_relation_empty_inside_bands(nontrivial, mu_star):
+def test_sign_relation_empty_inside_bands(nontrivial, mu_star, monkeypatch):
+    import refugia.continuation as cont
+
+    monkeypatch.setattr(cont, "MU_BAND", 1.0)
+    monkeypatch.setattr(cont, "GAMMA_BAND", 1.0)
     trimmed = Branch(
         BranchLabel.NONTRIVIAL,
         nontrivial.points[:5],
         nontrivial.params,
         nontrivial.geom,
     )
-    audit = verify_sign_relation(trimmed, mu_star, mu_band=1.0, gamma_band=1.0)
+    audit = verify_sign_relation(trimmed, mu_star)
     assert audit.rows == []
     assert audit.n_excluded == 5
     assert not audit.all_pass  # nothing audited, nothing claimed
@@ -344,8 +348,9 @@ def test_amplitude_of_helper(nontrivial):
 )
 def test_keller_update_matches_dense_bordered_solve(grid, refuge):
     # one corrector update from a fixed off-branch iterate against
-    # numpy.linalg.solve of the dense bordered system
-    import refugia.continuation as cont
+    # numpy.linalg.solve of the dense bordered system, for a random row and
+    # for newton_solve's pinned row (0, 1), where the update is plain Newton's
+    import refugia.steady as steady
 
     geom = build_geometry(grid, refuge)
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=0.9)
@@ -360,11 +365,16 @@ def test_keller_update_matches_dense_bordered_solve(grid, refuge):
     row_x, row_mu = rng.normal(size=x.size) / x.size, 0.3
     res, con = residual_steady(p, st.u, st.v, geom), 0.01
 
-    dx, dmu = cont._keller_solver(J, f_mu, row_x, row_mu)(res, con)
+    dx, dmu = steady._keller_solver(J, f_mu, row_x, row_mu)(res, con)
     bordered = np.block([[J.toarray(), f_mu[:, None]], [row_x[None, :], np.array([[row_mu]])]])
     expected = np.linalg.solve(bordered, -np.concatenate([res, [con]]))
     got = np.concatenate([dx, [dmu]])
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    dx, dmu = steady._keller_solver(J, f_mu, np.zeros(x.size), 1.0)(res, 0.0)
+    assert dmu == 0.0
+    expected = np.linalg.solve(J.toarray(), -res)
+    assert np.linalg.norm(dx - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 def test_corrector_factors_only_j_once_per_step(
@@ -416,9 +426,10 @@ def test_failed_lu_of_j_is_no_convergence(params, geom16, monkeypatch):
 def test_corrector_honours_newton_max_iter(switch_point, mu_star, params, geom32, monkeypatch):
     # solver.newton.max_iter bounds every corrector attempt of continuation
     import refugia.continuation as cont
+    import refugia.steady as steady
 
     attempts = []
-    corrector, residual = cont._bordered_newton, cont.residual_steady
+    corrector, residual = cont.bordered_newton, steady.residual_steady
 
     def counted_corrector(*args, **kwargs):
         attempts.append(0)
@@ -428,8 +439,8 @@ def test_corrector_honours_newton_max_iter(switch_point, mu_star, params, geom32
         attempts[-1] += 1
         return residual(*args, **kwargs)
 
-    monkeypatch.setattr(cont, "_bordered_newton", counted_corrector)
-    monkeypatch.setattr(cont, "residual_steady", counted_residual)
+    monkeypatch.setattr(cont, "bordered_newton", counted_corrector)
+    monkeypatch.setattr(steady, "residual_steady", counted_residual)
     base = constant_state(geom32, params.lam, 0.0).as_vector()
     direction = (switch_point.state.as_vector() - base, switch_point.mu - mu_star)
     with pytest.raises(ContinuationStalled):

@@ -59,6 +59,22 @@ def test_report_without_nontrivial_branch(pipeline):
     assert "audit_status = NOT_RUN" in rep.to_text()
 
 
+def test_report_names_its_failed_gates(pipeline):
+    params, geom, semi, mu_star, branch = pipeline
+    rep = build_report(semi, None, mu_star, params, geom)
+    failed = rep.failed_gates()
+    assert failed == [
+        "audit_status NOT_RUN",
+        "slope_sign_negative None",
+        "no_both_stable None",
+        "tangent_cosine none",
+    ]
+    text = rep.to_text()
+    assert "failed_gate.0 = audit_status NOT_RUN\n" in text
+    assert text.endswith("failed_gate.3 = tangent_cosine none\nverdict = FAIL\n")
+    assert "failed_gate" not in build_report(semi, branch, mu_star, params, geom).to_text()
+
+
 def test_report_notes_empty_refuge():
     geom = build_geometry(GridSpec(16, 16), RefugeShape.empty())
     params = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
