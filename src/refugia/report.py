@@ -3,7 +3,8 @@
 Collects the detection gap against the closed-form threshold
 c*lam/(1 + m*lam), the alignment of the emerging branch with the kernel
 tangent, the sign of the branch's mu-slope, the pointwise sign-relation
-audit, and the four-quadrant stability-exchange table.
+audit, and the four-quadrant stability-exchange table. A quadrant that fails
+lists its points (mu, gamma, flag, complex pair) in the text report.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from .continuation import (
     MU_BAND,
     Branch,
+    BranchPoint,
     SignRelationAudit,
     verify_sign_relation,
 )
@@ -37,12 +39,16 @@ class ExchangeCell:
 
     branch: str
     side: str  # "mu<mu*" or "mu>mu*"
-    n_points: int
     n_stable: int
     n_unstable: int
     n_marginal: int
     expected: str
     ok: bool
+    points: list[BranchPoint] = field(repr=False)  # the cell's branch points, in branch order
+
+    @property
+    def n_points(self) -> int:
+        return len(self.points)
 
 
 @dataclass
@@ -105,11 +111,17 @@ class BifurcationReport:
                 f"intersection.{i} = amplitude {amp:.6g} u_dev {udev:.6g} mu_gap {mugap:.6g}"
             )
         for cell in self.exchange:
+            name = f"exchange[{cell.branch} | {cell.side}]"
             lines.append(
-                f"exchange[{cell.branch} | {cell.side}] = "
-                f"n {cell.n_points} stable {cell.n_stable} unstable {cell.n_unstable} "
+                f"{name} = n {cell.n_points} stable {cell.n_stable} unstable {cell.n_unstable} "
                 f"marginal {cell.n_marginal} expected {cell.expected} ok {cell.ok}"
             )
+            if not cell.ok:  # say which points broke the exchange
+                lines += [
+                    f"{name}.point.{i} = mu {p.mu:.17g} gamma {p.gamma:.17g} "
+                    f"flag {p.flag.value} complex_pair {p.complex_pair}"
+                    for i, p in enumerate(cell.points)
+                ]
         for i, note in enumerate(self.notes):
             lines.append(f"note.{i} = {note}")
         failed = self.failed_gates()
@@ -134,12 +146,12 @@ def _exchange_cell(branch: Branch, side: str, mu_star: float, expected: Stabilit
     return ExchangeCell(
         branch=branch.label.value,
         side=side,
-        n_points=len(pts),
         n_stable=counts[StabilityFlag.STABLE],
         n_unstable=counts[StabilityFlag.UNSTABLE],
         n_marginal=counts[StabilityFlag.MARGINAL],
         expected=expected.value,
         ok=ok,
+        points=pts,
     )
 
 

@@ -1,4 +1,5 @@
-"""Property tests of the face-table operators over random refuges and grids.
+"""Property tests of the face-table operators, and of the leading eigenvalue
+against a dense oracle, over random refuges and grids.
 
 Rectangles and discs of random size and position (always more than two cell
 widths inside the habitat), or no refuge, on grids with nx != ny and
@@ -6,9 +7,11 @@ lx != ly in general.
 """
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refugia.continuation import solve_at_amplitude
 from refugia.fields import Region, ScalarField, SystemState
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
 from refugia.operators import (
@@ -19,15 +22,16 @@ from refugia.operators import (
     nonlinear_diffusion,
     residual_steady,
 )
+from refugia.spectral import leading_eigenvalue
 
 unit = st.floats(0.0, 1.0)
 
 
 @st.composite
-def geometries(draw):
+def geometries(draw, cells=(12, 20)):
     grid = GridSpec(
-        draw(st.integers(12, 20)),
-        draw(st.integers(12, 20)),
+        draw(st.integers(*cells)),
+        draw(st.integers(*cells)),
         draw(st.floats(0.8, 1.5)),
         draw(st.floats(0.8, 1.5)),
     )
@@ -125,3 +129,32 @@ def test_jacobian_matches_finite_differences(geom, seed, lam, m, c, b, mu):
     fd = (resid(x0 + eps * d) - resid(x0 - eps * d)) / (2 * eps)
     jd = J @ d
     assert np.linalg.norm(fd - jd) <= 1e-6 * np.linalg.norm(jd)
+
+
+@settings(max_examples=8)
+@given(
+    geometries((12, 15)).filter(lambda g: g.grid.nx != g.grid.ny and g.grid.lx != g.grid.ly),
+    st.floats(1.0, 4.0),
+    st.floats(1.2, 4.0),
+    st.floats(0.5, 3.0),
+    st.floats(0.5, 2.0),
+)
+def test_leading_eigenvalue_matches_dense_on_enriched_branches(geom, lam, m_lam, c, b):
+    # m*lam > 1: the coexistence branch reaches the paradox-of-enrichment
+    # regime, where the leading pair turns complex. Pinned amplitudes stay
+    # below 0.9 of the constant-mode maximum m*(lam + 1/m)^2/(4b), short of
+    # the amplitude fold, so mu stays positive.
+    m = m_lam / lam
+    params = ModelParams(lam=lam, m=m, c=c, b=b, mu=c * lam / (1.0 + m_lam))
+    top = m * (lam + 1.0 / m) ** 2 / (4.0 * b)
+    mu, state = params.mu, None
+    for fraction in (0.5, 0.9):
+        point = solve_at_amplitude(params, geom, fraction * top, mu, state_guess=state)
+        mu, state = point.mu, point.state
+        assert mu > 0.0
+        J = assemble_jacobian(params.with_mu(mu), state.u, state.v, geom)
+        ep = leading_eigenvalue(J)
+        dense = np.linalg.eigvals(J.toarray())
+        lead = dense[np.argmax(dense.real)]
+        assert ep.value == pytest.approx(lead.real, abs=1e-8)
+        assert ep.complex_pair == (abs(lead.imag) > 1e-10)

@@ -94,3 +94,24 @@ def test_exchange_table_quadrants(pipeline):
     assert cells[("nontrivial", "mu<mu*")].n_stable == cells[("nontrivial", "mu<mu*")].n_points
     assert cells[("nontrivial", "mu>mu*")].n_points == 0
     assert all(c.ok for c in rep.exchange)
+
+
+def test_failing_exchange_cell_lists_its_points(pipeline):
+    # detected mu* moved up by 0.1: the predator-free points between the true
+    # and the moved threshold are stable on the side expected unstable
+    params, geom, semi, mu_star, branch = pipeline
+    rep = build_report(semi, branch, mu_star + 0.1, params, geom)
+    failing = [c for c in rep.exchange if not c.ok]
+    assert [(c.branch, c.side) for c in failing] == [("semitrivial", "mu<mu*")]
+    cell = failing[0]
+    text = rep.to_text()
+    name = "exchange[semitrivial | mu<mu*]"
+    assert f"failed_gate.1 = {name}.ok False\n" in text  # after relative_gap
+    for i, p in enumerate(cell.points):
+        assert (
+            f"{name}.point.{i} = mu {p.mu:.17g} gamma {p.gamma:.17g} "
+            f"flag {p.flag.value} complex_pair {p.complex_pair}\n"
+        ) in text
+    assert f"{name}.point.{cell.n_points} " not in text
+    assert text.count(".point.") == cell.n_points  # passing cells list none
+    assert ".point." not in build_report(semi, branch, mu_star, params, geom).to_text()

@@ -4,12 +4,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import smooth_positive
-from refugia.continuation import solve_at_amplitude
+from refugia import spectral
+from refugia.continuation import continue_branch, solve_at_amplitude
 from refugia.errors import EigenNoConvergence
 from refugia.fields import Region, ScalarField, SystemState, constant_state
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
 from refugia.operators import ModelParams, assemble_jacobian
 from refugia.spectral import (
+    NCV,
     StabilityFlag,
     classify_stability,
     classify_value,
@@ -189,3 +191,68 @@ def test_dense_oracle_along_enriched_branch(grid, refuge):
         # without a refuge the branch ends near a Hopf point: -0.2 +/- 0.529i
         assert ep.complex_pair and point.complex_pair
         assert ep.value == pytest.approx(-0.2, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "refuge,bracket",
+    [
+        (RefugeShape.empty(), (0.7617, 0.8079)),
+        (RefugeShape.rectangle((0.5, 0.5), (0.125, 0.125)), (0.7712, 0.7864)),
+    ],
+    ids=["no-refuge", "centred-square"],
+)
+def test_dense_oracle_inside_hopf_bracket(refuge, bracket):
+    # the continuation points flanking the sign change of the leading complex
+    # pair's real part (ds = 0.1) bracket the Hopf point; points strictly
+    # inside are where two pairs nearest the shift could miss the rightmost
+    lo, hi = bracket
+    geom = build_geometry(GridSpec(12, 12), refuge)
+    start = solve_at_amplitude(ENRICHED, geom, 0.2, ENRICHED.mu)
+    base = constant_state(geom, ENRICHED.lam, 0.0).as_vector()
+    direction = (start.state.as_vector() - base, start.mu - ENRICHED.mu)
+    branch = continue_branch(start, direction, 80, 0.1, ENRICHED, geom)
+    state = [p for p in branch.points if p.mu > hi][-1].state
+    for mu in np.linspace(hi, lo, 6)[1:-1]:
+        params = ENRICHED.with_mu(float(mu))
+        state = newton_solve(state, params, NewtonConfig(), geom).state
+        J = assemble_jacobian(params, state.u, state.v, geom)
+        ep = leading_eigenvalue(J)
+        dense = np.max(np.linalg.eigvals(J.toarray()).real)
+        assert ep.value == pytest.approx(dense, abs=1e-8)
+        assert ep.complex_pair and ep.residual <= 1e-8
+        if refuge.kind == "empty":
+            # constant-mode Hopf point mu_H = c*u_H/(1 + m*u_H), u_H = (lam - 1/m)/2
+            assert np.sign(ep.value) == np.sign(7.0 / 9.0 - mu)
+
+
+@pytest.mark.parametrize("n,arpack_calls", [(NCV, 0), (NCV + 1, 1)], ids=["dense", "arpack"])
+def test_dense_fallback_boundary(n, arpack_calls, scipy_counters):
+    # ARPACK needs N_PAIRS < NCV <= n, so n = NCV is the largest dense case
+    rng = np.random.default_rng(47)
+    J = sp.diags([np.ones(n - 1), rng.uniform(-3.0, 1.0, n), np.full(n - 1, 0.5)], [-1, 0, 1])
+    ep = leading_eigenvalue(J)
+    assert scipy_counters.eigs_calls == arpack_calls
+    assert ep.value == pytest.approx(np.max(np.linalg.eigvals(J.toarray()).real), abs=1e-8)
+
+
+def test_shift_invert_solve_count(geom32, monkeypatch):
+    # two pairs with an 8-vector Krylov basis take 9 shift-invert solves at
+    # this point; six pairs with ARPACK's default basis of 13 took 45
+    p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
+    point = solve_at_amplitude(p, geom32, 0.1, p.mu)
+    J = assemble_jacobian(p.with_mu(point.mu), point.state.u, point.state.v, geom32)
+    solves = []
+    factor = spectral.factor
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            solves.append(1)
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(spectral, "factor", lambda *args: CountingLU(factor(*args)))
+    ep = leading_eigenvalue(J)
+    assert ep.residual <= 1e-8
+    assert len(solves) <= 15
