@@ -194,7 +194,7 @@ def _point_from_state(
     """Branch point at a converged state; residual_norm is the inf-norm of the
     steady residual the solver already evaluated there."""
     J = assemble_jacobian(params.with_mu(mu), state.u, state.v, geom)
-    ep = leading_eigenvalue(J)
+    ep = leading_eigenvalue(J, geom.coupled_order)
     return BranchPoint(
         mu=mu,
         state=state,
@@ -263,7 +263,8 @@ def continue_branch(
     halves on corrector failure, and when the corrected point lies farther
     than MAX_STEP_RATIO*ds from the last one (the arclength hyperplane can
     cross another branch), down to ds/MIN_DS_FACTOR, after which
-    ContinuationStalled is raised.
+    ContinuationStalled is raised; it carries the branch of the points
+    accepted so far.
     """
     cfg = newton_cfg or NewtonConfig()
     n = geom.n_unknowns
@@ -301,7 +302,8 @@ def continue_branch(
                 if ds_cur < ds / MIN_DS_FACTOR:
                     raise ContinuationStalled(
                         f"corrector kept failing down to ds = {ds_cur:.3e} "
-                        f"after {len(points) - 1} accepted steps"
+                        f"after {len(points) - 1} accepted steps, the last at mu = {y_mu:.6g}",
+                        Branch(label, points, params, geom),
                     ) from exc
         s_accum += ds_cur
         points.append(_point_from_state(state_new, mu_new, s_accum, params, geom, history[-1]))

@@ -46,7 +46,12 @@ class NoCrossing(RefugiaError):
 
 
 class ContinuationStalled(RefugiaError):
-    """Corrector kept failing after the step size was reduced to its floor."""
+    """Corrector kept failing after the step size was reduced to its floor;
+    branch holds the points accepted before that."""
+
+    def __init__(self, message: str, branch):
+        super().__init__(message)
+        self.branch = branch
 
 
 class EmptyBranchList(RefugiaError):

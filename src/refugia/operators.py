@@ -20,6 +20,9 @@ _kinetics, and every sparse LU of these operators is made by factor. Every
 face table holds each neighbour pair both ways and the Jacobian's coupling
 blocks have transposed patterns, so every matrix factored here is
 structurally symmetric, which is what factor's SuperLU settings rely on.
+Single-field matrices are factored in SuperLU's own minimum-degree order;
+the coupled Jacobians in the geometry's coupled_order, which eliminates each
+cell's u and v next to each other.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .geometry import DomainGeometry, _face_matrix
 #: fields dipping below this are an error; values in [TOL_NEGATIVE, 0] clamp to 0
 TOL_NEGATIVE = -1e-12
 
-#: fill-reducing column ordering for every sparse LU of these operators
+#: fill-reducing column ordering of every sparse LU made without an explicit order
 PERMC_SPEC = "MMD_AT_PLUS_A"
 
 
@@ -84,9 +87,27 @@ def clamp_nonnegative(values: np.ndarray, what: str = "field") -> np.ndarray:
     return values
 
 
-def factor(M: sp.spmatrix, error: type[Exception], what: str):
-    """Sparse LU of M in the PERMC_SPEC column ordering; a failed
-    factorization raises error(f"{what}: {reason}").
+@dataclass(frozen=True)
+class OrderedLU:
+    """SuperLU factors of M[order][:, order] that solve with M itself."""
+
+    lu: spla.SuperLU
+    order: np.ndarray
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        y = self.lu.solve(rhs[self.order])
+        x = np.empty_like(y)
+        x[self.order] = y
+        return x
+
+
+def factor(M: sp.spmatrix, error: type[Exception], what: str, order: np.ndarray | None = None):
+    """Sparse LU of M; a failed factorization raises error(f"{what}: {reason}").
+
+    Without order, SuperLU orders the columns by PERMC_SPEC. With order, a
+    permutation of M's rows and columns chosen by the caller (the geometry's
+    coupled_order for a coupled Jacobian), M[order][:, order] is factored in
+    its NATURAL order and the returned OrderedLU solves with M.
 
     M must be structurally symmetric (pattern of M equal to that of M.T).
     SuperLU then runs in SymmetricMode (Demmel et al., SIMAX 1999): it keeps
@@ -96,10 +117,14 @@ def factor(M: sp.spmatrix, error: type[Exception], what: str):
     its solves markedly cheaper. Partial pivoting stays at the default
     diag_pivot_thresh = 1.0.
     """
+    permc_spec = PERMC_SPEC
+    if order is not None:
+        M, permc_spec = M.tocsr()[order][:, order], "NATURAL"
     try:
-        return spla.splu(M.tocsc(), permc_spec=PERMC_SPEC, options={"SymmetricMode": True})
+        lu = spla.splu(M.tocsc(), permc_spec=permc_spec, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise error(f"{what}: {exc}") from exc
+    return lu if order is None else OrderedLU(lu, order)
 
 
 def _face_average(table, x: np.ndarray) -> np.ndarray:

@@ -191,7 +191,7 @@ def _dispatch(cfg: RunConfig, out: Path, stages: _Stages) -> None:
             result = newton_solve(start, cfg.params, cfg.newton, geom)
         with stages.stage("classify"):
             J = assemble_jacobian(cfg.params, result.state.u, result.state.v, geom)
-            ep = leading_eigenvalue(J)
+            ep = leading_eigenvalue(J, geom.coupled_order)
             flag = classify_value(ep.value)
         with stages.stage("write_artifacts"):
             write_state_raster(out / "state_steady.csv", geom, result.state)

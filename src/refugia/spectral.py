@@ -72,16 +72,17 @@ def _gershgorin_right_edge(J: sp.spmatrix) -> float:
     return float(np.max(diag + (abs_rows - np.abs(diag))))
 
 
-def _candidates(J: sp.csr_matrix):
+def _candidates(J: sp.csr_matrix, order: np.ndarray | None):
     """Eigenvalues and eigenvector columns nearest the right edge of the
-    spectrum: shift-invert Arnoldi with one LU, or dense for tiny matrices."""
+    spectrum: shift-invert Arnoldi with one LU, factored in order (see
+    operators.factor), or dense for tiny matrices."""
     n = J.shape[0]
     if n <= NCV:  # ARPACK needs N_PAIRS < NCV <= n
         return np.linalg.eig(J.toarray())
     edge = _gershgorin_right_edge(J)
     sigma = edge + 0.01 * (1.0 + abs(edge))
     what = f"shift-invert at sigma = {sigma:g} failed"
-    lu = factor(J - sigma * sp.identity(n, format="csr"), EigenNoConvergence, what)
+    lu = factor(J - sigma * sp.identity(n, format="csr"), EigenNoConvergence, what, order)
     op = spla.LinearOperator(J.shape, matvec=lu.solve, dtype=float)
     try:
         return spla.eigs(J, k=N_PAIRS, sigma=sigma, ncv=NCV, OPinv=op, v0=np.ones(n))
@@ -91,15 +92,17 @@ def _candidates(J: sp.csr_matrix):
         raise EigenNoConvergence(f"{what}: {exc}") from exc
 
 
-def leading_eigenvalue(J: sp.spmatrix) -> EigenPair:
+def leading_eigenvalue(J: sp.spmatrix, order: np.ndarray | None = None) -> EigenPair:
     """Eigenvalue of largest real part among the pairs nearest the shift.
 
+    order is the elimination order of the shift-invert LU: the geometry's
+    coupled_order for a coupled Jacobian, None (SuperLU's own) otherwise.
     Raises EigenNoConvergence if no returned pair meets the residual contract.
     """
     if J.shape[0] != J.shape[1]:
         raise ValueError("operator must be square")
     J = J.tocsr()
-    values, vectors = _candidates(J)
+    values, vectors = _candidates(J, order)
     residuals = []
     for i in np.argsort(-values.real, kind="stable"):
         lam = values[i]

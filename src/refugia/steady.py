@@ -56,15 +56,18 @@ class SteadyResult:
     residual_history: list[float] = field(default_factory=list)
 
 
-def _keller_solver(J, f_mu: np.ndarray, row_x: np.ndarray, row_mu: float):
+def _keller_solver(
+    J, f_mu: np.ndarray, row_x: np.ndarray, row_mu: float, order: np.ndarray | None = None
+):
     """solve(res, con) -> (dx, dmu) for [[J, f_mu], [row_x, row_mu]] (dx, dmu) = -(res, con).
 
-    Keller's block elimination over one LU of J: J b = f_mu, J a = -res,
+    Keller's block elimination over one LU of J, factored in order (see
+    operators.factor): J b = f_mu, J a = -res,
     dmu = (-con - row_x.a) / (row_mu - row_x.b), dx = a - b*dmu. Raises
     SingularJacobian when J cannot be factored and NoConvergence when the
     Schur scalar row_mu - row_x.b is zero or non-finite.
     """
-    lu = factor(J, SingularJacobian, "bordered Newton: LU of J failed")
+    lu = factor(J, SingularJacobian, "bordered Newton: LU of J failed", order)
     b = lu.solve(f_mu)
     schur = row_mu - float(row_x @ b)
     if not (np.isfinite(schur) and schur != 0.0):
@@ -93,11 +96,12 @@ def bordered_newton(
     The one Newton for every (state, mu) solve (Keller 1977; Govaerts 2000):
     fixed-mu solves, pseudo-arclength steps and amplitude-pinned solves differ
     only in the constraint row. Updates come from _keller_solver over an LU
-    of J, which is kept across iterations and refactored at the current
-    iterate only when the residual inf-norm shrinks by less than
-    CHORD_CONTRACTION. Iterates, the start included, are clamped to x >= 0.
-    Returns the state, mu and the residual inf-norm of every iterate, the
-    last at the returned point. At most cfg.max_iter residuals are evaluated.
+    of J in the geometry's coupled_order, which is kept across iterations
+    and refactored at the current iterate only when the residual inf-norm
+    shrinks by less than CHORD_CONTRACTION. Iterates, the start included,
+    are clamped to x >= 0. Returns the state, mu and the residual inf-norm
+    of every iterate, the last at the returned point. At most cfg.max_iter
+    residuals are evaluated.
     Raises SingularJacobian when J cannot be factored or an update is
     non-finite or blows up, and NoConvergence when a mu iterate leaves
     mu >= 0, the Schur scalar is singular, or the budget runs out.
@@ -118,7 +122,8 @@ def bordered_newton(
             return st, mu, history + [rnorm]
         if solve is None or rnorm > CHORD_CONTRACTION * history[-1]:
             J = assemble_jacobian(p_mu, st.u, st.v, geom)
-            solve = _keller_solver(J, residual_mu_derivative(st.v, geom), row_x, row_mu)
+            f_mu = residual_mu_derivative(st.v, geom)
+            solve = _keller_solver(J, f_mu, row_x, row_mu, geom.coupled_order)
         history.append(rnorm)
         dx, dmu = solve(res, con)
         if not (np.isfinite(dmu) and np.max(np.abs(dx)) <= 1e12 * (1.0 + np.max(np.abs(x)))):

@@ -275,6 +275,24 @@ def test_pinned_sweep_past_the_fold_raises_no_convergence():
     assert isinstance(info.value, RefugiaError)
 
 
+def test_stalled_continuation_carries_its_accepted_points():
+    # enriched parameters without a refuge: past the amplitude fold the branch
+    # runs into mu = 0, where the step halves to its floor; the error keeps
+    # the 122 accepted steps and names the last mu
+    p = ModelParams(lam=4.0, m=2.0, c=2.0, b=1.0, mu=8.0 / 9.0)
+    geom = build_geometry(GridSpec(12, 12), RefugeShape.empty())
+    start = solve_at_amplitude(p, geom, 0.2, p.mu)
+    base = constant_state(geom, p.lam, 0.0).as_vector()
+    direction = (start.state.as_vector() - base, start.mu - p.mu)
+    with pytest.raises(ContinuationStalled, match="after 122 accepted steps") as info:
+        continue_branch(start, direction, 150, 0.1, p, geom)
+    branch = info.value.branch
+    assert branch.label is BranchLabel.NONTRIVIAL and branch.geom is geom
+    assert len(branch.points) == 123 and branch.points[0] is start
+    assert np.all(branch.mus() > 0)
+    assert f"the last at mu = {branch.mus()[-1]:.6g}" in str(info.value)
+
+
 def test_continue_branch_keeps_mu_positive(params, geom16):
     # walking the predator-free line down in mu: steps that would end at
     # mu < 0 fail in the corrector and halve, until the step floor stalls
@@ -417,6 +435,7 @@ def test_failed_lu_of_j_is_no_convergence(params, geom16, monkeypatch):
         raise RuntimeError("Factor is exactly singular")
 
     guess = constant_state(geom16, 0.9, 0.05)
+    geom16.coupled_order  # build the order first: only the LU of J fails here
     monkeypatch.setattr(spla, "splu", singular)
     with pytest.raises(NoConvergence, match="LU of J failed") as info:
         solve_at_amplitude(params, geom16, 0.05, 0.95, state_guess=guess)

@@ -225,6 +225,15 @@ def test_coexistence_run_solver_counters(geom32, scipy_counters, monkeypatch):
     assert max(iters for _, iters in solves) <= dynamics.REFACTOR_ITERS
 
 
+def test_transient_run_leaves_the_coupled_order_unbuilt(scipy_counters):
+    """The geometry's ordering LU has the prey matrix's shape, so only the
+    geometry itself shows that a transient run never asked for it."""
+    geom = build_geometry(GridSpec(16, 16), CENTER_RECT)  # fresh: no order cached
+    run_to_steady(constant_state(geom, 1.0, 0.05), COEXIST, TransientConfig(max_steps=5), geom)
+    assert "coupled_order" not in vars(geom)
+    assert scipy_counters.splu_shapes.count((geom.n_omega1,) * 2) == 1
+
+
 def test_stale_history_is_harmless(scipy_counters):
     """One solver across unrelated states: the projected CG start is only a
     guess, so each step still matches the oracle; stepping one state twice

@@ -5,7 +5,8 @@ import scipy.sparse as sp
 from conftest import smooth_positive
 from refugia.config import parse_config
 from refugia.dynamics import TransientConfig, run_to_steady
-from refugia.errors import LinearSolveFailure, NegativePrey, RegionMismatch
+from refugia.continuation import solve_at_amplitude
+from refugia.errors import LinearSolveFailure, NegativePrey, RegionMismatch, SingularJacobian
 from refugia.fields import Region, ScalarField, SystemState, constant_state
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
 from refugia.runner import run_experiment
@@ -289,35 +290,96 @@ solver.continuation.ds = 0.03
 
 def test_every_lu_is_pattern_symmetric_in_symmetric_mode(scipy_counters, tmp_path):
     """factor's SymmetricMode assumes a symmetric pattern: check it on every
-    matrix a verify pipeline and a transient run factor, and that no call
-    changes the ordering or loosens partial pivoting."""
+    matrix a verify pipeline and a transient run factor, that no call
+    loosens partial pivoting, and the orderings: every coupled LU is the
+    NATURAL one of the matrix permuted by the geometry's coupled_order, and
+    every other LU takes SuperLU's minimum-degree order."""
     cfg = parse_config(VERIFY_DISC)
     manifest = run_experiment(cfg, tmp_path)
     assert manifest.exit_ok
     geom = build_geometry(cfg.grid, cfg.refuge)
     coexist = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=0.9)
-    run_to_steady(constant_state(geom, 1.0, 0.05), coexist, TransientConfig(max_steps=5), geom)
+    start = constant_state(geom, 1.0, 0.05)
+    run_to_steady(start, coexist, TransientConfig(max_steps=5), geom)
 
-    assert len(scipy_counters.splu_calls) >= 10
-    for A, args, kwargs in scipy_counters.splu_calls:
+    calls = list(scipy_counters.splu_calls)
+    # the runner built an equal geometry of its own, and the order is deterministic
+    unpermute = np.argsort(geom.coupled_order)
+    jacobian = assemble_jacobian(coexist, start.u, start.v, geom).tocsc()
+    jacobian.data[:] = 1.0
+    n_coupled = 0
+    assert len(calls) >= 10
+    for A, args, kwargs in calls:
         pattern = A.tocsc(copy=True)  # the stored entries, explicit zeros included
         pattern.data[:] = 1.0
         assert (pattern != pattern.T).nnz == 0
         assert not args
-        assert kwargs["permc_spec"] == PERMC_SPEC == "MMD_AT_PLUS_A"
+        if A.shape == (geom.n_unknowns, geom.n_unknowns):
+            n_coupled += 1
+            assert kwargs["permc_spec"] == "NATURAL"
+            unpermuted = pattern[unpermute][:, unpermute]
+            assert unpermuted.multiply(jacobian).nnz == unpermuted.nnz
+        else:
+            assert kwargs["permc_spec"] == PERMC_SPEC == "MMD_AT_PLUS_A"
         assert kwargs["options"]["SymmetricMode"] is True
         assert kwargs.get("diag_pivot_thresh") in (None, 1.0)
         assert kwargs["options"].get("DiagPivotThresh", 1.0) == 1.0
+    assert n_coupled >= 2 * cfg.continuation.n_steps
 
 
 def test_factor_keeps_partial_pivoting():
     """Tiny diagonal pivots in 2x2 blocks: only row exchanges keep the solve
-    accurate (a diagonal-preferring threshold of 0 loses about 1e-3)."""
+    accurate (a diagonal-preferring threshold of 0 loses about 1e-3), in
+    SuperLU's order and in an order given to factor."""
     k = 20
     blocks = sp.block_diag([np.array([[1e-13, 1.0], [1.0, 1.0]])] * k)
     coupling = 1e-3 * sp.diags([np.ones(2 * k - 1), np.ones(2 * k - 1)], [-1, 1])
     A = (blocks + coupling).tocsr()
-    b = np.random.default_rng(3).normal(size=2 * k)
-    x = factor(A, LinearSolveFailure, "pivot test").solve(b)
+    rng = np.random.default_rng(3)
+    b = rng.normal(size=2 * k)
     ref = np.linalg.solve(A.toarray(), b)
-    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    for order in (None, np.arange(2 * k), rng.permutation(2 * k)):
+        x = factor(A, LinearSolveFailure, "pivot test", order).solve(b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize(
+    "grid,refuge",
+    [
+        (GridSpec(12, 12), RefugeShape.empty()),
+        (GridSpec(14, 10, lx=1.4), RefugeShape.disc((0.6, 0.45), 0.2)),
+        (GridSpec(10, 15, lx=0.8, ly=1.3), RefugeShape.rectangle((0.35, 0.7), (0.1, 0.25))),
+    ],
+    ids=["no-refuge", "off-centre-disc", "stretched-rectangle"],
+)
+def test_ordered_factor_matches_dense_solve(grid, refuge):
+    # the order permutes all unknowns and puts each OMEGA1 cell's v right
+    # after its u; the LU factored in it solves the coupled Jacobian
+    geom = build_geometry(grid, refuge)
+    order = geom.coupled_order
+    n = geom.n_omega
+    assert np.array_equal(np.sort(order), np.arange(geom.n_unknowns))
+    position = np.argsort(order)
+    cells = np.flatnonzero(geom.omega1_flat)
+    assert np.array_equal(position[n + np.arange(geom.n_omega1)], position[cells] + 1)
+    rng = np.random.default_rng(5)
+    u = ScalarField(smooth_positive(grid, rng, 0.8, 0.3).ravel(), Region.OMEGA)
+    v = geom.from_grid(smooth_positive(grid, rng, 0.3, 0.2), Region.OMEGA1)
+    J = assemble_jacobian(PARAMS, u, v, geom)
+    shifted = J - 2.0 * sp.identity(geom.n_unknowns)
+    b = rng.normal(size=geom.n_unknowns)
+    for M in (J, shifted):
+        x = factor(M, SingularJacobian, "ordered test", order).solve(b)
+        ref = np.linalg.solve(M.toarray(), b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert geom.coupled_order is order  # built once per geometry
+
+
+def test_paired_order_fill_is_no_worse_than_minimum_degree(geom32):
+    # at this 32^2 coexistence point the paired order's LU of J keeps 80,196
+    # entries and SuperLU's minimum-degree one 81,334
+    p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
+    point = solve_at_amplitude(p, geom32, 0.1, p.mu)
+    J = assemble_jacobian(p.with_mu(point.mu), point.state.u, point.state.v, geom32)
+    paired = factor(J, SingularJacobian, "paired", geom32.coupled_order).lu.nnz
+    assert paired <= factor(J, SingularJacobian, "minimum degree").nnz

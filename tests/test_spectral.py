@@ -45,9 +45,11 @@ def test_semitrivial_leading_matches_formula(geom16):
 
 
 def test_failed_shift_invert_is_eigen_no_convergence(geom16, monkeypatch):
-    # a failing LU of J - sigma*I, and an ARPACK failure other than
-    # non-convergence, both surface as EigenNoConvergence
+    # a failing LU of J - sigma*I, in SuperLU's order or in the geometry's,
+    # and an ARPACK failure other than non-convergence, all surface as
+    # EigenNoConvergence
     J = _semitrivial_jacobian(ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.2), geom16)
+    order = geom16.coupled_order  # built before splu breaks
 
     def arpack_error(*args, **kwargs):
         raise spla.ArpackError(-9999)
@@ -61,6 +63,8 @@ def test_failed_shift_invert_is_eigen_no_convergence(geom16, monkeypatch):
     monkeypatch.setattr(spla, "splu", singular)
     with pytest.raises(EigenNoConvergence, match="shift-invert .* failed: Factor"):
         leading_eigenvalue(J)
+    with pytest.raises(EigenNoConvergence, match="shift-invert .* failed: Factor"):
+        leading_eigenvalue(J, order)
 
 
 def test_semitrivial_marginal_at_threshold(geom16):
@@ -182,7 +186,7 @@ def test_dense_oracle_along_enriched_branch(grid, refuge):
         point = solve_at_amplitude(ENRICHED, geom, float(amplitude), mu, state_guess=state)
         mu, state = point.mu, point.state
         J = assemble_jacobian(ENRICHED.with_mu(mu), state.u, state.v, geom)
-        ep = leading_eigenvalue(J)
+        ep = leading_eigenvalue(J, geom.coupled_order)
         dense = np.max(np.linalg.eigvals(J.toarray()).real)
         assert ep.value == pytest.approx(dense, abs=1e-8)
         assert ep.residual <= 1e-8
