@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ContinuationStalled, NoConvergence, NoCrossing
 from .fields import SystemState, constant_state
 from .geometry import DomainGeometry
-from .operators import ModelParams, assemble_jacobian
+from .operators import ModelParams, assemble_jacobian, coupled_order
 from .spectral import EigenPair, StabilityFlag, classify_value, leading_eigenvalue
 from .steady import (
     KernelTangent,
@@ -194,7 +194,7 @@ def _point_from_state(
     """Branch point at a converged state; residual_norm is the inf-norm of the
     steady residual the solver already evaluated there."""
     J = assemble_jacobian(params.with_mu(mu), state.u, state.v, geom)
-    ep = leading_eigenvalue(J, geom.coupled_order)
+    ep = leading_eigenvalue(J, coupled_order(geom))
     return BranchPoint(
         mu=mu,
         state=state,

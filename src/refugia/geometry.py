@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateGrid, LinearSolveFailure, RefugeTouchesBoundary
+from .errors import DegenerateGrid, RefugeTouchesBoundary
 from .fields import Region, ScalarField
 
 #: the refuge shapes RefugeShape (and the run config) accept
@@ -117,9 +117,12 @@ class RefugeShape:
         return (x - cx) ** 2 + (y - cy) ** 2 <= self.radius**2
 
 
-@dataclass
+@dataclass(eq=False)
 class DomainGeometry:
     """Immutable-after-build description of the discretized habitat.
+
+    Geometries compare and hash by identity, so per-geometry caches (such as
+    operators.coupled_order's) can key on them.
 
     Face tables list the interior faces across which diffusion acts; the
     zero-flux condition on a region's boundary is equivalent to that face
@@ -182,26 +185,6 @@ class DomainGeometry:
     def lap_omega1(self) -> sp.csr_matrix:
         """Zero-flux 5-point Laplacian over OMEGA1 (refuge faces excluded)."""
         return _face_matrix(self.n_omega1, self.faces_v, 1.0, 1.0)
-
-    @cached_property
-    def coupled_order(self) -> np.ndarray:
-        """Fill-reducing elimination order of the coupled unknowns [u on OMEGA; v on OMEGA1].
-
-        The cells follow SuperLU's MMD_AT_PLUS_A order of the cell graph
-        I - lap_omega, and each OMEGA1 cell's v comes right after its u, so a
-        coupled Jacobian's 2x2 cell blocks are eliminated together (George &
-        Liu, SIAM Review 1989). Built at the first coupled factorization, at
-        the cost of one LU of the prey-sized matrix.
-        """
-        from .operators import factor  # deferred: operators imports this module
-
-        n = self.n_omega
-        cell_graph = sp.identity(n, format="csr") - self.lap_omega
-        cells = np.argsort(factor(cell_graph, LinearSolveFailure, "ordering LU failed").perm_c)
-        v_of = np.full(n, -1)
-        v_of[self.omega1_flat] = n + np.arange(self.n_omega1)
-        pairs = np.column_stack([cells, v_of[cells]]).ravel()
-        return pairs[pairs >= 0]
 
 
 def _face_table(index: np.ndarray, inside: np.ndarray, grid: GridSpec):

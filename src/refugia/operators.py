@@ -21,19 +21,20 @@ face table holds each neighbour pair both ways and the Jacobian's coupling
 blocks have transposed patterns, so every matrix factored here is
 structurally symmetric, which is what factor's SuperLU settings rely on.
 Single-field matrices are factored in SuperLU's own minimum-degree order;
-the coupled Jacobians in the geometry's coupled_order, which eliminates each
-cell's u and v next to each other.
+the coupled Jacobians in coupled_order(geom), which eliminates each cell's
+u and v next to each other.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import NegativePrey, RegionMismatch
+from .errors import LinearSolveFailure, NegativePrey, RegionMismatch
 from .fields import Region, ScalarField
 from .geometry import DomainGeometry, _face_matrix
 
@@ -105,9 +106,9 @@ def factor(M: sp.spmatrix, error: type[Exception], what: str, order: np.ndarray 
     """Sparse LU of M; a failed factorization raises error(f"{what}: {reason}").
 
     Without order, SuperLU orders the columns by PERMC_SPEC. With order, a
-    permutation of M's rows and columns chosen by the caller (the geometry's
-    coupled_order for a coupled Jacobian), M[order][:, order] is factored in
-    its NATURAL order and the returned OrderedLU solves with M.
+    permutation of M's rows and columns chosen by the caller (coupled_order
+    for a coupled Jacobian), M[order][:, order] is factored in its NATURAL
+    order and the returned OrderedLU solves with M.
 
     M must be structurally symmetric (pattern of M equal to that of M.T).
     SuperLU then runs in SymmetricMode (Demmel et al., SIMAX 1999): it keeps
@@ -125,6 +126,31 @@ def factor(M: sp.spmatrix, error: type[Exception], what: str, order: np.ndarray 
     except RuntimeError as exc:
         raise error(f"{what}: {exc}") from exc
     return lu if order is None else OrderedLU(lu, order)
+
+
+#: coupled_order's cache, one entry per live geometry
+_COUPLED_ORDERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def coupled_order(geom: DomainGeometry) -> np.ndarray:
+    """Fill-reducing elimination order of the coupled unknowns [u on OMEGA; v on OMEGA1].
+
+    The cells follow SuperLU's MMD_AT_PLUS_A order of the cell graph
+    I - lap_omega, and each OMEGA1 cell's v comes right after its u, so a
+    coupled Jacobian's 2x2 cell blocks are eliminated together (George &
+    Liu, SIAM Review 1989). Built at the first call for a geometry, at the
+    cost of one LU of the prey-sized matrix, and cached with it.
+    """
+    order = _COUPLED_ORDERS.get(geom)
+    if order is None:
+        n = geom.n_omega
+        cell_graph = sp.identity(n, format="csr") - geom.lap_omega
+        cells = np.argsort(factor(cell_graph, LinearSolveFailure, "ordering LU failed").perm_c)
+        v_of = np.full(n, -1)
+        v_of[geom.omega1_flat] = n + np.arange(geom.n_omega1)
+        pairs = np.column_stack([cells, v_of[cells]]).ravel()
+        order = _COUPLED_ORDERS[geom] = pairs[pairs >= 0]
+    return order
 
 
 def _face_average(table, x: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from .dynamics import run_to_steady
 from .errors import OutputDirLocked, OutputDirUnusable, RefugiaError
 from .fields import Region, ScalarField, SystemState, constant_state
 from .geometry import build_geometry
-from .operators import assemble_jacobian
+from .operators import assemble_jacobian, coupled_order
 from .report import build_report
 from .spectral import classify_value, leading_eigenvalue
 from .steady import newton_solve, solve_kernel_function
@@ -191,7 +191,7 @@ def _dispatch(cfg: RunConfig, out: Path, stages: _Stages) -> None:
             result = newton_solve(start, cfg.params, cfg.newton, geom)
         with stages.stage("classify"):
             J = assemble_jacobian(cfg.params, result.state.u, result.state.v, geom)
-            ep = leading_eigenvalue(J, geom.coupled_order)
+            ep = leading_eigenvalue(J, coupled_order(geom))
             flag = classify_value(ep.value)
         with stages.stage("write_artifacts"):
             write_state_raster(out / "state_steady.csv", geom, result.state)

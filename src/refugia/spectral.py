@@ -95,8 +95,9 @@ def _candidates(J: sp.csr_matrix, order: np.ndarray | None):
 def leading_eigenvalue(J: sp.spmatrix, order: np.ndarray | None = None) -> EigenPair:
     """Eigenvalue of largest real part among the pairs nearest the shift.
 
-    order is the elimination order of the shift-invert LU: the geometry's
-    coupled_order for a coupled Jacobian, None (SuperLU's own) otherwise.
+    order is the elimination order of the shift-invert LU:
+    operators.coupled_order(geom) for a coupled Jacobian, None (SuperLU's
+    own) otherwise.
     Raises EigenNoConvergence if no returned pair meets the residual contract.
     """
     if J.shape[0] != J.shape[1]:

@@ -21,6 +21,7 @@ from .geometry import DomainGeometry
 from .operators import (
     ModelParams,
     assemble_jacobian,
+    coupled_order,
     factor,
     residual_mu_derivative,
     residual_steady,
@@ -56,9 +57,7 @@ class SteadyResult:
     residual_history: list[float] = field(default_factory=list)
 
 
-def _keller_solver(
-    J, f_mu: np.ndarray, row_x: np.ndarray, row_mu: float, order: np.ndarray | None = None
-):
+def _keller_solver(J, f_mu: np.ndarray, row_x: np.ndarray, row_mu: float, order: np.ndarray):
     """solve(res, con) -> (dx, dmu) for [[J, f_mu], [row_x, row_mu]] (dx, dmu) = -(res, con).
 
     Keller's block elimination over one LU of J, factored in order (see
@@ -96,7 +95,7 @@ def bordered_newton(
     The one Newton for every (state, mu) solve (Keller 1977; Govaerts 2000):
     fixed-mu solves, pseudo-arclength steps and amplitude-pinned solves differ
     only in the constraint row. Updates come from _keller_solver over an LU
-    of J in the geometry's coupled_order, which is kept across iterations
+    of J in coupled_order(geom), which is kept across iterations
     and refactored at the current iterate only when the residual inf-norm
     shrinks by less than CHORD_CONTRACTION. Iterates, the start included,
     are clamped to x >= 0. Returns the state, mu and the residual inf-norm
@@ -123,7 +122,7 @@ def bordered_newton(
         if solve is None or rnorm > CHORD_CONTRACTION * history[-1]:
             J = assemble_jacobian(p_mu, st.u, st.v, geom)
             f_mu = residual_mu_derivative(st.v, geom)
-            solve = _keller_solver(J, f_mu, row_x, row_mu, geom.coupled_order)
+            solve = _keller_solver(J, f_mu, row_x, row_mu, coupled_order(geom))
         history.append(rnorm)
         dx, dmu = solve(res, con)
         if not (np.isfinite(dmu) and np.max(np.abs(dx)) <= 1e12 * (1.0 + np.max(np.abs(x)))):

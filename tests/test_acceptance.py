@@ -24,6 +24,7 @@ from refugia.geometry import GridSpec, RefugeShape, build_geometry
 from refugia.operators import (
     ModelParams,
     assemble_jacobian,
+    coupled_order,
     laplacian_neumann,
     nonlinear_diffusion,
     residual_steady,
@@ -106,7 +107,7 @@ def test_criterion_2_semitrivial_spectrum_oracle(geom64, geom16):
         )
         st = constant_state(geom16, p.lam, 0.0)
         J = assemble_jacobian(p, st.u, st.v, geom16)
-        lead = leading_eigenvalue(J).value
+        lead = leading_eigenvalue(J, coupled_order(geom16)).value
         dense = float(np.max(np.linalg.eigvals(J.toarray()).real))
         worst_dense = max(worst_dense, abs(lead - dense))
     ok = worst <= 1e-8 and worst_dense <= 1e-8

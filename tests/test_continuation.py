@@ -24,6 +24,7 @@ from refugia.geometry import GridSpec, RefugeShape, build_geometry
 from refugia.operators import (
     ModelParams,
     assemble_jacobian,
+    coupled_order,
     residual_mu_derivative,
     residual_steady,
 )
@@ -379,17 +380,18 @@ def test_keller_update_matches_dense_bordered_solve(grid, refuge):
     st = SystemState.from_vector(x, geom.n_omega)
     J = assemble_jacobian(p, st.u, st.v, geom)
     f_mu = residual_mu_derivative(st.v, geom)
+    order = coupled_order(geom)  # the order bordered_newton factors J in
     rng = np.random.default_rng(7)
     row_x, row_mu = rng.normal(size=x.size) / x.size, 0.3
     res, con = residual_steady(p, st.u, st.v, geom), 0.01
 
-    dx, dmu = steady._keller_solver(J, f_mu, row_x, row_mu)(res, con)
+    dx, dmu = steady._keller_solver(J, f_mu, row_x, row_mu, order)(res, con)
     bordered = np.block([[J.toarray(), f_mu[:, None]], [row_x[None, :], np.array([[row_mu]])]])
     expected = np.linalg.solve(bordered, -np.concatenate([res, [con]]))
     got = np.concatenate([dx, [dmu]])
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
-    dx, dmu = steady._keller_solver(J, f_mu, np.zeros(x.size), 1.0)(res, 0.0)
+    dx, dmu = steady._keller_solver(J, f_mu, np.zeros(x.size), 1.0, order)(res, 0.0)
     assert dmu == 0.0
     expected = np.linalg.solve(J.toarray(), -res)
     assert np.linalg.norm(dx - expected) <= 1e-10 * np.linalg.norm(expected)
@@ -435,7 +437,7 @@ def test_failed_lu_of_j_is_no_convergence(params, geom16, monkeypatch):
         raise RuntimeError("Factor is exactly singular")
 
     guess = constant_state(geom16, 0.9, 0.05)
-    geom16.coupled_order  # build the order first: only the LU of J fails here
+    coupled_order(geom16)  # build the order first: only the LU of J fails here
     monkeypatch.setattr(spla, "splu", singular)
     with pytest.raises(NoConvergence, match="LU of J failed") as info:
         solve_at_amplitude(params, geom16, 0.05, 0.95, state_guess=guess)

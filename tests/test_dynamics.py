@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import CENTER_RECT, smooth_positive
-from refugia import dynamics
+from refugia import dynamics, operators
 from refugia.dynamics import TransientConfig, _ImplicitSolver, imex_step, run_to_steady
 from refugia.errors import LinearSolveFailure, StepRejected
 from refugia.fields import Region, ScalarField, SystemState, constant_state
@@ -226,11 +226,11 @@ def test_coexistence_run_solver_counters(geom32, scipy_counters, monkeypatch):
 
 
 def test_transient_run_leaves_the_coupled_order_unbuilt(scipy_counters):
-    """The geometry's ordering LU has the prey matrix's shape, so only the
-    geometry itself shows that a transient run never asked for it."""
+    """The coupled order's ordering LU has the prey matrix's shape, so only
+    the order cache shows that a transient run never asked for it."""
     geom = build_geometry(GridSpec(16, 16), CENTER_RECT)  # fresh: no order cached
     run_to_steady(constant_state(geom, 1.0, 0.05), COEXIST, TransientConfig(max_steps=5), geom)
-    assert "coupled_order" not in vars(geom)
+    assert geom not in operators._COUPLED_ORDERS
     assert scipy_counters.splu_shapes.count((geom.n_omega1,) * 2) == 1
 
 

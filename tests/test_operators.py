@@ -14,6 +14,7 @@ from refugia.operators import (
     PERMC_SPEC,
     ModelParams,
     assemble_jacobian,
+    coupled_order,
     factor,
     laplacian_neumann,
     nonlinear_diffusion,
@@ -292,7 +293,7 @@ def test_every_lu_is_pattern_symmetric_in_symmetric_mode(scipy_counters, tmp_pat
     """factor's SymmetricMode assumes a symmetric pattern: check it on every
     matrix a verify pipeline and a transient run factor, that no call
     loosens partial pivoting, and the orderings: every coupled LU is the
-    NATURAL one of the matrix permuted by the geometry's coupled_order, and
+    NATURAL one of the matrix permuted by coupled_order(geom), and
     every other LU takes SuperLU's minimum-degree order."""
     cfg = parse_config(VERIFY_DISC)
     manifest = run_experiment(cfg, tmp_path)
@@ -304,7 +305,7 @@ def test_every_lu_is_pattern_symmetric_in_symmetric_mode(scipy_counters, tmp_pat
 
     calls = list(scipy_counters.splu_calls)
     # the runner built an equal geometry of its own, and the order is deterministic
-    unpermute = np.argsort(geom.coupled_order)
+    unpermute = np.argsort(coupled_order(geom))
     jacobian = assemble_jacobian(coexist, start.u, start.v, geom).tocsc()
     jacobian.data[:] = 1.0
     n_coupled = 0
@@ -356,7 +357,7 @@ def test_ordered_factor_matches_dense_solve(grid, refuge):
     # the order permutes all unknowns and puts each OMEGA1 cell's v right
     # after its u; the LU factored in it solves the coupled Jacobian
     geom = build_geometry(grid, refuge)
-    order = geom.coupled_order
+    order = coupled_order(geom)
     n = geom.n_omega
     assert np.array_equal(np.sort(order), np.arange(geom.n_unknowns))
     position = np.argsort(order)
@@ -372,7 +373,7 @@ def test_ordered_factor_matches_dense_solve(grid, refuge):
         x = factor(M, SingularJacobian, "ordered test", order).solve(b)
         ref = np.linalg.solve(M.toarray(), b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
-    assert geom.coupled_order is order  # built once per geometry
+    assert coupled_order(geom) is order  # built once per geometry
 
 
 def test_paired_order_fill_is_no_worse_than_minimum_degree(geom32):
@@ -381,5 +382,5 @@ def test_paired_order_fill_is_no_worse_than_minimum_degree(geom32):
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
     point = solve_at_amplitude(p, geom32, 0.1, p.mu)
     J = assemble_jacobian(p.with_mu(point.mu), point.state.u, point.state.v, geom32)
-    paired = factor(J, SingularJacobian, "paired", geom32.coupled_order).lu.nnz
+    paired = factor(J, SingularJacobian, "paired", coupled_order(geom32)).lu.nnz
     assert paired <= factor(J, SingularJacobian, "minimum degree").nnz

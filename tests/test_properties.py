@@ -17,6 +17,7 @@ from refugia.geometry import GridSpec, RefugeShape, build_geometry
 from refugia.operators import (
     ModelParams,
     assemble_jacobian,
+    coupled_order,
     frozen_diffusion_matrix,
     laplacian_neumann,
     nonlinear_diffusion,
@@ -153,7 +154,7 @@ def test_leading_eigenvalue_matches_dense_on_enriched_branches(geom, lam, m_lam,
         mu, state = point.mu, point.state
         assert mu > 0.0
         J = assemble_jacobian(params.with_mu(mu), state.u, state.v, geom)
-        ep = leading_eigenvalue(J)
+        ep = leading_eigenvalue(J, coupled_order(geom))
         dense = np.linalg.eigvals(J.toarray())
         lead = dense[np.argmax(dense.real)]
         assert ep.value == pytest.approx(lead.real, abs=1e-8)

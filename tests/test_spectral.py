@@ -9,7 +9,7 @@ from refugia.continuation import continue_branch, solve_at_amplitude
 from refugia.errors import EigenNoConvergence
 from refugia.fields import Region, ScalarField, SystemState, constant_state
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
-from refugia.operators import ModelParams, assemble_jacobian
+from refugia.operators import ModelParams, assemble_jacobian, coupled_order
 from refugia.spectral import (
     NCV,
     StabilityFlag,
@@ -49,7 +49,7 @@ def test_failed_shift_invert_is_eigen_no_convergence(geom16, monkeypatch):
     # and an ARPACK failure other than non-convergence, all surface as
     # EigenNoConvergence
     J = _semitrivial_jacobian(ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.2), geom16)
-    order = geom16.coupled_order  # built before splu breaks
+    order = coupled_order(geom16)  # built before splu breaks
 
     def arpack_error(*args, **kwargs):
         raise spla.ArpackError(-9999)
@@ -140,7 +140,7 @@ def test_dense_equivalence_on_coexistence_state():
         SystemState.from_vector(np.maximum(x0, 0.0), geom.n_omega), p, NewtonConfig(), geom
     ).state
     J = assemble_jacobian(p, state.u, state.v, geom)
-    ep = leading_eigenvalue(J)
+    ep = leading_eigenvalue(J, coupled_order(geom))
     dense = np.linalg.eigvals(J.toarray())
     assert ep.value == pytest.approx(np.max(dense.real), abs=1e-8)
 
@@ -186,7 +186,7 @@ def test_dense_oracle_along_enriched_branch(grid, refuge):
         point = solve_at_amplitude(ENRICHED, geom, float(amplitude), mu, state_guess=state)
         mu, state = point.mu, point.state
         J = assemble_jacobian(ENRICHED.with_mu(mu), state.u, state.v, geom)
-        ep = leading_eigenvalue(J, geom.coupled_order)
+        ep = leading_eigenvalue(J, coupled_order(geom))
         dense = np.max(np.linalg.eigvals(J.toarray()).real)
         assert ep.value == pytest.approx(dense, abs=1e-8)
         assert ep.residual <= 1e-8
@@ -220,7 +220,7 @@ def test_dense_oracle_inside_hopf_bracket(refuge, bracket):
         params = ENRICHED.with_mu(float(mu))
         state = newton_solve(state, params, NewtonConfig(), geom).state
         J = assemble_jacobian(params, state.u, state.v, geom)
-        ep = leading_eigenvalue(J)
+        ep = leading_eigenvalue(J, coupled_order(geom))
         dense = np.max(np.linalg.eigvals(J.toarray()).real)
         assert ep.value == pytest.approx(dense, abs=1e-8)
         assert ep.complex_pair and ep.residual <= 1e-8
@@ -257,6 +257,6 @@ def test_shift_invert_solve_count(geom32, monkeypatch):
             return self.lu.solve(rhs)
 
     monkeypatch.setattr(spectral, "factor", lambda *args: CountingLU(factor(*args)))
-    ep = leading_eigenvalue(J)
+    ep = leading_eigenvalue(J, coupled_order(geom32))
     assert ep.residual <= 1e-8
     assert len(solves) <= 15

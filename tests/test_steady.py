@@ -5,7 +5,7 @@ from refugia.dynamics import TransientConfig, run_to_steady
 from refugia.errors import LinearSolveFailure, NoConvergence, SingularJacobian
 from refugia.fields import SystemState, constant_state
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
-from refugia.operators import ModelParams, assemble_jacobian
+from refugia.operators import ModelParams, assemble_jacobian, coupled_order
 from refugia.steady import NewtonConfig, newton_solve, solve_kernel_function
 
 CFG = NewtonConfig()
@@ -77,7 +77,7 @@ def test_newton_reuses_its_lu(geom32, scipy_counters, offset):
 
 def test_failed_factorization_raises_singular_jacobian(geom16, monkeypatch):
     # the error contract: a failing LU of J (factored in the geometry's
-    # coupled_order) surfaces as SingularJacobian, a NoConvergence
+    # coupled order) surfaces as SingularJacobian, a NoConvergence
     # (continuation halves its step on it), and a failing kernel-function LU
     # as LinearSolveFailure
     import scipy.sparse.linalg as spla
@@ -85,7 +85,7 @@ def test_failed_factorization_raises_singular_jacobian(geom16, monkeypatch):
     def broken_splu(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    geom16.coupled_order  # build the order first: only the LU of J fails here
+    coupled_order(geom16)  # build the order first: only the LU of J fails here
     monkeypatch.setattr(spla, "splu", broken_splu)
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
     x0 = constant_state(geom16, 1.0, 0.0).as_vector()
