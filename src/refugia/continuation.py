@@ -68,6 +68,7 @@ class BranchPoint:
     residual_norm: float
     eigen_residual: float = float("nan")
     complex_pair: bool = False
+    corrector_iters: int = 0  # chord iterations of the solve that produced the point
 
 
 @dataclass
@@ -189,10 +190,10 @@ def _point_from_state(
     s: float,
     params: ModelParams,
     geom: DomainGeometry,
-    residual_norm: float,
+    history: list[float],
 ) -> BranchPoint:
-    """Branch point at a converged state; residual_norm is the inf-norm of the
-    steady residual the solver already evaluated there."""
+    """Branch point at a converged state; history is the residual inf-norm of
+    every iterate of the solve that reached it, the last at the state."""
     J = assemble_jacobian(params.with_mu(mu), state.u, state.v, geom)
     ep = leading_eigenvalue(J, coupled_order(geom))
     return BranchPoint(
@@ -202,9 +203,10 @@ def _point_from_state(
         amplitude=amplitude_of(state),
         gamma=ep.value,
         flag=classify_value(ep.value),
-        residual_norm=residual_norm,
+        residual_norm=history[-1],
         eigen_residual=ep.residual,
         complex_pair=ep.complex_pair,
+        corrector_iters=len(history) - 1,
     )
 
 
@@ -236,7 +238,7 @@ def branch_switch(
         return solve_at_amplitude(params, geom, s0, mu_star, tangent=kt, newton_cfg=cfg)
     dx = result.state.as_vector() - constant_state(geom, params.lam, 0.0).as_vector()
     s_init = float(np.sqrt(np.mean(dx**2) + (mu_sw - mu_star) ** 2))
-    return _point_from_state(result.state, mu_sw, s_init, params, geom, result.residual_norm)
+    return _point_from_state(result.state, mu_sw, s_init, params, geom, result.residual_history)
 
 
 def _metric_norm(dx: np.ndarray, dmu: float) -> float:
@@ -259,12 +261,15 @@ def continue_branch(
     direction is the initial tangent guess, a pair (dx, dmu) with dx an array
     over the unknowns or None for a pure-mu direction. Subsequent tangents are
     secants through the last two points. The corrector meets
-    newton_cfg.tol_residual within newton_cfg.max_iter iterations. The step
-    halves on corrector failure, and when the corrected point lies farther
-    than MAX_STEP_RATIO*ds from the last one (the arclength hyperplane can
-    cross another branch), down to ds/MIN_DS_FACTOR, after which
-    ContinuationStalled is raised; it carries the branch of the points
-    accepted so far.
+    newton_cfg.tol_residual within newton_cfg.max_iter iterations, and each
+    accepted step hands its LU of J to the next step's corrector as the
+    chord matrix (see bordered_newton), so J is refactored only where the
+    chord stops contracting. The step halves on corrector failure, and when
+    the corrected point lies farther than MAX_STEP_RATIO*ds from the last
+    one (the arclength hyperplane can cross another branch), down to
+    ds/MIN_DS_FACTOR, after which ContinuationStalled is raised; it carries
+    the branch of the points accepted so far. A halved retry starts from a
+    fresh LU.
     """
     cfg = newton_cfg or NewtonConfig()
     n = geom.n_unknowns
@@ -279,6 +284,7 @@ def continue_branch(
     y_x = start.state.as_vector()
     y_mu = start.mu
     s_accum = start.s
+    lu = None  # the corrector's LU of J, carried from step to step
     for _ in range(n_steps):
         if amplitude_cap is not None and points[-1].amplitude >= amplitude_cap:
             break
@@ -288,9 +294,9 @@ def continue_branch(
         at_y = float(row_x @ y_x) + t_mu * y_mu
         while True:
             try:
-                state_new, mu_new, history = bordered_newton(
+                state_new, mu_new, history, lu = bordered_newton(
                     y_x + ds_cur * t_x, y_mu + ds_cur * t_mu, row_x, t_mu, at_y + ds_cur,
-                    params, geom, cfg,
+                    params, geom, cfg, lu=lu,
                 )
                 x_new = state_new.as_vector()
                 jump = _metric_norm(x_new - y_x, mu_new - y_mu)
@@ -298,6 +304,7 @@ def continue_branch(
                     raise NoConvergence(f"corrected point lies {jump / ds_cur:.3g} steps away")
                 break
             except NoConvergence as exc:
+                lu = None  # the retry starts from a fresh LU
                 ds_cur *= 0.5
                 if ds_cur < ds / MIN_DS_FACTOR:
                     raise ContinuationStalled(
@@ -306,7 +313,7 @@ def continue_branch(
                         Branch(label, points, params, geom),
                     ) from exc
         s_accum += ds_cur
-        points.append(_point_from_state(state_new, mu_new, s_accum, params, geom, history[-1]))
+        points.append(_point_from_state(state_new, mu_new, s_accum, params, geom, history))
 
         sec_x, sec_mu = x_new - y_x, mu_new - y_mu
         sec_nrm = _metric_norm(sec_x, sec_mu)
@@ -342,8 +349,8 @@ def solve_at_amplitude(
         x = state_guess.as_vector()
     n1 = geom.n_omega1
     row_x = np.concatenate([np.zeros(geom.n_omega), np.full(n1, 1.0 / n1)])
-    state, mu, history = bordered_newton(x, mu_guess, row_x, 0.0, amplitude, params, geom, cfg)
-    return _point_from_state(state, mu, amplitude, params, geom, history[-1])
+    state, mu, history, _ = bordered_newton(x, mu_guess, row_x, 0.0, amplitude, params, geom, cfg)
+    return _point_from_state(state, mu, amplitude, params, geom, history)
 
 
 @dataclass

@@ -34,13 +34,14 @@ def write_state_raster(path, geom: DomainGeometry, state: SystemState) -> None:
 def write_branch_csv(path, branch: Branch) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
-            "label,index,mu,amplitude,s,gamma,flag,residual_norm,eigen_residual,complex_pair\n"
+            "label,index,mu,amplitude,s,gamma,flag,residual_norm,eigen_residual,complex_pair,"
+            "corrector_iters\n"
         )
         for idx, p in enumerate(branch.points):
             fh.write(
                 f"{branch.label.value},{idx},{_f(p.mu)},{_f(p.amplitude)},"
                 f"{_f(p.s)},{_f(p.gamma)},{p.flag.value},{_f(p.residual_norm)},"
-                f"{_f(p.eigen_residual)},{int(p.complex_pair)}\n"
+                f"{_f(p.eigen_residual)},{int(p.complex_pair)},{p.corrector_iters}\n"
             )
 
 

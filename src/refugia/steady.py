@@ -20,6 +20,7 @@ from .fields import Region, ScalarField, SystemState
 from .geometry import DomainGeometry
 from .operators import (
     ModelParams,
+    OrderedLU,
     assemble_jacobian,
     coupled_order,
     factor,
@@ -57,16 +58,14 @@ class SteadyResult:
     residual_history: list[float] = field(default_factory=list)
 
 
-def _keller_solver(J, f_mu: np.ndarray, row_x: np.ndarray, row_mu: float, order: np.ndarray):
+def _keller_solver(lu: OrderedLU, f_mu: np.ndarray, row_x: np.ndarray, row_mu: float):
     """solve(res, con) -> (dx, dmu) for [[J, f_mu], [row_x, row_mu]] (dx, dmu) = -(res, con).
 
-    Keller's block elimination over one LU of J, factored in order (see
-    operators.factor): J b = f_mu, J a = -res,
-    dmu = (-con - row_x.a) / (row_mu - row_x.b), dx = a - b*dmu. Raises
-    SingularJacobian when J cannot be factored and NoConvergence when the
-    Schur scalar row_mu - row_x.b is zero or non-finite.
+    Keller's block elimination over lu, an LU of J (see operators.factor):
+    J b = f_mu, J a = -res, dmu = (-con - row_x.a) / (row_mu - row_x.b),
+    dx = a - b*dmu. Raises NoConvergence when the Schur scalar
+    row_mu - row_x.b is zero or non-finite.
     """
-    lu = factor(J, SingularJacobian, "bordered Newton: LU of J failed", order)
     b = lu.solve(f_mu)
     schur = row_mu - float(row_x @ b)
     if not (np.isfinite(schur) and schur != 0.0):
@@ -89,17 +88,23 @@ def bordered_newton(
     params: ModelParams,
     geom: DomainGeometry,
     cfg: NewtonConfig,
-) -> tuple[SystemState, float, list[float]]:
+    lu: OrderedLU | None = None,
+) -> tuple[SystemState, float, list[float], OrderedLU | None]:
     """Chord Newton on [steady residual; row_x.x + row_mu*mu - target] over (x, mu).
 
     The one Newton for every (state, mu) solve (Keller 1977; Govaerts 2000):
     fixed-mu solves, pseudo-arclength steps and amplitude-pinned solves differ
     only in the constraint row. Updates come from _keller_solver over an LU
-    of J in coupled_order(geom), which is kept across iterations
-    and refactored at the current iterate only when the residual inf-norm
-    shrinks by less than CHORD_CONTRACTION. Iterates, the start included,
-    are clamped to x >= 0. Returns the state, mu and the residual inf-norm
-    of every iterate, the last at the returned point. At most cfg.max_iter
+    of J in coupled_order(geom), which is kept across iterations and
+    refactored at the current iterate only when the residual inf-norm
+    shrinks by less than CHORD_CONTRACTION. lu, an LU of J at an earlier
+    point (continuation passes the one its last step finished with), serves
+    as the chord matrix from the start; until it is refactored the solve
+    returns only when two successive residuals meet cfg.tol_residual, since
+    a stale chord contracts slowly and may stop just under the tolerance.
+    Iterates, the start included, are clamped to x >= 0. Returns the state,
+    mu, the residual inf-norm of every iterate, the last at the returned
+    point, and the LU the solve finished with. At most cfg.max_iter
     residuals are evaluated.
     Raises SingularJacobian when J cannot be factored or an update is
     non-finite or blows up, and NoConvergence when a mu iterate leaves
@@ -109,6 +114,7 @@ def bordered_newton(
     con_tol = CONSTRAINT_TOL * max(1.0, abs(target))
     history: list[float] = []
     solve = None
+    carried = lu is not None
     for _ in range(cfg.max_iter):
         if not mu >= 0.0:
             raise NoConvergence(f"bordered Newton: mu iterate {mu:.6g} is negative")
@@ -118,11 +124,15 @@ def bordered_newton(
         rnorm = float(np.max(np.abs(res)))
         con = float(row_x @ x) + row_mu * mu - target
         if rnorm <= cfg.tol_residual and abs(con) <= con_tol:
-            return st, mu, history + [rnorm]
+            if not carried or (history and history[-1] <= cfg.tol_residual):
+                return st, mu, history + [rnorm], lu
         if solve is None or rnorm > CHORD_CONTRACTION * history[-1]:
-            J = assemble_jacobian(p_mu, st.u, st.v, geom)
-            f_mu = residual_mu_derivative(st.v, geom)
-            solve = _keller_solver(J, f_mu, row_x, row_mu, coupled_order(geom))
+            if lu is None or solve is not None:  # a carried LU serves the first update
+                J = assemble_jacobian(p_mu, st.u, st.v, geom)
+                lu = factor(J, SingularJacobian, "bordered Newton: LU of J failed",
+                            coupled_order(geom))
+                carried = False
+            solve = _keller_solver(lu, residual_mu_derivative(st.v, geom), row_x, row_mu)
         history.append(rnorm)
         dx, dmu = solve(res, con)
         if not (np.isfinite(dmu) and np.max(np.abs(dx)) <= 1e12 * (1.0 + np.max(np.abs(x)))):
@@ -148,7 +158,7 @@ def newton_solve(
     bifurcation point treat as a proximity signal.
     """
     x0 = state0.as_vector()
-    state, _, history = bordered_newton(
+    state, _, history, _ = bordered_newton(
         x0, params.mu, np.zeros_like(x0), 1.0, params.mu, params, geom, cfg
     )
     return SteadyResult(state, len(history) - 1, history[-1], history)

@@ -18,6 +18,7 @@ from refugia.errors import (
     NoConvergence,
     NoCrossing,
     RefugiaError,
+    SingularJacobian,
 )
 from refugia.fields import SystemState, constant_state
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
@@ -25,6 +26,7 @@ from refugia.operators import (
     ModelParams,
     assemble_jacobian,
     coupled_order,
+    factor,
     residual_mu_derivative,
     residual_steady,
 )
@@ -59,6 +61,12 @@ def nontrivial(switch_point, mu_star, params, geom32):
     return continue_branch(
         switch_point, direction, n_steps=14, ds=0.025, params=params, geom=geom32
     )
+
+
+def _switch_direction(point, mu_star, params, geom):
+    """continue_branch's initial tangent guess from a branch_switch point, as the runner makes it."""
+    base = constant_state(geom, params.lam, 0.0).as_vector()
+    return point.state.as_vector() - base, point.mu - mu_star
 
 
 def test_semitrivial_trace_gammas(semi):
@@ -380,18 +388,18 @@ def test_keller_update_matches_dense_bordered_solve(grid, refuge):
     st = SystemState.from_vector(x, geom.n_omega)
     J = assemble_jacobian(p, st.u, st.v, geom)
     f_mu = residual_mu_derivative(st.v, geom)
-    order = coupled_order(geom)  # the order bordered_newton factors J in
+    lu = factor(J, SingularJacobian, "test", coupled_order(geom))  # as bordered_newton does
     rng = np.random.default_rng(7)
     row_x, row_mu = rng.normal(size=x.size) / x.size, 0.3
     res, con = residual_steady(p, st.u, st.v, geom), 0.01
 
-    dx, dmu = steady._keller_solver(J, f_mu, row_x, row_mu, order)(res, con)
+    dx, dmu = steady._keller_solver(lu, f_mu, row_x, row_mu)(res, con)
     bordered = np.block([[J.toarray(), f_mu[:, None]], [row_x[None, :], np.array([[row_mu]])]])
     expected = np.linalg.solve(bordered, -np.concatenate([res, [con]]))
     got = np.concatenate([dx, [dmu]])
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
-    dx, dmu = steady._keller_solver(J, f_mu, np.zeros(x.size), 1.0, order)(res, 0.0)
+    dx, dmu = steady._keller_solver(lu, f_mu, np.zeros(x.size), 1.0)(res, 0.0)
     assert dmu == 0.0
     expected = np.linalg.solve(J.toarray(), -res)
     assert np.linalg.norm(dx - expected) <= 1e-10 * np.linalg.norm(expected)
@@ -400,13 +408,17 @@ def test_keller_update_matches_dense_bordered_solve(grid, refuge):
 def test_corrector_factors_only_j_once_per_step(
     switch_point, mu_star, params, geom32, scipy_counters, monkeypatch
 ):
-    # the corrector factors J, never the (n+1)x(n+1) bordered matrix, and on
-    # the standard branch one LU serves a whole step (chord iteration); the
-    # one LU per point inside leading_eigenvalue is counted apart
+    # the corrector factors J, never the (n+1)x(n+1) bordered matrix, and
+    # each step hands its LU of J to the next as the chord matrix, so one or
+    # two LUs serve all six steps (one per step without the carry); the one
+    # LU per point inside leading_eigenvalue is counted apart. A solve that
+    # ends on a carried LU stops only when two successive residuals meet the
+    # tolerance, since the stale chord contracts slowly
     import refugia.continuation as cont
 
     eigen_lus = []
-    leading = cont.leading_eigenvalue
+    solves = []  # (ran on a carried LU alone, residual history) per corrector call
+    leading, corrector = cont.leading_eigenvalue, cont.bordered_newton
 
     def counted_leading(J, *args, **kwargs):
         before = len(scipy_counters.splu_shapes)
@@ -414,20 +426,31 @@ def test_corrector_factors_only_j_once_per_step(
         eigen_lus.append(len(scipy_counters.splu_shapes) - before)
         return ep
 
+    def spy(*args, lu=None):
+        before = len(scipy_counters.splu_shapes)
+        out = corrector(*args, lu=lu)
+        solves.append((lu is not None and len(scipy_counters.splu_shapes) == before, out[2]))
+        return out
+
     monkeypatch.setattr(cont, "leading_eigenvalue", counted_leading)
+    monkeypatch.setattr(cont, "bordered_newton", spy)
     n = geom32.n_unknowns
-    base = constant_state(geom32, params.lam, 0.0).as_vector()
-    direction = (switch_point.state.as_vector() - base, switch_point.mu - mu_star)
     scipy_counters.splu_shapes.clear()
     branch = continue_branch(
-        switch_point, direction, n_steps=6, ds=0.025, params=params, geom=geom32
+        switch_point, _switch_direction(switch_point, mu_star, params, geom32),
+        n_steps=6, ds=0.025, params=params, geom=geom32,
     )
     steps = len(branch.points) - 1
     assert steps == 6
     shapes = scipy_counters.splu_shapes
     assert (n + 1, n + 1) not in shapes
     assert set(shapes) == {(n, n)}
-    assert len(shapes) - sum(eigen_lus) <= steps
+    assert 1 <= len(shapes) - sum(eigen_lus) <= 2
+    carried = [h for on_carried, h in solves if on_carried]
+    assert len(carried) >= 4
+    tol = NewtonConfig().tol_residual
+    assert all(h[-2] <= tol and h[-1] <= tol for h in carried)
+    assert [p.corrector_iters for p in branch.points[1:]] == [len(h) - 1 for _, h in solves]
 
 
 def test_failed_lu_of_j_is_no_convergence(params, geom16, monkeypatch):
@@ -490,3 +513,106 @@ def test_continuation_does_not_jump_off_the_branch():
             np.mean((b.state.as_vector() - a.state.as_vector()) ** 2) + (b.mu - a.mu) ** 2
         )
         assert dist <= 2.0 * (b.s - a.s)
+
+
+@pytest.fixture
+def corrector_lus(monkeypatch):
+    """Every LU bordered_newton makes, one entry per call of steady.factor."""
+    import refugia.steady as steady
+
+    calls = []
+    factor_ = steady.factor
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return factor_(*args, **kwargs)
+
+    monkeypatch.setattr(steady, "factor", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "grid,refuge",
+    [
+        (GridSpec(32, 32), RefugeShape.rectangle((0.5, 0.5), (0.125, 0.125))),
+        (GridSpec(14, 10, lx=1.4), RefugeShape.disc((0.6, 0.45), 0.2)),
+        (GridSpec(16, 16), RefugeShape.empty()),
+    ],
+    ids=["centred-square-32", "off-centre-disc", "no-refuge"],
+)
+def test_carried_lu_branch_matches_fresh_lu_branch(
+    grid, refuge, params, corrector_lus, monkeypatch
+):
+    # the branch continued on carried LUs against the same branch with a
+    # fresh LU at every step; the carry must save LUs and move no point
+    import refugia.continuation as cont
+
+    geom = build_geometry(grid, refuge)
+    mu_star = detect_transcritical(trace_semitrivial(params, (0.8, 1.2), 9, geom))
+    start = branch_switch(mu_star, params, geom, s0=0.05)
+    direction = _switch_direction(start, mu_star, params, geom)
+    corrector_lus.clear()
+    carried = continue_branch(start, direction, n_steps=12, ds=0.025, params=params, geom=geom)
+    n_carried = len(corrector_lus)
+
+    corrector = cont.bordered_newton
+    monkeypatch.setattr(cont, "bordered_newton", lambda *args, lu=None: corrector(*args))
+    corrector_lus.clear()
+    fresh = continue_branch(start, direction, n_steps=12, ds=0.025, params=params, geom=geom)
+    assert len(fresh.points) == len(carried.points) == 13
+    assert n_carried < len(corrector_lus)
+    assert np.max(np.abs(carried.mus() - fresh.mus())) <= 1e-9
+    assert np.max(np.abs(carried.gammas() - fresh.gammas())) <= 1e-8
+
+
+def test_corrector_refactors_a_stale_lu(corrector_lus):
+    # the LU from the start of the 12x12 enriched branch (amplitude 0.2),
+    # handed to an amplitude-pinned solve far along it (amplitude 3): the
+    # chord stops contracting, the corrector refactors, and it lands on the
+    # point a fresh-LU solve finds
+    import refugia.steady as steady
+
+    p = ModelParams(lam=4.0, m=2.0, c=2.0, b=1.0, mu=8.0 / 9.0)
+    geom = build_geometry(GridSpec(12, 12), RefugeShape.rectangle((0.5, 0.5), (0.125, 0.125)))
+    direction = steady.solve_kernel_function(p, geom).direction(geom)
+    base = constant_state(geom, p.lam, 0.0).as_vector()
+    n1 = geom.n_omega1
+    row_x = np.concatenate([np.zeros(geom.n_omega), np.full(n1, 1.0 / n1)])
+    cfg = NewtonConfig()
+    _, mu0, _, stale = steady.bordered_newton(
+        base + 0.2 * direction, 8.0 / 9.0, row_x, 0.0, 0.2, p, geom, cfg
+    )
+    x = base + 3.0 * direction
+    corrector_lus.clear()
+    st, mu, _, lu = steady.bordered_newton(x, mu0, row_x, 0.0, 3.0, p, geom, cfg, lu=stale)
+    assert len(corrector_lus) >= 1
+    assert lu is not stale
+    st_ref, mu_ref, _, _ = steady.bordered_newton(x, mu0, row_x, 0.0, 3.0, p, geom, cfg)
+    assert np.max(np.abs(st.as_vector() - st_ref.as_vector())) <= 1e-10
+    assert abs(mu - mu_ref) <= 1e-10
+
+
+def test_retried_step_starts_from_a_fresh_lu(switch_point, mu_star, params, geom32, monkeypatch):
+    # one corrector failure (the third step's first attempt): the halved
+    # retry gets no LU, and the steps around it get the carried one
+    import refugia.continuation as cont
+
+    corrector = cont.bordered_newton
+    handed = []
+
+    def failing_once(*args, lu=None):
+        handed.append(lu)
+        if len(handed) == 3:
+            raise NoConvergence("injected corrector failure")
+        return corrector(*args, lu=lu)
+
+    monkeypatch.setattr(cont, "bordered_newton", failing_once)
+    branch = continue_branch(
+        switch_point, _switch_direction(switch_point, mu_star, params, geom32),
+        n_steps=4, ds=0.025, params=params, geom=geom32,
+    )
+    assert len(branch.points) == 5
+    assert branch.points[3].s - branch.points[2].s == pytest.approx(0.0125)
+    assert len(handed) == 5
+    assert handed[0] is None and handed[3] is None
+    assert all(lu is not None for lu in (handed[1], handed[2], handed[4]))

@@ -1,7 +1,9 @@
+import csv
 import hashlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -142,8 +144,46 @@ def test_bifurcate_run_deterministic(tmp_path):
     assert "diagram.svg" in d1
     header = (tmp_path / "a" / "branch_nontrivial.csv").read_text().splitlines()[0]
     assert header == (
-        "label,index,mu,amplitude,s,gamma,flag,residual_norm,eigen_residual,complex_pair"
+        "label,index,mu,amplitude,s,gamma,flag,residual_norm,eigen_residual,complex_pair,"
+        "corrector_iters"
     )
+
+
+#: the benchmark's verify-64 case with the default continuation settings;
+#: its coexistence branch does not depend on the mu samples of the
+#: predator-free line, which the benchmark shifts per seed
+VERIFY_64 = """
+experiment.kind = verify
+geometry.nx = 64
+geometry.ny = 64
+geometry.refuge.kind = rectangle
+geometry.refuge.center_x = 0.5
+geometry.refuge.center_y = 0.5
+geometry.refuge.half_width_x = 0.125
+geometry.refuge.half_width_y = 0.125
+params.lambda = 1.0
+params.m = 1.0
+params.c = 2.0
+params.b = 1.0
+params.mu_min = 0.8
+params.mu_max = 1.2
+params.mu_points = 9
+"""
+REFERENCE_64 = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify-64.csv"
+
+
+def test_verify_64_branch_meets_the_benchmark_reference(tmp_path):
+    # the benchmark's correctness gate: mu to 1e-9, gamma to 1e-8
+    cfg = parse_config(VERIFY_64)
+    assert (cfg.grid.nx, cfg.grid.ny, cfg.continuation) == (64, 64, ContinuationSettings())
+    assert run_experiment(cfg, out_dir=tmp_path).exit_ok
+    with open(tmp_path / "branch_nontrivial.csv", newline="", encoding="utf-8") as fh:
+        got = [(float(r["mu"]), float(r["gamma"])) for r in csv.DictReader(fh)]
+    with open(REFERENCE_64, newline="", encoding="utf-8") as fh:
+        ref = [(float(r["mu"]), float(r["gamma"])) for r in csv.DictReader(fh)]
+    assert len(got) == len(ref) == 25
+    assert max(abs(a[0] - b[0]) for a, b in zip(got, ref)) <= 1e-9
+    assert max(abs(a[1] - b[1]) for a, b in zip(got, ref)) <= 1e-8
 
 
 def test_continue_kind_stops_after_branch(tmp_path):
