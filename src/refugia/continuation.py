@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ContinuationStalled, NoConvergence, NoCrossing
 from .fields import SystemState, constant_state
 from .geometry import DomainGeometry
-from .operators import ModelParams, assemble_jacobian, coupled_order
+from .operators import ModelParams, assemble_jacobian, coupled_order, split
 from .spectral import EigenPair, StabilityFlag, classify_value, leading_eigenvalue
 from .steady import (
     KernelTangent,
@@ -106,8 +106,8 @@ def _semitrivial_blocks(
     at mu is the v-block at mu = 0 minus mu*I, so the two pairs give the
     leading eigenvalue max(g_u, g_v0 - mu) for every mu.
     """
-    st = constant_state(geom, params.lam, 0.0)
-    J = assemble_jacobian(params.with_mu(0.0), st.u, st.v, geom).tocsr()
+    x = constant_state(geom, params.lam, 0.0).as_vector()
+    J = assemble_jacobian(params.with_mu(0.0), x, geom).tocsr()
     n = geom.n_omega
     return leading_eigenvalue(J[:n, :n]), leading_eigenvalue(J[n:, n:])
 
@@ -185,17 +185,18 @@ def detect_transcritical(branch: Branch) -> float:
 
 
 def _point_from_state(
-    state: SystemState,
+    x: np.ndarray,
     mu: float,
     s: float,
     params: ModelParams,
     geom: DomainGeometry,
     history: list[float],
 ) -> BranchPoint:
-    """Branch point at a converged state; history is the residual inf-norm of
-    every iterate of the solve that reached it, the last at the state."""
-    J = assemble_jacobian(params.with_mu(mu), state.u, state.v, geom)
+    """Branch point at a converged state x = [u; v]; history is the residual
+    inf-norm of every iterate of the solve that reached it, the last at x."""
+    J = assemble_jacobian(params.with_mu(mu), x, geom)
     ep = leading_eigenvalue(J, coupled_order(geom))
+    state = SystemState.from_vector(x, geom.n_omega)
     return BranchPoint(
         mu=mu,
         state=state,
@@ -231,14 +232,14 @@ def branch_switch(
     cfg = newton_cfg or NewtonConfig()
     mu_sw = mu_star - DELTA_SWITCH_FRACTION * mu_star
     kt = tangent if tangent is not None else solve_kernel_function(params, geom)
-    x0 = constant_state(geom, params.lam, 0.0).as_vector() + s0 * kt.direction(geom)
-    predictor = SystemState.from_vector(x0, geom.n_omega)
+    base = constant_state(geom, params.lam, 0.0).as_vector()
+    predictor = SystemState.from_vector(base + s0 * kt.direction(geom), geom.n_omega)
     result = newton_solve(predictor, params.with_mu(mu_sw), cfg, geom)
     if amplitude_of(result.state) < s0 / 10.0:
         return solve_at_amplitude(params, geom, s0, mu_star, tangent=kt, newton_cfg=cfg)
-    dx = result.state.as_vector() - constant_state(geom, params.lam, 0.0).as_vector()
-    s_init = float(np.sqrt(np.mean(dx**2) + (mu_sw - mu_star) ** 2))
-    return _point_from_state(result.state, mu_sw, s_init, params, geom, result.residual_history)
+    x = result.state.as_vector()
+    s_init = _metric_norm(x - base, mu_sw - mu_star)
+    return _point_from_state(x, mu_sw, s_init, params, geom, result.residual_history)
 
 
 def _metric_norm(dx: np.ndarray, dmu: float) -> float:
@@ -294,11 +295,10 @@ def continue_branch(
         at_y = float(row_x @ y_x) + t_mu * y_mu
         while True:
             try:
-                state_new, mu_new, history, lu = bordered_newton(
+                x_new, mu_new, history, lu = bordered_newton(
                     y_x + ds_cur * t_x, y_mu + ds_cur * t_mu, row_x, t_mu, at_y + ds_cur,
                     params, geom, cfg, lu=lu,
                 )
-                x_new = state_new.as_vector()
                 jump = _metric_norm(x_new - y_x, mu_new - y_mu)
                 if jump > MAX_STEP_RATIO * ds_cur:
                     raise NoConvergence(f"corrected point lies {jump / ds_cur:.3g} steps away")
@@ -313,7 +313,7 @@ def continue_branch(
                         Branch(label, points, params, geom),
                     ) from exc
         s_accum += ds_cur
-        points.append(_point_from_state(state_new, mu_new, s_accum, params, geom, history))
+        points.append(_point_from_state(x_new, mu_new, s_accum, params, geom, history))
 
         sec_x, sec_mu = x_new - y_x, mu_new - y_mu
         sec_nrm = _metric_norm(sec_x, sec_mu)
@@ -347,10 +347,10 @@ def solve_at_amplitude(
         x = constant_state(geom, params.lam, 0.0).as_vector() + amplitude * kt.direction(geom)
     else:
         x = state_guess.as_vector()
-    n1 = geom.n_omega1
-    row_x = np.concatenate([np.zeros(geom.n_omega), np.full(n1, 1.0 / n1)])
-    state, mu, history, _ = bordered_newton(x, mu_guess, row_x, 0.0, amplitude, params, geom, cfg)
-    return _point_from_state(state, mu, amplitude, params, geom, history)
+    row_x = np.zeros(geom.n_unknowns)
+    split(row_x, geom)[1][:] = 1.0 / geom.n_omega1
+    x, mu, history, _ = bordered_newton(x, mu_guess, row_x, 0.0, amplitude, params, geom, cfg)
+    return _point_from_state(x, mu, amplitude, params, geom, history)
 
 
 @dataclass

@@ -7,7 +7,7 @@ attractor is consumed, as independent evidence for the stability assignments
 made by the eigenvalue machinery.
 
 Steps are taken in increment (delta) form over the one right-hand side
-F = rhs_transient(u, v) per state, which also gives the rate history:
+F = rhs_transient(x) per state x = [u; v], which also gives the rate history:
 u_new = u + (I - dt*d_u*A(u))^-1 (dt*F_u), v_new = v + (I - dt*d_v*L)^-1 (dt*F_v).
 As A(u)*u = div(u grad u) on the grid, this is the frozen-coefficient step.
 The predator matrix is constant, so it is factored once. The prey operator
@@ -31,9 +31,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import LinearSolveFailure, StepRejected
-from .fields import Region, ScalarField, SystemState
+from .fields import SystemState
 from .geometry import DomainGeometry
-from .operators import ModelParams, factor, frozen_diffusion, frozen_diffusion_matrix, rhs_transient
+from .operators import (ModelParams, factor, frozen_diffusion, frozen_diffusion_matrix,
+                        rhs_transient, split)
 
 #: post-solve values below this reject the step (dt too large)
 REJECT_BELOW = -1e-8
@@ -87,8 +88,8 @@ class _ImplicitSolver:
         self.precond_u = None  # solve with the LU of a lagged prey matrix, built on first use
         self.history = deque(maxlen=HISTORY)  # (du, dt*rate_u) of the latest prey solves
 
-    def advance(self, state: SystemState, rate_u: ScalarField, rate_v: ScalarField) -> SystemState:
-        """The step from state driven by its rates (rate_u, rate_v) = rhs_transient(state).
+    def advance(self, x: np.ndarray, rate: np.ndarray) -> np.ndarray:
+        """The step from x = [u; v] driven by its rates [rate_u; rate_v] = rhs_transient(x).
 
         The prey increment solves (I - dt*d_u*A(u)) du = b = dt*rate_u by CG to an
         unpreconditioned residual of CG_RTOL*||u||_2, started from X c: the
@@ -96,7 +97,7 @@ class _ImplicitSolver:
         HISTORY solves, and c minimises ||B c - b||_2 (zero before the first
         solve). A start that already meets the tolerance takes no iteration.
         """
-        u, v = state.u.values, state.v.values
+        (u, v), (rate_u, rate_v) = split(x, self.geom), split(rate, self.geom)
         n, s = u.size, self.prey_scale
         if self.precond_u is None:
             lagged = sp.identity(n, format="csr") - s * frozen_diffusion_matrix(u, self.geom)
@@ -110,7 +111,7 @@ class _ImplicitSolver:
             nonlocal iters
             iters += 1
 
-        b = self.dt * rate_u.values
+        b = self.dt * rate_u
         x0 = None
         if self.history:
             X, B = (np.column_stack(cols) for cols in zip(*self.history))
@@ -123,11 +124,8 @@ class _ImplicitSolver:
         self.history.append((du, b))
         if iters > REFACTOR_ITERS:
             self.precond_u = None
-        dv = self.lu_v.solve(self.dt * rate_v.values)
-        return SystemState(
-            ScalarField(_clamp_step(u + du, "prey"), Region.OMEGA),
-            ScalarField(_clamp_step(v + dv, "predator"), Region.OMEGA1),
-        )
+        dv = self.lu_v.solve(self.dt * rate_v)
+        return np.concatenate([_clamp_step(u + du, "prey"), _clamp_step(v + dv, "predator")])
 
 
 def _clamp_step(values: np.ndarray, what: str) -> np.ndarray:
@@ -140,12 +138,12 @@ def _clamp_step(values: np.ndarray, what: str) -> np.ndarray:
 
 
 def imex_step(
-    state: SystemState,
+    x: np.ndarray,
     params: ModelParams,
     dt: float,
     geom: DomainGeometry,
     _solver: _ImplicitSolver | None = None,
-) -> SystemState:
+) -> np.ndarray:
     """One IMEX step: implicit frozen-coefficient diffusion, explicit reaction.
 
     _solver carries the factorizations between steps with the same geom,
@@ -153,7 +151,7 @@ def imex_step(
     """
     if _solver is None:
         _solver = _ImplicitSolver(geom, params, dt)
-    return _solver.advance(state, *rhs_transient(params, state.u, state.v, geom))
+    return _solver.advance(x, rhs_transient(params, x, geom))
 
 
 def run_to_steady(
@@ -169,18 +167,19 @@ def run_to_steady(
     Non-convergence within the horizon is a flag, not an error; callers
     inspect the rate history.
     """
-    state = state0
+    x = state0.as_vector()
     solver = _ImplicitSolver(geom, params, cfg.dt)
     rows = []
     t = 0.0
     steps = 0
     while True:
-        rate_u, rate_v = rhs_transient(params, state.u, state.v, geom)
-        du_n, dv_n = rate_u.inf_norm, rate_v.inf_norm
-        rows.append((t, state.u.inf_norm, state.v.inf_norm, du_n, dv_n))
-        converged = max(du_n, dv_n) <= cfg.steady_tol
+        rate = rhs_transient(params, x, geom)
+        norms = [float(np.max(np.abs(f))) for f in (*split(x, geom), *split(rate, geom))]
+        rows.append((t, *norms))
+        converged = max(norms[2:]) <= cfg.steady_tol
         if converged or steps >= cfg.max_steps or t >= cfg.t_end - 1e-12:
+            state = SystemState.from_vector(x, geom.n_omega)
             return TransientResult(state, converged, np.array(rows), t, steps)
-        state = solver.advance(state, rate_u, rate_v)
+        x = solver.advance(x, rate)
         steps += 1
         t = steps * cfg.dt

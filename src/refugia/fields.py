@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import RegionMismatch
+
 
 class Region(enum.Enum):
     OMEGA = "omega"
@@ -42,7 +44,7 @@ class SystemState:
 
     def __post_init__(self):
         if self.u.region is not Region.OMEGA or self.v.region is not Region.OMEGA1:
-            raise ValueError("SystemState expects u on OMEGA and v on OMEGA1")
+            raise RegionMismatch("SystemState expects u on OMEGA and v on OMEGA1")
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.u.values, self.v.values])

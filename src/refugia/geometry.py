@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateGrid, RefugeTouchesBoundary
+from .errors import DegenerateGrid, RefugeTouchesBoundary, RegionMismatch
 from .fields import Region, ScalarField
 
 #: the refuge shapes RefugeShape (and the run config) accept
@@ -145,7 +145,7 @@ class DomainGeometry:
     def n_omega(self) -> int:
         return self.grid.n_cells
 
-    @property
+    @cached_property
     def n_omega1(self) -> int:
         return int(self.omega1_mask.sum())
 
@@ -170,8 +170,6 @@ class DomainGeometry:
     def check_field(self, f: ScalarField) -> None:
         expected = self.n_omega if f.region is Region.OMEGA else self.n_omega1
         if f.values.size != expected:
-            from .errors import RegionMismatch
-
             raise RegionMismatch(
                 f"field on {f.region.value} has {f.values.size} values, expected {expected}"
             )

@@ -16,13 +16,14 @@ module outside this one and geometry reads: the difference form of
 _face_divergence for residuals, right-hand sides and the implicit step's prey
 operator (frozen_diffusion), the matrix form of geometry._face_matrix for
 Jacobians and preconditioners. The pointwise kinetics are written once, in
-_kinetics, and every sparse LU of these operators is made by factor. Every
+reaction_terms, and every sparse LU of these operators is made by factor. Every
 face table holds each neighbour pair both ways and the Jacobian's coupling
 blocks have transposed patterns, so every matrix factored here is
 structurally symmetric, which is what factor's SuperLU settings rely on.
 Single-field matrices are factored in SuperLU's own minimum-degree order;
 the coupled Jacobians in coupled_order(geom), which eliminates each cell's
-u and v next to each other.
+u and v next to each other. States are flat vectors x = [u on OMEGA;
+v on OMEGA1], a layout that split(x, geom) alone knows.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import LinearSolveFailure, NegativePrey, RegionMismatch
-from .fields import Region, ScalarField
 from .geometry import DomainGeometry, _face_matrix
 
 #: fields dipping below this are an error; values in [TOL_NEGATIVE, 0] clamp to 0
@@ -172,24 +172,28 @@ def _face_divergence(table, x: np.ndarray, coef=1.0) -> np.ndarray:
     return np.bincount(np.concatenate([a, b]), np.concatenate([flux, -flux]), minlength=x.size)
 
 
-def laplacian_neumann(f: ScalarField, geom: DomainGeometry) -> ScalarField:
-    """Zero-flux 5-point Laplacian of a field on its own region.
-
-    Applied in difference form so constants map to exact zeros; faces leaving
-    the region contribute nothing (ghost reflection).
-    """
-    geom.check_field(f)
-    table = geom.faces_u if f.region is Region.OMEGA else geom.faces_v
-    return ScalarField(_face_divergence(table, f.values), f.region)
+def split(x: np.ndarray, geom: DomainGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Views (u on OMEGA, v on OMEGA1) of x = [u; v]; a wrong length raises RegionMismatch."""
+    if x.shape != (geom.n_unknowns,):
+        raise RegionMismatch(f"state vector has shape {x.shape}, expected ({geom.n_unknowns},)")
+    return x[: geom.n_omega], x[geom.n_omega :]
 
 
-def nonlinear_diffusion(u: ScalarField, geom: DomainGeometry) -> ScalarField:
+def laplacian_neumann(f: np.ndarray, geom: DomainGeometry) -> np.ndarray:
+    """Zero-flux 5-point Laplacian of a field on OMEGA or OMEGA1 (told apart by length;
+    without a refuge they coincide), in difference form so constants map to exact
+    zeros; faces leaving the region contribute nothing (ghost reflection)."""
+    if f.shape not in ((geom.n_omega,), (geom.n_omega1,)):
+        raise RegionMismatch(f"field has shape {f.shape}, a length of neither omega nor omega1")
+    return _face_divergence(geom.faces_u if f.size == geom.n_omega else geom.faces_v, f)
+
+
+def nonlinear_diffusion(u: np.ndarray, geom: DomainGeometry) -> np.ndarray:
     """div(u grad u) in conservative flux form with arithmetic face averages."""
-    if u.region is not Region.OMEGA:
-        raise RegionMismatch("nonlinear diffusion acts on prey fields (OMEGA)")
-    geom.check_field(u)
-    vals = clamp_nonnegative(u.values, "prey density")
-    return ScalarField(frozen_diffusion(vals, geom)(vals), Region.OMEGA)
+    if u.shape != (geom.n_omega,):
+        raise RegionMismatch(f"nonlinear diffusion acts on prey fields (omega), not {u.shape}")
+    vals = clamp_nonnegative(u, "prey density")
+    return frozen_diffusion(vals, geom)(vals)
 
 
 def frozen_diffusion(u_values: np.ndarray, geom: DomainGeometry):
@@ -200,7 +204,7 @@ def frozen_diffusion(u_values: np.ndarray, geom: DomainGeometry):
     return lambda x: _face_divergence(faces, x, coef)
 
 
-def _kinetics(
+def reaction_terms(
     params: ModelParams, u: np.ndarray, v: np.ndarray, geom: DomainGeometry, r: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise kinetics (f_u, f_v), flat over OMEGA and OMEGA1.
@@ -221,48 +225,31 @@ def _kinetics(
     return f_u, f_v
 
 
-def reaction_terms(
-    params: ModelParams, u: ScalarField, v: ScalarField, geom: DomainGeometry
-) -> tuple[ScalarField, ScalarField]:
-    """Pointwise reaction terms of the steady system.
-
-    Inside the refuge the prey-predator coupling vanishes because the attack
-    rate is zero there; the predator field is never referenced inside it.
-    """
-    geom.check_field(u)
-    geom.check_field(v)
-    f_u, f_v = _kinetics(params, u.values, v.values, geom, params.lam)
-    return ScalarField(f_u, Region.OMEGA), ScalarField(f_v, Region.OMEGA1)
+def _rates(params: ModelParams, x: np.ndarray, geom: DomainGeometry, d_u, d_v, r) -> np.ndarray:
+    """[d_u*div(u grad u) + f_u; d_v*lap v + f_v] at x, (f_u, f_v) = reaction_terms at
+    rate r; the diffusion sees u clamped to u >= 0, the kinetics the raw u."""
+    u, v = split(x, geom)
+    diff_u = nonlinear_diffusion(u, geom)
+    lap_v = laplacian_neumann(v, geom)
+    f_u, f_v = reaction_terms(params, u, v, geom, r)
+    return np.concatenate([d_u * diff_u + f_u, d_v * lap_v + f_v])
 
 
-def residual_steady(
-    params: ModelParams, u: ScalarField, v: ScalarField, geom: DomainGeometry
-) -> np.ndarray:
-    """Concatenated steady residual [prey equation on OMEGA; predator on OMEGA1]."""
-    diff_u = nonlinear_diffusion(u, geom).values
-    lap_v = laplacian_neumann(v, geom).values
-    f_u, f_v = _kinetics(params, u.values, v.values, geom, params.lam)
-    return np.concatenate([diff_u + f_u, lap_v + f_v])
+def residual_steady(params: ModelParams, x: np.ndarray, geom: DomainGeometry) -> np.ndarray:
+    """Steady residual [prey equation on OMEGA; predator on OMEGA1] at x = [u; v]: the
+    transient right-hand side at d_u = d_v = 1 and r = lam, where 1.0*a is exact."""
+    return _rates(params, x, geom, 1.0, 1.0, params.lam)
 
 
-def rhs_transient(
-    params: ModelParams, u: ScalarField, v: ScalarField, geom: DomainGeometry
-) -> tuple[ScalarField, ScalarField]:
-    """Right-hand side of the transient system.
+def rhs_transient(params: ModelParams, x: np.ndarray, geom: DomainGeometry) -> np.ndarray:
+    """Right-hand side [du/dt; dv/dt] of the transient system at x = [u; v].
 
         du/dt = d_u * div(u grad u) + (r/lam)*(lam*u - u^2) - b(x)*u*v/(1 + m*u)
         dv/dt = d_v * lap v - mu*v + c*u*v/(1 + m*u)
 
-    With d_u = d_v = 1 and r = lam the prey reaction equals lam*u - u^2 and
-    the right-hand side coincides with the steady residual.
+    With d_u = d_v = 1 and r = lam (prey reaction lam*u - u^2) it is the steady residual.
     """
-    diff_u = nonlinear_diffusion(u, geom).values
-    lap_v = laplacian_neumann(v, geom).values
-    f_u, f_v = _kinetics(params, u.values, v.values, geom, params.r)
-    return (
-        ScalarField(params.d_u * diff_u + f_u, Region.OMEGA),
-        ScalarField(params.d_v * lap_v + f_v, Region.OMEGA1),
-    )
+    return _rates(params, x, geom, params.d_u, params.d_v, params.r)
 
 
 def diffusion_linearization(u_values: np.ndarray, geom: DomainGeometry) -> sp.csr_matrix:
@@ -282,19 +269,15 @@ def frozen_diffusion_matrix(u_values: np.ndarray, geom: DomainGeometry) -> sp.cs
     return _face_matrix(geom.n_omega, geom.faces_u, avg, avg)
 
 
-def assemble_jacobian(
-    params: ModelParams, u: ScalarField, v: ScalarField, geom: DomainGeometry
-) -> sp.csr_matrix:
-    """Analytic Jacobian of the steady residual, ordered [u on OMEGA; v on OMEGA1].
+def assemble_jacobian(params: ModelParams, x: np.ndarray, geom: DomainGeometry) -> sp.csr_matrix:
+    """Analytic Jacobian of the steady residual at x, ordered like x = [u; v].
 
     At the semitrivial state (lam, 0) the v-rows lose their u-dependence
     (block-triangular structure); the u-block reduces to lam*(lap - I) and the
     v-block to lap - mu + c*lam/(1 + m*lam).
     """
-    geom.check_field(u)
-    geom.check_field(v)
+    uv, vv = split(x, geom)
     n, n1 = geom.n_omega, geom.n_omega1
-    uv, vv = u.values, v.values
     # the v-unknowns are the OMEGA1 cells in flat order: cell o1[k] is unknown n + k
     o1 = np.flatnonzero(geom.omega1_flat)
     vcols = n + np.arange(n1)
@@ -332,6 +315,6 @@ def assemble_jacobian(
     ).tocsr()
 
 
-def residual_mu_derivative(v: ScalarField, geom: DomainGeometry) -> np.ndarray:
-    """d(residual)/d(mu): zero on prey rows, -v on predator rows."""
-    return np.concatenate([np.zeros(geom.n_omega), -v.values])
+def residual_mu_derivative(x: np.ndarray, geom: DomainGeometry) -> np.ndarray:
+    """d(residual)/d(mu) at x = [u; v]: zero on prey rows, -v on predator rows."""
+    return np.concatenate([np.zeros(geom.n_omega), -split(x, geom)[1]])

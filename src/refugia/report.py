@@ -198,12 +198,11 @@ def build_report(
         exchange.append(_exchange_cell(nontrivial, "mu>mu*", mu_star, StabilityFlag.UNSTABLE))
 
         kt = tangent if tangent is not None else solve_kernel_function(params, geom)
-        tan = np.concatenate([kt.alpha.values, np.ones(geom.n_omega1)])
+        tan = kt.direction(geom)
         base = constant_state(geom, params.lam, 0.0).as_vector()
         by_amp = sorted(nontrivial.points, key=lambda p: p.amplitude)
         smallest = by_amp[0]
-        dev = np.concatenate([params.lam - smallest.state.u.values, smallest.state.v.values])
-        dev /= smallest.amplitude
+        dev = (smallest.state.as_vector() - base) / smallest.amplitude
         tangent_cosine = float(dev @ tan / (np.linalg.norm(dev) * np.linalg.norm(tan)))
         tangent_angle = float(np.degrees(np.arccos(np.clip(tangent_cosine, -1.0, 1.0))))
 

@@ -28,7 +28,7 @@ from .continuation import (
 )
 from .csvio import write_audit_csv, write_branch_csv, write_state_raster, write_timeseries
 from .dynamics import run_to_steady
-from .errors import OutputDirLocked, OutputDirUnusable, RefugiaError
+from .errors import ContinuationStalled, OutputDirLocked, OutputDirUnusable, RefugiaError
 from .fields import Region, ScalarField, SystemState, constant_state
 from .geometry import build_geometry
 from .operators import assemble_jacobian, coupled_order
@@ -190,7 +190,7 @@ def _dispatch(cfg: RunConfig, out: Path, stages: _Stages) -> None:
             start = constant_state(geom, cfg.params.lam, 0.05 * cfg.params.lam)
             result = newton_solve(start, cfg.params, cfg.newton, geom)
         with stages.stage("classify"):
-            J = assemble_jacobian(cfg.params, result.state.u, result.state.v, geom)
+            J = assemble_jacobian(cfg.params, result.state.as_vector(), geom)
             ep = leading_eigenvalue(J, coupled_order(geom))
             flag = classify_value(ep.value)
         with stages.stage("write_artifacts"):
@@ -218,16 +218,20 @@ def _dispatch(cfg: RunConfig, out: Path, stages: _Stages) -> None:
     with stages.stage("continue_branch"):
         base = constant_state(geom, cfg.params.lam, 0.0).as_vector()
         direction = (start_pt.state.as_vector() - base, start_pt.mu - mu_star)
-        nontrivial = continue_branch(
-            start_pt,
-            direction,
-            n_steps=cfg.continuation.n_steps,
-            ds=cfg.continuation.ds,
-            params=cfg.params,
-            geom=geom,
-            newton_cfg=cfg.newton,
-            amplitude_cap=cfg.continuation.amplitude_cap,
-        )
+        try:
+            nontrivial = continue_branch(
+                start_pt,
+                direction,
+                n_steps=cfg.continuation.n_steps,
+                ds=cfg.continuation.ds,
+                params=cfg.params,
+                geom=geom,
+                newton_cfg=cfg.newton,
+                amplitude_cap=cfg.continuation.amplitude_cap,
+            )
+        except ContinuationStalled as exc:  # keep the accepted points, then fail the stage
+            write_branch_csv(out / "branch_nontrivial.csv", exc.branch)
+            raise
         write_branch_csv(out / "branch_nontrivial.csv", nontrivial)
         states_dir = out / "states"
         states_dir.mkdir(exist_ok=True)

@@ -89,7 +89,7 @@ def bordered_newton(
     geom: DomainGeometry,
     cfg: NewtonConfig,
     lu: OrderedLU | None = None,
-) -> tuple[SystemState, float, list[float], OrderedLU | None]:
+) -> tuple[np.ndarray, float, list[float], OrderedLU | None]:
     """Chord Newton on [steady residual; row_x.x + row_mu*mu - target] over (x, mu).
 
     The one Newton for every (state, mu) solve (Keller 1977; Govaerts 2000):
@@ -102,7 +102,7 @@ def bordered_newton(
     as the chord matrix from the start; until it is refactored the solve
     returns only when two successive residuals meet cfg.tol_residual, since
     a stale chord contracts slowly and may stop just under the tolerance.
-    Iterates, the start included, are clamped to x >= 0. Returns the state,
+    Iterates, the start included, are clamped to x >= 0. Returns x = [u; v],
     mu, the residual inf-norm of every iterate, the last at the returned
     point, and the LU the solve finished with. At most cfg.max_iter
     residuals are evaluated.
@@ -118,21 +118,20 @@ def bordered_newton(
     for _ in range(cfg.max_iter):
         if not mu >= 0.0:
             raise NoConvergence(f"bordered Newton: mu iterate {mu:.6g} is negative")
-        st = SystemState.from_vector(x, geom.n_omega)
         p_mu = params.with_mu(mu)
-        res = residual_steady(p_mu, st.u, st.v, geom)
+        res = residual_steady(p_mu, x, geom)
         rnorm = float(np.max(np.abs(res)))
         con = float(row_x @ x) + row_mu * mu - target
         if rnorm <= cfg.tol_residual and abs(con) <= con_tol:
             if not carried or (history and history[-1] <= cfg.tol_residual):
-                return st, mu, history + [rnorm], lu
+                return x, mu, history + [rnorm], lu
         if solve is None or rnorm > CHORD_CONTRACTION * history[-1]:
             if lu is None or solve is not None:  # a carried LU serves the first update
-                J = assemble_jacobian(p_mu, st.u, st.v, geom)
+                J = assemble_jacobian(p_mu, x, geom)
                 lu = factor(J, SingularJacobian, "bordered Newton: LU of J failed",
                             coupled_order(geom))
                 carried = False
-            solve = _keller_solver(lu, residual_mu_derivative(st.v, geom), row_x, row_mu)
+            solve = _keller_solver(lu, residual_mu_derivative(x, geom), row_x, row_mu)
         history.append(rnorm)
         dx, dmu = solve(res, con)
         if not (np.isfinite(dmu) and np.max(np.abs(dx)) <= 1e12 * (1.0 + np.max(np.abs(x)))):
@@ -158,9 +157,10 @@ def newton_solve(
     bifurcation point treat as a proximity signal.
     """
     x0 = state0.as_vector()
-    state, _, history, _ = bordered_newton(
+    x, _, history, _ = bordered_newton(
         x0, params.mu, np.zeros_like(x0), 1.0, params.mu, params, geom, cfg
     )
+    state = SystemState.from_vector(x, geom.n_omega)
     return SteadyResult(state, len(history) - 1, history[-1], history)
 
 

@@ -94,7 +94,7 @@ def test_criterion_2_semitrivial_spectrum_oracle(geom64, geom16):
             mu=rng.uniform(0.2, 2.5),
         )
         st = constant_state(geom64, p.lam, 0.0)
-        lead = leading_eigenvalue(assemble_jacobian(p, st.u, st.v, geom64)).value
+        lead = leading_eigenvalue(assemble_jacobian(p, st.as_vector(), geom64)).value
         worst = max(worst, abs(lead - semitrivial_leading_analytic(p)))
     worst_dense = 0.0
     for _ in range(6):
@@ -106,7 +106,7 @@ def test_criterion_2_semitrivial_spectrum_oracle(geom64, geom16):
             mu=rng.uniform(0.2, 2.5),
         )
         st = constant_state(geom16, p.lam, 0.0)
-        J = assemble_jacobian(p, st.u, st.v, geom16)
+        J = assemble_jacobian(p, st.as_vector(), geom16)
         lead = leading_eigenvalue(J, coupled_order(geom16)).value
         dense = float(np.max(np.linalg.eigvals(J.toarray()).real))
         worst_dense = max(worst_dense, abs(lead - dense))
@@ -124,12 +124,11 @@ def test_criterion_3_jacobian_fidelity(geom64):
     for _ in range(10):
         u = ScalarField(smooth_positive(geom64.grid, rng).ravel(), Region.OMEGA)
         v = geom64.from_grid(smooth_positive(geom64.grid, rng, base=0.5), Region.OMEGA1)
-        J = assemble_jacobian(p, u, v, geom64)
         x0 = np.concatenate([u.values, v.values])
+        J = assemble_jacobian(p, x0, geom64)
 
         def resid(x):
-            st = SystemState.from_vector(x, geom64.n_omega)
-            return residual_steady(p, st.u, st.v, geom64)
+            return residual_steady(p, x, geom64)
 
         d = rng.normal(size=x0.size)
         d /= np.max(np.abs(d))
@@ -148,16 +147,16 @@ def test_criterion_4_operator_convergence():
         geom = build_geometry(GridSpec(n, n), RefugeShape.empty())
         X, Y = geom.grid.cell_centers()
         f = np.cos(np.pi * X) * np.cos(np.pi * Y)
-        lap = laplacian_neumann(ScalarField(f.ravel(), Region.OMEGA), geom)
-        lap_err.append(np.max(np.abs(lap.values + 2 * np.pi**2 * f.ravel())))
+        lap = laplacian_neumann(f.ravel(), geom)
+        lap_err.append(np.max(np.abs(lap + 2 * np.pi**2 * f.ravel())))
         u = 2.0 + f
         gradsq = np.pi**2 * (
             np.sin(np.pi * X) ** 2 * np.cos(np.pi * Y) ** 2
             + np.cos(np.pi * X) ** 2 * np.sin(np.pi * Y) ** 2
         )
         exact = gradsq + u * (-2 * np.pi**2 * f)
-        nld = nonlinear_diffusion(ScalarField(u.ravel(), Region.OMEGA), geom)
-        nld_err.append(np.max(np.abs(nld.values - exact.ravel())))
+        nld = nonlinear_diffusion(u.ravel(), geom)
+        nld_err.append(np.max(np.abs(nld - exact.ravel())))
     lap_orders = [np.log2(lap_err[i] / lap_err[i + 1]) for i in range(2)]
     nld_orders = [np.log2(nld_err[i] / nld_err[i + 1]) for i in range(2)]
     ok = min(lap_orders) >= 1.8 and min(nld_orders) >= 1.8
@@ -181,7 +180,7 @@ def test_criterion_5_stability_exchange(geom64, params_std, pipeline):
     ]:
         st = constant_state(geom64, 1.0, 0.0)
         flag = classify_stability(
-            assemble_jacobian(params_std.with_mu(mu), st.u, st.v, geom64)
+            assemble_jacobian(params_std.with_mu(mu), st.as_vector(), geom64)
         )
         checks.append(flag is expected)
     below = [p for p in branch.points if p.mu < mu_star]
@@ -302,7 +301,7 @@ def test_criterion_10_kernel_identities(geom64, params_std, pipeline):
     _, mu_star, _ = pipeline
     kt = solve_kernel_function(params_std, geom64)
     st = constant_state(geom64, 1.0, 0.0)
-    J = assemble_jacobian(params_std.with_mu(mu_star), st.u, st.v, geom64)
+    J = assemble_jacobian(params_std.with_mu(mu_star), st.as_vector(), geom64)
     d = kt.direction(geom64)
     kernel_residual = float(np.max(np.abs(J @ d)) / np.max(np.abs(d)))
     h2 = geom64.grid.hx * geom64.grid.hy

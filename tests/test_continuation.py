@@ -20,7 +20,7 @@ from refugia.errors import (
     RefugiaError,
     SingularJacobian,
 )
-from refugia.fields import SystemState, constant_state
+from refugia.fields import constant_state
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
 from refugia.operators import (
     ModelParams,
@@ -87,7 +87,7 @@ def test_semitrivial_blocks_match_full_jacobian(geom16):
     assert branch.blocks is not None
     st = constant_state(geom16, p.lam, 0.0)
     for point in branch.points:
-        ep = leading_eigenvalue(assemble_jacobian(p.with_mu(point.mu), st.u, st.v, geom16))
+        ep = leading_eigenvalue(assemble_jacobian(p.with_mu(point.mu), st.as_vector(), geom16))
         assert point.gamma == pytest.approx(ep.value, abs=1e-10)
         assert point.eigen_residual <= 1e-10
         assert not point.complex_pair
@@ -207,7 +207,7 @@ def test_continue_branch_points_resolve_at_fixed_mu(nontrivial, params, geom32):
 def test_continue_branch_residual_contract(nontrivial, params, geom32):
     for point in nontrivial.points[1:]:
         res = residual_steady(
-            params.with_mu(point.mu), point.state.u, point.state.v, geom32
+            params.with_mu(point.mu), point.state.as_vector(), geom32
         )
         assert np.max(np.abs(res)) <= 1e-10
 
@@ -385,13 +385,12 @@ def test_keller_update_matches_dense_bordered_solve(grid, refuge):
     u = 0.8 + 0.1 * np.cos(np.pi * X / grid.lx) * np.cos(2 * np.pi * Y / grid.ly)
     v = 0.3 + 0.05 * np.sin(np.pi * X / grid.lx) + 0.02 * Y
     x = np.concatenate([u.ravel(), v[geom.omega1_mask]])
-    st = SystemState.from_vector(x, geom.n_omega)
-    J = assemble_jacobian(p, st.u, st.v, geom)
-    f_mu = residual_mu_derivative(st.v, geom)
+    J = assemble_jacobian(p, x, geom)
+    f_mu = residual_mu_derivative(x, geom)
     lu = factor(J, SingularJacobian, "test", coupled_order(geom))  # as bordered_newton does
     rng = np.random.default_rng(7)
     row_x, row_mu = rng.normal(size=x.size) / x.size, 0.3
-    res, con = residual_steady(p, st.u, st.v, geom), 0.01
+    res, con = residual_steady(p, x, geom), 0.01
 
     dx, dmu = steady._keller_solver(lu, f_mu, row_x, row_mu)(res, con)
     bordered = np.block([[J.toarray(), f_mu[:, None]], [row_x[None, :], np.array([[row_mu]])]])
@@ -584,11 +583,11 @@ def test_corrector_refactors_a_stale_lu(corrector_lus):
     )
     x = base + 3.0 * direction
     corrector_lus.clear()
-    st, mu, _, lu = steady.bordered_newton(x, mu0, row_x, 0.0, 3.0, p, geom, cfg, lu=stale)
+    x_new, mu, _, lu = steady.bordered_newton(x, mu0, row_x, 0.0, 3.0, p, geom, cfg, lu=stale)
     assert len(corrector_lus) >= 1
     assert lu is not stale
-    st_ref, mu_ref, _, _ = steady.bordered_newton(x, mu0, row_x, 0.0, 3.0, p, geom, cfg)
-    assert np.max(np.abs(st.as_vector() - st_ref.as_vector())) <= 1e-10
+    x_ref, mu_ref, _, _ = steady.bordered_newton(x, mu0, row_x, 0.0, 3.0, p, geom, cfg)
+    assert np.max(np.abs(x_new - x_ref)) <= 1e-10
     assert abs(mu - mu_ref) <= 1e-10
 
 

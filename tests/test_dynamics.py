@@ -13,10 +13,11 @@ from refugia.fields import Region, ScalarField, SystemState, constant_state
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
 from refugia.operators import (
     ModelParams,
-    _kinetics,
     frozen_diffusion_matrix,
+    reaction_terms,
     residual_steady,
     rhs_transient,
+    split,
 )
 from refugia.steady import NewtonConfig, newton_solve
 
@@ -26,23 +27,23 @@ COEXIST_RUN = TransientConfig(dt=0.2, t_end=2000.0, steady_tol=1e-6)
 
 def test_semitrivial_is_fixed_point(geom32):
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.2, r=1.0)
-    st = constant_state(geom32, 1.0, 0.0)
-    nxt = imex_step(st, p, 0.1, geom32)
-    assert np.max(np.abs(nxt.as_vector() - st.as_vector())) <= 1e-10
+    x = constant_state(geom32, 1.0, 0.0).as_vector()
+    nxt = imex_step(x, p, 0.1, geom32)
+    assert np.max(np.abs(nxt - x)) <= 1e-10
 
 
 def test_pure_diffusion_conserves_mass(geom32):
     p = ModelParams(lam=1.0, m=0.0, c=0.0, b=0.0, mu=0.0, r=0.0)
     rng = np.random.default_rng(7)
-    st = SystemState(
+    x = SystemState(
         ScalarField(smooth_positive(geom32.grid, rng, base=1.2, wobble=0.3).ravel(), Region.OMEGA),
         ScalarField(np.zeros(geom32.n_omega1), Region.OMEGA1),
-    )
+    ).as_vector()
     h2 = geom32.grid.hx * geom32.grid.hy
-    mass = st.u.values.sum() * h2
+    mass = split(x, geom32)[0].sum() * h2
     for _ in range(5):
-        st = imex_step(st, p, 0.2, geom32)
-        new_mass = st.u.values.sum() * h2
+        x = imex_step(x, p, 0.2, geom32)
+        new_mass = split(x, geom32)[0].sum() * h2
         assert abs(new_mass - mass) <= 1e-10
         mass = new_mass
 
@@ -50,12 +51,12 @@ def test_pure_diffusion_conserves_mass(geom32):
 def test_predator_growth_rate_below_threshold(geom32):
     # mu = 0.9 < mu* = 1: leading eigenvalue +0.1, so ||v|| grows like exp(0.1 t)
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=0.9, r=1.0)
-    st = constant_state(geom32, 1.0, 0.01)
+    x = constant_state(geom32, 1.0, 0.01).as_vector()
     dt, t_end = 0.005, 1.0
-    v0 = st.v.inf_norm
+    v0 = np.max(np.abs(split(x, geom32)[1]))
     for _ in range(int(round(t_end / dt))):
-        st = imex_step(st, p, dt, geom32)
-    growth = st.v.inf_norm / v0
+        x = imex_step(x, p, dt, geom32)
+    growth = np.max(np.abs(split(x, geom32)[1])) / v0
     assert growth == pytest.approx(np.exp(0.1 * t_end), rel=0.1)
 
 
@@ -89,32 +90,33 @@ def test_newton_steady_state_is_imex_fixed_point(geom32):
     coexist = newton_solve(
         constant_state(geom32, 1.0, 0.05), p, NewtonConfig(), geom32
     ).state
-    res = residual_steady(p, coexist.u, coexist.v, geom32)
+    res = residual_steady(p, coexist.as_vector(), geom32)
     assert np.max(np.abs(res)) <= 1e-10
-    nxt = imex_step(coexist, p, 0.2, geom32)
-    assert np.max(np.abs(nxt.as_vector() - coexist.as_vector())) <= 1e-9
+    nxt = imex_step(coexist.as_vector(), p, 0.2, geom32)
+    assert np.max(np.abs(nxt - coexist.as_vector())) <= 1e-9
 
 
 def test_step_rejected_for_large_dt(geom16):
     # strong predation on sparse prey drives the explicit reaction negative
     p = ModelParams(lam=1.0, m=0.0, c=1.0, b=5.0, mu=0.1, r=1.0)
-    st = constant_state(geom16, 0.02, 5.0)
+    x = constant_state(geom16, 0.02, 5.0).as_vector()
     with pytest.raises(StepRejected):
-        imex_step(st, p, 10.0, geom16)
+        imex_step(x, p, 10.0, geom16)
 
 
 def test_nonnegativity_preserved_under_stable_dt(geom16):
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.2, r=1.0)
     dt = 0.5 / max(p.r, p.mu, p.c * p.lam)  # documented reaction-stability bound
     rng = np.random.default_rng(13)
-    st = SystemState(
+    x = SystemState(
         ScalarField(smooth_positive(geom16.grid, rng, 0.5, 0.3, 0.0).ravel(), Region.OMEGA),
         geom16.from_grid(smooth_positive(geom16.grid, rng, 0.3, 0.2, 0.0), Region.OMEGA1),
-    )
+    ).as_vector()
     for _ in range(40):
-        st = imex_step(st, p, dt, geom16)
-        assert st.u.values.min() >= 0.0
-        assert st.v.values.min() >= 0.0
+        x = imex_step(x, p, dt, geom16)
+        u, v = split(x, geom16)
+        assert u.min() >= 0.0
+        assert v.min() >= 0.0
 
 
 @pytest.mark.parametrize(
@@ -136,18 +138,15 @@ def test_transient_config_rejects_nonsense(kwargs):
         TransientConfig(**kwargs)
 
 
-def _spsolve_step(state, params, dt, geom):
+def _spsolve_step(x, params, dt, geom):
     """Reference IMEX step: both implicit systems by spsolve on the frozen matrices."""
-    u, v = state.u.values, state.v.values
-    react_u, react_v = _kinetics(params, u, v, geom, params.r)
+    u, v = split(x, geom)
+    react_u, react_v = reaction_terms(params, u, v, geom, params.r)
     M_u = sp.identity(geom.n_omega) - (dt * params.d_u) * frozen_diffusion_matrix(u, geom)
     M_v = sp.identity(geom.n_omega1) - (dt * params.d_v) * geom.lap_omega1
     u_new = spla.spsolve(M_u.tocsc(), u + dt * react_u)
     v_new = spla.spsolve(M_v.tocsc(), v + dt * react_v)
-    return SystemState(
-        ScalarField(np.maximum(u_new, 0.0), Region.OMEGA),
-        ScalarField(np.maximum(v_new, 0.0), Region.OMEGA1),
-    )
+    return np.concatenate([np.maximum(u_new, 0.0), np.maximum(v_new, 0.0)])
 
 
 @pytest.mark.parametrize(
@@ -166,33 +165,32 @@ def test_imex_step_matches_spsolve_oracle(grid, refuge):
     state = SystemState(
         ScalarField(smooth_positive(grid, rng, 0.8, 0.3).ravel(), Region.OMEGA),
         geom.from_grid(smooth_positive(grid, rng, 0.3, 0.2), Region.OMEGA1),
-    )
+    ).as_vector()
     dt = 0.2
     fresh = imex_step(state, COEXIST, dt, geom)
     ref = _spsolve_step(state, COEXIST, dt, geom)
-    assert np.max(np.abs(fresh.as_vector() - ref.as_vector())) <= 1e-12
+    assert np.max(np.abs(fresh - ref)) <= 1e-12
 
     solver = _ImplicitSolver(geom, COEXIST, dt)
     first = imex_step(state, COEXIST, dt, geom, _solver=solver)
     lagged = imex_step(first, COEXIST, dt, geom, _solver=solver)
     ref = _spsolve_step(first, COEXIST, dt, geom)
-    assert np.max(np.abs(lagged.as_vector() - ref.as_vector())) <= 1e-12
+    assert np.max(np.abs(lagged - ref)) <= 1e-12
 
 
 def test_run_to_steady_matches_spsolve_stepping(geom32):
     out = run_to_steady(constant_state(geom32, 1.0, 0.05), COEXIST, COEXIST_RUN, geom32)
 
-    def rate(st):
-        du, dv = rhs_transient(COEXIST, st.u, st.v, geom32)
-        return max(du.inf_norm, dv.inf_norm)
+    def rate(x):
+        return np.max(np.abs(rhs_transient(COEXIST, x, geom32)))
 
-    state, steps = constant_state(geom32, 1.0, 0.05), 0
+    state, steps = constant_state(geom32, 1.0, 0.05).as_vector(), 0
     while rate(state) > COEXIST_RUN.steady_tol and steps <= out.steps:
         state = _spsolve_step(state, COEXIST, COEXIST_RUN.dt, geom32)
         steps += 1
     assert out.converged
     assert out.steps == steps
-    assert np.max(np.abs(out.state.as_vector() - state.as_vector())) <= 1e-10
+    assert np.max(np.abs(out.state.as_vector() - state)) <= 1e-10
 
 
 def test_coexistence_run_solver_counters(geom32, scipy_counters, monkeypatch):
@@ -244,23 +242,20 @@ def test_stale_history_is_harmless(scipy_counters):
     profile = SystemState(
         ScalarField(smooth_positive(grid, rng, 0.8, 0.3).ravel(), Region.OMEGA),
         geom.from_grid(smooth_positive(grid, rng, 0.3, 0.2), Region.OMEGA1),
-    )
-    scaled = SystemState(
-        ScalarField(3.0 * profile.u.values, Region.OMEGA),
-        ScalarField(3.0 * profile.v.values, Region.OMEGA1),
-    )
+    ).as_vector()
+    scaled = 3.0 * profile
     dt = 0.2
     solver = _ImplicitSolver(geom, COEXIST, dt)
-    for state in (profile, constant_state(geom, 0.7, 0.2), scaled):
+    for state in (profile, constant_state(geom, 0.7, 0.2).as_vector(), scaled):
         nxt = imex_step(state, COEXIST, dt, geom, _solver=solver)
         ref = _spsolve_step(state, COEXIST, dt, geom)
-        assert np.max(np.abs(nxt.as_vector() - ref.as_vector())) <= 1e-12
+        assert np.max(np.abs(nxt - ref)) <= 1e-12
 
     first = imex_step(profile, COEXIST, dt, geom, _solver=solver)
     again = imex_step(profile, COEXIST, dt, geom, _solver=solver)
     assert scipy_counters.cg_solves[-1] == (True, 0)
-    assert np.isfinite(again.as_vector()).all()
-    assert np.max(np.abs(again.as_vector() - first.as_vector())) <= 1e-12
+    assert np.isfinite(again).all()
+    assert np.max(np.abs(again - first)) <= 1e-12
 
 
 def test_run_ends_on_the_horizon():
@@ -278,11 +273,11 @@ def test_slow_prey_solve_refactors_the_preconditioner(geom16, scipy_counters, mo
     """With a zero iteration budget every solve is slow, so every next step refactors."""
     monkeypatch.setattr(dynamics, "REFACTOR_ITERS", 0)
     solver = _ImplicitSolver(geom16, COEXIST, 0.2)
-    state = constant_state(geom16, 0.9, 0.1)
+    state = constant_state(geom16, 0.9, 0.1).as_vector()
     for _ in range(3):
         nxt = imex_step(state, COEXIST, 0.2, geom16, _solver=solver)
         ref = _spsolve_step(state, COEXIST, 0.2, geom16)
-        assert np.max(np.abs(nxt.as_vector() - ref.as_vector())) <= 1e-12
+        assert np.max(np.abs(nxt - ref)) <= 1e-12
         state = nxt
     assert scipy_counters.splu_shapes.count((geom16.n_omega, geom16.n_omega)) == 3
 
@@ -293,4 +288,4 @@ def test_lu_failure_is_a_linear_solve_failure(geom16, monkeypatch):
 
     monkeypatch.setattr(spla, "splu", singular)
     with pytest.raises(LinearSolveFailure, match="predator"):
-        imex_step(constant_state(geom16, 1.0, 0.1), COEXIST, 0.2, geom16)
+        imex_step(constant_state(geom16, 1.0, 0.1).as_vector(), COEXIST, 0.2, geom16)

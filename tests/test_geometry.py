@@ -4,9 +4,10 @@ import pytest
 from refugia.errors import (
     DegenerateGrid,
     RefugeTouchesBoundary,
+    RefugiaError,
     RegionMismatch,
 )
-from refugia.fields import Region, ScalarField
+from refugia.fields import Region, ScalarField, SystemState, constant_state
 from refugia.geometry import (
     GridSpec,
     RefugeShape,
@@ -89,3 +90,10 @@ def test_field_length_checked(geom64):
     bad = ScalarField(np.zeros(10), Region.OMEGA)
     with pytest.raises(RegionMismatch):
         geom64.check_field(bad)
+
+
+def test_swapped_regions_are_a_region_mismatch(geom16):
+    st = constant_state(geom16, 1.0, 0.1)
+    with pytest.raises(RegionMismatch) as info:
+        SystemState(st.v, st.u)
+    assert isinstance(info.value, RefugiaError)

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -7,10 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from refugia import cli
+from refugia import cli, runner
 from refugia.config import ContinuationSettings, parse_config, render_config
-from refugia.continuation import trace_semitrivial
-from refugia.errors import EmptyBranchList, OutputDirLocked, ParseError, ValidationError
+from refugia.continuation import continue_branch, trace_semitrivial
+from refugia.errors import (
+    ContinuationStalled,
+    EmptyBranchList,
+    OutputDirLocked,
+    ParseError,
+    ValidationError,
+)
 from refugia.operators import ModelParams
 from refugia.report import build_report
 from refugia.runner import LOCK_NAME, MANIFEST_NAME, run_experiment
@@ -186,6 +193,64 @@ def test_verify_64_branch_meets_the_benchmark_reference(tmp_path):
     assert max(abs(a[1] - b[1]) for a, b in zip(got, ref)) <= 1e-8
 
 
+PERFBENCH = REFERENCE_64.parents[1]
+
+#: counters perfbench/traced_run.py reads by the package's public names and
+#: result attributes; each must be nonzero on a run of the kind that uses it
+TRACED_COUNTERS = {
+    "verify": (
+        "steady.newton_solve.calls",
+        "continuation.continue_branch.points",
+        "operators.residual_steady.calls",
+        "operators.assemble_jacobian.calls",
+        "spectral.leading_eigenvalue.calls",
+    ),
+    "simulate": ("operators.rhs_transient.calls", "dynamics.run_to_steady.steps"),
+}
+
+
+def _harness_env() -> dict:
+    """Child environment: the package from this checkout, no bytecode written."""
+    src = str(PERFBENCH.parent / "src")
+    return dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+
+
+@pytest.mark.parametrize("kind", ["verify", "simulate"])
+def test_benchmark_tracer_sees_the_library(tmp_path, kind):
+    # the benchmark's traced run wraps the package's public functions by
+    # name; a renamed or bypassed entry point reads as a zero counter there
+    text = BIF_SMALL.replace("bifurcate", kind)
+    if kind == "simulate":
+        text = text.replace("params.mu_min = 0.8\nparams.mu_max = 1.2\nparams.mu_points = 5\n",
+                            "params.mu = 0.9\n")
+    cfg_path, summary = tmp_path / "run.cfg", tmp_path / "summary.json"
+    cfg_path.write_text(text)
+    argv = [sys.executable, str(PERFBENCH / "traced_run.py"), str(summary),
+            kind, "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]
+    done = subprocess.run(argv, cwd=tmp_path, env=_harness_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    metrics = json.loads(summary.read_text())
+    assert all(metrics[name][0] > 0 for name in TRACED_COUNTERS[kind]), metrics
+
+
+def test_benchmark_newton_reference_runs(tmp_path):
+    # the benchmark's simulate check compares the end state with this Newton
+    # reference, built from SystemState, constant_state and newton_solve
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
+        "from run import make_workload, newton_reference\n"
+        "ref = newton_reference(make_workload('simulate-64', 1))\n"
+        "print(json.dumps([len(ref), sum(v > 0.0 for _, v in ref)]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_harness_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    n_pairs, n_positive_v = json.loads(done.stdout.splitlines()[-1])
+    assert n_pairs == 64 * 64
+    assert n_positive_v > 0
+
+
 def test_continue_kind_stops_after_branch(tmp_path):
     cfg = parse_config(BIF_SMALL.replace("bifurcate", "continue"))
     manifest = run_experiment(cfg, out_dir=tmp_path)
@@ -194,6 +259,31 @@ def test_continue_kind_stops_after_branch(tmp_path):
     assert (tmp_path / "states" / "nontrivial_000.csv").exists()
     assert not (tmp_path / "report.txt").exists()
     assert not (tmp_path / "diagram.svg").exists()
+
+
+def test_stalled_continuation_leaves_its_branch(tmp_path, monkeypatch):
+    # ContinuationStalled carries the points accepted before the stall: they
+    # land in branch_nontrivial.csv, and the stage still fails
+    stalled = []
+
+    def stalls(start, direction, **kwargs):
+        branch = continue_branch(start, direction, **{**kwargs, "n_steps": 2})
+        stalled.append(branch)
+        raise ContinuationStalled("corrector kept failing (injected)", branch)
+
+    monkeypatch.setattr(runner, "continue_branch", stalls)
+    manifest = run_experiment(parse_config(BIF_SMALL), out_dir=tmp_path)
+    assert not manifest.exit_ok
+    stages = {name: (status, detail) for name, status, detail in manifest.stages}
+    assert stages["continue_branch"][0] == "error"
+    assert "ContinuationStalled" in stages["continue_branch"][1]
+    with open(tmp_path / "branch_nontrivial.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(stalled[0].points) == 3
+    assert [(float(r["mu"]), float(r["gamma"])) for r in rows] == [
+        (pt.mu, pt.gamma) for pt in stalled[0].points
+    ]
+    assert not (tmp_path / "report.txt").exists()
 
 
 def test_verify_without_crossing_fails_loudly(tmp_path):

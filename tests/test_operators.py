@@ -18,9 +18,12 @@ from refugia.operators import (
     factor,
     laplacian_neumann,
     nonlinear_diffusion,
+    _face_divergence,
     reaction_terms,
+    residual_mu_derivative,
     residual_steady,
     rhs_transient,
+    split,
 )
 
 PARAMS = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=0.9)
@@ -31,24 +34,24 @@ def _profile_grids():
 
 
 def test_laplacian_annihilates_constants(geom64):
-    f = ScalarField(np.full(geom64.n_omega, 3.7), Region.OMEGA)
-    assert np.all(laplacian_neumann(f, geom64).values == 0.0)
-    g = ScalarField(np.full(geom64.n_omega1, -2.2), Region.OMEGA1)
-    assert np.all(laplacian_neumann(g, geom64).values == 0.0)
+    f = np.full(geom64.n_omega, 3.7)
+    assert np.all(laplacian_neumann(f, geom64) == 0.0)
+    g = np.full(geom64.n_omega1, -2.2)
+    assert np.all(laplacian_neumann(g, geom64) == 0.0)
 
 
 def test_nonlinear_diffusion_annihilates_constants(geom64):
-    u = ScalarField(np.full(geom64.n_omega, 0.8), Region.OMEGA)
-    assert np.all(nonlinear_diffusion(u, geom64).values == 0.0)
+    u = np.full(geom64.n_omega, 0.8)
+    assert np.all(nonlinear_diffusion(u, geom64) == 0.0)
 
 
 def test_laplacian_cosine_convergence():
     errors = []
     for geom in _profile_grids():
         X, _ = geom.grid.cell_centers()
-        f = ScalarField(np.cos(np.pi * X).ravel(), Region.OMEGA)
+        f = np.cos(np.pi * X).ravel()
         exact = -np.pi**2 * np.cos(np.pi * X).ravel()
-        errors.append(np.max(np.abs(laplacian_neumann(f, geom).values - exact)))
+        errors.append(np.max(np.abs(laplacian_neumann(f, geom) - exact)))
     orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
     assert min(orders) >= 1.9
     # absolute size at 64 cells/side: C * h^2 with C ~ pi^4 / 12
@@ -65,8 +68,8 @@ def test_nonlinear_diffusion_convergence():
             + np.cos(np.pi * X) ** 2 * np.sin(np.pi * Y) ** 2
         )
         exact = gradsq + u * (-2.0 * np.pi**2 * np.cos(np.pi * X) * np.cos(np.pi * Y))
-        out = nonlinear_diffusion(ScalarField(u.ravel(), Region.OMEGA), geom)
-        errors.append(np.max(np.abs(out.values - exact.ravel())))
+        out = nonlinear_diffusion(u.ravel(), geom)
+        errors.append(np.max(np.abs(out - exact.ravel())))
     orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
     assert min(orders) >= 1.9
 
@@ -83,9 +86,9 @@ def test_smallest_nonzero_laplacian_eigenvalue_is_pi_squared():
 def test_interior_half_laplacian_identity(geom64):
     rng = np.random.default_rng(3)
     u = smooth_positive(geom64.grid, rng, base=2.0)
-    nd = nonlinear_diffusion(ScalarField(u.ravel(), Region.OMEGA), geom64)
-    half = laplacian_neumann(ScalarField((u**2).ravel(), Region.OMEGA), geom64)
-    diff = np.abs(nd.values - 0.5 * half.values).reshape(64, 64)
+    nd = nonlinear_diffusion(u.ravel(), geom64)
+    half = laplacian_neumann((u**2).ravel(), geom64)
+    diff = np.abs(nd - 0.5 * half).reshape(64, 64)
     interior = diff[1:-1, 1:-1]
     assert interior.max() <= 1e-8
 
@@ -93,61 +96,98 @@ def test_interior_half_laplacian_identity(geom64):
 def test_conservation_of_flux_forms(geom64):
     rng = np.random.default_rng(5)
     u = smooth_positive(geom64.grid, rng, base=1.5)
-    nd = nonlinear_diffusion(ScalarField(u.ravel(), Region.OMEGA), geom64)
-    assert abs(nd.values.sum()) <= 1e-7  # telescoping fluxes, 1/h^2 scale
-    lap = laplacian_neumann(ScalarField(u.ravel(), Region.OMEGA), geom64)
-    assert abs(lap.values.sum()) <= 1e-7
+    nd = nonlinear_diffusion(u.ravel(), geom64)
+    assert abs(nd.sum()) <= 1e-7  # telescoping fluxes, 1/h^2 scale
+    lap = laplacian_neumann(u.ravel(), geom64)
+    assert abs(lap.sum()) <= 1e-7
     v = geom64.from_grid(smooth_positive(geom64.grid, rng, base=0.7), Region.OMEGA1)
-    lap_v = laplacian_neumann(v, geom64)
-    assert abs(lap_v.values.sum()) <= 1e-7
+    lap_v = laplacian_neumann(v.values, geom64)
+    assert abs(lap_v.sum()) <= 1e-7
 
 
 def test_negative_prey_rejected(geom16):
     u = np.full(geom16.n_omega, 1.0)
     u[7] = -1e-6
     with pytest.raises(NegativePrey):
-        nonlinear_diffusion(ScalarField(u, Region.OMEGA), geom16)
+        nonlinear_diffusion(u, geom16)
 
 
 def test_tiny_negative_clamped(geom16):
     u = np.full(geom16.n_omega, 1.0)
     u[7] = -5e-13  # inside the clamp band
-    out = nonlinear_diffusion(ScalarField(u, Region.OMEGA), geom16)
-    assert np.all(np.isfinite(out.values))
+    out = nonlinear_diffusion(u, geom16)
+    assert np.all(np.isfinite(out))
 
 
 def test_nonlinear_diffusion_requires_prey_region(geom16):
-    v = ScalarField(np.ones(geom16.n_omega1), Region.OMEGA1)
+    v = np.ones(geom16.n_omega1)
     with pytest.raises(RegionMismatch):
         nonlinear_diffusion(v, geom16)
+
+
+@pytest.mark.parametrize(
+    "grid,refuge",
+    [
+        (GridSpec(14, 10, lx=1.4), RefugeShape.disc((0.6, 0.45), 0.2)),
+        (GridSpec(12, 12), RefugeShape.empty()),
+    ],
+    ids=["off-centre-disc", "no-refuge"],
+)
+def test_wrong_lengths_are_region_mismatches(grid, refuge):
+    # every entry point of a state vector or a single field checks its length
+    geom = build_geometry(grid, refuge)
+    x = constant_state(geom, 1.0, 0.1).as_vector()
+    short, short_u, short_v = x[:-1], x[: geom.n_omega - 1], x[: geom.n_omega1 - 1]
+    calls = [
+        lambda: residual_steady(PARAMS, short, geom),
+        lambda: rhs_transient(PARAMS, short, geom),
+        lambda: assemble_jacobian(PARAMS, short, geom),
+        lambda: residual_mu_derivative(short, geom),
+        lambda: nonlinear_diffusion(short_u, geom),
+        lambda: laplacian_neumann(short_u, geom),
+        lambda: laplacian_neumann(short_v, geom),
+    ]
+    for call in calls:
+        with pytest.raises(RegionMismatch):
+            call()
+
+
+def test_laplacian_without_refuge_uses_the_prey_table():
+    # with no refuge both regions have every cell, and their face tables agree
+    geom = build_geometry(GridSpec(12, 12), RefugeShape.empty())
+    assert geom.n_omega1 == geom.n_omega
+    f = smooth_positive(geom.grid, np.random.default_rng(19)).ravel()
+    lap = laplacian_neumann(f, geom)
+    assert np.array_equal(lap, _face_divergence(geom.faces_u, f))
+    assert np.array_equal(lap, _face_divergence(geom.faces_v, f))
 
 
 def test_reaction_terms_vanish_at_carrying_capacity(geom32):
     for lam in (1.0, 2.0, 0.5):
         p = ModelParams(lam=lam, m=1.0, c=2.0, b=1.0, mu=0.9)
         st = constant_state(geom32, lam, 0.0)
-        f_u, f_v = reaction_terms(p, st.u, st.v, geom32)
-        assert np.max(np.abs(f_u.values)) == 0.0
-        assert np.max(np.abs(f_v.values)) == 0.0
+        f_u, f_v = reaction_terms(p, st.u.values, st.v.values, geom32, p.lam)
+        assert np.max(np.abs(f_u)) == 0.0
+        assert np.max(np.abs(f_v)) == 0.0
 
 
 def test_reaction_terms_vanish_at_origin(geom32):
     st = constant_state(geom32, 0.0, 0.0)
-    f_u, f_v = reaction_terms(PARAMS, st.u, st.v, geom32)
-    assert np.max(np.abs(f_u.values)) == 0.0
-    assert np.max(np.abs(f_v.values)) == 0.0
+    f_u, f_v = reaction_terms(PARAMS, st.u.values, st.v.values, geom32, PARAMS.lam)
+    assert np.max(np.abs(f_u)) == 0.0
+    assert np.max(np.abs(f_v)) == 0.0
 
 
 def test_reaction_terms_hand_values(geom32):
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
     st = constant_state(geom32, 1.0, 1.0)
-    f_u, f_v = reaction_terms(p, st.u, st.v, geom32)
-    fu_grid = geom32.to_grid(f_u)
+    f_u, f_v = reaction_terms(p, st.u.values, st.v.values, geom32, p.lam)
+    fu_grid = geom32.to_grid(ScalarField(f_u, Region.OMEGA))
     # on a predator-domain cell: 1 - 1 - (1*1*1)/2 = -0.5; inside the refuge: 0
     assert fu_grid[geom32.omega1_mask] == pytest.approx(-0.5)
     assert np.all(fu_grid[~geom32.omega1_mask] == 0.0)
     # predator equation: -1 + (2*1*1)/2 = 0
-    assert np.max(np.abs(f_v.values)) == 0.0
+    assert np.max(np.abs(f_v)) == 0.0
 
 
 def test_reaction_terms_against_scalar_oracle(geom16):
@@ -157,7 +197,7 @@ def test_reaction_terms_against_scalar_oracle(geom16):
     vg = smooth_positive(geom16.grid, rng, base=0.6)
     u = ScalarField(ug.ravel(), Region.OMEGA)
     v = geom16.from_grid(vg, Region.OMEGA1)
-    f_u, f_v = reaction_terms(p, u, v, geom16)
+    f_u, f_v = reaction_terms(p, u.values, v.values, geom16, p.lam)
 
     def scalar_fu(uu, vv, in_omega1):
         bb = p.b if in_omega1 else 0.0
@@ -166,12 +206,12 @@ def test_reaction_terms_against_scalar_oracle(geom16):
     def scalar_fv(uu, vv):
         return -p.mu * vv + p.c * uu * vv / (1.0 + p.m * uu)
 
-    fu_grid = geom16.to_grid(f_u)
+    fu_grid = geom16.to_grid(ScalarField(f_u, Region.OMEGA))
     for i, j in ((0, 0), (5, 9), (8, 8), (15, 3)):
         in_o1 = bool(geom16.omega1_mask[i, j])
         vv = vg[i, j] if in_o1 else 0.0
         assert fu_grid[i, j] == pytest.approx(scalar_fu(ug[i, j], vv, in_o1), rel=1e-12)
-    fv_grid = geom16.to_grid(f_v)
+    fv_grid = geom16.to_grid(ScalarField(f_v, Region.OMEGA1))
     assert fv_grid[5, 9] == pytest.approx(scalar_fv(ug[5, 9], vg[5, 9]), rel=1e-12)
 
 
@@ -179,19 +219,19 @@ def test_residual_zero_on_trivial_states(geom64):
     for lam in (1.0, 2.0):
         p = ModelParams(lam=lam, m=1.0, c=2.0, b=1.0, mu=1.1)
         st = constant_state(geom64, lam, 0.0)
-        assert np.max(np.abs(residual_steady(p, st.u, st.v, geom64))) == 0.0
+        assert np.max(np.abs(residual_steady(p, st.as_vector(), geom64))) == 0.0
     st0 = constant_state(geom64, 0.0, 0.0)
-    assert np.max(np.abs(residual_steady(PARAMS, st0.u, st0.v, geom64))) == 0.0
+    assert np.max(np.abs(residual_steady(PARAMS, st0.as_vector(), geom64))) == 0.0
 
 
 def test_residual_recomposition(geom32):
     rng = np.random.default_rng(17)
     u = ScalarField(smooth_positive(geom32.grid, rng).ravel(), Region.OMEGA)
     v = geom32.from_grid(smooth_positive(geom32.grid, rng, base=0.5), Region.OMEGA1)
-    res = residual_steady(PARAMS, u, v, geom32)
-    f_u, f_v = reaction_terms(PARAMS, u, v, geom32)
-    expected_u = nonlinear_diffusion(u, geom32).values + f_u.values
-    expected_v = laplacian_neumann(v, geom32).values + f_v.values
+    res = residual_steady(PARAMS, SystemState(u, v).as_vector(), geom32)
+    f_u, f_v = reaction_terms(PARAMS, u.values, v.values, geom32, PARAMS.lam)
+    expected_u = nonlinear_diffusion(u.values, geom32) + f_u
+    expected_v = laplacian_neumann(v.values, geom32) + f_v
     np.testing.assert_allclose(res[: geom32.n_omega], expected_u, rtol=0, atol=1e-14)
     np.testing.assert_allclose(res[geom32.n_omega :], expected_v, rtol=0, atol=1e-14)
 
@@ -199,9 +239,8 @@ def test_residual_recomposition(geom32):
 def test_rhs_transient_equilibrium(geom32):
     p = ModelParams(lam=1.5, m=1.0, c=2.0, b=1.0, mu=0.9, r=3.7)
     st = constant_state(geom32, 1.5, 0.0)
-    du, dv = rhs_transient(p, st.u, st.v, geom32)
-    assert np.max(np.abs(du.values)) == 0.0
-    assert np.max(np.abs(dv.values)) == 0.0
+    rate = rhs_transient(p, st.as_vector(), geom32)
+    assert np.max(np.abs(rate)) == 0.0
 
 
 def test_rhs_transient_matches_steady_residual(geom32):
@@ -210,23 +249,22 @@ def test_rhs_transient_matches_steady_residual(geom32):
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=0.9, d_u=1.0, d_v=1.0, r=1.0)
     u = ScalarField(smooth_positive(geom32.grid, rng).ravel(), Region.OMEGA)
     v = geom32.from_grid(smooth_positive(geom32.grid, rng, base=0.4), Region.OMEGA1)
-    du, dv = rhs_transient(p, u, v, geom32)
-    res = residual_steady(p, u, v, geom32)
+    x = SystemState(u, v).as_vector()
     np.testing.assert_allclose(
-        np.concatenate([du.values, dv.values]), res, rtol=0, atol=1e-12
+        rhs_transient(p, x, geom32), residual_steady(p, x, geom32), rtol=0, atol=1e-12
     )
 
 
 def test_rhs_transient_pointwise_logistic(geom32):
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=0.9, r=2.5)
     st = constant_state(geom32, 0.5, 0.0)
-    du, _ = rhs_transient(p, st.u, st.v, geom32)
-    assert du.values == pytest.approx(2.5 * 0.5 * 0.5)  # r * (lam/2) * (1 - 1/2)
+    du, _ = split(rhs_transient(p, st.as_vector(), geom32), geom32)
+    assert du == pytest.approx(2.5 * 0.5 * 0.5)  # r * (lam/2) * (1 - 1/2)
 
 
 def test_jacobian_block_structure_at_semitrivial(geom32):
     st = constant_state(geom32, 1.0, 0.0)
-    J = assemble_jacobian(PARAMS, st.u, st.v, geom32)
+    J = assemble_jacobian(PARAMS, st.as_vector(), geom32)
     n = geom32.n_omega
     C = J[n:, :n]
     assert C.nnz == 0 or np.max(np.abs(C.data)) == 0.0
@@ -240,12 +278,11 @@ def test_jacobian_matches_finite_differences(geom16):
     for _ in range(3):
         u = ScalarField(smooth_positive(geom16.grid, rng).ravel(), Region.OMEGA)
         v = geom16.from_grid(smooth_positive(geom16.grid, rng, base=0.5), Region.OMEGA1)
-        J = assemble_jacobian(PARAMS, u, v, geom16)
         x0 = np.concatenate([u.values, v.values])
+        J = assemble_jacobian(PARAMS, x0, geom16)
 
         def resid(x):
-            st = SystemState.from_vector(x, geom16.n_omega)
-            return residual_steady(PARAMS, st.u, st.v, geom16)
+            return residual_steady(PARAMS, x, geom16)
 
         d = rng.normal(size=x0.size)
         d /= np.max(np.abs(d))
@@ -259,7 +296,7 @@ def test_block_triangular_spectrum_at_any_prey_profile():
     rng = np.random.default_rng(31)
     u = ScalarField(smooth_positive(geom.grid, rng).ravel(), Region.OMEGA)
     v = ScalarField(np.zeros(geom.n_omega1), Region.OMEGA1)
-    J = assemble_jacobian(PARAMS, u, v, geom).toarray()
+    J = assemble_jacobian(PARAMS, SystemState(u, v).as_vector(), geom).toarray()
     n = geom.n_omega
     spectrum = np.sort_complex(np.linalg.eigvals(J))
     blocks = np.sort_complex(
@@ -306,7 +343,7 @@ def test_every_lu_is_pattern_symmetric_in_symmetric_mode(scipy_counters, tmp_pat
     calls = list(scipy_counters.splu_calls)
     # the runner built an equal geometry of its own, and the order is deterministic
     unpermute = np.argsort(coupled_order(geom))
-    jacobian = assemble_jacobian(coexist, start.u, start.v, geom).tocsc()
+    jacobian = assemble_jacobian(coexist, start.as_vector(), geom).tocsc()
     jacobian.data[:] = 1.0
     n_coupled = 0
     assert len(calls) >= 10
@@ -367,7 +404,7 @@ def test_ordered_factor_matches_dense_solve(grid, refuge):
     rng = np.random.default_rng(5)
     u = ScalarField(smooth_positive(grid, rng, 0.8, 0.3).ravel(), Region.OMEGA)
     v = geom.from_grid(smooth_positive(grid, rng, 0.3, 0.2), Region.OMEGA1)
-    J = assemble_jacobian(PARAMS, u, v, geom)
+    J = assemble_jacobian(PARAMS, SystemState(u, v).as_vector(), geom)
     shifted = J - 2.0 * sp.identity(geom.n_unknowns)
     b = rng.normal(size=geom.n_unknowns)
     for M in (J, shifted):
@@ -382,6 +419,6 @@ def test_paired_order_fill_is_no_worse_than_minimum_degree(geom32):
     # entries and SuperLU's minimum-degree one 81,334
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
     point = solve_at_amplitude(p, geom32, 0.1, p.mu)
-    J = assemble_jacobian(p.with_mu(point.mu), point.state.u, point.state.v, geom32)
+    J = assemble_jacobian(p.with_mu(point.mu), point.state.as_vector(), geom32)
     paired = factor(J, SingularJacobian, "paired", coupled_order(geom32)).lu.nnz
     assert paired <= factor(J, SingularJacobian, "minimum degree").nnz

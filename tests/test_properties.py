@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refugia.continuation import solve_at_amplitude
-from refugia.fields import Region, ScalarField, SystemState
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
 from refugia.operators import (
     ModelParams,
@@ -60,20 +59,17 @@ seeds = st.integers(0, 2**32 - 1)
 
 def _fields(geom, seed):
     rng = np.random.default_rng(seed)
-    u = ScalarField(rng.uniform(0.2, 1.5, geom.n_omega), Region.OMEGA)
-    v = ScalarField(rng.uniform(0.0, 1.0, geom.n_omega1), Region.OMEGA1)
+    u = rng.uniform(0.2, 1.5, geom.n_omega)
+    v = rng.uniform(0.0, 1.0, geom.n_omega1)
     return u, v
 
 
 @given(geometries(), st.floats(-3.0, 3.0), st.floats(0.0, 3.0))
 def test_constants_map_to_exact_zeros(geom, c, c_pos):
-    for f in (
-        ScalarField(np.full(geom.n_omega, c), Region.OMEGA),
-        ScalarField(np.full(geom.n_omega1, c), Region.OMEGA1),
-    ):
-        assert np.all(laplacian_neumann(f, geom).values == 0.0)
-    u = ScalarField(np.full(geom.n_omega, c_pos), Region.OMEGA)
-    assert np.all(nonlinear_diffusion(u, geom).values == 0.0)
+    for f in (np.full(geom.n_omega, c), np.full(geom.n_omega1, c)):
+        assert np.all(laplacian_neumann(f, geom) == 0.0)
+    u = np.full(geom.n_omega, c_pos)
+    assert np.all(nonlinear_diffusion(u, geom) == 0.0)
 
 
 @given(geometries(), seeds)
@@ -81,9 +77,9 @@ def test_flux_divergences_sum_to_zero(geom, seed):
     u, v = _fields(geom, seed)
     outs = (laplacian_neumann(u, geom), laplacian_neumann(v, geom), nonlinear_diffusion(u, geom))
     for out in outs:
-        assert abs(out.values.sum()) <= 1e-7  # telescoping fluxes, 1/h^2 scale
+        assert abs(out.sum()) <= 1e-7  # telescoping fluxes, 1/h^2 scale
     # the matrix forms of the same face tables conserve too, column by column
-    for M in (geom.lap_omega, geom.lap_omega1, frozen_diffusion_matrix(u.values, geom)):
+    for M in (geom.lap_omega, geom.lap_omega1, frozen_diffusion_matrix(u, geom)):
         assert np.max(np.abs(M.sum(axis=0))) <= 1e-7
 
 
@@ -92,14 +88,14 @@ def test_matrix_and_difference_forms_agree(geom, seed):
     u, v = _fields(geom, seed)
     scale = 1.0 / min(geom.grid.hx, geom.grid.hy) ** 2
     np.testing.assert_allclose(
-        geom.lap_omega1 @ v.values,
-        laplacian_neumann(v, geom).values,
+        geom.lap_omega1 @ v,
+        laplacian_neumann(v, geom),
         rtol=0,
         atol=1e-12 * scale,
     )
     np.testing.assert_allclose(
-        frozen_diffusion_matrix(u.values, geom) @ u.values,
-        nonlinear_diffusion(u, geom).values,
+        frozen_diffusion_matrix(u, geom) @ u,
+        nonlinear_diffusion(u, geom),
         rtol=0,
         atol=1e-12 * scale,
     )
@@ -117,12 +113,11 @@ def test_matrix_and_difference_forms_agree(geom, seed):
 def test_jacobian_matches_finite_differences(geom, seed, lam, m, c, b, mu):
     params = ModelParams(lam=lam, m=m, c=c, b=b, mu=mu)
     u, v = _fields(geom, seed)
-    x0 = np.concatenate([u.values, v.values])
-    J = assemble_jacobian(params, u, v, geom)
+    x0 = np.concatenate([u, v])
+    J = assemble_jacobian(params, x0, geom)
 
     def resid(x):
-        state = SystemState.from_vector(x, geom.n_omega)
-        return residual_steady(params, state.u, state.v, geom)
+        return residual_steady(params, x, geom)
 
     d = np.random.default_rng(seed + 1).normal(size=x0.size)
     d /= np.max(np.abs(d))
@@ -153,7 +148,7 @@ def test_leading_eigenvalue_matches_dense_on_enriched_branches(geom, lam, m_lam,
         point = solve_at_amplitude(params, geom, fraction * top, mu, state_guess=state)
         mu, state = point.mu, point.state
         assert mu > 0.0
-        J = assemble_jacobian(params.with_mu(mu), state.u, state.v, geom)
+        J = assemble_jacobian(params.with_mu(mu), state.as_vector(), geom)
         ep = leading_eigenvalue(J, coupled_order(geom))
         dense = np.linalg.eigvals(J.toarray())
         lead = dense[np.argmax(dense.real)]

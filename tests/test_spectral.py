@@ -23,7 +23,7 @@ from refugia.steady import NewtonConfig, newton_solve, solve_kernel_function
 
 def _semitrivial_jacobian(params, geom):
     st = constant_state(geom, params.lam, 0.0)
-    return assemble_jacobian(params, st.u, st.v, geom)
+    return assemble_jacobian(params, st.as_vector(), geom)
 
 
 def test_diagonal_operator():
@@ -139,7 +139,7 @@ def test_dense_equivalence_on_coexistence_state():
     state = newton_solve(
         SystemState.from_vector(np.maximum(x0, 0.0), geom.n_omega), p, NewtonConfig(), geom
     ).state
-    J = assemble_jacobian(p, state.u, state.v, geom)
+    J = assemble_jacobian(p, state.as_vector(), geom)
     ep = leading_eigenvalue(J, coupled_order(geom))
     dense = np.linalg.eigvals(J.toarray())
     assert ep.value == pytest.approx(np.max(dense.real), abs=1e-8)
@@ -150,7 +150,7 @@ def test_eigen_residual_contract(geom16):
     p = ModelParams(lam=1.2, m=0.5, c=2.0, b=1.0, mu=0.8)
     u = ScalarField(smooth_positive(geom16.grid, rng).ravel(), Region.OMEGA)
     v = geom16.from_grid(smooth_positive(geom16.grid, rng, base=0.4), Region.OMEGA1)
-    J = assemble_jacobian(p, u, v, geom16)
+    J = assemble_jacobian(p, SystemState(u, v).as_vector(), geom16)
     ep = leading_eigenvalue(J)
     assert np.max(np.abs(ep.vector)) == pytest.approx(1.0)
     assert np.max(np.abs(J @ ep.vector - ep.value * ep.vector)) <= 1e-8
@@ -185,7 +185,7 @@ def test_dense_oracle_along_enriched_branch(grid, refuge):
     for amplitude in np.linspace(0.5, 10.0, 20):
         point = solve_at_amplitude(ENRICHED, geom, float(amplitude), mu, state_guess=state)
         mu, state = point.mu, point.state
-        J = assemble_jacobian(ENRICHED.with_mu(mu), state.u, state.v, geom)
+        J = assemble_jacobian(ENRICHED.with_mu(mu), state.as_vector(), geom)
         ep = leading_eigenvalue(J, coupled_order(geom))
         dense = np.max(np.linalg.eigvals(J.toarray()).real)
         assert ep.value == pytest.approx(dense, abs=1e-8)
@@ -219,7 +219,7 @@ def test_dense_oracle_inside_hopf_bracket(refuge, bracket):
     for mu in np.linspace(hi, lo, 6)[1:-1]:
         params = ENRICHED.with_mu(float(mu))
         state = newton_solve(state, params, NewtonConfig(), geom).state
-        J = assemble_jacobian(params, state.u, state.v, geom)
+        J = assemble_jacobian(params, state.as_vector(), geom)
         ep = leading_eigenvalue(J, coupled_order(geom))
         dense = np.max(np.linalg.eigvals(J.toarray()).real)
         assert ep.value == pytest.approx(dense, abs=1e-8)
@@ -244,7 +244,7 @@ def test_shift_invert_solve_count(geom32, monkeypatch):
     # this point; six pairs with ARPACK's default basis of 13 took 45
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
     point = solve_at_amplitude(p, geom32, 0.1, p.mu)
-    J = assemble_jacobian(p.with_mu(point.mu), point.state.u, point.state.v, geom32)
+    J = assemble_jacobian(p.with_mu(point.mu), point.state.as_vector(), geom32)
     solves = []
     factor = spectral.factor
 

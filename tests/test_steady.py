@@ -152,7 +152,7 @@ def test_kernel_annihilated_by_bifurcation_jacobian(geom64):
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)  # mu = mu* analytically
     kt = solve_kernel_function(p, geom64)
     st = constant_state(geom64, 1.0, 0.0)
-    J = assemble_jacobian(p, st.u, st.v, geom64)
+    J = assemble_jacobian(p, st.as_vector(), geom64)
     d = kt.direction(geom64)
     assert np.max(np.abs(J @ d)) <= 1e-8 * np.max(np.abs(d))
 
@@ -166,6 +166,6 @@ def test_kernel_on_fine_off_centre_disc():
     a = geom.to_grid(kt.alpha)
     assert 0.0 < a.min() and a.max() < 0.5  # maximum principle, 0 <= rhs <= 1/2
     st = constant_state(geom, 1.0, 0.0)
-    J = assemble_jacobian(p, st.u, st.v, geom)
+    J = assemble_jacobian(p, st.as_vector(), geom)
     d = kt.direction(geom)
     assert np.max(np.abs(J @ d)) <= 1e-8 * np.max(np.abs(d))
