@@ -3,8 +3,9 @@
 The format is line-based: blank lines and `#` comments are ignored, every
 other line must read `section.key = value`. Unknown and duplicate keys are
 rejected, and so is a float key that reads as nan or inf. All problems are
-collected and reported together with their line numbers. `render_config`
-produces canonical text that parses back to an equal configuration.
+collected and reported together with their line numbers. A parsed
+configuration carries its canonical text, which parses back to an equal
+configuration.
 """
 
 from __future__ import annotations
@@ -38,12 +39,12 @@ class RunConfig:
     grid: GridSpec
     refuge: RefugeShape
     params: ModelParams  # mu holds the scalar value, or mu_min for range kinds
-    mu: float | None
     mu_range: tuple[float, float, int] | None  # (mu_min, mu_max, mu_points)
     newton: NewtonConfig
     transient: TransientConfig
     continuation: ContinuationSettings
     out_dir: str | None
+    text: str  # canonical: keys in table order, unset ones left out, floats to 17 digits
 
 
 _REQUIRED = object()
@@ -51,62 +52,47 @@ _BOUNDS = {">": operator.gt, ">=": operator.ge}
 _POSITIVE = (">", 0)
 
 
-def _item(values: tuple | None, i: int):
-    return None if values is None else values[i]
-
-
-#: Every key in canonical order: (key, type, default, single-key lower bound,
-#: read-back from a RunConfig). The default is _REQUIRED when the key must be
-#: given and None when it may stay unset; where the field the key fills has a
-#: default of its own, that is the key's default. parse_config converts, fills
-#: and bounds by this table, render_config writes it back in this order; the
-#: rules that involve several keys are in parse_config.
+#: Every key in canonical order: (key, type, default, single-key lower bound).
+#: The default is _REQUIRED when the key must be given and None when it may
+#: stay unset; where the field the key fills has a default of its own, that is
+#: the key's default. parse_config converts, fills and bounds by this table and
+#: writes the canonical text in this order; the rules that involve several
+#: keys are in parse_config.
 _KEYS = (
-    ("experiment.kind", str, _REQUIRED, None, lambda c: c.kind),
-    ("experiment.seed", int, 0, (">=", 0), lambda c: c.seed),
-    ("geometry.nx", int, 64, (">=", 4), lambda c: c.grid.nx),
-    ("geometry.ny", int, 64, (">=", 4), lambda c: c.grid.ny),
-    ("geometry.lx", float, GridSpec.lx, _POSITIVE, lambda c: c.grid.lx),
-    ("geometry.ly", float, GridSpec.ly, _POSITIVE, lambda c: c.grid.ly),
-    ("geometry.refuge.kind", str, "empty", None, lambda c: c.refuge.kind),
-    ("geometry.refuge.center_x", float, None, None, lambda c: _item(c.refuge.center, 0)),
-    ("geometry.refuge.center_y", float, None, None, lambda c: _item(c.refuge.center, 1)),
-    ("geometry.refuge.half_width_x", float, None, _POSITIVE,
-     lambda c: _item(c.refuge.half_width, 0)),
-    ("geometry.refuge.half_width_y", float, None, _POSITIVE,
-     lambda c: _item(c.refuge.half_width, 1)),
-    ("geometry.refuge.radius", float, None, _POSITIVE, lambda c: c.refuge.radius),
-    ("params.lambda", float, _REQUIRED, _POSITIVE, lambda c: c.params.lam),
-    ("params.m", float, _REQUIRED, (">=", 0), lambda c: c.params.m),
-    ("params.c", float, _REQUIRED, _POSITIVE, lambda c: c.params.c),
-    ("params.b", float, _REQUIRED, _POSITIVE, lambda c: c.params.b),
-    ("params.mu", float, None, _POSITIVE, lambda c: c.mu),
-    ("params.mu_min", float, None, _POSITIVE, lambda c: _item(c.mu_range, 0)),
-    ("params.mu_max", float, None, None, lambda c: _item(c.mu_range, 1)),
-    ("params.mu_points", int, None, (">=", 2), lambda c: _item(c.mu_range, 2)),
-    ("params.d_u", float, ModelParams.d_u, _POSITIVE, lambda c: c.params.d_u),
-    ("params.d_v", float, ModelParams.d_v, _POSITIVE, lambda c: c.params.d_v),
-    ("params.r", float, ModelParams.r, _POSITIVE, lambda c: c.params.r),
-    ("solver.newton.tol_residual", float, NewtonConfig.tol_residual, _POSITIVE,
-     lambda c: c.newton.tol_residual),
-    ("solver.newton.max_iter", int, NewtonConfig.max_iter, (">=", 1),
-     lambda c: c.newton.max_iter),
-    ("solver.transient.dt", float, TransientConfig.dt, _POSITIVE, lambda c: c.transient.dt),
-    ("solver.transient.t_end", float, TransientConfig.t_end, _POSITIVE,
-     lambda c: c.transient.t_end),
-    ("solver.transient.steady_tol", float, TransientConfig.steady_tol, _POSITIVE,
-     lambda c: c.transient.steady_tol),
-    ("solver.transient.max_steps", int, TransientConfig.max_steps, (">=", 1),
-     lambda c: c.transient.max_steps),
-    ("solver.continuation.ds", float, ContinuationSettings.ds, _POSITIVE,
-     lambda c: c.continuation.ds),
-    ("solver.continuation.n_steps", int, ContinuationSettings.n_steps, (">=", 1),
-     lambda c: c.continuation.n_steps),
-    ("solver.continuation.s0", float, ContinuationSettings.s0, _POSITIVE,
-     lambda c: c.continuation.s0),
-    ("solver.continuation.amplitude_cap", float, ContinuationSettings.amplitude_cap, _POSITIVE,
-     lambda c: c.continuation.amplitude_cap),
-    ("output.dir", str, None, None, lambda c: c.out_dir),
+    ("experiment.kind", str, _REQUIRED, None),
+    ("experiment.seed", int, 0, (">=", 0)),
+    ("geometry.nx", int, 64, (">=", 4)),
+    ("geometry.ny", int, 64, (">=", 4)),
+    ("geometry.lx", float, GridSpec.lx, _POSITIVE),
+    ("geometry.ly", float, GridSpec.ly, _POSITIVE),
+    ("geometry.refuge.kind", str, "empty", None),
+    ("geometry.refuge.center_x", float, None, None),
+    ("geometry.refuge.center_y", float, None, None),
+    ("geometry.refuge.half_width_x", float, None, _POSITIVE),
+    ("geometry.refuge.half_width_y", float, None, _POSITIVE),
+    ("geometry.refuge.radius", float, None, _POSITIVE),
+    ("params.lambda", float, _REQUIRED, _POSITIVE),
+    ("params.m", float, _REQUIRED, (">=", 0)),
+    ("params.c", float, _REQUIRED, _POSITIVE),
+    ("params.b", float, _REQUIRED, _POSITIVE),
+    ("params.mu", float, None, _POSITIVE),
+    ("params.mu_min", float, None, _POSITIVE),
+    ("params.mu_max", float, None, None),
+    ("params.mu_points", int, None, (">=", 2)),
+    ("params.d_u", float, ModelParams.d_u, _POSITIVE),
+    ("params.d_v", float, ModelParams.d_v, _POSITIVE),
+    ("params.r", float, ModelParams.r, _POSITIVE),
+    ("solver.newton.tol_residual", float, NewtonConfig.tol_residual, _POSITIVE),
+    ("solver.newton.max_iter", int, NewtonConfig.max_iter, (">=", 1)),
+    ("solver.transient.dt", float, TransientConfig.dt, _POSITIVE),
+    ("solver.transient.t_end", float, TransientConfig.t_end, _POSITIVE),
+    ("solver.transient.steady_tol", float, TransientConfig.steady_tol, _POSITIVE),
+    ("solver.transient.max_steps", int, TransientConfig.max_steps, (">=", 1)),
+    ("solver.continuation.ds", float, ContinuationSettings.ds, _POSITIVE),
+    ("solver.continuation.n_steps", int, ContinuationSettings.n_steps, (">=", 1)),
+    ("solver.continuation.s0", float, ContinuationSettings.s0, _POSITIVE),
+    ("solver.continuation.amplitude_cap", float, ContinuationSettings.amplitude_cap, _POSITIVE),
+    ("output.dir", str, None, None),
 )
 
 #: refuge kind -> the shape keys it takes; the other shape keys must stay unset
@@ -161,7 +147,7 @@ def parse_config(text: str, kind_override: str | None = None) -> RunConfig:
     known = {row[0] for row in _KEYS}
     issues = [(line_of(key), f"unknown key {key!r}") for key in raw if key not in known]
     v: dict[str, object] = {}
-    for key, conv, default, bound, _ in _KEYS:
+    for key, conv, default, bound in _KEYS:
         if key in raw:
             try:
                 value = _read(conv, raw[key][1])
@@ -239,6 +225,8 @@ def parse_config(text: str, kind_override: str | None = None) -> RunConfig:
         raise ValidationError(sorted(issues))
 
     mu = v["params.mu"]
+    text = "".join(f"{key} = {v[key]:.17g}\n" if conv is float else f"{key} = {v[key]}\n"
+                   for key, conv, _, _ in _KEYS if v[key] is not None)
     return RunConfig(
         kind=kind,
         seed=v["experiment.seed"],
@@ -247,7 +235,6 @@ def parse_config(text: str, kind_override: str | None = None) -> RunConfig:
         params=ModelParams(v["params.lambda"], v["params.m"], v["params.c"], v["params.b"],
                            mu if mu is not None else mu_min,
                            v["params.d_u"], v["params.d_v"], v["params.r"]),
-        mu=mu,
         mu_range=(mu_min, mu_max, v["params.mu_points"]) if kind in RANGE_KINDS else None,
         newton=NewtonConfig(v["solver.newton.tol_residual"], v["solver.newton.max_iter"]),
         transient=TransientConfig(v["solver.transient.dt"], v["solver.transient.t_end"],
@@ -258,18 +245,6 @@ def parse_config(text: str, kind_override: str | None = None) -> RunConfig:
                                           v["solver.continuation.s0"],
                                           v["solver.continuation.amplitude_cap"]),
         out_dir=v["output.dir"],
+        text=text,
     )
 
-
-def render_config(cfg: RunConfig) -> str:
-    """Canonical text form; parse_config(render_config(cfg)) equals cfg.
-
-    Keys come in table order, unset ones are left out, floats are written
-    with 17 significant digits so they read back exactly.
-    """
-    lines = []
-    for key, conv, _, _, get in _KEYS:
-        value = get(cfg)
-        if value is not None:
-            lines.append(f"{key} = {value:.17g}" if conv is float else f"{key} = {value}")
-    return "\n".join(lines) + "\n"

@@ -34,9 +34,8 @@ from .steady import (
     solve_kernel_function,
 )
 
-#: |mu - mu*| and |gamma| bands inside which the sign relation is not audited
+#: |mu - mu*| band inside which the sign relation is not audited
 MU_BAND = 1e-4
-GAMMA_BAND = 1e-6
 
 #: mu offset of the branch-switch corrector below mu*, as a fraction of mu*
 DELTA_SWITCH_FRACTION = 1e-2
@@ -75,8 +74,6 @@ class BranchPoint:
 class Branch:
     label: BranchLabel
     points: list[BranchPoint]
-    params: ModelParams  # mu field is per-point; the rest is shared
-    geom: DomainGeometry
     #: predator-free branch only: leading pairs of the u-block and of the
     #: v-block at mu = 0 (see trace_semitrivial)
     blocks: tuple[EigenPair, EigenPair] | None = None
@@ -161,7 +158,7 @@ def trace_semitrivial(
                 complex_pair=ep.complex_pair,
             )
         )
-    return Branch(BranchLabel.SEMITRIVIAL, pts, params_base, geom, blocks)
+    return Branch(BranchLabel.SEMITRIVIAL, pts, blocks)
 
 
 def detect_transcritical(branch: Branch) -> float:
@@ -310,7 +307,7 @@ def continue_branch(
                     raise ContinuationStalled(
                         f"corrector kept failing down to ds = {ds_cur:.3e} "
                         f"after {len(points) - 1} accepted steps, the last at mu = {y_mu:.6g}",
-                        Branch(label, points, params, geom),
+                        Branch(label, points),
                     ) from exc
         s_accum += ds_cur
         points.append(_point_from_state(x_new, mu_new, s_accum, params, geom, history))
@@ -323,7 +320,7 @@ def continue_branch(
                 sec_x, sec_mu = -sec_x, -sec_mu
             t_x, t_mu = sec_x, sec_mu
         y_x, y_mu = x_new, mu_new
-    return Branch(label, points, params, geom)
+    return Branch(label, points)
 
 
 def solve_at_amplitude(
@@ -377,7 +374,7 @@ class SignRelationAudit:
 def verify_sign_relation(branch: Branch, mu_star: float) -> SignRelationAudit:
     """Audit sign(mu - mu*) == sign(gamma) pointwise along the branch.
 
-    Points inside the marginality bands MU_BAND and GAMMA_BAND are excluded
+    Points within MU_BAND of mu* and points flagged MARGINAL are excluded
     (the relation is asymptotic and meaningless there). On the nontrivial branch
     the relation holds on both sides of mu*; on the semitrivial line it is
     reversed (gamma = mu* - mu), so feeding that branch in draws a
@@ -396,7 +393,7 @@ def verify_sign_relation(branch: Branch, mu_star: float) -> SignRelationAudit:
     rows = []
     n_excluded = 0
     for p in branch.points:
-        if abs(p.mu - mu_star) <= MU_BAND or abs(p.gamma) <= GAMMA_BAND:
+        if abs(p.mu - mu_star) <= MU_BAND or p.flag is StabilityFlag.MARGINAL:
             n_excluded += 1
             continue
         rows.append(

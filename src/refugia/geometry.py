@@ -239,11 +239,6 @@ def build_geometry(grid: GridSpec, refuge: RefugeShape) -> DomainGeometry:
     x, y = grid.cell_centers()
     in_refuge = refuge.contains(x, y)
 
-    edge = np.zeros_like(in_refuge)
-    edge[0, :] = edge[-1, :] = edge[:, 0] = edge[:, -1] = True
-    if np.any(edge & in_refuge):
-        raise RefugeTouchesBoundary("refuge cells touch the habitat boundary")
-
     omega1 = ~in_refuge
     area = float(omega1.sum()) * grid.hx * grid.hy
 

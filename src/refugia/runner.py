@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, render_config
+from .config import RunConfig
 from .continuation import (
     branch_switch,
     continue_branch,
@@ -145,7 +145,7 @@ def run_experiment(cfg: RunConfig, out_dir=None, quiet: bool = True) -> RunManif
     except OSError as exc:
         raise OutputDirUnusable(f"cannot create output directory {out}: {exc.strerror}") from exc
     manifest = RunManifest(
-        config_text=render_config(cfg),
+        config_text=cfg.text,
         version=__version__,
         started=datetime.now(timezone.utc).isoformat(),
     )

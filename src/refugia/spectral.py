@@ -138,9 +138,3 @@ def classify_value(value: float) -> StabilityFlag:
     if value > STABILITY_MARGIN:
         return StabilityFlag.UNSTABLE
     return StabilityFlag.MARGINAL
-
-
-def classify_stability(J: sp.spmatrix) -> StabilityFlag:
-    """Stability of the state whose linearization is J, by the sign of the
-    leading eigenvalue with a symmetric marginality band."""
-    return classify_value(leading_eigenvalue(J).value)

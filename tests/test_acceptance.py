@@ -31,7 +31,7 @@ from refugia.operators import (
 )
 from refugia.spectral import (
     StabilityFlag,
-    classify_stability,
+    classify_value,
     leading_eigenvalue,
     semitrivial_leading_analytic,
 )
@@ -179,9 +179,8 @@ def test_criterion_5_stability_exchange(geom64, params_std, pipeline):
         (0.95, StabilityFlag.UNSTABLE),
     ]:
         st = constant_state(geom64, 1.0, 0.0)
-        flag = classify_stability(
-            assemble_jacobian(params_std.with_mu(mu), st.as_vector(), geom64)
-        )
+        J = assemble_jacobian(params_std.with_mu(mu), st.as_vector(), geom64)
+        flag = classify_value(leading_eigenvalue(J, coupled_order(geom64)).value)
         checks.append(flag is expected)
     below = [p for p in branch.points if p.mu < mu_star]
     checks.append(len(below) == len(branch.points))

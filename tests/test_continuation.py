@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -296,7 +298,7 @@ def test_stalled_continuation_carries_its_accepted_points():
     with pytest.raises(ContinuationStalled, match="after 122 accepted steps") as info:
         continue_branch(start, direction, 150, 0.1, p, geom)
     branch = info.value.branch
-    assert branch.label is BranchLabel.NONTRIVIAL and branch.geom is geom
+    assert branch.label is BranchLabel.NONTRIVIAL
     assert len(branch.points) == 123 and branch.points[0] is start
     assert np.all(branch.mus() > 0)
     assert f"the last at mu = {branch.mus()[-1]:.6g}" in str(info.value)
@@ -339,23 +341,26 @@ def test_sign_relation_empty_inside_bands(nontrivial, mu_star, monkeypatch):
     import refugia.continuation as cont
 
     monkeypatch.setattr(cont, "MU_BAND", 1.0)
-    monkeypatch.setattr(cont, "GAMMA_BAND", 1.0)
-    trimmed = Branch(
-        BranchLabel.NONTRIVIAL,
-        nontrivial.points[:5],
-        nontrivial.params,
-        nontrivial.geom,
-    )
+    trimmed = Branch(BranchLabel.NONTRIVIAL, nontrivial.points[:5])
     audit = verify_sign_relation(trimmed, mu_star)
     assert audit.rows == []
     assert audit.n_excluded == 5
     assert not audit.all_pass  # nothing audited, nothing claimed
 
 
+def test_sign_relation_excludes_marginal_points(nontrivial, mu_star):
+    audited = verify_sign_relation(nontrivial, mu_star)
+    points = list(nontrivial.points)
+    for i, gamma in ((-3, 5e-7), (-2, -5e-7)):
+        points[i] = dataclasses.replace(points[i], gamma=gamma, flag=StabilityFlag.MARGINAL)
+    audit = verify_sign_relation(Branch(BranchLabel.NONTRIVIAL, points), mu_star)
+    assert audit.n_excluded == audited.n_excluded + 2
+    assert len(audit.rows) == len(audited.rows) - 2
+    assert audit.n_fail == 0  # the +5e-7 point, below mu*, would fail if audited
+
+
 def test_sign_relation_needs_five_points(nontrivial, mu_star):
-    stub = Branch(
-        BranchLabel.NONTRIVIAL, nontrivial.points[:3], nontrivial.params, nontrivial.geom
-    )
+    stub = Branch(BranchLabel.NONTRIVIAL, nontrivial.points[:3])
     with pytest.raises(ValueError):
         verify_sign_relation(stub, mu_star)
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from refugia.errors import (
     DegenerateGrid,
@@ -12,6 +14,7 @@ from refugia.geometry import (
     GridSpec,
     RefugeShape,
     build_geometry,
+    check_refuge_clearance,
 )
 
 
@@ -73,6 +76,42 @@ def test_refuge_cells_never_touch_boundary():
     edge = np.zeros_like(geom.omega1_mask)
     edge[0, :] = edge[-1, :] = edge[:, 0] = edge[:, -1] = True
     assert np.all(geom.omega1_mask[edge])
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(st.integers(4, 48), min_size=2, max_size=2, unique=True),
+    st.lists(st.floats(0.5, 2.0), min_size=2, max_size=2, unique=True),
+    st.sampled_from(["rectangle", "disc"]),
+    st.lists(st.floats(2.0, 4.0), min_size=4, max_size=4),
+    st.integers(0, 3),
+    st.floats(0.0, 3.0),
+    st.floats(0.05, 1.0),
+    st.booleans(),
+)
+def test_clearance_keeps_refuge_off_the_edge_cells(ns, ls, kind, gaps, side, tight, size, mirror):
+    """A refuge closure more than 2h from every side misses every edge-cell
+    centre (h/2 from a side), so the clearance rule alone keeps the outer ring
+    of cells in the predator domain, on non-square grids too."""
+    grid = GridSpec(ns[0], ns[1], ls[0], ls[1])
+    h = max(grid.hx, grid.hy)
+    gaps[side] = tight  # one side may come closer than the rule allows
+    left, right, bottom, top = (h * g for g in gaps)  # distances to the four sides
+    if kind == "rectangle":
+        wx, wy = 0.5 * (grid.lx - left - right), 0.5 * (grid.ly - bottom - top)
+        assume(wx > 0 and wy > 0)
+        refuge = RefugeShape.rectangle((left + wx, bottom + wy), (wx, wy))
+    else:
+        r = size * (0.5 * min(grid.lx, grid.ly) - 2.0 * h)
+        assume(r > 0)
+        cx, cy = left + r, bottom + r
+        refuge = RefugeShape.disc((grid.lx - cx, grid.ly - cy) if mirror else (cx, cy), r)
+    try:
+        check_refuge_clearance(grid, refuge)
+    except RefugeTouchesBoundary:
+        assume(False)
+    mask = build_geometry(grid, refuge).omega1_mask
+    assert mask[0, :].all() and mask[-1, :].all() and mask[:, 0].all() and mask[:, -1].all()
 
 
 def test_disc_area_converges_first_order():

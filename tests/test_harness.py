@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from refugia import cli, runner
-from refugia.config import ContinuationSettings, parse_config, render_config
+from refugia.config import ContinuationSettings, parse_config
 from refugia.continuation import continue_branch, trace_semitrivial
 from refugia.errors import (
     ContinuationStalled,
@@ -58,7 +58,7 @@ def test_minimal_config_fills_defaults():
     assert cfg.kind == "steady"
     assert cfg.grid.nx == cfg.grid.ny == 64
     assert cfg.refuge.kind == "empty"
-    assert cfg.mu == 1.2
+    assert cfg.params.mu == 1.2
     assert cfg.newton.tol_residual == 1e-10
     assert cfg.continuation == ContinuationSettings()
     assert cfg.seed == 0
@@ -75,7 +75,44 @@ def test_config_round_trip_variants(tmp_path):
     ]
     for text in variants:
         cfg = parse_config(text)
-        assert parse_config(render_config(cfg)) == cfg
+        assert parse_config(cfg.text) == cfg
+
+
+def test_config_text_is_canonical():
+    """The manifest's config echo, byte for byte: defaults filled in, keys in
+    table order, unset keys left out, floats to 17 significant digits."""
+    assert parse_config(BIF_SMALL).text == (
+        "experiment.kind = bifurcate\n"
+        "experiment.seed = 0\n"
+        "geometry.nx = 16\n"
+        "geometry.ny = 16\n"
+        "geometry.lx = 1\n"
+        "geometry.ly = 1\n"
+        "geometry.refuge.kind = rectangle\n"
+        "geometry.refuge.center_x = 0.5\n"
+        "geometry.refuge.center_y = 0.5\n"
+        "geometry.refuge.half_width_x = 0.125\n"
+        "geometry.refuge.half_width_y = 0.125\n"
+        "params.lambda = 1\n"
+        "params.m = 1\n"
+        "params.c = 2\n"
+        "params.b = 1\n"
+        "params.mu_min = 0.80000000000000004\n"
+        "params.mu_max = 1.2\n"
+        "params.mu_points = 5\n"
+        "params.d_u = 1\n"
+        "params.d_v = 1\n"
+        "params.r = 1\n"
+        "solver.newton.tol_residual = 1e-10\n"
+        "solver.newton.max_iter = 50\n"
+        "solver.transient.dt = 0.10000000000000001\n"
+        "solver.transient.t_end = 400\n"
+        "solver.transient.steady_tol = 9.9999999999999995e-08\n"
+        "solver.transient.max_steps = 100000\n"
+        "solver.continuation.ds = 0.029999999999999999\n"
+        "solver.continuation.n_steps = 6\n"
+        "solver.continuation.s0 = 0.050000000000000003\n"
+    )
 
 
 def test_negative_m_rejected_with_field_and_bound():

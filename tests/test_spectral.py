@@ -13,7 +13,6 @@ from refugia.operators import ModelParams, assemble_jacobian, coupled_order
 from refugia.spectral import (
     NCV,
     StabilityFlag,
-    classify_stability,
     classify_value,
     leading_eigenvalue,
     semitrivial_leading_analytic,
@@ -72,7 +71,8 @@ def test_semitrivial_marginal_at_threshold(geom16):
     J = _semitrivial_jacobian(p, geom16)
     ep = leading_eigenvalue(J)
     assert abs(ep.value) <= 1e-8
-    assert classify_stability(J) is StabilityFlag.MARGINAL
+    flag = classify_value(leading_eigenvalue(J, coupled_order(geom16)).value)
+    assert flag is StabilityFlag.MARGINAL
 
 
 def test_analytic_oracle_values():
@@ -98,7 +98,8 @@ def test_classification_across_threshold(geom16):
     cases = [(1.2, StabilityFlag.STABLE), (0.9, StabilityFlag.UNSTABLE)]
     for mu, expected in cases:
         p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=mu)
-        assert classify_stability(_semitrivial_jacobian(p, geom16)) is expected
+        J = _semitrivial_jacobian(p, geom16)
+        assert classify_value(leading_eigenvalue(J, coupled_order(geom16)).value) is expected
 
 
 def test_monotone_slope_until_cap(geom16):
