@@ -26,13 +26,7 @@ from .fields import SystemState, constant_state
 from .geometry import DomainGeometry
 from .operators import ModelParams, assemble_jacobian, coupled_order, split
 from .spectral import EigenPair, StabilityFlag, classify_value, leading_eigenvalue
-from .steady import (
-    KernelTangent,
-    NewtonConfig,
-    bordered_newton,
-    newton_solve,
-    solve_kernel_function,
-)
+from .steady import NewtonConfig, bordered_newton, newton_solve, solve_kernel_function
 
 #: |mu - mu*| band inside which the sign relation is not audited
 MU_BAND = 1e-4
@@ -214,26 +208,25 @@ def branch_switch(
     geom: DomainGeometry,
     s0: float,
     newton_cfg: NewtonConfig | None = None,
-    tangent: KernelTangent | None = None,
 ) -> BranchPoint:
     """Step off the predator-free line onto the coexistence branch.
 
-    Predictor: (lam, 0) + s0 * (-alpha, 1) at mu = mu* - DELTA_SWITCH_FRACTION*mu*;
-    corrector: newton_solve at that fixed mu. When that Newton collapses onto
-    the predator-free state (amplitude below s0/10: s0 is small or the branch
-    is flat in mu), the point is the amplitude-pinned solve at s0 from mu*.
-    tangent is solve_kernel_function(params, geom), solved here when absent.
+    Predictor: (lam, 0) + s0 * (-alpha, 1) at mu = mu* - DELTA_SWITCH_FRACTION*mu*,
+    alpha from solve_kernel_function; corrector: newton_solve at that fixed
+    mu. When that Newton collapses onto the predator-free state (amplitude
+    below s0/10: s0 is small or the branch is flat in mu), the point is the
+    amplitude-pinned solve at s0 from mu*, started from the same predictor.
     """
     if not 0.0 < s0 <= 0.1 * params.lam:
         raise ValueError(f"s0 must lie in (0, 0.1*lam], got {s0}")
     cfg = newton_cfg or NewtonConfig()
     mu_sw = mu_star - DELTA_SWITCH_FRACTION * mu_star
-    kt = tangent if tangent is not None else solve_kernel_function(params, geom)
+    direction = solve_kernel_function(params, geom).direction(geom)
     base = constant_state(geom, params.lam, 0.0).as_vector()
-    predictor = SystemState.from_vector(base + s0 * kt.direction(geom), geom.n_omega)
+    predictor = SystemState.from_vector(base + s0 * direction, geom.n_omega)
     result = newton_solve(predictor, params.with_mu(mu_sw), cfg, geom)
     if amplitude_of(result.state) < s0 / 10.0:
-        return solve_at_amplitude(params, geom, s0, mu_star, tangent=kt, newton_cfg=cfg)
+        return solve_at_amplitude(params, geom, s0, mu_star, predictor, newton_cfg=cfg)
     x = result.state.as_vector()
     s_init = _metric_norm(x - base, mu_sw - mu_star)
     return _point_from_state(x, mu_sw, s_init, params, geom, result.residual_history)
@@ -329,19 +322,19 @@ def solve_at_amplitude(
     amplitude: float,
     mu_guess: float,
     state_guess: SystemState | None = None,
-    tangent: KernelTangent | None = None,
     newton_cfg: NewtonConfig | None = None,
 ) -> BranchPoint:
     """Coexistence point with the predator amplitude pinned and mu free.
 
-    Newton on [steady residual; mean(v) - amplitude = 0] over (state, mu).
-    Used to sample the branch at prescribed amplitudes when auditing the
-    tangent structure, and by branch_switch when its fixed-mu Newton collapses.
+    Newton on [steady residual; mean(v) - amplitude = 0] over (state, mu),
+    from state_guess or else (lam, 0) + amplitude * (-alpha, 1). Used to sample
+    the branch at prescribed amplitudes when auditing the tangent structure,
+    and by branch_switch when its fixed-mu Newton collapses.
     """
     cfg = newton_cfg or NewtonConfig()
     if state_guess is None:
-        kt = tangent if tangent is not None else solve_kernel_function(params, geom)
-        x = constant_state(geom, params.lam, 0.0).as_vector() + amplitude * kt.direction(geom)
+        direction = solve_kernel_function(params, geom).direction(geom)
+        x = constant_state(geom, params.lam, 0.0).as_vector() + amplitude * direction
     else:
         x = state_guess.as_vector()
     row_x = np.zeros(geom.n_unknowns)

@@ -22,8 +22,10 @@ blocks have transposed patterns, so every matrix factored here is
 structurally symmetric, which is what factor's SuperLU settings rely on.
 Single-field matrices are factored in SuperLU's own minimum-degree order;
 the coupled Jacobians in coupled_order(geom), which eliminates each cell's
-u and v next to each other. States are flat vectors x = [u on OMEGA;
-v on OMEGA1], a layout that split(x, geom) alone knows.
+u and v next to each other. The cell graph I - lap_omega has one LU per
+geometry, cell_graph(geom): the kernel-function solve runs on it, and its
+column order is coupled_order's cell order. States are flat vectors
+x = [u on OMEGA; v on OMEGA1], a layout that split(x, geom) alone knows.
 """
 
 from __future__ import annotations
@@ -128,29 +130,50 @@ def factor(M: sp.spmatrix, error: type[Exception], what: str, order: np.ndarray 
     return lu if order is None else OrderedLU(lu, order)
 
 
-#: coupled_order's cache, one entry per live geometry
-_COUPLED_ORDERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+@dataclass(frozen=True)
+class CellGraph:
+    """The cell graph I - lap_omega of a geometry, its one LU and the coupled
+    order drawn from that LU."""
+
+    matrix: sp.csc_matrix
+    lu: spla.SuperLU
+    order: np.ndarray
+
+
+#: cell_graph's cache, one entry per live geometry
+_CELL_GRAPHS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def cell_graph(geom: DomainGeometry) -> CellGraph:
+    """I - lap_omega on the habitat, factored once per geometry by factor.
+
+    The LU solves the kernel-function problem (steady.solve_kernel_function)
+    and its column order gives coupled_order's cell order. Built at the first
+    call for a geometry and cached with it; a failed LU raises
+    LinearSolveFailure.
+    """
+    graph = _CELL_GRAPHS.get(geom)
+    if graph is None:
+        n = geom.n_omega
+        A = (sp.identity(n, format="csr") - geom.lap_omega).tocsc()
+        lu = factor(A, LinearSolveFailure, "LU of the cell graph I - lap_omega failed")
+        cells = np.argsort(lu.perm_c)
+        v_of = np.full(n, -1)
+        v_of[geom.omega1_flat] = n + np.arange(geom.n_omega1)
+        pairs = np.column_stack([cells, v_of[cells]]).ravel()
+        graph = _CELL_GRAPHS[geom] = CellGraph(A, lu, pairs[pairs >= 0])
+    return graph
 
 
 def coupled_order(geom: DomainGeometry) -> np.ndarray:
     """Fill-reducing elimination order of the coupled unknowns [u on OMEGA; v on OMEGA1].
 
-    The cells follow SuperLU's MMD_AT_PLUS_A order of the cell graph
-    I - lap_omega, and each OMEGA1 cell's v comes right after its u, so a
-    coupled Jacobian's 2x2 cell blocks are eliminated together (George &
-    Liu, SIAM Review 1989). Built at the first call for a geometry, at the
-    cost of one LU of the prey-sized matrix, and cached with it.
+    The cells follow the column order of the geometry's one LU of the cell
+    graph (cell_graph: SuperLU's MMD_AT_PLUS_A order of I - lap_omega), and
+    each OMEGA1 cell's v comes right after its u, so a coupled Jacobian's 2x2
+    cell blocks are eliminated together (George & Liu, SIAM Review 1989).
     """
-    order = _COUPLED_ORDERS.get(geom)
-    if order is None:
-        n = geom.n_omega
-        cell_graph = sp.identity(n, format="csr") - geom.lap_omega
-        cells = np.argsort(factor(cell_graph, LinearSolveFailure, "ordering LU failed").perm_c)
-        v_of = np.full(n, -1)
-        v_of[geom.omega1_flat] = n + np.arange(geom.n_omega1)
-        pairs = np.column_stack([cells, v_of[cells]]).ravel()
-        order = _COUPLED_ORDERS[geom] = pairs[pairs >= 0]
-    return order
+    return cell_graph(geom).order
 
 
 def _face_average(table, x: np.ndarray) -> np.ndarray:

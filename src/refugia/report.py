@@ -24,7 +24,7 @@ from .fields import constant_state
 from .geometry import DomainGeometry
 from .operators import ModelParams
 from .spectral import StabilityFlag
-from .steady import KernelTangent, solve_kernel_function
+from .steady import solve_kernel_function
 
 #: verify gate: largest relative gap between detected and analytic mu*
 GAP_TOL = 1e-3
@@ -53,21 +53,26 @@ class ExchangeCell:
 
 @dataclass
 class BifurcationReport:
+    """The fields after notes need a coexistence branch of two or more points;
+    without one they keep their defaults."""
+
     mu_star_detected: float
     mu_star_analytic: float
     relative_gap: float
-    tangent_cosine: float | None
-    tangent_angle_deg: float | None
-    tangent_ratios: list[tuple[float, float]]  # (amplitude, first-order error / amplitude)
-    slope_sign_negative: bool | None
-    mu_strictly_decreasing_points: int
-    audit_status: str  # PASS | FAIL | NOT_RUN
-    audit: SignRelationAudit | None
     exchange: list[ExchangeCell]
-    no_both_stable: bool | None
-    intersection: list[tuple[float, float, float]]  # (amplitude, |u-lam|_inf, |mu-mu*|)
-    intersection_shrinks: bool | None
     notes: list[str] = field(default_factory=list)
+    tangent_cosine: float | None = None
+    tangent_angle_deg: float | None = None
+    # (amplitude, first-order error / amplitude)
+    tangent_ratios: list[tuple[float, float]] = field(default_factory=list)
+    slope_sign_negative: bool | None = None
+    mu_strictly_decreasing_points: int = 0
+    audit_status: str = "NOT_RUN"  # PASS | FAIL | NOT_RUN
+    audit: SignRelationAudit | None = None
+    no_both_stable: bool | None = None
+    # (amplitude, |u-lam|_inf, |mu-mu*|)
+    intersection: list[tuple[float, float, float]] = field(default_factory=list)
+    intersection_shrinks: bool | None = None
 
     def failed_gates(self) -> list[str]:
         """One "name value" entry per failed gate of the verify experiment."""
@@ -161,93 +166,62 @@ def build_report(
     mu_star: float,
     params: ModelParams,
     geom: DomainGeometry,
-    tangent: KernelTangent | None = None,
 ) -> BifurcationReport:
-    """Aggregate detection, tangency, slope, sign-relation, and exchange audits.
-
-    tangent is solve_kernel_function(params, geom), solved here when absent
-    and needed."""
+    """Aggregate detection, tangency, slope, sign-relation, and exchange audits."""
     mu_analytic = params.c * params.lam / (1.0 + params.m * params.lam)
-    gap = abs(mu_star - mu_analytic) / abs(mu_analytic)
-
-    notes = []
+    rep = BifurcationReport(
+        mu_star_detected=mu_star,
+        mu_star_analytic=mu_analytic,
+        relative_gap=abs(mu_star - mu_analytic) / abs(mu_analytic),
+        exchange=[
+            _exchange_cell(semitrivial, "mu>mu*", mu_star, StabilityFlag.STABLE),
+            _exchange_cell(semitrivial, "mu<mu*", mu_star, StabilityFlag.UNSTABLE),
+        ],
+    )
     if geom.refuge.kind == "empty":
-        notes.append(
+        rep.notes.append(
             "empty refuge: predator domain fills the habitat "
             f"(area {geom.area_omega1:.6g}); the threshold formula has no refuge dependence"
         )
+    if nontrivial is None or len(nontrivial.points) < 2:
+        return rep
 
-    exchange = [
-        _exchange_cell(semitrivial, "mu>mu*", mu_star, StabilityFlag.STABLE),
-        _exchange_cell(semitrivial, "mu<mu*", mu_star, StabilityFlag.UNSTABLE),
-    ]
+    rep.exchange.append(_exchange_cell(nontrivial, "mu<mu*", mu_star, StabilityFlag.STABLE))
+    rep.exchange.append(_exchange_cell(nontrivial, "mu>mu*", mu_star, StabilityFlag.UNSTABLE))
 
-    tangent_cosine = None
-    tangent_angle = None
-    tangent_ratios: list[tuple[float, float]] = []
-    slope_negative = None
-    n_decreasing = 0
-    audit = None
-    audit_status = "NOT_RUN"
-    no_both_stable = None
-    intersection: list[tuple[float, float, float]] = []
-    intersection_shrinks = None
+    tan = solve_kernel_function(params, geom).direction(geom)
+    base = constant_state(geom, params.lam, 0.0).as_vector()
+    by_amp = sorted(nontrivial.points, key=lambda p: p.amplitude)
+    smallest = by_amp[0]
+    dev = (smallest.state.as_vector() - base) / smallest.amplitude
+    rep.tangent_cosine = float(dev @ tan / (np.linalg.norm(dev) * np.linalg.norm(tan)))
+    rep.tangent_angle_deg = float(np.degrees(np.arccos(np.clip(rep.tangent_cosine, -1.0, 1.0))))
 
-    if nontrivial is not None and len(nontrivial.points) >= 2:
-        exchange.append(_exchange_cell(nontrivial, "mu<mu*", mu_star, StabilityFlag.STABLE))
-        exchange.append(_exchange_cell(nontrivial, "mu>mu*", mu_star, StabilityFlag.UNSTABLE))
-
-        kt = tangent if tangent is not None else solve_kernel_function(params, geom)
-        tan = kt.direction(geom)
-        base = constant_state(geom, params.lam, 0.0).as_vector()
-        by_amp = sorted(nontrivial.points, key=lambda p: p.amplitude)
-        smallest = by_amp[0]
-        dev = (smallest.state.as_vector() - base) / smallest.amplitude
-        tangent_cosine = float(dev @ tan / (np.linalg.norm(dev) * np.linalg.norm(tan)))
-        tangent_angle = float(np.degrees(np.arccos(np.clip(tangent_cosine, -1.0, 1.0))))
-
-        for p in by_amp[:3]:
-            diff = p.state.as_vector() - (base + p.amplitude * kt.direction(geom))
-            tangent_ratios.append((p.amplitude, float(np.max(np.abs(diff)) / p.amplitude)))
-            u_dev = float(np.max(np.abs(p.state.u.values - params.lam)))
-            intersection.append((p.amplitude, u_dev, abs(p.mu - mu_star)))
-        if len(intersection) >= 2:
-            udevs = [row[1] for row in intersection]
-            gaps = [row[2] for row in intersection]
-            intersection_shrinks = all(
-                udevs[i] <= udevs[i + 1] and gaps[i] <= gaps[i + 1]
-                for i in range(len(intersection) - 1)
-            )
-
-        by_s = sorted(nontrivial.points, key=lambda p: p.s)
-        mus = [p.mu for p in by_s[: min(10, len(by_s))]]
-        n_decreasing = sum(mus[i + 1] < mus[i] for i in range(len(mus) - 1))
-        slope_negative = n_decreasing == len(mus) - 1 and len(mus) >= 2
-
-        if len(nontrivial.points) >= 5:
-            audit = verify_sign_relation(nontrivial, mu_star)
-            audit_status = "PASS" if audit.all_pass else "FAIL"
-
-        semi_stable_mus = [p.mu for p in semitrivial.points if p.flag is StabilityFlag.STABLE]
-        nontrivial_stable_mus = [p.mu for p in nontrivial.points if p.flag is StabilityFlag.STABLE]
-        no_both_stable = all(m > mu_star for m in semi_stable_mus) and all(
-            m < mu_star for m in nontrivial_stable_mus
+    for p in by_amp[:3]:
+        diff = p.state.as_vector() - (base + p.amplitude * tan)
+        rep.tangent_ratios.append((p.amplitude, float(np.max(np.abs(diff)) / p.amplitude)))
+        u_dev = float(np.max(np.abs(p.state.u.values - params.lam)))
+        rep.intersection.append((p.amplitude, u_dev, abs(p.mu - mu_star)))
+    if len(rep.intersection) >= 2:
+        udevs = [row[1] for row in rep.intersection]
+        gaps = [row[2] for row in rep.intersection]
+        rep.intersection_shrinks = all(
+            udevs[i] <= udevs[i + 1] and gaps[i] <= gaps[i + 1]
+            for i in range(len(rep.intersection) - 1)
         )
 
-    return BifurcationReport(
-        mu_star_detected=mu_star,
-        mu_star_analytic=mu_analytic,
-        relative_gap=gap,
-        tangent_cosine=tangent_cosine,
-        tangent_angle_deg=tangent_angle,
-        tangent_ratios=tangent_ratios,
-        slope_sign_negative=slope_negative,
-        mu_strictly_decreasing_points=n_decreasing,
-        audit_status=audit_status,
-        audit=audit,
-        exchange=exchange,
-        no_both_stable=no_both_stable,
-        intersection=intersection,
-        intersection_shrinks=intersection_shrinks,
-        notes=notes,
+    by_s = sorted(nontrivial.points, key=lambda p: p.s)
+    mus = [p.mu for p in by_s[: min(10, len(by_s))]]
+    rep.mu_strictly_decreasing_points = sum(mus[i + 1] < mus[i] for i in range(len(mus) - 1))
+    rep.slope_sign_negative = rep.mu_strictly_decreasing_points == len(mus) - 1 and len(mus) >= 2
+
+    if len(nontrivial.points) >= 5:
+        rep.audit = verify_sign_relation(nontrivial, mu_star)
+        rep.audit_status = "PASS" if rep.audit.all_pass else "FAIL"
+
+    semi_stable_mus = [p.mu for p in semitrivial.points if p.flag is StabilityFlag.STABLE]
+    nontrivial_stable_mus = [p.mu for p in nontrivial.points if p.flag is StabilityFlag.STABLE]
+    rep.no_both_stable = all(m > mu_star for m in semi_stable_mus) and all(
+        m < mu_star for m in nontrivial_stable_mus
     )
+    return rep

@@ -34,7 +34,7 @@ from .geometry import build_geometry
 from .operators import assemble_jacobian, coupled_order
 from .report import build_report
 from .spectral import classify_value, leading_eigenvalue
-from .steady import newton_solve, solve_kernel_function
+from .steady import newton_solve
 from .svgplot import emit_plot
 
 LOCK_NAME = ".refugia.lock"
@@ -212,9 +212,8 @@ def _dispatch(cfg: RunConfig, out: Path, stages: _Stages) -> None:
     with stages.stage("detect_transcritical"):
         mu_star = detect_transcritical(semi)
     with stages.stage("branch_switch"):
-        tangent = solve_kernel_function(cfg.params, geom)
         start_pt = branch_switch(mu_star, cfg.params, geom, s0=cfg.continuation.s0,
-                                 newton_cfg=cfg.newton, tangent=tangent)
+                                 newton_cfg=cfg.newton)
     with stages.stage("continue_branch"):
         base = constant_state(geom, cfg.params.lam, 0.0).as_vector()
         direction = (start_pt.state.as_vector() - base, start_pt.mu - mu_star)
@@ -242,7 +241,7 @@ def _dispatch(cfg: RunConfig, out: Path, stages: _Stages) -> None:
         return
 
     with stages.stage("build_report"):
-        rep = build_report(semi, nontrivial, mu_star, cfg.params, geom, tangent=tangent)
+        rep = build_report(semi, nontrivial, mu_star, cfg.params, geom)
         (out / "report.txt").write_text(rep.to_text(), encoding="utf-8")
         if rep.audit is not None:
             write_audit_csv(out / "audit.csv", rep.audit)

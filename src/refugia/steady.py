@@ -22,6 +22,7 @@ from .operators import (
     ModelParams,
     OrderedLU,
     assemble_jacobian,
+    cell_graph,
     coupled_order,
     factor,
     residual_mu_derivative,
@@ -194,12 +195,13 @@ def solve_kernel_function(params: ModelParams, geom: DomainGeometry) -> KernelTa
 
     The right-hand side vanishes inside the refuge, so alpha dips there and
     peaks on the predator domain; with no refuge alpha is the constant
-    b/(1 + m*lam). The solve is independent of mu.
+    b/(1 + m*lam). The solve is independent of mu and runs on the geometry's
+    one LU of I - lap_omega (operators.cell_graph), so only the first call
+    for a geometry factors.
     """
-    n = geom.n_omega
-    A = (sp.identity(n, format="csr") - geom.lap_omega).tocsc()
+    graph = cell_graph(geom)
+    A, lu = graph.matrix, graph.lu
     rhs = np.where(geom.omega1_flat, params.b, 0.0) / (1.0 + params.m * params.lam)
-    lu = factor(A, LinearSolveFailure, "kernel-function solve failed")
     alpha = lu.solve(rhs)
     # one pass of iterative refinement to push the residual to the floor
     alpha += lu.solve(rhs - A @ alpha)

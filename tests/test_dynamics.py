@@ -224,11 +224,12 @@ def test_coexistence_run_solver_counters(geom32, scipy_counters, monkeypatch):
 
 
 def test_transient_run_leaves_the_coupled_order_unbuilt(scipy_counters):
-    """The coupled order's ordering LU has the prey matrix's shape, so only
-    the order cache shows that a transient run never asked for it."""
-    geom = build_geometry(GridSpec(16, 16), CENTER_RECT)  # fresh: no order cached
+    """The cell graph's LU, which gives the coupled order, has the prey
+    matrix's shape, so only its cache shows that a transient run never asked
+    for it."""
+    geom = build_geometry(GridSpec(16, 16), CENTER_RECT)  # fresh: no cell graph cached
     run_to_steady(constant_state(geom, 1.0, 0.05), COEXIST, TransientConfig(max_steps=5), geom)
-    assert geom not in operators._COUPLED_ORDERS
+    assert geom not in operators._CELL_GRAPHS
     assert scipy_counters.splu_shapes.count((geom.n_omega1,) * 2) == 1
 
 

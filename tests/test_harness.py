@@ -6,7 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from refugia import cli, runner
 from refugia.config import ContinuationSettings, parse_config
@@ -18,9 +20,11 @@ from refugia.errors import (
     ParseError,
     ValidationError,
 )
+from refugia.geometry import build_geometry
 from refugia.operators import ModelParams
 from refugia.report import build_report
 from refugia.runner import LOCK_NAME, MANIFEST_NAME, run_experiment
+from refugia.steady import solve_kernel_function
 from refugia.svgplot import emit_plot
 
 MINIMAL = """
@@ -192,6 +196,24 @@ def test_bifurcate_run_deterministic(tmp_path):
         "corrector_iters"
     )
 
+
+def test_verify_run_factors_the_cell_graph_once(tmp_path, scipy_counters):
+    # the kernel-function solve and the coupled order share the geometry's
+    # one LU of the cell graph I - lap_omega (operators.cell_graph)
+    cfg = parse_config(BIF_SMALL.replace("bifurcate", "verify"))
+    run_experiment(cfg, out_dir=tmp_path)
+    geom = build_geometry(cfg.grid, cfg.refuge)
+    graph = sp.identity(geom.n_omega, format="csc") - geom.lap_omega
+
+    def is_cell_graph(A):
+        return A.shape == graph.shape and (A - graph).count_nonzero() == 0
+
+    assert sum(is_cell_graph(A) for A, _, _ in scipy_counters.splu_calls) == 1
+    first = solve_kernel_function(cfg.params, geom).alpha.values
+    n_lu = len(scipy_counters.splu_calls)
+    again = solve_kernel_function(cfg.params, geom).alpha.values
+    assert len(scipy_counters.splu_calls) == n_lu  # the second solve reuses the LU
+    assert np.array_equal(again, first)
 
 #: the benchmark's verify-64 case with the default continuation settings;
 #: its coexistence branch does not depend on the mu samples of the

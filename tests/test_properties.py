@@ -1,17 +1,21 @@
-"""Property tests of the face-table operators, and of the leading eigenvalue
-against a dense oracle, over random refuges and grids.
+"""Property tests of the face-table operators, of the leading eigenvalue
+against a dense oracle, and of whole runs, over random refuges and grids.
 
 Rectangles and discs of random size and position (always more than two cell
 widths inside the habitat), or no refuge, on grids with nx != ny and
 lx != ly in general.
 """
 
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refugia.config import KINDS, RANGE_KINDS, parse_config
 from refugia.continuation import solve_at_amplitude
+from refugia.errors import RefugiaError
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
 from refugia.operators import (
     ModelParams,
@@ -22,21 +26,22 @@ from refugia.operators import (
     nonlinear_diffusion,
     residual_steady,
 )
+from refugia.runner import run_experiment
 from refugia.spectral import leading_eigenvalue
 
 unit = st.floats(0.0, 1.0)
 
 
 @st.composite
-def geometries(draw, cells=(12, 20)):
+def geometries(draw, cells=(12, 20), lengths=(0.8, 1.5)):
     grid = GridSpec(
         draw(st.integers(*cells)),
         draw(st.integers(*cells)),
-        draw(st.floats(0.8, 1.5)),
-        draw(st.floats(0.8, 1.5)),
+        draw(st.floats(*lengths)),
+        draw(st.floats(*lengths)),
     )
     edge = 2.5 * max(grid.hx, grid.hy)  # refuge margin to keep, > 2h
-    room = 0.5 * min(grid.lx, grid.ly) - edge  # > 0 for these ranges
+    room = 0.5 * min(grid.lx, grid.ly) - edge  # > 0 for the ranges used here
 
     def centre(half, length):
         return edge + half + draw(unit) * (length - 2.0 * (edge + half))
@@ -154,3 +159,62 @@ def test_leading_eigenvalue_matches_dense_on_enriched_branches(geom, lam, m_lam,
         lead = dense[np.argmax(dense.real)]
         assert ep.value == pytest.approx(lead.real, abs=1e-8)
         assert ep.complex_pair == (abs(lead.imag) > 1e-10)
+
+
+def _error_names(cls=RefugiaError) -> set[str]:
+    return {cls.__name__}.union(*(_error_names(sub) for sub in cls.__subclasses__()))
+
+
+def _config_text(geom, kind, lam, m, c, b, lo, hi, step) -> str:
+    """A run config on geom's grid and refuge. The scalar kinds run at
+    mu = lo*mu* with time step step*50, the range kinds over the window
+    [lo, hi]*mu* with arclength step step and up to 16 steps."""
+    grid, refuge = geom.grid, geom.refuge
+    keys = {"experiment.kind": kind, "geometry.nx": grid.nx, "geometry.ny": grid.ny,
+            "geometry.lx": grid.lx, "geometry.ly": grid.ly, "geometry.refuge.kind": refuge.kind,
+            "params.lambda": lam, "params.m": m, "params.c": c, "params.b": b}
+    if refuge.center is not None:
+        keys["geometry.refuge.center_x"], keys["geometry.refuge.center_y"] = refuge.center
+    if refuge.half_width is not None:
+        keys["geometry.refuge.half_width_x"], keys["geometry.refuge.half_width_y"] = (
+            refuge.half_width
+        )
+    if refuge.radius is not None:
+        keys["geometry.refuge.radius"] = refuge.radius
+    mu_star = c * lam / (1.0 + m * lam)
+    if kind in RANGE_KINDS:
+        keys.update({"params.mu_min": lo * mu_star, "params.mu_max": hi * mu_star,
+                     "params.mu_points": 5, "solver.continuation.n_steps": 16,
+                     "solver.continuation.ds": step})
+    else:
+        keys.update({"params.mu": lo * mu_star, "solver.transient.dt": 50 * step,
+                     "solver.transient.max_steps": 200})
+    return "".join(f"{key} = {value}\n" for key, value in keys.items())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=6, deadline=None)
+@given(
+    geometries((8, 16), (0.8, 1.25)).filter(
+        lambda g: g.grid.nx != g.grid.ny and g.grid.lx != g.grid.ly
+    ),
+    st.floats(0.5, 3.0),
+    st.floats(0.0, 2.0),
+    st.floats(0.5, 3.0),
+    st.floats(0.5, 2.0),
+    st.floats(0.5, 0.95),
+    st.floats(1.05, 1.5),
+    st.floats(0.002, 0.06),
+)
+def test_every_failed_stage_names_a_refugia_error(kind, geom, lam, m, c, b, lo, hi, step):
+    # the library's error contract over whole runs: a run may fail (no
+    # crossing in the window, a stalled branch, an enriched case failing its
+    # gates, a transient run out of steps), but every failure it records is
+    # typed. Whether verify passes is not asserted: with m*lam <= 1 a branch
+    # can still stall where it reaches mu = 0.
+    cfg = parse_config(_config_text(geom, kind, lam, m, c, b, lo, hi, step))
+    with tempfile.TemporaryDirectory() as out:  # hypothesis rejects tmp_path
+        manifest = run_experiment(cfg, out)
+    failed = [detail for _, status, detail in manifest.stages if status == "error"]
+    assert manifest.exit_ok or failed
+    assert all(detail.split(":", 1)[0] in _error_names() for detail in failed), failed

@@ -78,8 +78,8 @@ def test_newton_reuses_its_lu(geom32, scipy_counters, offset):
 def test_failed_factorization_raises_singular_jacobian(geom16, monkeypatch):
     # the error contract: a failing LU of J (factored in the geometry's
     # coupled order) surfaces as SingularJacobian, a NoConvergence
-    # (continuation halves its step on it), and a failing kernel-function LU
-    # as LinearSolveFailure
+    # (continuation halves its step on it), and a failing LU of the cell
+    # graph, which the kernel-function solve runs on, as LinearSolveFailure
     import scipy.sparse.linalg as spla
 
     def broken_splu(*args, **kwargs):
@@ -92,8 +92,9 @@ def test_failed_factorization_raises_singular_jacobian(geom16, monkeypatch):
     x0[geom16.n_omega :] += 1e-3
     with pytest.raises(SingularJacobian):
         newton_solve(SystemState.from_vector(x0, geom16.n_omega), p, CFG, geom16)
-    with pytest.raises(LinearSolveFailure, match="kernel-function solve failed: Factor"):
-        solve_kernel_function(p, geom16)
+    fresh = build_geometry(GridSpec(16, 16), geom16.refuge)  # geom16's cell graph is cached
+    with pytest.raises(LinearSolveFailure, match="cell graph I - lap_omega failed: Factor"):
+        solve_kernel_function(p, fresh)
 
 
 def test_newton_at_threshold_still_finds_a_root(geom16):
