@@ -243,14 +243,13 @@ def continue_branch(
     ds: float,
     params: ModelParams,
     geom: DomainGeometry,
-    label: BranchLabel = BranchLabel.NONTRIVIAL,
     newton_cfg: NewtonConfig | None = None,
     amplitude_cap: float | None = None,
 ) -> Branch:
     """Pseudo-arclength predictor-corrector continuation from a converged point.
 
     direction is the initial tangent guess, a pair (dx, dmu) with dx an array
-    over the unknowns or None for a pure-mu direction. Subsequent tangents are
+    over the unknowns (zeros for a pure-mu direction). Subsequent tangents are
     secants through the last two points. The corrector meets
     newton_cfg.tol_residual within newton_cfg.max_iter iterations, and each
     accepted step hands its LU of J to the next step's corrector as the
@@ -265,7 +264,6 @@ def continue_branch(
     cfg = newton_cfg or NewtonConfig()
     n = geom.n_unknowns
     dx0, dmu0 = direction
-    dx0 = np.zeros(n) if dx0 is None else np.asarray(dx0, dtype=float)
     nrm = _metric_norm(dx0, dmu0)
     if nrm == 0.0:
         raise ValueError("direction must be nonzero")
@@ -300,7 +298,7 @@ def continue_branch(
                     raise ContinuationStalled(
                         f"corrector kept failing down to ds = {ds_cur:.3e} "
                         f"after {len(points) - 1} accepted steps, the last at mu = {y_mu:.6g}",
-                        Branch(label, points),
+                        Branch(BranchLabel.NONTRIVIAL, points),
                     ) from exc
         s_accum += ds_cur
         points.append(_point_from_state(x_new, mu_new, s_accum, params, geom, history))
@@ -313,7 +311,7 @@ def continue_branch(
                 sec_x, sec_mu = -sec_x, -sec_mu
             t_x, t_mu = sec_x, sec_mu
         y_x, y_mu = x_new, mu_new
-    return Branch(label, points)
+    return Branch(BranchLabel.NONTRIVIAL, points)
 
 
 def solve_at_amplitude(

@@ -9,6 +9,7 @@ import numpy as np
 from .continuation import Branch
 from .fields import SystemState
 from .geometry import DomainGeometry
+from .operators import split
 
 
 def _f(x: float) -> str:
@@ -23,8 +24,10 @@ def write_state_raster(path, geom: DomainGeometry, state: SystemState) -> None:
     """
     i, j = np.divmod(np.arange(geom.n_omega), geom.grid.ny)
     region = np.where(geom.omega1_flat, "omega1", "refuge")
-    v = geom.to_grid(state.v).ravel()
-    columns = (i.tolist(), j.tolist(), region.tolist(), state.u.values.tolist(), v.tolist())
+    u, v1 = split(state.as_vector(), geom)
+    v = np.zeros(geom.n_omega)
+    v[geom.omega1_flat] = v1
+    columns = (i.tolist(), j.tolist(), region.tolist(), u.tolist(), v.tolist())
     cells = chain.from_iterable(zip(*columns))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("i,j,region,u,v\n")

@@ -33,8 +33,8 @@ import scipy.sparse.linalg as spla
 from .errors import LinearSolveFailure, StepRejected
 from .fields import SystemState
 from .geometry import DomainGeometry
-from .operators import (ModelParams, factor, frozen_diffusion, frozen_diffusion_matrix,
-                        rhs_transient, split)
+from .operators import (ModelParams, clamp_nonnegative, factor, frozen_diffusion,
+                        frozen_diffusion_matrix, rhs_transient, split)
 
 #: post-solve values below this reject the step (dt too large)
 REJECT_BELOW = -1e-8
@@ -125,33 +125,8 @@ class _ImplicitSolver:
         if iters > REFACTOR_ITERS:
             self.precond_u = None
         dv = self.lu_v.solve(self.dt * rate_v)
-        return np.concatenate([_clamp_step(u + du, "prey"), _clamp_step(v + dv, "predator")])
-
-
-def _clamp_step(values: np.ndarray, what: str) -> np.ndarray:
-    lo = float(values.min()) if values.size else 0.0
-    if lo < REJECT_BELOW:
-        raise StepRejected(f"{what} reached {lo:.3e} < {REJECT_BELOW}; reduce dt")
-    if lo < 0.0:
-        values = np.where(values < 0.0, 0.0, values)
-    return values
-
-
-def imex_step(
-    x: np.ndarray,
-    params: ModelParams,
-    dt: float,
-    geom: DomainGeometry,
-    _solver: _ImplicitSolver | None = None,
-) -> np.ndarray:
-    """One IMEX step: implicit frozen-coefficient diffusion, explicit reaction.
-
-    _solver carries the factorizations between steps with the same geom,
-    params and dt; without one the step factors its own matrices.
-    """
-    if _solver is None:
-        _solver = _ImplicitSolver(geom, params, dt)
-    return _solver.advance(x, rhs_transient(params, x, geom))
+        return np.concatenate([clamp_nonnegative(u + du, "prey", REJECT_BELOW, StepRejected),
+                               clamp_nonnegative(v + dv, "predator", REJECT_BELOW, StepRejected)])
 
 
 def run_to_steady(

@@ -29,6 +29,10 @@ class StepRejected(RefugiaError):
     """A time step produced values below -1e-8; the step size is too large."""
 
 
+class TransientNotConverged(RefugiaError):
+    """A simulate run's rates stayed above steady_tol through its horizon."""
+
+
 class NoConvergence(RefugiaError):
     """Newton iteration exhausted its budget without meeting the tolerance."""
 
@@ -52,6 +56,10 @@ class ContinuationStalled(RefugiaError):
     def __init__(self, message: str, branch):
         super().__init__(message)
         self.branch = branch
+
+
+class VerificationFailed(RefugiaError):
+    """A verify run's report failed one of its gates."""
 
 
 class EmptyBranchList(RefugiaError):

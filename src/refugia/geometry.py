@@ -21,8 +21,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateGrid, RefugeTouchesBoundary, RegionMismatch
-from .fields import Region, ScalarField
+from .errors import DegenerateGrid, RefugeTouchesBoundary
 
 #: the refuge shapes RefugeShape (and the run config) accept
 REFUGE_KINDS = ("rectangle", "disc", "empty")
@@ -122,7 +121,7 @@ class DomainGeometry:
     """Immutable-after-build description of the discretized habitat.
 
     Geometries compare and hash by identity, so per-geometry caches (such as
-    operators.coupled_order's) can key on them.
+    operators.cell_graph's) can key on them.
 
     Face tables list the interior faces across which diffusion acts; the
     zero-flux condition on a region's boundary is equivalent to that face
@@ -152,27 +151,6 @@ class DomainGeometry:
     @property
     def n_unknowns(self) -> int:
         return self.n_omega + self.n_omega1
-
-    def to_grid(self, f: ScalarField) -> np.ndarray:
-        """Scatter a field into an (nx, ny) array, zero outside its region."""
-        self.check_field(f)
-        if f.region is Region.OMEGA:
-            return f.values.reshape(self.grid.nx, self.grid.ny)
-        g = np.zeros((self.grid.nx, self.grid.ny))
-        g[self.omega1_mask] = f.values
-        return g
-
-    def from_grid(self, g: np.ndarray, region: Region) -> ScalarField:
-        if region is Region.OMEGA:
-            return ScalarField(g.ravel().copy(), region)
-        return ScalarField(g[self.omega1_mask].copy(), region)
-
-    def check_field(self, f: ScalarField) -> None:
-        expected = self.n_omega if f.region is Region.OMEGA else self.n_omega1
-        if f.values.size != expected:
-            raise RegionMismatch(
-                f"field on {f.region.value} has {f.values.size} values, expected {expected}"
-            )
 
     @cached_property
     def lap_omega(self) -> sp.csr_matrix:

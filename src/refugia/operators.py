@@ -37,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import LinearSolveFailure, NegativePrey, RegionMismatch
+from .errors import LinearSolveFailure, NegativePrey, RefugiaError, RegionMismatch
 from .geometry import DomainGeometry, _face_matrix
 
 #: fields dipping below this are an error; values in [TOL_NEGATIVE, 0] clamp to 0
@@ -80,11 +80,13 @@ class ModelParams:
         return ModelParams(self.lam, self.m, self.c, self.b, mu, self.d_u, self.d_v, self.r)
 
 
-def clamp_nonnegative(values: np.ndarray, what: str = "field") -> np.ndarray:
-    """Zero out rounding-level negatives; reject anything below TOL_NEGATIVE."""
+def clamp_nonnegative(values: np.ndarray, what: str, floor: float = TOL_NEGATIVE,
+                      error: type[RefugiaError] = NegativePrey) -> np.ndarray:
+    """Zero out negatives down to floor (rounding level by default); a value
+    below floor raises error, which names what was clamped."""
     lo = float(values.min()) if values.size else 0.0
-    if lo < TOL_NEGATIVE:
-        raise NegativePrey(f"{what} has value {lo:.3e} below {TOL_NEGATIVE}")
+    if lo < floor:
+        raise error(f"{what} has value {lo:.3e} below {floor}")
     if lo < 0.0:
         values = np.where(values < 0.0, 0.0, values)
     return values

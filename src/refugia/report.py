@@ -88,10 +88,6 @@ class BifurcationReport:
         ]
         return [f"{name} {value}" for name, value, ok in gates if not ok]
 
-    def passes(self) -> bool:
-        """Gate used by the verify experiment."""
-        return not self.failed_gates()
-
     def to_text(self) -> str:
         lines = [
             f"mu_star_detected = {self.mu_star_detected:.17g}",

@@ -28,8 +28,9 @@ from .continuation import (
 )
 from .csvio import write_audit_csv, write_branch_csv, write_state_raster, write_timeseries
 from .dynamics import run_to_steady
-from .errors import ContinuationStalled, OutputDirLocked, OutputDirUnusable, RefugiaError
-from .fields import Region, ScalarField, SystemState, constant_state
+from .errors import (ContinuationStalled, OutputDirLocked, OutputDirUnusable, RefugiaError,
+                     TransientNotConverged, VerificationFailed)
+from .fields import SystemState, constant_state
 from .geometry import build_geometry
 from .operators import assemble_jacobian, coupled_order
 from .report import build_report
@@ -129,7 +130,7 @@ def _perturbed_start(cfg: RunConfig, geom) -> SystemState:
     lam = cfg.params.lam
     u0 = lam * (1.0 + 0.01 * rng.uniform(-1.0, 1.0, geom.n_omega))
     v0 = 0.05 * lam * (1.0 + 0.01 * rng.uniform(-1.0, 1.0, geom.n_omega1))
-    return SystemState(ScalarField(u0, Region.OMEGA), ScalarField(v0, Region.OMEGA1))
+    return SystemState.from_vector(np.concatenate([u0, v0]), geom.n_omega)
 
 
 def run_experiment(cfg: RunConfig, out_dir=None, quiet: bool = True) -> RunManifest:
@@ -179,7 +180,7 @@ def _dispatch(cfg: RunConfig, out: Path, stages: _Stages) -> None:
             write_state_raster(out / "state_final.csv", geom, result.state)
         with stages.stage("converged"):
             if not result.converged:
-                raise RefugiaError(
+                raise TransientNotConverged(
                     f"transient run not converged after {result.steps} steps "
                     f"(t = {result.t_final:g})"
                 )
@@ -251,4 +252,4 @@ def _dispatch(cfg: RunConfig, out: Path, stages: _Stages) -> None:
     if cfg.kind == "verify":
         with stages.stage("verdict"):
             if failed := rep.failed_gates():
-                raise RefugiaError(f"verification gate failed: {'; '.join(failed)}")
+                raise VerificationFailed(f"verification gate failed: {'; '.join(failed)}")

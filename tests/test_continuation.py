@@ -218,12 +218,11 @@ def test_continue_semitrivial_along_mu(params, geom32):
     start = trace_semitrivial(params, (1.1, 1.1), 1, geom32).points[0]
     branch = continue_branch(
         start,
-        (None, 1.0),
+        (np.zeros(geom32.n_unknowns), 1.0),
         n_steps=5,
         ds=0.05,
         params=params,
         geom=geom32,
-        label=BranchLabel.SEMITRIVIAL,
     )
     target = constant_state(geom32, params.lam, 0.0).as_vector()
     for point in branch.points:
@@ -311,12 +310,11 @@ def test_continue_branch_keeps_mu_positive(params, geom16):
     with pytest.raises(ContinuationStalled):
         continue_branch(
             start,
-            (None, -1.0),
+            (np.zeros(geom16.n_unknowns), -1.0),
             n_steps=20,
             ds=0.05,
             params=params,
             geom=geom16,
-            label=BranchLabel.SEMITRIVIAL,
         )
 
 

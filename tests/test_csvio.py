@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from refugia.csvio import _f, write_state_raster, write_timeseries
+from refugia.errors import RegionMismatch
 from refugia.fields import Region, ScalarField, SystemState
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
 
@@ -17,8 +19,9 @@ def test_state_raster_bytes_match_per_cell_format(tmp_path):
     path = tmp_path / "state.csv"
     write_state_raster(path, geom, state)
 
-    v_grid = geom.to_grid(state.v)
-    u_grid = geom.to_grid(state.u)
+    u_grid = u.reshape(geom.grid.nx, geom.grid.ny)
+    v_grid = np.zeros_like(u_grid)
+    v_grid[geom.omega1_mask] = v
     lines = ["i,j,region,u,v"]
     for i in range(geom.grid.nx):
         for j in range(geom.grid.ny):
@@ -26,6 +29,16 @@ def test_state_raster_bytes_match_per_cell_format(tmp_path):
             lines.append(f"{i},{j},{region},{u_grid[i, j]:.17g},{v_grid[i, j]:.17g}")
     assert not geom.omega1_mask.all()  # both region labels occur
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_state_raster_rejects_a_wrong_length_predator_field(tmp_path):
+    geom = build_geometry(GridSpec(14, 10, lx=1.4), RefugeShape.disc((0.6, 0.45), 0.2))
+    state = SystemState(
+        ScalarField(np.ones(geom.n_omega), Region.OMEGA),
+        ScalarField(np.ones(geom.n_omega1 + 1), Region.OMEGA1),
+    )
+    with pytest.raises(RegionMismatch):
+        write_state_raster(tmp_path / "state.csv", geom, state)
 
 
 def test_timeseries_bytes_match_per_value_format(tmp_path):

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 
 from conftest import CENTER_RECT, smooth_positive
 from refugia import dynamics, operators
-from refugia.dynamics import TransientConfig, _ImplicitSolver, imex_step, run_to_steady
+from refugia.dynamics import TransientConfig, _ImplicitSolver, run_to_steady
 from refugia.errors import LinearSolveFailure, StepRejected
 from refugia.fields import Region, ScalarField, SystemState, constant_state
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
@@ -28,7 +28,7 @@ COEXIST_RUN = TransientConfig(dt=0.2, t_end=2000.0, steady_tol=1e-6)
 def test_semitrivial_is_fixed_point(geom32):
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.2, r=1.0)
     x = constant_state(geom32, 1.0, 0.0).as_vector()
-    nxt = imex_step(x, p, 0.1, geom32)
+    nxt = _ImplicitSolver(geom32, p, 0.1).advance(x, rhs_transient(p, x, geom32))
     assert np.max(np.abs(nxt - x)) <= 1e-10
 
 
@@ -42,7 +42,7 @@ def test_pure_diffusion_conserves_mass(geom32):
     h2 = geom32.grid.hx * geom32.grid.hy
     mass = split(x, geom32)[0].sum() * h2
     for _ in range(5):
-        x = imex_step(x, p, 0.2, geom32)
+        x = _ImplicitSolver(geom32, p, 0.2).advance(x, rhs_transient(p, x, geom32))
         new_mass = split(x, geom32)[0].sum() * h2
         assert abs(new_mass - mass) <= 1e-10
         mass = new_mass
@@ -55,7 +55,7 @@ def test_predator_growth_rate_below_threshold(geom32):
     dt, t_end = 0.005, 1.0
     v0 = np.max(np.abs(split(x, geom32)[1]))
     for _ in range(int(round(t_end / dt))):
-        x = imex_step(x, p, dt, geom32)
+        x = _ImplicitSolver(geom32, p, dt).advance(x, rhs_transient(p, x, geom32))
     growth = np.max(np.abs(split(x, geom32)[1])) / v0
     assert growth == pytest.approx(np.exp(0.1 * t_end), rel=0.1)
 
@@ -92,8 +92,9 @@ def test_newton_steady_state_is_imex_fixed_point(geom32):
     ).state
     res = residual_steady(p, coexist.as_vector(), geom32)
     assert np.max(np.abs(res)) <= 1e-10
-    nxt = imex_step(coexist.as_vector(), p, 0.2, geom32)
-    assert np.max(np.abs(nxt - coexist.as_vector())) <= 1e-9
+    x = coexist.as_vector()
+    nxt = _ImplicitSolver(geom32, p, 0.2).advance(x, rhs_transient(p, x, geom32))
+    assert np.max(np.abs(nxt - x)) <= 1e-9
 
 
 def test_step_rejected_for_large_dt(geom16):
@@ -101,19 +102,20 @@ def test_step_rejected_for_large_dt(geom16):
     p = ModelParams(lam=1.0, m=0.0, c=1.0, b=5.0, mu=0.1, r=1.0)
     x = constant_state(geom16, 0.02, 5.0).as_vector()
     with pytest.raises(StepRejected):
-        imex_step(x, p, 10.0, geom16)
+        _ImplicitSolver(geom16, p, 10.0).advance(x, rhs_transient(p, x, geom16))
 
 
 def test_nonnegativity_preserved_under_stable_dt(geom16):
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.2, r=1.0)
     dt = 0.5 / max(p.r, p.mu, p.c * p.lam)  # documented reaction-stability bound
     rng = np.random.default_rng(13)
+    u = smooth_positive(geom16.grid, rng, 0.5, 0.3, 0.0)
+    v = smooth_positive(geom16.grid, rng, 0.3, 0.2, 0.0)
     x = SystemState(
-        ScalarField(smooth_positive(geom16.grid, rng, 0.5, 0.3, 0.0).ravel(), Region.OMEGA),
-        geom16.from_grid(smooth_positive(geom16.grid, rng, 0.3, 0.2, 0.0), Region.OMEGA1),
+        ScalarField(u.ravel(), Region.OMEGA), ScalarField(v[geom16.omega1_mask], Region.OMEGA1)
     ).as_vector()
     for _ in range(40):
-        x = imex_step(x, p, dt, geom16)
+        x = _ImplicitSolver(geom16, p, dt).advance(x, rhs_transient(p, x, geom16))
         u, v = split(x, geom16)
         assert u.min() >= 0.0
         assert v.min() >= 0.0
@@ -164,16 +166,16 @@ def test_imex_step_matches_spsolve_oracle(grid, refuge):
     rng = np.random.default_rng(5)
     state = SystemState(
         ScalarField(smooth_positive(grid, rng, 0.8, 0.3).ravel(), Region.OMEGA),
-        geom.from_grid(smooth_positive(grid, rng, 0.3, 0.2), Region.OMEGA1),
+        ScalarField(smooth_positive(grid, rng, 0.3, 0.2)[geom.omega1_mask], Region.OMEGA1),
     ).as_vector()
     dt = 0.2
-    fresh = imex_step(state, COEXIST, dt, geom)
+    fresh = _ImplicitSolver(geom, COEXIST, dt).advance(state, rhs_transient(COEXIST, state, geom))
     ref = _spsolve_step(state, COEXIST, dt, geom)
     assert np.max(np.abs(fresh - ref)) <= 1e-12
 
     solver = _ImplicitSolver(geom, COEXIST, dt)
-    first = imex_step(state, COEXIST, dt, geom, _solver=solver)
-    lagged = imex_step(first, COEXIST, dt, geom, _solver=solver)
+    first = solver.advance(state, rhs_transient(COEXIST, state, geom))
+    lagged = solver.advance(first, rhs_transient(COEXIST, first, geom))
     ref = _spsolve_step(first, COEXIST, dt, geom)
     assert np.max(np.abs(lagged - ref)) <= 1e-12
 
@@ -242,18 +244,18 @@ def test_stale_history_is_harmless(scipy_counters):
     rng = np.random.default_rng(11)
     profile = SystemState(
         ScalarField(smooth_positive(grid, rng, 0.8, 0.3).ravel(), Region.OMEGA),
-        geom.from_grid(smooth_positive(grid, rng, 0.3, 0.2), Region.OMEGA1),
+        ScalarField(smooth_positive(grid, rng, 0.3, 0.2)[geom.omega1_mask], Region.OMEGA1),
     ).as_vector()
     scaled = 3.0 * profile
     dt = 0.2
     solver = _ImplicitSolver(geom, COEXIST, dt)
     for state in (profile, constant_state(geom, 0.7, 0.2).as_vector(), scaled):
-        nxt = imex_step(state, COEXIST, dt, geom, _solver=solver)
+        nxt = solver.advance(state, rhs_transient(COEXIST, state, geom))
         ref = _spsolve_step(state, COEXIST, dt, geom)
         assert np.max(np.abs(nxt - ref)) <= 1e-12
 
-    first = imex_step(profile, COEXIST, dt, geom, _solver=solver)
-    again = imex_step(profile, COEXIST, dt, geom, _solver=solver)
+    first = solver.advance(profile, rhs_transient(COEXIST, profile, geom))
+    again = solver.advance(profile, rhs_transient(COEXIST, profile, geom))
     assert scipy_counters.cg_solves[-1] == (True, 0)
     assert np.isfinite(again).all()
     assert np.max(np.abs(again - first)) <= 1e-12
@@ -276,7 +278,7 @@ def test_slow_prey_solve_refactors_the_preconditioner(geom16, scipy_counters, mo
     solver = _ImplicitSolver(geom16, COEXIST, 0.2)
     state = constant_state(geom16, 0.9, 0.1).as_vector()
     for _ in range(3):
-        nxt = imex_step(state, COEXIST, 0.2, geom16, _solver=solver)
+        nxt = solver.advance(state, rhs_transient(COEXIST, state, geom16))
         ref = _spsolve_step(state, COEXIST, 0.2, geom16)
         assert np.max(np.abs(nxt - ref)) <= 1e-12
         state = nxt
@@ -289,4 +291,4 @@ def test_lu_failure_is_a_linear_solve_failure(geom16, monkeypatch):
 
     monkeypatch.setattr(spla, "splu", singular)
     with pytest.raises(LinearSolveFailure, match="predator"):
-        imex_step(constant_state(geom16, 1.0, 0.1).as_vector(), COEXIST, 0.2, geom16)
+        _ImplicitSolver(geom16, COEXIST, 0.2)

@@ -9,7 +9,7 @@ from refugia.errors import (
     RefugiaError,
     RegionMismatch,
 )
-from refugia.fields import Region, ScalarField, SystemState, constant_state
+from refugia.fields import SystemState, constant_state
 from refugia.geometry import (
     GridSpec,
     RefugeShape,
@@ -123,12 +123,6 @@ def test_disc_area_converges_first_order():
         errors.append(abs(geom.area_omega1 - exact))
         assert errors[-1] <= 2 * np.pi * radius * (1.0 / n)  # within perimeter * h
     assert errors[2] < errors[0]
-
-
-def test_field_length_checked(geom64):
-    bad = ScalarField(np.zeros(10), Region.OMEGA)
-    with pytest.raises(RegionMismatch):
-        geom64.check_field(bad)
 
 
 def test_swapped_regions_are_a_region_mismatch(geom16):

@@ -373,6 +373,30 @@ def test_simulate_run(tmp_path):
     assert len(lines) > 2
 
 
+def test_unconverged_simulate_fails_with_its_own_error(tmp_path):
+    text = (
+        BIF_SMALL.replace("bifurcate", "simulate").split("params.mu_min")[0]
+        + "params.mu = 0.9\nsolver.transient.max_steps = 5\n"
+    )
+    manifest = run_experiment(parse_config(text), out_dir=tmp_path)
+    assert not manifest.exit_ok
+    assert manifest.stages[-1][:2] == ("converged", "error")
+    assert "detail = TransientNotConverged: transient run not converged after 5 steps" in (
+        tmp_path / MANIFEST_NAME
+    ).read_text()
+
+
+def test_failed_verify_gate_fails_with_its_own_error(tmp_path):
+    # an amplitude cap below the first branch point leaves a one-point branch,
+    # too short for the sign audit and the slope
+    text = BIF_SMALL.replace("bifurcate", "verify") + "solver.continuation.amplitude_cap = 0.001\n"
+    manifest = run_experiment(parse_config(text), out_dir=tmp_path)
+    assert not manifest.exit_ok
+    assert manifest.stages[-1][:2] == ("verdict", "error")
+    assert ("detail = VerificationFailed: verification gate failed: audit_status NOT_RUN; "
+            "slope_sign_negative None") in (tmp_path / MANIFEST_NAME).read_text()
+
+
 def test_output_dir_lock(tmp_path):
     # the lock names a live process (this one), so the directory stays owned
     cfg = parse_config(MINIMAL + "geometry.nx = 16\ngeometry.ny = 16\n")

@@ -34,7 +34,7 @@ def test_report_full_pipeline(pipeline):
     assert rep.tangent_cosine >= 0.99
     assert rep.no_both_stable
     assert rep.intersection_shrinks
-    assert rep.passes()
+    assert not rep.failed_gates()
     text = rep.to_text()
     assert "verdict = PASS" in text
     assert "mu_star_detected" in text
@@ -55,7 +55,7 @@ def test_report_without_nontrivial_branch(pipeline):
     assert rep.audit_status == "NOT_RUN"
     assert rep.audit is None
     assert rep.tangent_cosine is None
-    assert not rep.passes()
+    assert rep.failed_gates()
     assert "audit_status = NOT_RUN" in rep.to_text()
 
 

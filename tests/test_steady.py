@@ -121,7 +121,7 @@ def test_kernel_constant_without_refuge():
 def test_kernel_maximum_principle(geom64):
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
     kt = solve_kernel_function(p, geom64)
-    a = geom64.to_grid(kt.alpha)
+    a = kt.alpha.values.reshape(geom64.grid.nx, geom64.grid.ny)
     assert a.min() > 0.0
     assert a.max() < 0.5
     refuge = ~geom64.omega1_mask
@@ -164,7 +164,7 @@ def test_kernel_on_fine_off_centre_disc():
     geom = build_geometry(GridSpec(128, 128), RefugeShape.disc((0.4, 0.55), 0.15))
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
     kt = solve_kernel_function(p, geom)
-    a = geom.to_grid(kt.alpha)
+    a = kt.alpha.values.reshape(geom.grid.nx, geom.grid.ny)
     assert 0.0 < a.min() and a.max() < 0.5  # maximum principle, 0 <= rhs <= 1/2
     st = constant_state(geom, 1.0, 0.0)
     J = assemble_jacobian(p, st.as_vector(), geom)
