@@ -10,7 +10,17 @@ Steps are taken in increment (delta) form over the one right-hand side
 F = rhs_transient(x) per state x = [u; v], which also gives the rate history:
 u_new = u + (I - dt*d_u*A(u))^-1 (dt*F_u), v_new = v + (I - dt*d_v*L)^-1 (dt*F_v).
 As A(u)*u = div(u grad u) on the grid, this is the frozen-coefficient step.
-The predator matrix is constant, so it is factored once. The prey operator
+Its fixed points are the steady states for every dt, so a run grows its step
+toward the attractor (pseudo-transient continuation, after the switched
+evolution relaxation of Mulder & van Leer, 1985) on the ladder dt_k = dt*2**k,
+starting at k = 0. A step whose rate inf-norm fell moves one level up, unless
+the ladder is capped there. A rise on the first step at a new level is the
+explicit reactions oscillating: it caps the ladder below that level and
+drops one level. Any other rise is physical growth, such as the predator
+invading, and holds the level. A StepRejected at level k > 0 caps the ladder
+below k and retries the step at k - 1; at level 0 it ends the run.
+Each level has its own solver, made on first use and kept. Its predator
+matrix is constant, so it is factored once. The prey operator
 is symmetric positive definite and drifts slowly with u; CG applies it in
 difference form, preconditioned with the LU of an earlier step's assembled
 matrix, refactored once a solve needs more than REFACTOR_ITERS iterations.
@@ -135,26 +145,47 @@ def run_to_steady(
     cfg: TransientConfig,
     geom: DomainGeometry,
 ) -> TransientResult:
-    """Step until the instantaneous rates drop below steady_tol.
+    """Step until the instantaneous rates drop below steady_tol, on the ladder
+    of steps dt * 2**k (see the module docstring).
 
     Each state's right-hand side is evaluated once: it is the history row's
-    rates, the convergence test and the drive of the next step.
-    Non-convergence within the horizon is a flag, not an error; callers
-    inspect the rate history.
+    rates, the convergence test and the drive of the next step and of its
+    retries. t counts base steps dt, so it is exact, and no step carries it
+    past t_end. Non-convergence within the horizon is a flag, not an error;
+    callers inspect the rate history.
     """
     x = state0.as_vector()
-    solver = _ImplicitSolver(geom, params, cfg.dt)
+    solvers: dict[int, _ImplicitSolver] = {}  # level -> its solver, made on first use
+    horizon = math.floor(cfg.t_end / cfg.dt + 1e-9)  # base steps that fit in t_end
     rows = []
-    t = 0.0
-    steps = 0
+    units = steps = 0  # t = units * dt
+    level, top = 0, math.inf  # the ladder's level and its cap
+    k, fresh, last_norm = 0, False, math.inf  # the last step's level, first at it, rate before it
     while True:
         rate = rhs_transient(params, x, geom)
         norms = [float(np.max(np.abs(f))) for f in (*split(x, geom), *split(rate, geom))]
-        rows.append((t, *norms))
-        converged = max(norms[2:]) <= cfg.steady_tol
-        if converged or steps >= cfg.max_steps or t >= cfg.t_end - 1e-12:
+        rows.append((units * cfg.dt, *norms))
+        rate_norm = max(norms[2:])
+        converged = rate_norm <= cfg.steady_tol
+        if converged or steps >= cfg.max_steps or units >= horizon:
             state = SystemState.from_vector(x, geom.n_omega)
-            return TransientResult(state, converged, np.array(rows), t, steps)
-        x = solver.advance(x, rate)
+            return TransientResult(state, converged, np.array(rows), units * cfg.dt, steps)
+        if steps and rate_norm < last_norm:
+            level = min(k + 1, top)
+        elif fresh:  # a rise on a new level is a spurious explicit-reaction oscillation
+            top = level = k - 1
+        # any other rise is physical growth, such as the predator invading: hold
+        while True:
+            step_k = min(level, (horizon - units).bit_length() - 1)  # 2**step_k fits
+            if step_k not in solvers:
+                solvers[step_k] = _ImplicitSolver(geom, params, cfg.dt * 2**step_k)
+            try:
+                x = solvers[step_k].advance(x, rate)
+                break
+            except StepRejected:
+                if step_k == 0:
+                    raise
+                top = level = step_k - 1
+        fresh, k, last_norm = step_k > k, step_k, rate_norm
+        units += 2**k
         steps += 1
-        t = steps * cfg.dt

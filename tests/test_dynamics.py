@@ -180,25 +180,87 @@ def test_imex_step_matches_spsolve_oracle(grid, refuge):
     assert np.max(np.abs(lagged - ref)) <= 1e-12
 
 
+def _base_steps(out, dt):
+    """Each step of a run in base steps dt, read from its time column; every
+    t must be an integer multiple of dt."""
+    units = np.rint(out.history[:, 0] / dt)
+    assert np.array_equal(units * dt, out.history[:, 0])
+    return np.diff(units).astype(int)
+
+
 def test_run_to_steady_matches_spsolve_stepping(geom32):
+    """A replay: the spsolve oracle takes the run's steps, read from its time
+    column, and stops as soon as its own rates meet the tolerance."""
     out = run_to_steady(constant_state(geom32, 1.0, 0.05), COEXIST, COEXIST_RUN, geom32)
 
     def rate(x):
         return np.max(np.abs(rhs_transient(COEXIST, x, geom32)))
 
     state, steps = constant_state(geom32, 1.0, 0.05).as_vector(), 0
-    while rate(state) > COEXIST_RUN.steady_tol and steps <= out.steps:
-        state = _spsolve_step(state, COEXIST, COEXIST_RUN.dt, geom32)
+    for n in _base_steps(out, COEXIST_RUN.dt):
+        if rate(state) <= COEXIST_RUN.steady_tol:
+            break
+        state = _spsolve_step(state, COEXIST, n * COEXIST_RUN.dt, geom32)
         steps += 1
     assert out.converged
+    assert rate(state) <= COEXIST_RUN.steady_tol
     assert out.steps == steps
     assert np.max(np.abs(out.state.as_vector() - state)) <= 1e-10
 
 
+def _fixed_dt_steps(x, params, cfg, geom):
+    """Steps the spsolve oracle takes at the fixed step cfg.dt to meet cfg.steady_tol."""
+    steps = 0
+    while np.max(np.abs(rhs_transient(params, x, geom))) > cfg.steady_tol:
+        assert steps < cfg.max_steps
+        x = _spsolve_step(x, params, cfg.dt, geom)
+        steps += 1
+    return steps
+
+
+def test_ladder_backs_off_a_spurious_oscillation():
+    """A step past the explicit reactions' stability bound makes the rates
+    rise at once: the ladder caps itself below that level, converges, and
+    takes no more steps than fixed-dt stepping."""
+    geom = build_geometry(GridSpec(12, 12), CENTER_RECT)
+    cfg = TransientConfig(dt=0.65, t_end=2000.0, steady_tol=1e-8)
+    out = run_to_steady(constant_state(geom, 1.0, 0.05), COEXIST, cfg, geom)
+    assert out.converged
+    assert out.steps <= _fixed_dt_steps(constant_state(geom, 1.0, 0.05).as_vector(),
+                                        COEXIST, cfg, geom)
+
+
+def test_ladder_settles_below_the_logistic_stability_bound():
+    """Without predation the prey relaxes to u = 1 with error factor
+    |1 - r*dt| per step, so a step of 2/r or more oscillates: the ladder tries
+    one and caps itself below it. It settles on 2*dt = 1.4, whose factor 0.4 is worse
+    than the base step's 0.3, so here it takes more steps than fixed-dt
+    stepping does (22 against 18)."""
+    geom = build_geometry(GridSpec(12, 12), CENTER_RECT)
+    logistic = ModelParams(lam=1.0, m=1.0, c=2.0, b=0.0, mu=1.0, r=1.0)
+    cfg = TransientConfig(dt=0.7, t_end=2000.0, steady_tol=1e-8)
+    out = run_to_steady(constant_state(geom, 0.3, 0.0), logistic, cfg, geom)
+    assert out.converged
+    assert np.max(np.abs(out.state.u.values - 1.0)) < 1e-8
+    steps = _base_steps(out, cfg.dt) * cfg.dt
+    assert steps[-1] < 2.0 / logistic.r <= steps.max()
+
+
+@pytest.mark.parametrize("refuge", [RefugeShape.empty(), CENTER_RECT], ids=["empty", "square"])
+def test_enriched_run_is_not_declared_steady(refuge):
+    """In the enriched regime (m*lam > 1) the rates do not settle by t = 400,
+    as under fixed-dt stepping: the ladder must not manufacture convergence."""
+    geom = build_geometry(GridSpec(16, 16), refuge)
+    enriched = ModelParams(lam=4.0, m=2.0, c=2.0, b=1.0, mu=0.5, r=1.0)
+    out = run_to_steady(constant_state(geom, 4.0, 0.2), enriched, TransientConfig(t_end=400.0),
+                        geom)
+    assert not out.converged
+
+
 def test_coexistence_run_solver_counters(geom32, scipy_counters, monkeypatch):
-    """The predator matrix is factored once and the lagged prey LU keeps CG short;
-    the prey matrix is assembled only to be factored, and each state's
-    right-hand side is evaluated once."""
+    """Each ladder level factors its predator matrix once and the lagged prey
+    LU keeps CG short; the prey matrix is assembled only to be factored, and
+    each state's right-hand side is evaluated once."""
     calls = {"frozen_diffusion_matrix": 0, "rhs_transient": 0}
     for name in calls:
         fn = getattr(dynamics, name)
@@ -210,18 +272,21 @@ def test_coexistence_run_solver_counters(geom32, scipy_counters, monkeypatch):
         monkeypatch.setattr(dynamics, name, counted)
     out = run_to_steady(constant_state(geom32, 1.0, 0.05), COEXIST, COEXIST_RUN, geom32)
     assert out.converged
+    levels = len(set(_base_steps(out, COEXIST_RUN.dt)))
     shapes = scipy_counters.splu_shapes
     predator, prey = (geom32.n_omega1,) * 2, (geom32.n_omega,) * 2
-    assert shapes.count(predator) == 1
-    assert 1 <= shapes.count(prey) <= 3
+    assert shapes.count(predator) == levels
+    assert levels <= shapes.count(prey) <= levels + 2
     assert len(shapes) == shapes.count(predator) + shapes.count(prey)
     assert scipy_counters.cg_iters / out.steps <= 1.5
     assert calls["frozen_diffusion_matrix"] == shapes.count(prey)
     assert calls["rhs_transient"] == out.steps + 1
-    # one prey solve per step: the first from zero, every later one from the
-    # projected start, and none slow enough to refactor the preconditioner
+    # one prey solve per step: the first at each level from zero, every later
+    # one from the projected start, and none slow enough to refactor the
+    # preconditioner
     solves = scipy_counters.cg_solves
-    assert [x0 for x0, _ in solves] == [False] + [True] * (out.steps - 1)
+    assert len(solves) == out.steps
+    assert [x0 for x0, _ in solves].count(False) == levels
     assert max(iters for _, iters in solves) <= dynamics.REFACTOR_ITERS
 
 
@@ -230,9 +295,11 @@ def test_transient_run_leaves_the_coupled_order_unbuilt(scipy_counters):
     matrix's shape, so only its cache shows that a transient run never asked
     for it."""
     geom = build_geometry(GridSpec(16, 16), CENTER_RECT)  # fresh: no cell graph cached
-    run_to_steady(constant_state(geom, 1.0, 0.05), COEXIST, TransientConfig(max_steps=5), geom)
+    cfg = TransientConfig(max_steps=5)
+    out = run_to_steady(constant_state(geom, 1.0, 0.05), COEXIST, cfg, geom)
     assert geom not in operators._CELL_GRAPHS
-    assert scipy_counters.splu_shapes.count((geom.n_omega1,) * 2) == 1
+    levels = len(set(_base_steps(out, cfg.dt)))
+    assert scipy_counters.splu_shapes.count((geom.n_omega1,) * 2) == levels
 
 
 def test_stale_history_is_harmless(scipy_counters):
@@ -261,14 +328,49 @@ def test_stale_history_is_harmless(scipy_counters):
     assert np.max(np.abs(again - first)) <= 1e-12
 
 
+def test_rejected_step_is_retried_one_level_down(geom16, monkeypatch):
+    """Predators far above their coexistence density: the first step of 32*dt
+    overshoots into negative prey, so the ladder caps itself below that level
+    and retries the step at 16*dt on the same right-hand side; a rejection at
+    the base step ends the run as before."""
+    rejected, calls = [], {"rhs_transient": 0}
+    advance = _ImplicitSolver.advance
+
+    def recorded(solver, x, rate):
+        try:
+            return advance(solver, x, rate)
+        except StepRejected:
+            rejected.append(solver.dt)
+            raise
+
+    def counted(*args):
+        calls["rhs_transient"] += 1
+        return rhs_transient(*args)
+
+    monkeypatch.setattr(_ImplicitSolver, "advance", recorded)
+    monkeypatch.setattr(dynamics, "rhs_transient", counted)
+    cfg = TransientConfig(dt=0.05, t_end=400.0, steady_tol=1e-7)
+    out = run_to_steady(constant_state(geom16, 0.1, 2.0), COEXIST, cfg, geom16)
+    assert out.converged
+    assert rejected == [pytest.approx(32 * cfg.dt)]
+    assert max(_base_steps(out, cfg.dt)) == 16
+    assert calls["rhs_transient"] == out.steps + 1
+
+    predation = ModelParams(lam=1.0, m=0.0, c=1.0, b=5.0, mu=0.1, r=1.0)
+    with pytest.raises(StepRejected):
+        run_to_steady(constant_state(geom16, 0.02, 5.0), predation, cfg, geom16)
+
+
 def test_run_ends_on_the_horizon():
-    """t is steps*dt, not a running sum that rounding carries past t_end."""
+    """t counts base steps, not a running sum that rounding carries past
+    t_end, and the last steps shrink to fit: the run stops on the last
+    multiple of dt within t_end (212.8 = 304 * 0.7)."""
     geom = build_geometry(GridSpec(12, 12), CENTER_RECT)
     cfg = TransientConfig(dt=0.7, t_end=212.8, steady_tol=1e-300)
     out = run_to_steady(constant_state(geom, 1.0, 0.05), COEXIST, cfg, geom)
     assert not out.converged
-    assert out.steps == 304
-    assert out.t_final <= cfg.t_end + 1e-9
+    assert _base_steps(out, cfg.dt).sum() == 304
+    assert out.t_final <= cfg.t_end
     assert out.history[-1, 0] == out.t_final
 
 
