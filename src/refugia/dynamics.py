@@ -13,12 +13,21 @@ As A(u)*u = div(u grad u) on the grid, this is the frozen-coefficient step.
 Its fixed points are the steady states for every dt, so a run grows its step
 toward the attractor (pseudo-transient continuation, after the switched
 evolution relaxation of Mulder & van Leer, 1985) on the ladder dt_k = dt*2**k,
-starting at k = 0. A step whose rate inf-norm fell moves one level up, unless
-the ladder is capped there. A rise on the first step at a new level is the
-explicit reactions oscillating: it caps the ladder below that level and
-drops one level. Any other rise is physical growth, such as the predator
-invading, and holds the level. A StepRejected at level k > 0 caps the ladder
-below k and retries the step at k - 1; at level 0 it ends the run.
+starting at k = 0. After a step at level k, with F before and F' after it,
+mu = <F', F>/<F, F> is the rate's signed multiplier over the step. For one
+mode damped by a factor mu at level k, level k+1 damps it by 2*mu - 1 and
+level k-1 by (1 + mu)/2 (explicit reaction), which gives:
+- 1/3 < mu < 1: the rate decays without overshoot; go one level up,
+  unless the ladder is capped there;
+- mu < -1/3: the step overshot (the explicit reactions oscillate); go one
+  level down;
+- otherwise hold: |mu| <= 1/3 damps at least threefold per step, and
+  mu >= 1 is physical growth, such as the predator invading.
+A level above the base that takes STALL_STEPS steps without a new low of the
+rate inf-norm (counted from the last base step) is not converging: it caps
+the ladder below itself and drops one level. A StepRejected at level k > 0
+caps the ladder below k and retries the step at k - 1; at level 0 it ends
+the run.
 Each level has its own solver, made on first use and kept. Its predator
 matrix is constant, so it is factored once. The prey operator
 is symmetric positive definite and drifts slowly with u; CG applies it in
@@ -57,6 +66,9 @@ REFACTOR_ITERS = 12
 
 #: earlier prey solves whose increments span the next solve's CG start
 HISTORY = 3
+
+#: steps above the base level without a new low of the rate inf-norm that cap the ladder
+STALL_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -160,7 +172,8 @@ def run_to_steady(
     rows = []
     units = steps = 0  # t = units * dt
     level, top = 0, math.inf  # the ladder's level and its cap
-    k, fresh, last_norm = 0, False, math.inf  # the last step's level, first at it, rate before it
+    k, last = 0, None  # the last step's level and the rate before it
+    low, stalled = math.inf, 0  # lowest rate norm since the last base step, steps since
     while True:
         rate = rhs_transient(params, x, geom)
         norms = [float(np.max(np.abs(f))) for f in (*split(x, geom), *split(rate, geom))]
@@ -170,11 +183,19 @@ def run_to_steady(
         if converged or steps >= cfg.max_steps or units >= horizon:
             state = SystemState.from_vector(x, geom.n_omega)
             return TransientResult(state, converged, np.array(rows), units * cfg.dt, steps)
-        if steps and rate_norm < last_norm:
-            level = min(k + 1, top)
-        elif fresh:  # a rise on a new level is a spurious explicit-reaction oscillation
+        if k == 0 or rate_norm < low:
+            low, stalled = rate_norm, 0
+        else:
+            stalled += 1
+        if stalled >= STALL_STEPS:
             top = level = k - 1
-        # any other rise is physical growth, such as the predator invading: hold
+            stalled = 0
+        elif last is not None:
+            mu = float(rate @ last) / float(last @ last)
+            if mu < -1 / 3:
+                level = max(k - 1, 0)
+            elif 1 / 3 < mu < 1:
+                level = min(k + 1, top)
         while True:
             step_k = min(level, (horizon - units).bit_length() - 1)  # 2**step_k fits
             if step_k not in solvers:
@@ -186,6 +207,6 @@ def run_to_steady(
                 if step_k == 0:
                     raise
                 top = level = step_k - 1
-        fresh, k, last_norm = step_k > k, step_k, rate_norm
+        k, last = step_k, rate
         units += 2**k
         steps += 1
