@@ -355,7 +355,6 @@ class SignRelationAudit:
     n_fail: int
     n_excluded: int
     applicable: bool = True
-    note: str = ""
 
     @property
     def all_pass(self) -> bool:
@@ -374,13 +373,9 @@ def verify_sign_relation(branch: Branch, mu_star: float) -> SignRelationAudit:
     if len(branch.points) < 5:
         raise ValueError("sign-relation audit needs at least 5 branch points")
     applicable = branch.label is BranchLabel.NONTRIVIAL
-    note = ""
     if not applicable:
-        note = (
-            "audit fed the semitrivial branch: there the relation reads "
-            "sign(mu - mu*) = -sign(gamma)"
-        )
-        warnings.warn(note, RegionOfApplicabilityWarning, stacklevel=2)
+        warnings.warn("audit fed the semitrivial branch: there the relation reads "
+                      "sign(mu - mu*) = -sign(gamma)", RegionOfApplicabilityWarning, stacklevel=2)
     rows = []
     n_excluded = 0
     for p in branch.points:
@@ -391,6 +386,4 @@ def verify_sign_relation(branch: Branch, mu_star: float) -> SignRelationAudit:
             AuditRow(p.mu, p.gamma, np.sign(p.mu - mu_star) == np.sign(p.gamma))
         )
     n_pass = sum(r.passed for r in rows)
-    return SignRelationAudit(
-        rows, n_pass, len(rows) - n_pass, n_excluded, applicable, note
-    )
+    return SignRelationAudit(rows, n_pass, len(rows) - n_pass, n_excluded, applicable)

@@ -124,6 +124,22 @@ def _dir_lock(out_dir: Path):
             lock.unlink()
 
 
+def _clear_previous_run(out: Path) -> None:
+    """Delete the files (and the manifest) of the run that last finished in out,
+    so that none of them can pass for this run's. Listed paths that lie
+    outside out are left alone, and missing ones are skipped."""
+    manifest, root = out / MANIFEST_NAME, out.resolve()
+    if not manifest.is_file():
+        return
+    for line in manifest.read_text(encoding="utf-8", errors="replace").splitlines():
+        key, _, rel = line.partition(" = ")
+        path = out / rel
+        if (key.startswith("file.") and key.endswith(".path") and path.is_file()
+                and path.parent.resolve().is_relative_to(root)):
+            path.unlink()
+    manifest.unlink()
+
+
 def _perturbed_start(cfg: RunConfig, geom) -> SystemState:
     """Seeded start near (lam, small predators) for transient experiments."""
     rng = np.random.default_rng(cfg.seed)
@@ -153,6 +169,7 @@ def run_experiment(cfg: RunConfig, out_dir=None, quiet: bool = True) -> RunManif
     stages = _Stages(manifest, quiet)
 
     with _dir_lock(out):
+        _clear_previous_run(out)
         try:
             _dispatch(cfg, out, stages)
             manifest.exit_ok = True
@@ -177,7 +194,7 @@ def _dispatch(cfg: RunConfig, out: Path, stages: _Stages) -> None:
             result = run_to_steady(start, cfg.params, cfg.transient, geom)
         with stages.stage("write_artifacts"):
             write_timeseries(out / "timeseries.csv", result.history)
-            write_state_raster(out / "state_final.csv", geom, result.state)
+            write_state_raster(out / "state_final.csv", geom, result.state.as_vector())
         with stages.stage("converged"):
             if not result.converged:
                 raise TransientNotConverged(
@@ -195,7 +212,7 @@ def _dispatch(cfg: RunConfig, out: Path, stages: _Stages) -> None:
             ep = leading_eigenvalue(J, coupled_order(geom))
             flag = classify_value(ep.value)
         with stages.stage("write_artifacts"):
-            write_state_raster(out / "state_steady.csv", geom, result.state)
+            write_state_raster(out / "state_steady.csv", geom, result.state.as_vector())
             (out / "summary.txt").write_text(
                 f"residual_inf = {result.residual_norm:.17g}\n"
                 f"iterations = {result.iterations}\n"
@@ -236,7 +253,8 @@ def _dispatch(cfg: RunConfig, out: Path, stages: _Stages) -> None:
         states_dir = out / "states"
         states_dir.mkdir(exist_ok=True)
         for idx, p in enumerate(nontrivial.points):
-            write_state_raster(states_dir / f"nontrivial_{idx:03d}.csv", geom, p.state)
+            write_state_raster(states_dir / f"nontrivial_{idx:03d}.csv", geom,
+                               p.state.as_vector())
 
     if cfg.kind == "continue":
         return

@@ -154,8 +154,8 @@ def newton_solve(
 
     The constraint row (0, 1) with target params.mu makes the Schur scalar
     exactly 1 and every mu update exactly 0, so this is the chord Newton at
-    fixed mu. A failing LU raises SingularJacobian, which callers near the
-    bifurcation point treat as a proximity signal.
+    fixed mu. A failing LU raises SingularJacobian; no caller catches it, so
+    it fails branch_switch or the runner's newton_solve stage.
     """
     x0 = state0.as_vector()
     x, _, history, _ = bordered_newton(

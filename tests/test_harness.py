@@ -357,6 +357,27 @@ def test_verify_without_crossing_fails_loudly(tmp_path):
     assert "NoCrossing" in stages["detect_transcritical"][1]
 
 
+def test_rerun_removes_the_previous_runs_files(tmp_path):
+    # a failing rerun into a used directory must not leave the first run's
+    # passing report beside its own files, nor list them in its manifest
+    out = tmp_path / "out"
+    verify = BIF_SMALL.replace("bifurcate", "verify")
+    assert run_experiment(parse_config(verify), out_dir=out).exit_ok
+    assert (out / "report.txt").exists() and (out / "states").is_dir()
+    outside = tmp_path / "keep.txt"
+    outside.write_text("not the run's")
+    with open(out / MANIFEST_NAME, "a", encoding="utf-8") as fh:
+        fh.write("file.99.path = ../keep.txt\nfile.100.path = gone.csv\n")
+
+    no_crossing = verify.replace("params.mu_min = 0.8", "params.mu_min = 2.5").replace(
+        "params.mu_max = 1.2", "params.mu_max = 3.0")
+    manifest = run_experiment(parse_config(no_crossing), out_dir=out)
+    assert not manifest.exit_ok
+    assert not (out / "report.txt").exists()
+    assert [rel for rel, _ in manifest.files] == ["branch_semitrivial.csv"]
+    assert outside.read_text() == "not the run's"
+
+
 def test_simulate_run(tmp_path):
     text = MINIMAL.replace("steady", "simulate") + (
         "geometry.nx = 16\ngeometry.ny = 16\n"
