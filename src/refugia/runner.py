@@ -40,6 +40,10 @@ from .svgplot import emit_plot
 
 LOCK_NAME = ".refugia.lock"
 MANIFEST_NAME = "manifest.txt"
+# every file a run writes in its output directory (globs); a rerun deletes them first
+ARTIFACTS = ("timeseries.csv", "state_final.csv", "state_steady.csv", "summary.txt",
+             "branch_semitrivial.csv", "branch_nontrivial.csv", "report.txt", "audit.csv",
+             "diagram.svg", "states/nontrivial_*.csv", MANIFEST_NAME)
 
 
 @dataclass
@@ -125,19 +129,14 @@ def _dir_lock(out_dir: Path):
 
 
 def _clear_previous_run(out: Path) -> None:
-    """Delete the files (and the manifest) of the run that last finished in out,
-    so that none of them can pass for this run's. Listed paths that lie
-    outside out are left alone, and missing ones are skipped."""
-    manifest, root = out / MANIFEST_NAME, out.resolve()
-    if not manifest.is_file():
-        return
-    for line in manifest.read_text(encoding="utf-8", errors="replace").splitlines():
-        key, _, rel = line.partition(" = ")
-        path = out / rel
-        if (key.startswith("file.") and key.endswith(".path") and path.is_file()
-                and path.parent.resolve().is_relative_to(root)):
-            path.unlink()
-    manifest.unlink()
+    """Delete the ARTIFACTS an earlier run left in out, so that none of them
+    can pass for this run's; other files in out stay."""
+    try:
+        for path in [p for pattern in ARTIFACTS for p in out.glob(pattern)]:
+            if path.is_file():
+                path.unlink()
+    except OSError as exc:
+        raise OutputDirUnusable(f"cannot clear output directory {out}: {exc}") from exc
 
 
 def _perturbed_start(cfg: RunConfig, geom) -> SystemState:

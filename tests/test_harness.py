@@ -359,23 +359,44 @@ def test_verify_without_crossing_fails_loudly(tmp_path):
 
 def test_rerun_removes_the_previous_runs_files(tmp_path):
     # a failing rerun into a used directory must not leave the first run's
-    # passing report beside its own files, nor list them in its manifest
+    # passing report beside its own files, nor list them in its manifest;
+    # files the runs did not write, hidden ones included, stay
     out = tmp_path / "out"
+    (out / ".git").mkdir(parents=True)
+    (out / ".git" / "HEAD").write_text("ref: refs/heads/main\n")
     verify = BIF_SMALL.replace("bifurcate", "verify")
+    (out / "run.cfg").write_text(verify)
     assert run_experiment(parse_config(verify), out_dir=out).exit_ok
-    assert (out / "report.txt").exists() and (out / "states").is_dir()
-    outside = tmp_path / "keep.txt"
-    outside.write_text("not the run's")
-    with open(out / MANIFEST_NAME, "a", encoding="utf-8") as fh:
-        fh.write("file.99.path = ../keep.txt\nfile.100.path = gone.csv\n")
+    assert (out / "report.txt").exists() and any((out / "states").iterdir())
 
     no_crossing = verify.replace("params.mu_min = 0.8", "params.mu_min = 2.5").replace(
         "params.mu_max = 1.2", "params.mu_max = 3.0")
     manifest = run_experiment(parse_config(no_crossing), out_dir=out)
     assert not manifest.exit_ok
     assert not (out / "report.txt").exists()
-    assert [rel for rel, _ in manifest.files] == ["branch_semitrivial.csv"]
-    assert outside.read_text() == "not the run's"
+    assert [rel for rel, _ in manifest.files] == [".git/HEAD", "branch_semitrivial.csv", "run.cfg"]
+    assert (out / ".git" / "HEAD").read_text() == "ref: refs/heads/main\n"
+    assert (out / "run.cfg").read_text() == verify
+
+
+def test_cli_reports_a_directory_it_cannot_clear(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "ok.cfg"
+    cfg_path.write_text(MINIMAL + "geometry.nx = 16\ngeometry.ny = 16\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "summary.txt").write_text("an earlier run's")
+    unlink = Path.unlink
+
+    def refuse(path, *args, **kwargs):
+        if path.name == "summary.txt":
+            raise PermissionError(13, "Permission denied", str(path))
+        return unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "unlink", refuse)
+    assert cli.main(["steady", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refugia: cannot clear output directory") and "Traceback" not in err
+    assert not (out / LOCK_NAME).exists()
 
 
 def test_simulate_run(tmp_path):
