@@ -53,7 +53,7 @@ class BranchLabel(enum.Enum):
 @dataclass
 class BranchPoint:
     mu: float
-    state: SystemState
+    x: np.ndarray  # the state [u; v] (see operators.split)
     s: float  # accumulated arclength from the bifurcation point (nontrivial branch)
     amplitude: float  # spatial mean of v over the predator domain
     gamma: float  # leading eigenvalue of the linearization
@@ -82,22 +82,21 @@ class Branch:
         return np.array([p.amplitude for p in self.points])
 
 
-def amplitude_of(state: SystemState) -> float:
-    """Spatial mean of the predator field over the predator domain."""
-    return float(state.v.values.mean()) if state.v.values.size else 0.0
+def amplitude_of(x: np.ndarray, geom: DomainGeometry) -> float:
+    """Spatial mean of the predator field of x = [u; v] over the predator domain."""
+    return float(split(x, geom)[1].mean())
 
 
 def _semitrivial_blocks(
-    params: ModelParams, geom: DomainGeometry
+    params: ModelParams, x: np.ndarray, geom: DomainGeometry
 ) -> tuple[EigenPair, EigenPair]:
-    """Leading pairs of the two diagonal blocks of the linearization at (lam, 0).
+    """Leading pairs of the two diagonal blocks of the linearization at x = (lam, 0).
 
     There the Jacobian is block upper-triangular (the v-equation's u-derivative
     carries a factor v = 0). The u-block does not involve mu, and the v-block
     at mu is the v-block at mu = 0 minus mu*I, so the two pairs give the
     leading eigenvalue max(g_u, g_v0 - mu) for every mu.
     """
-    x = constant_state(geom, params.lam, 0.0).as_vector()
     J = assemble_jacobian(params.with_mu(0.0), x, geom).tocsr()
     n = geom.n_omega
     return leading_eigenvalue(J[:n, :n]), leading_eigenvalue(J[n:, n:])
@@ -134,15 +133,15 @@ def trace_semitrivial(
         raise ValueError("mu_range must satisfy 0 < lo <= hi (lo < hi for several points)")
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
-    blocks = _semitrivial_blocks(params_base, geom)
+    x = constant_state(geom, params_base.lam, 0.0).as_vector()  # every point shares it
+    blocks = _semitrivial_blocks(params_base, x, geom)
     pts = []
     for mu in np.linspace(lo, hi, n_points):
         gamma, ep = _semitrivial_leading(blocks, float(mu))
-        st = constant_state(geom, params_base.lam, 0.0)
         pts.append(
             BranchPoint(
                 mu=float(mu),
-                state=st,
+                x=x,
                 s=0.0,
                 amplitude=0.0,
                 gamma=gamma,
@@ -187,12 +186,11 @@ def _point_from_state(
     inf-norm of every iterate of the solve that reached it, the last at x."""
     J = assemble_jacobian(params.with_mu(mu), x, geom)
     ep = leading_eigenvalue(J, coupled_order(geom))
-    state = SystemState.from_vector(x, geom.n_omega)
     return BranchPoint(
         mu=mu,
-        state=state,
+        x=x,
         s=s,
-        amplitude=amplitude_of(state),
+        amplitude=amplitude_of(x, geom),
         gamma=ep.value,
         flag=classify_value(ep.value),
         residual_norm=history[-1],
@@ -223,11 +221,12 @@ def branch_switch(
     mu_sw = mu_star - DELTA_SWITCH_FRACTION * mu_star
     direction = solve_kernel_function(params, geom).direction(geom)
     base = constant_state(geom, params.lam, 0.0).as_vector()
-    predictor = SystemState.from_vector(base + s0 * direction, geom.n_omega)
-    result = newton_solve(predictor, params.with_mu(mu_sw), cfg, geom)
-    if amplitude_of(result.state) < s0 / 10.0:
-        return solve_at_amplitude(params, geom, s0, mu_star, predictor, newton_cfg=cfg)
+    predictor = base + s0 * direction
+    result = newton_solve(SystemState.from_vector(predictor, geom.n_omega),
+                          params.with_mu(mu_sw), cfg, geom)
     x = result.state.as_vector()
+    if amplitude_of(x, geom) < s0 / 10.0:
+        return solve_at_amplitude(params, geom, s0, mu_star, predictor, newton_cfg=cfg)
     s_init = _metric_norm(x - base, mu_sw - mu_star)
     return _point_from_state(x, mu_sw, s_init, params, geom, result.residual_history)
 
@@ -270,7 +269,7 @@ def continue_branch(
     t_x, t_mu = dx0 / nrm, dmu0 / nrm
 
     points = [start]
-    y_x = start.state.as_vector()
+    y_x = start.x
     y_mu = start.mu
     s_accum = start.s
     lu = None  # the corrector's LU of J, carried from step to step
@@ -319,22 +318,21 @@ def solve_at_amplitude(
     geom: DomainGeometry,
     amplitude: float,
     mu_guess: float,
-    state_guess: SystemState | None = None,
+    x_guess: np.ndarray | None = None,
     newton_cfg: NewtonConfig | None = None,
 ) -> BranchPoint:
     """Coexistence point with the predator amplitude pinned and mu free.
 
     Newton on [steady residual; mean(v) - amplitude = 0] over (state, mu),
-    from state_guess or else (lam, 0) + amplitude * (-alpha, 1). Used to sample
+    from x_guess or else (lam, 0) + amplitude * (-alpha, 1). Used to sample
     the branch at prescribed amplitudes when auditing the tangent structure,
     and by branch_switch when its fixed-mu Newton collapses.
     """
     cfg = newton_cfg or NewtonConfig()
-    if state_guess is None:
+    x = x_guess
+    if x is None:
         direction = solve_kernel_function(params, geom).direction(geom)
         x = constant_state(geom, params.lam, 0.0).as_vector() + amplitude * direction
-    else:
-        x = state_guess.as_vector()
     row_x = np.zeros(geom.n_unknowns)
     split(row_x, geom)[1][:] = 1.0 / geom.n_omega1
     x, mu, history, _ = bordered_newton(x, mu_guess, row_x, 0.0, amplitude, params, geom, cfg)

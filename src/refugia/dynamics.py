@@ -50,7 +50,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import LinearSolveFailure, StepRejected
-from .fields import SystemState
 from .geometry import DomainGeometry
 from .operators import (ModelParams, clamp_nonnegative, factor, frozen_diffusion,
                         frozen_diffusion_matrix, rhs_transient, split)
@@ -89,7 +88,7 @@ class TransientConfig:
 
 @dataclass
 class TransientResult:
-    state: SystemState
+    x: np.ndarray  # the last state [u; v] (see operators.split)
     converged: bool
     history: np.ndarray  # rows: t, |u|_inf, |v|_inf, |du/dt|_inf, |dv/dt|_inf
     t_final: float
@@ -152,13 +151,13 @@ class _ImplicitSolver:
 
 
 def run_to_steady(
-    state0: SystemState,
+    x: np.ndarray,
     params: ModelParams,
     cfg: TransientConfig,
     geom: DomainGeometry,
 ) -> TransientResult:
-    """Step until the instantaneous rates drop below steady_tol, on the ladder
-    of steps dt * 2**k (see the module docstring).
+    """Step from x = [u; v] until the instantaneous rates drop below
+    steady_tol, on the ladder of steps dt * 2**k (see the module docstring).
 
     Each state's right-hand side is evaluated once: it is the history row's
     rates, the convergence test and the drive of the next step and of its
@@ -166,7 +165,6 @@ def run_to_steady(
     past t_end. Non-convergence within the horizon is a flag, not an error;
     callers inspect the rate history.
     """
-    x = state0.as_vector()
     solvers: dict[int, _ImplicitSolver] = {}  # level -> its solver, made on first use
     horizon = math.floor(cfg.t_end / cfg.dt + 1e-9)  # base steps that fit in t_end
     rows = []
@@ -181,8 +179,7 @@ def run_to_steady(
         rate_norm = max(norms[2:])
         converged = rate_norm <= cfg.steady_tol
         if converged or steps >= cfg.max_steps or units >= horizon:
-            state = SystemState.from_vector(x, geom.n_omega)
-            return TransientResult(state, converged, np.array(rows), units * cfg.dt, steps)
+            return TransientResult(x, converged, np.array(rows), units * cfg.dt, steps)
         if k == 0 or rate_norm < low:
             low, stalled = rate_norm, 0
         else:

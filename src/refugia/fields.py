@@ -30,10 +30,6 @@ class ScalarField:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).ravel()
 
-    @property
-    def inf_norm(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
-
 
 @dataclass
 class SystemState:

@@ -22,7 +22,7 @@ from .continuation import (
 )
 from .fields import constant_state
 from .geometry import DomainGeometry
-from .operators import ModelParams
+from .operators import ModelParams, split
 from .spectral import StabilityFlag
 from .steady import solve_kernel_function
 
@@ -189,14 +189,14 @@ def build_report(
     base = constant_state(geom, params.lam, 0.0).as_vector()
     by_amp = sorted(nontrivial.points, key=lambda p: p.amplitude)
     smallest = by_amp[0]
-    dev = (smallest.state.as_vector() - base) / smallest.amplitude
+    dev = (smallest.x - base) / smallest.amplitude
     rep.tangent_cosine = float(dev @ tan / (np.linalg.norm(dev) * np.linalg.norm(tan)))
     rep.tangent_angle_deg = float(np.degrees(np.arccos(np.clip(rep.tangent_cosine, -1.0, 1.0))))
 
     for p in by_amp[:3]:
-        diff = p.state.as_vector() - (base + p.amplitude * tan)
+        diff = p.x - (base + p.amplitude * tan)
         rep.tangent_ratios.append((p.amplitude, float(np.max(np.abs(diff)) / p.amplitude)))
-        u_dev = float(np.max(np.abs(p.state.u.values - params.lam)))
+        u_dev = float(np.max(np.abs(split(p.x, geom)[0] - params.lam)))
         rep.intersection.append((p.amplitude, u_dev, abs(p.mu - mu_star)))
     if len(rep.intersection) >= 2:
         udevs = [row[1] for row in rep.intersection]

@@ -30,7 +30,7 @@ from .csvio import write_audit_csv, write_branch_csv, write_state_raster, write_
 from .dynamics import run_to_steady
 from .errors import (ContinuationStalled, OutputDirLocked, OutputDirUnusable, RefugiaError,
                      TransientNotConverged, VerificationFailed)
-from .fields import SystemState, constant_state
+from .fields import constant_state
 from .geometry import build_geometry
 from .operators import assemble_jacobian, coupled_order
 from .report import build_report
@@ -40,10 +40,10 @@ from .svgplot import emit_plot
 
 LOCK_NAME = ".refugia.lock"
 MANIFEST_NAME = "manifest.txt"
-# every file a run writes in its output directory (globs); a rerun deletes them first
+# what a run writes in its output directory (globs); a rerun deletes them first, in order
 ARTIFACTS = ("timeseries.csv", "state_final.csv", "state_steady.csv", "summary.txt",
              "branch_semitrivial.csv", "branch_nontrivial.csv", "report.txt", "audit.csv",
-             "diagram.svg", "states/nontrivial_*.csv", MANIFEST_NAME)
+             "diagram.svg", "states/nontrivial_*.csv", "states", MANIFEST_NAME)
 
 
 @dataclass
@@ -129,23 +129,25 @@ def _dir_lock(out_dir: Path):
 
 
 def _clear_previous_run(out: Path) -> None:
-    """Delete the ARTIFACTS an earlier run left in out, so that none of them
-    can pass for this run's; other files in out stay."""
+    """Delete the ARTIFACTS an earlier run left in out (a directory once it is
+    empty), so that none of them can pass for this run's; other files stay."""
     try:
         for path in [p for pattern in ARTIFACTS for p in out.glob(pattern)]:
             if path.is_file():
                 path.unlink()
+            elif path.is_dir() and not any(path.iterdir()):
+                path.rmdir()
     except OSError as exc:
         raise OutputDirUnusable(f"cannot clear output directory {out}: {exc}") from exc
 
 
-def _perturbed_start(cfg: RunConfig, geom) -> SystemState:
-    """Seeded start near (lam, small predators) for transient experiments."""
+def _perturbed_start(cfg: RunConfig, geom) -> np.ndarray:
+    """Seeded start [u; v] near (lam, small predators) for transient experiments."""
     rng = np.random.default_rng(cfg.seed)
     lam = cfg.params.lam
     u0 = lam * (1.0 + 0.01 * rng.uniform(-1.0, 1.0, geom.n_omega))
     v0 = 0.05 * lam * (1.0 + 0.01 * rng.uniform(-1.0, 1.0, geom.n_omega1))
-    return SystemState.from_vector(np.concatenate([u0, v0]), geom.n_omega)
+    return np.concatenate([u0, v0])
 
 
 def run_experiment(cfg: RunConfig, out_dir=None, quiet: bool = True) -> RunManifest:
@@ -193,7 +195,7 @@ def _dispatch(cfg: RunConfig, out: Path, stages: _Stages) -> None:
             result = run_to_steady(start, cfg.params, cfg.transient, geom)
         with stages.stage("write_artifacts"):
             write_timeseries(out / "timeseries.csv", result.history)
-            write_state_raster(out / "state_final.csv", geom, result.state.as_vector())
+            write_state_raster(out / "state_final.csv", geom, result.x)
         with stages.stage("converged"):
             if not result.converged:
                 raise TransientNotConverged(
@@ -233,11 +235,10 @@ def _dispatch(cfg: RunConfig, out: Path, stages: _Stages) -> None:
                                  newton_cfg=cfg.newton)
     with stages.stage("continue_branch"):
         base = constant_state(geom, cfg.params.lam, 0.0).as_vector()
-        direction = (start_pt.state.as_vector() - base, start_pt.mu - mu_star)
         try:
             nontrivial = continue_branch(
                 start_pt,
-                direction,
+                (start_pt.x - base, start_pt.mu - mu_star),
                 n_steps=cfg.continuation.n_steps,
                 ds=cfg.continuation.ds,
                 params=cfg.params,
@@ -252,8 +253,7 @@ def _dispatch(cfg: RunConfig, out: Path, stages: _Stages) -> None:
         states_dir = out / "states"
         states_dir.mkdir(exist_ok=True)
         for idx, p in enumerate(nontrivial.points):
-            write_state_raster(states_dir / f"nontrivial_{idx:03d}.csv", geom,
-                               p.state.as_vector())
+            write_state_raster(states_dir / f"nontrivial_{idx:03d}.csv", geom, p.x)
 
     if cfg.kind == "continue":
         return

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import LinearSolveFailure, NoConvergence, SingularJacobian
-from .fields import Region, ScalarField, SystemState
+from .fields import SystemState
 from .geometry import DomainGeometry
 from .operators import (
     ModelParams,
@@ -183,11 +183,11 @@ class KernelTangent:
     habitat paired with the constant 1 on the predator domain; the branch
     tangent in (u, v) coordinates is (-alpha, 1)."""
 
-    alpha: ScalarField
+    alpha: np.ndarray  # one value per habitat cell
 
     def direction(self, geom: DomainGeometry) -> np.ndarray:
         """Concatenated (-alpha, 1) over [u cells; v cells]."""
-        return np.concatenate([-self.alpha.values, np.ones(geom.n_omega1)])
+        return np.concatenate([-self.alpha, np.ones(geom.n_omega1)])
 
 
 def solve_kernel_function(params: ModelParams, geom: DomainGeometry) -> KernelTangent:
@@ -208,4 +208,4 @@ def solve_kernel_function(params: ModelParams, geom: DomainGeometry) -> KernelTa
     err = _backward_error(A, alpha, rhs)
     if not np.all(np.isfinite(alpha)) or err > LINSOLVE_RTOL:
         raise LinearSolveFailure(f"kernel-function solve met only {err:.3e} backward error")
-    return KernelTangent(ScalarField(alpha, Region.OMEGA))
+    return KernelTangent(alpha)

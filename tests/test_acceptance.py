@@ -28,6 +28,7 @@ from refugia.operators import (
     laplacian_neumann,
     nonlinear_diffusion,
     residual_steady,
+    split,
 )
 from refugia.spectral import (
     StabilityFlag,
@@ -54,7 +55,7 @@ def pipeline(geom64, params_std):
     mu_star = detect_transcritical(semi)
     start = branch_switch(mu_star, params_std, geom64, s0=0.05)
     base = constant_state(geom64, params_std.lam, 0.0).as_vector()
-    direction = (start.state.as_vector() - base, start.mu - mu_star)
+    direction = (start.x - base, start.mu - mu_star)
     branch = continue_branch(
         start, direction, n_steps=22, ds=0.025, params=params_std, geom=geom64
     )
@@ -223,14 +224,13 @@ def test_criterion_7_transcritical_slope_sign(pipeline):
 def test_criterion_8_tangent_structure(geom64, params_std, pipeline):
     _, mu_star, _ = pipeline
     kt = solve_kernel_function(params_std, geom64)
-    tangent = np.concatenate([kt.alpha.values, np.ones(geom64.n_omega1)])
+    tangent = np.concatenate([kt.alpha, np.ones(geom64.n_omega1)])
     ratios = []
     cos_at_002 = None
     for a in (0.08, 0.04, 0.02):
         point = solve_at_amplitude(params_std, geom64, a, mu_star)
-        dev = np.concatenate(
-            [params_std.lam - point.state.u.values, point.state.v.values]
-        ) / a
+        u, v = split(point.x, geom64)
+        dev = np.concatenate([params_std.lam - u, v]) / a
         diff = dev - tangent
         ratios.append(float(np.max(np.abs(diff))))
         if a == 0.02:
@@ -252,13 +252,14 @@ def test_criterion_9_dynamic_consistency(geom64, params_std):
     t0 = time.perf_counter()
     p_hi = params_std.with_mu(1.2)
     ext = run_to_steady(
-        constant_state(geom64, 1.0, 0.05),
+        constant_state(geom64, 1.0, 0.05).as_vector(),
         p_hi,
         TransientConfig(dt=0.2, t_end=2000.0, steady_tol=1e-7),
         geom64,
     )
     t_ext = time.perf_counter() - t0
-    ok_ext = ext.converged and ext.state.v.inf_norm < 1e-6 and t_ext <= 120.0
+    ext_v = float(np.max(np.abs(split(ext.x, geom64)[1])))
+    ok_ext = ext.converged and ext_v < 1e-6 and t_ext <= 120.0
 
     # coexistence below threshold, cross-checked against an independent
     # Newton solve seeded from the kernel tangent at the branch amplitude
@@ -273,13 +274,13 @@ def test_criterion_9_dynamic_consistency(geom64, params_std):
         geom64,
     )
     coex = run_to_steady(
-        constant_state(geom64, 1.0, 0.05),
+        constant_state(geom64, 1.0, 0.05).as_vector(),
         p_lo,
         TransientConfig(dt=0.2, t_end=3000.0, steady_tol=3e-7),
         geom64,
     )
     t_coex = time.perf_counter() - t0
-    gap = float(np.max(np.abs(coex.state.as_vector() - newton.state.as_vector())))
+    gap = float(np.max(np.abs(coex.x - newton.state.as_vector())))
     ok_coex = (
         coex.converged
         and newton.state.v.values.min() > 0.0
@@ -290,7 +291,7 @@ def test_criterion_9_dynamic_consistency(geom64, params_std):
     _verdict(
         9,
         ok,
-        f"extinction |v|={ext.state.v.inf_norm:.2e} in {t_ext:.0f}s; "
+        f"extinction |v|={ext_v:.2e} in {t_ext:.0f}s; "
         f"coexistence gap {gap:.2e} in {t_coex:.0f}s",
     )
     assert ok
@@ -305,7 +306,7 @@ def test_criterion_10_kernel_identities(geom64, params_std, pipeline):
     kernel_residual = float(np.max(np.abs(J @ d)) / np.max(np.abs(d)))
     h2 = geom64.grid.hx * geom64.grid.hy
     mean_gap = abs(
-        kt.alpha.values.sum() * h2
+        kt.alpha.sum() * h2
         - params_std.b * geom64.area_omega1 / (1.0 + params_std.m * params_std.lam)
     )
     ok = kernel_residual <= 1e-8 and mean_gap <= 1e-8

@@ -22,7 +22,7 @@ from refugia.errors import (
     RefugiaError,
     SingularJacobian,
 )
-from refugia.fields import constant_state
+from refugia.fields import SystemState, constant_state
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
 from refugia.operators import (
     ModelParams,
@@ -31,6 +31,7 @@ from refugia.operators import (
     factor,
     residual_mu_derivative,
     residual_steady,
+    split,
 )
 from refugia.spectral import StabilityFlag, leading_eigenvalue
 from refugia.steady import NewtonConfig, newton_solve
@@ -59,7 +60,7 @@ def switch_point(mu_star, params, geom32):
 @pytest.fixture(scope="module")
 def nontrivial(switch_point, mu_star, params, geom32):
     base = constant_state(geom32, params.lam, 0.0).as_vector()
-    direction = (switch_point.state.as_vector() - base, switch_point.mu - mu_star)
+    direction = (switch_point.x - base, switch_point.mu - mu_star)
     return continue_branch(
         switch_point, direction, n_steps=14, ds=0.025, params=params, geom=geom32
     )
@@ -68,7 +69,7 @@ def nontrivial(switch_point, mu_star, params, geom32):
 def _switch_direction(point, mu_star, params, geom):
     """continue_branch's initial tangent guess from a branch_switch point, as the runner makes it."""
     base = constant_state(geom, params.lam, 0.0).as_vector()
-    return point.state.as_vector() - base, point.mu - mu_star
+    return point.x - base, point.mu - mu_star
 
 
 def test_semitrivial_trace_gammas(semi):
@@ -143,7 +144,7 @@ def test_branch_switch_falls_back_for_tiny_s0(mu_star, params, geom32):
     point = branch_switch(mu_star, params, geom32, s0=0.002)
     assert point.amplitude == pytest.approx(0.002, rel=1e-9)
     assert point.mu < mu_star
-    assert np.all(point.state.v.values > 0)
+    assert np.all(split(point.x, geom32)[1] > 0)
 
 
 def test_branch_switch_survives_a_flat_branch():
@@ -153,7 +154,7 @@ def test_branch_switch_survives_a_flat_branch():
     geom = build_geometry(GridSpec(16, 16), RefugeShape.rectangle((0.5, 0.5), (0.125, 0.125)))
     point = branch_switch(8.0 / 9.0, p, geom, s0=0.05)
     assert point.amplitude == pytest.approx(0.05, rel=1e-9)
-    assert np.all(point.state.v.values > 0)
+    assert np.all(split(point.x, geom)[1] > 0)
     assert point.residual_norm <= NewtonConfig().tol_residual
 
 
@@ -171,9 +172,9 @@ def test_branch_switch_deviation_aligns_with_kernel(mu_star, params, geom32):
     # the point comes from the amplitude-pinned fallback
     point = branch_switch(mu_star, params, geom32, s0=0.02)
     kt = solve_kernel_function(params, geom32)
-    dev_u = (params.lam - point.state.u.values) / point.amplitude
-    cos = dev_u @ kt.alpha.values / (
-        np.linalg.norm(dev_u) * np.linalg.norm(kt.alpha.values)
+    dev_u = (params.lam - split(point.x, geom32)[0]) / point.amplitude
+    cos = dev_u @ kt.alpha / (
+        np.linalg.norm(dev_u) * np.linalg.norm(kt.alpha)
     )
     assert cos >= 0.99
 
@@ -183,7 +184,7 @@ def test_branch_intersection_limit(mu_star, params, geom32):
     u_devs, mu_gaps = [], []
     for a in (0.08, 0.04, 0.02):
         point = solve_at_amplitude(params, geom32, a, mu_star)
-        u_devs.append(np.max(np.abs(point.state.u.values - params.lam)))
+        u_devs.append(np.max(np.abs(split(point.x, geom32)[0] - params.lam)))
         mu_gaps.append(abs(point.mu - mu_star))
     assert u_devs[0] > u_devs[1] > u_devs[2]
     assert mu_gaps[0] > mu_gaps[1] > mu_gaps[2]
@@ -201,15 +202,16 @@ def test_continue_branch_mu_decreases(nontrivial, mu_star):
 def test_continue_branch_points_resolve_at_fixed_mu(nontrivial, params, geom32):
     cfg = NewtonConfig()
     for point in (nontrivial.points[3], nontrivial.points[-1]):
-        refined = newton_solve(point.state, params.with_mu(point.mu), cfg, geom32)
-        gap = np.max(np.abs(refined.state.as_vector() - point.state.as_vector()))
+        start = SystemState.from_vector(point.x, geom32.n_omega)
+        refined = newton_solve(start, params.with_mu(point.mu), cfg, geom32)
+        gap = np.max(np.abs(refined.state.as_vector() - point.x))
         assert gap <= 1e-8
 
 
 def test_continue_branch_residual_contract(nontrivial, params, geom32):
     for point in nontrivial.points[1:]:
         res = residual_steady(
-            params.with_mu(point.mu), point.state.as_vector(), geom32
+            params.with_mu(point.mu), point.x, geom32
         )
         assert np.max(np.abs(res)) <= 1e-10
 
@@ -226,7 +228,7 @@ def test_continue_semitrivial_along_mu(params, geom32):
     )
     target = constant_state(geom32, params.lam, 0.0).as_vector()
     for point in branch.points:
-        assert np.max(np.abs(point.state.as_vector() - target)) <= 1e-10
+        assert np.max(np.abs(point.x - target)) <= 1e-10
     np.testing.assert_allclose(np.diff(branch.mus()), 0.05, atol=1e-9)
 
 
@@ -238,7 +240,7 @@ def test_continuation_stalls_on_impossible_tolerance(
     # semitrivial residual, so the step halves down to its floor and stalls
     impossible = NewtonConfig(tol_residual=1e-16, max_iter=6)
     base = constant_state(geom32, params.lam, 0.0).as_vector()
-    direction = (switch_point.state.as_vector() - base, switch_point.mu - mu_star)
+    direction = (switch_point.x - base, switch_point.mu - mu_star)
     with pytest.raises(ContinuationStalled):
         continue_branch(
             switch_point,
@@ -253,7 +255,7 @@ def test_continuation_stalls_on_impossible_tolerance(
 
 def test_amplitude_cap_stops_early(switch_point, mu_star, params, geom32):
     base = constant_state(geom32, params.lam, 0.0).as_vector()
-    direction = (switch_point.state.as_vector() - base, switch_point.mu - mu_star)
+    direction = (switch_point.x - base, switch_point.mu - mu_star)
     branch = continue_branch(
         switch_point, direction, n_steps=40, ds=0.05,
         params=params, geom=geom32, amplitude_cap=0.2,
@@ -275,13 +277,13 @@ def test_pinned_sweep_past_the_fold_raises_no_convergence():
     # fold, the corrector drives mu below zero, which is a NoConvergence
     p = ModelParams(lam=4.0, m=2.0, c=2.0, b=1.0, mu=8.0 / 9.0)
     geom = build_geometry(GridSpec(12, 12), RefugeShape.empty())
-    mu, state = p.mu, None
+    mu, x = p.mu, None
     for amplitude in np.linspace(0.5, 10.0, 20):
-        point = solve_at_amplitude(p, geom, float(amplitude), mu, state_guess=state)
-        mu, state = point.mu, point.state
+        point = solve_at_amplitude(p, geom, float(amplitude), mu, x_guess=x)
+        mu, x = point.mu, point.x
     assert point.complex_pair
     with pytest.raises(NoConvergence, match="is negative") as info:
-        solve_at_amplitude(p, geom, 10.5, mu, state_guess=state)
+        solve_at_amplitude(p, geom, 10.5, mu, x_guess=x)
     assert isinstance(info.value, RefugiaError)
 
 
@@ -293,7 +295,7 @@ def test_stalled_continuation_carries_its_accepted_points():
     geom = build_geometry(GridSpec(12, 12), RefugeShape.empty())
     start = solve_at_amplitude(p, geom, 0.2, p.mu)
     base = constant_state(geom, p.lam, 0.0).as_vector()
-    direction = (start.state.as_vector() - base, start.mu - p.mu)
+    direction = (start.x - base, start.mu - p.mu)
     with pytest.raises(ContinuationStalled, match="after 122 accepted steps") as info:
         continue_branch(start, direction, 150, 0.1, p, geom)
     branch = info.value.branch
@@ -363,9 +365,9 @@ def test_sign_relation_needs_five_points(nontrivial, mu_star):
         verify_sign_relation(stub, mu_star)
 
 
-def test_amplitude_of_helper(nontrivial):
+def test_amplitude_of_helper(nontrivial, geom32):
     point = nontrivial.points[-1]
-    assert amplitude_of(point.state) == pytest.approx(point.state.v.values.mean())
+    assert amplitude_of(point.x, geom32) == pytest.approx(point.x[geom32.n_omega:].mean())
 
 
 @pytest.mark.parametrize(
@@ -461,11 +463,11 @@ def test_failed_lu_of_j_is_no_convergence(params, geom16, monkeypatch):
     def singular(A, *args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    guess = constant_state(geom16, 0.9, 0.05)
+    guess = constant_state(geom16, 0.9, 0.05).as_vector()
     coupled_order(geom16)  # build the order first: only the LU of J fails here
     monkeypatch.setattr(spla, "splu", singular)
     with pytest.raises(NoConvergence, match="LU of J failed") as info:
-        solve_at_amplitude(params, geom16, 0.05, 0.95, state_guess=guess)
+        solve_at_amplitude(params, geom16, 0.05, 0.95, x_guess=guess)
     assert isinstance(info.value, RefugiaError)
 
 
@@ -488,7 +490,7 @@ def test_corrector_honours_newton_max_iter(switch_point, mu_star, params, geom32
     monkeypatch.setattr(cont, "bordered_newton", counted_corrector)
     monkeypatch.setattr(steady, "residual_steady", counted_residual)
     base = constant_state(geom32, params.lam, 0.0).as_vector()
-    direction = (switch_point.state.as_vector() - base, switch_point.mu - mu_star)
+    direction = (switch_point.x - base, switch_point.mu - mu_star)
     with pytest.raises(ContinuationStalled):
         continue_branch(
             switch_point, direction, n_steps=2, ds=0.02, params=params, geom=geom32,
@@ -506,13 +508,13 @@ def test_continuation_does_not_jump_off_the_branch():
     geom = build_geometry(GridSpec(12, 12), RefugeShape.rectangle((0.5, 0.5), (0.125, 0.125)))
     start = solve_at_amplitude(p, geom, 0.2, 8.0 / 9.0)
     base = constant_state(geom, p.lam, 0.0).as_vector()
-    direction = (start.state.as_vector() - base, start.mu - 8.0 / 9.0)
+    direction = (start.x - base, start.mu - 8.0 / 9.0)
     branch = continue_branch(start, direction, n_steps=126, ds=0.1, params=p, geom=geom)
     assert np.all(branch.amplitudes() > 0.1)
     pts = branch.points
     for a, b in zip(pts, pts[1:]):
         dist = np.sqrt(
-            np.mean((b.state.as_vector() - a.state.as_vector()) ** 2) + (b.mu - a.mu) ** 2
+            np.mean((b.x - a.x) ** 2) + (b.mu - a.mu) ** 2
         )
         assert dist <= 2.0 * (b.s - a.s)
 

@@ -63,26 +63,26 @@ def test_predator_growth_rate_below_threshold(geom32):
 def test_extinction_above_threshold(geom32):
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.2, r=1.0)
     cfg = TransientConfig(dt=0.2, t_end=500.0, steady_tol=1e-7)
-    out = run_to_steady(constant_state(geom32, 1.0, 0.05), p, cfg, geom32)
+    out = run_to_steady(constant_state(geom32, 1.0, 0.05).as_vector(), p, cfg, geom32)
     assert out.converged
-    assert out.state.v.inf_norm < 1e-6
+    assert np.max(np.abs(split(out.x, geom32)[1])) < 1e-6
     assert out.history.shape[1] == 5
 
 
 def test_coexistence_below_threshold(geom32):
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=0.9, r=1.0)
     cfg = TransientConfig(dt=0.2, t_end=2000.0, steady_tol=1e-6)
-    out = run_to_steady(constant_state(geom32, 1.0, 0.05), p, cfg, geom32)
+    out = run_to_steady(constant_state(geom32, 1.0, 0.05).as_vector(), p, cfg, geom32)
     assert out.converged
-    assert out.state.v.values.min() > 0.0
+    assert split(out.x, geom32)[1].min() > 0.0
 
 
 def test_logistic_relaxation_without_predation(geom32):
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=0.0, mu=1.0, r=1.0)
     cfg = TransientConfig(dt=0.2, t_end=500.0, steady_tol=1e-9)
-    out = run_to_steady(constant_state(geom32, 0.3, 0.0), p, cfg, geom32)
+    out = run_to_steady(constant_state(geom32, 0.3, 0.0).as_vector(), p, cfg, geom32)
     assert out.converged
-    assert np.max(np.abs(out.state.u.values - 1.0)) < 1e-6
+    assert np.max(np.abs(split(out.x, geom32)[0] - 1.0)) < 1e-6
 
 
 def test_newton_steady_state_is_imex_fixed_point(geom32):
@@ -191,12 +191,13 @@ def _base_steps(out, dt):
 def test_run_to_steady_matches_spsolve_stepping(geom32):
     """A replay: the spsolve oracle takes the run's steps, read from its time
     column, and stops as soon as its own rates meet the tolerance."""
-    out = run_to_steady(constant_state(geom32, 1.0, 0.05), COEXIST, COEXIST_RUN, geom32)
+    start = constant_state(geom32, 1.0, 0.05).as_vector()
+    out = run_to_steady(start, COEXIST, COEXIST_RUN, geom32)
 
     def rate(x):
         return np.max(np.abs(rhs_transient(COEXIST, x, geom32)))
 
-    state, steps = constant_state(geom32, 1.0, 0.05).as_vector(), 0
+    state, steps = start, 0
     for n in _base_steps(out, COEXIST_RUN.dt):
         if rate(state) <= COEXIST_RUN.steady_tol:
             break
@@ -205,7 +206,7 @@ def test_run_to_steady_matches_spsolve_stepping(geom32):
     assert out.converged
     assert rate(state) <= COEXIST_RUN.steady_tol
     assert out.steps == steps
-    assert np.max(np.abs(out.state.as_vector() - state)) <= 1e-10
+    assert np.max(np.abs(out.x - state)) <= 1e-10
 
 
 def _fixed_dt_steps(x, params, cfg, geom):
@@ -224,7 +225,7 @@ def test_ladder_backs_off_a_spurious_oscillation():
     more steps than fixed-dt stepping."""
     geom = build_geometry(GridSpec(12, 12), CENTER_RECT)
     cfg = TransientConfig(dt=0.65, t_end=2000.0, steady_tol=1e-8)
-    out = run_to_steady(constant_state(geom, 1.0, 0.05), COEXIST, cfg, geom)
+    out = run_to_steady(constant_state(geom, 1.0, 0.05).as_vector(), COEXIST, cfg, geom)
     assert out.converged
     assert out.steps <= _fixed_dt_steps(constant_state(geom, 1.0, 0.05).as_vector(),
                                         COEXIST, cfg, geom)
@@ -242,9 +243,9 @@ def test_ladder_settles_on_the_logistic_bound(r, dt, steady_tol):
     geom = build_geometry(GridSpec(12, 12), CENTER_RECT)
     logistic = ModelParams(lam=1.0, m=1.0, c=2.0, b=0.0, mu=1.0, r=r)
     cfg = TransientConfig(dt=dt, t_end=400.0, steady_tol=steady_tol)
-    out = run_to_steady(constant_state(geom, 0.3, 0.0), logistic, cfg, geom)
+    out = run_to_steady(constant_state(geom, 0.3, 0.0).as_vector(), logistic, cfg, geom)
     assert out.converged
-    assert np.max(np.abs(out.state.u.values - 1.0)) < 1e-7
+    assert np.max(np.abs(split(out.x, geom)[0] - 1.0)) < 1e-7
     assert out.steps <= _fixed_dt_steps(constant_state(geom, 0.3, 0.0).as_vector(),
                                         logistic, cfg, geom)
 
@@ -255,9 +256,29 @@ def test_enriched_run_is_not_declared_steady(refuge):
     as under fixed-dt stepping: the ladder must not manufacture convergence."""
     geom = build_geometry(GridSpec(16, 16), refuge)
     enriched = ModelParams(lam=4.0, m=2.0, c=2.0, b=1.0, mu=0.5, r=1.0)
-    out = run_to_steady(constant_state(geom, 4.0, 0.2), enriched, TransientConfig(t_end=400.0),
-                        geom)
+    out = run_to_steady(constant_state(geom, 4.0, 0.2).as_vector(), enriched,
+                        TransientConfig(t_end=400.0), geom)
     assert not out.converged
+
+
+@pytest.mark.xfail(strict=True, raises=(StepRejected, AssertionError),
+                   reason="the ladder loses runs that fixed dt converges (ROADMAP item 10)")
+@pytest.mark.parametrize("params, start, dt", [
+    (ModelParams(lam=0.9681, m=0.4288, c=1.7777, b=4.4778, mu=0.7517, r=2.7954),
+     (1.0668, 0.2233), 0.5),
+    (ModelParams(lam=0.6314, m=1.0335, c=2.1922, b=0.8216, mu=0.3711, r=1.1208),
+     (0.6349, 0.2689), 0.2),
+], ids=["rejected-at-base", "slow-level"])
+def test_ladder_converges_where_fixed_dt_does(params, start, dt):
+    """Fixed dt converges on both spirals, in 52 and 694 steps. The ladder
+    climbs to dt = 4 on the first, where two steps multiply the rate 60-fold
+    and the next is rejected down to the base step (StepRejected); on the
+    second it holds dt = 0.8, which damps about as well per step as the base
+    step but four times more slowly per unit time, and reaches t = 400."""
+    geom = build_geometry(GridSpec(12, 12), CENTER_RECT)
+    out = run_to_steady(constant_state(geom, *start).as_vector(), params,
+                        TransientConfig(dt=dt), geom)
+    assert out.converged
 
 
 def test_coexistence_run_solver_counters(geom32, scipy_counters, monkeypatch):
@@ -273,7 +294,8 @@ def test_coexistence_run_solver_counters(geom32, scipy_counters, monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(dynamics, name, counted)
-    out = run_to_steady(constant_state(geom32, 1.0, 0.05), COEXIST, COEXIST_RUN, geom32)
+    start = constant_state(geom32, 1.0, 0.05).as_vector()
+    out = run_to_steady(start, COEXIST, COEXIST_RUN, geom32)
     assert out.converged
     levels = len(set(_base_steps(out, COEXIST_RUN.dt)))
     shapes = scipy_counters.splu_shapes
@@ -299,7 +321,7 @@ def test_transient_run_leaves_the_coupled_order_unbuilt(scipy_counters):
     for it."""
     geom = build_geometry(GridSpec(16, 16), CENTER_RECT)  # fresh: no cell graph cached
     cfg = TransientConfig(max_steps=5)
-    out = run_to_steady(constant_state(geom, 1.0, 0.05), COEXIST, cfg, geom)
+    out = run_to_steady(constant_state(geom, 1.0, 0.05).as_vector(), COEXIST, cfg, geom)
     assert geom not in operators._CELL_GRAPHS
     levels = len(set(_base_steps(out, cfg.dt)))
     assert scipy_counters.splu_shapes.count((geom.n_omega1,) * 2) == levels
@@ -353,7 +375,7 @@ def test_rejected_step_is_retried_one_level_down(geom16, monkeypatch):
     monkeypatch.setattr(_ImplicitSolver, "advance", recorded)
     monkeypatch.setattr(dynamics, "rhs_transient", counted)
     cfg = TransientConfig(dt=0.05, t_end=400.0, steady_tol=1e-7)
-    out = run_to_steady(constant_state(geom16, 0.1, 2.0), COEXIST, cfg, geom16)
+    out = run_to_steady(constant_state(geom16, 0.1, 2.0).as_vector(), COEXIST, cfg, geom16)
     assert out.converged
     assert rejected == [pytest.approx(32 * cfg.dt)]
     assert max(_base_steps(out, cfg.dt)) == 16
@@ -361,7 +383,7 @@ def test_rejected_step_is_retried_one_level_down(geom16, monkeypatch):
 
     predation = ModelParams(lam=1.0, m=0.0, c=1.0, b=5.0, mu=0.1, r=1.0)
     with pytest.raises(StepRejected):
-        run_to_steady(constant_state(geom16, 0.02, 5.0), predation, cfg, geom16)
+        run_to_steady(constant_state(geom16, 0.02, 5.0).as_vector(), predation, cfg, geom16)
 
 
 def test_run_ends_on_the_horizon():
@@ -370,7 +392,7 @@ def test_run_ends_on_the_horizon():
     multiple of dt within t_end (212.8 = 304 * 0.7)."""
     geom = build_geometry(GridSpec(12, 12), CENTER_RECT)
     cfg = TransientConfig(dt=0.7, t_end=212.8, steady_tol=1e-300)
-    out = run_to_steady(constant_state(geom, 1.0, 0.05), COEXIST, cfg, geom)
+    out = run_to_steady(constant_state(geom, 1.0, 0.05).as_vector(), COEXIST, cfg, geom)
     assert not out.converged
     assert _base_steps(out, cfg.dt).sum() == 304
     assert out.t_final <= cfg.t_end

@@ -209,9 +209,9 @@ def test_verify_run_factors_the_cell_graph_once(tmp_path, scipy_counters):
         return A.shape == graph.shape and (A - graph).count_nonzero() == 0
 
     assert sum(is_cell_graph(A) for A, _, _ in scipy_counters.splu_calls) == 1
-    first = solve_kernel_function(cfg.params, geom).alpha.values
+    first = solve_kernel_function(cfg.params, geom).alpha
     n_lu = len(scipy_counters.splu_calls)
-    again = solve_kernel_function(cfg.params, geom).alpha.values
+    again = solve_kernel_function(cfg.params, geom).alpha
     assert len(scipy_counters.splu_calls) == n_lu  # the second solve reuses the LU
     assert np.array_equal(again, first)
 
@@ -374,9 +374,20 @@ def test_rerun_removes_the_previous_runs_files(tmp_path):
     manifest = run_experiment(parse_config(no_crossing), out_dir=out)
     assert not manifest.exit_ok
     assert not (out / "report.txt").exists()
+    assert not (out / "states").exists()
     assert [rel for rel, _ in manifest.files] == [".git/HEAD", "branch_semitrivial.csv", "run.cfg"]
     assert (out / ".git" / "HEAD").read_text() == "ref: refs/heads/main\n"
     assert (out / "run.cfg").read_text() == verify
+
+
+def test_rerun_keeps_a_states_directory_that_holds_other_files(tmp_path):
+    out = tmp_path / "out"
+    (out / "states").mkdir(parents=True)
+    (out / "states" / "nontrivial_000.csv").write_text("an earlier run's")
+    (out / "states" / "notes.txt").write_text("mine")
+    cfg = parse_config(MINIMAL + "geometry.nx = 16\ngeometry.ny = 16\n")
+    assert run_experiment(cfg, out_dir=out).exit_ok
+    assert [p.name for p in (out / "states").iterdir()] == ["notes.txt"]
 
 
 def test_cli_reports_a_directory_it_cannot_clear(tmp_path, monkeypatch, capsys):

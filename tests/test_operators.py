@@ -338,13 +338,13 @@ def test_every_lu_is_pattern_symmetric_in_symmetric_mode(scipy_counters, tmp_pat
     assert manifest.exit_ok
     geom = build_geometry(cfg.grid, cfg.refuge)
     coexist = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=0.9)
-    start = constant_state(geom, 1.0, 0.05)
+    start = constant_state(geom, 1.0, 0.05).as_vector()
     run_to_steady(start, coexist, TransientConfig(max_steps=5), geom)
 
     calls = list(scipy_counters.splu_calls)
     # the runner built an equal geometry of its own, and the order is deterministic
     unpermute = np.argsort(coupled_order(geom))
-    jacobian = assemble_jacobian(coexist, start.as_vector(), geom).tocsc()
+    jacobian = assemble_jacobian(coexist, start, geom).tocsc()
     jacobian.data[:] = 1.0
     n_coupled = 0
     assert len(calls) >= 10
@@ -420,6 +420,6 @@ def test_paired_order_fill_is_no_worse_than_minimum_degree(geom32):
     # entries and SuperLU's minimum-degree one 81,334
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
     point = solve_at_amplitude(p, geom32, 0.1, p.mu)
-    J = assemble_jacobian(p.with_mu(point.mu), point.state.as_vector(), geom32)
+    J = assemble_jacobian(p.with_mu(point.mu), point.x, geom32)
     paired = factor(J, SingularJacobian, "paired", coupled_order(geom32)).lu.nnz
     assert paired <= factor(J, SingularJacobian, "minimum degree").nnz

@@ -148,12 +148,12 @@ def test_leading_eigenvalue_matches_dense_on_enriched_branches(geom, lam, m_lam,
     m = m_lam / lam
     params = ModelParams(lam=lam, m=m, c=c, b=b, mu=c * lam / (1.0 + m_lam))
     top = m * (lam + 1.0 / m) ** 2 / (4.0 * b)
-    mu, state = params.mu, None
+    mu, x = params.mu, None
     for fraction in (0.5, 0.9):
-        point = solve_at_amplitude(params, geom, fraction * top, mu, state_guess=state)
-        mu, state = point.mu, point.state
+        point = solve_at_amplitude(params, geom, fraction * top, mu, x_guess=x)
+        mu, x = point.mu, point.x
         assert mu > 0.0
-        J = assemble_jacobian(params.with_mu(mu), state.as_vector(), geom)
+        J = assemble_jacobian(params.with_mu(mu), x, geom)
         ep = leading_eigenvalue(J, coupled_order(geom))
         dense = np.linalg.eigvals(J.toarray())
         lead = dense[np.argmax(dense.real)]

@@ -19,7 +19,7 @@ def pipeline(geom32):
     mu_star = detect_transcritical(semi)
     start = branch_switch(mu_star, params, geom32, s0=0.05)
     base = constant_state(geom32, params.lam, 0.0).as_vector()
-    direction = (start.state.as_vector() - base, start.mu - mu_star)
+    direction = (start.x - base, start.mu - mu_star)
     branch = continue_branch(start, direction, n_steps=12, ds=0.025,
                              params=params, geom=geom32)
     return params, geom32, semi, mu_star, branch

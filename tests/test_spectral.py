@@ -182,11 +182,11 @@ def test_dense_oracle_along_enriched_branch(grid, refuge):
     # walk the coexistence branch by pinned amplitude up to the
     # paradox-of-enrichment regime and compare with the dense spectrum
     geom = build_geometry(grid, refuge)
-    mu, state = ENRICHED.mu, None
+    mu, x = ENRICHED.mu, None
     for amplitude in np.linspace(0.5, 10.0, 20):
-        point = solve_at_amplitude(ENRICHED, geom, float(amplitude), mu, state_guess=state)
-        mu, state = point.mu, point.state
-        J = assemble_jacobian(ENRICHED.with_mu(mu), state.as_vector(), geom)
+        point = solve_at_amplitude(ENRICHED, geom, float(amplitude), mu, x_guess=x)
+        mu, x = point.mu, point.x
+        J = assemble_jacobian(ENRICHED.with_mu(mu), x, geom)
         ep = leading_eigenvalue(J, coupled_order(geom))
         dense = np.max(np.linalg.eigvals(J.toarray()).real)
         assert ep.value == pytest.approx(dense, abs=1e-8)
@@ -214,9 +214,9 @@ def test_dense_oracle_inside_hopf_bracket(refuge, bracket):
     geom = build_geometry(GridSpec(12, 12), refuge)
     start = solve_at_amplitude(ENRICHED, geom, 0.2, ENRICHED.mu)
     base = constant_state(geom, ENRICHED.lam, 0.0).as_vector()
-    direction = (start.state.as_vector() - base, start.mu - ENRICHED.mu)
+    direction = (start.x - base, start.mu - ENRICHED.mu)
     branch = continue_branch(start, direction, 80, 0.1, ENRICHED, geom)
-    state = [p for p in branch.points if p.mu > hi][-1].state
+    state = SystemState.from_vector([p for p in branch.points if p.mu > hi][-1].x, geom.n_omega)
     for mu in np.linspace(hi, lo, 6)[1:-1]:
         params = ENRICHED.with_mu(float(mu))
         state = newton_solve(state, params, NewtonConfig(), geom).state
@@ -245,7 +245,7 @@ def test_shift_invert_solve_count(geom32, monkeypatch):
     # this point; six pairs with ARPACK's default basis of 13 took 45
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
     point = solve_at_amplitude(p, geom32, 0.1, p.mu)
-    J = assemble_jacobian(p.with_mu(point.mu), point.state.as_vector(), geom32)
+    J = assemble_jacobian(p.with_mu(point.mu), point.x, geom32)
     solves = []
     factor = spectral.factor
 

@@ -37,13 +37,13 @@ def test_newton_coexistence_matches_transient(geom32):
     assert newton.residual_norm <= 1e-10
     assert newton.state.v.values.min() > 0.0
     transient = run_to_steady(
-        constant_state(geom32, 1.0, 0.05),
+        constant_state(geom32, 1.0, 0.05).as_vector(),
         p,
         TransientConfig(dt=0.2, t_end=3000.0, steady_tol=3e-7),
         geom32,
     )
     assert transient.converged
-    gap = np.max(np.abs(transient.state.as_vector() - newton.state.as_vector()))
+    gap = np.max(np.abs(transient.x - newton.state.as_vector()))
     assert gap <= 1e-4
 
 
@@ -115,13 +115,13 @@ def test_kernel_constant_without_refuge():
     geom = build_geometry(GridSpec(16, 16), RefugeShape.empty())
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
     kt = solve_kernel_function(p, geom)
-    np.testing.assert_allclose(kt.alpha.values, 0.5, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(kt.alpha, 0.5, rtol=0, atol=1e-12)
 
 
 def test_kernel_maximum_principle(geom64):
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
     kt = solve_kernel_function(p, geom64)
-    a = kt.alpha.values.reshape(geom64.grid.nx, geom64.grid.ny)
+    a = kt.alpha.reshape(geom64.grid.nx, geom64.grid.ny)
     assert a.min() > 0.0
     assert a.max() < 0.5
     refuge = ~geom64.omega1_mask
@@ -133,7 +133,7 @@ def test_kernel_mean_identity(geom64):
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
     kt = solve_kernel_function(p, geom64)
     h2 = geom64.grid.hx * geom64.grid.hy
-    lhs = kt.alpha.values.sum() * h2
+    lhs = kt.alpha.sum() * h2
     rhs = p.b * geom64.area_omega1 / (1.0 + p.m * p.lam)
     assert abs(lhs - rhs) <= 1e-8
     assert lhs == pytest.approx(0.5 * geom64.area_omega1, abs=1e-8)
@@ -142,10 +142,10 @@ def test_kernel_mean_identity(geom64):
 def test_kernel_independent_of_mu(geom32):
     a1 = solve_kernel_function(
         ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=0.5), geom32
-    ).alpha.values
+    ).alpha
     a2 = solve_kernel_function(
         ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=2.5), geom32
-    ).alpha.values
+    ).alpha
     np.testing.assert_array_equal(a1, a2)
 
 
@@ -164,7 +164,7 @@ def test_kernel_on_fine_off_centre_disc():
     geom = build_geometry(GridSpec(128, 128), RefugeShape.disc((0.4, 0.55), 0.15))
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
     kt = solve_kernel_function(p, geom)
-    a = kt.alpha.values.reshape(geom.grid.nx, geom.grid.ny)
+    a = kt.alpha.reshape(geom.grid.nx, geom.grid.ny)
     assert 0.0 < a.min() and a.max() < 0.5  # maximum principle, 0 <= rhs <= 1/2
     st = constant_state(geom, 1.0, 0.0)
     J = assemble_jacobian(p, st.as_vector(), geom)
