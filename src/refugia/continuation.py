@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContinuationStalled, NoConvergence, NoCrossing
+from .errors import ContinuationStalled, NoConvergence, NoCrossing, SingularJacobian
 from .fields import SystemState, constant_state
 from .geometry import DomainGeometry
-from .operators import ModelParams, assemble_jacobian, coupled_order, split
+from .operators import ModelParams, OrderedLU, assemble_jacobian, coupled_order, factor, split
 from .spectral import EigenPair, StabilityFlag, classify_value, leading_eigenvalue
 from .steady import NewtonConfig, bordered_newton, newton_solve, solve_kernel_function
 
@@ -181,12 +181,22 @@ def _point_from_state(
     params: ModelParams,
     geom: DomainGeometry,
     history: list[float],
-) -> BranchPoint:
-    """Branch point at a converged state x = [u; v]; history is the residual
-    inf-norm of every iterate of the solve that reached it, the last at x."""
+    previous: BranchPoint | None = None,
+) -> tuple[BranchPoint, OrderedLU]:
+    """Branch point at a converged state x = [u; v], and the LU of J there;
+    history is the residual inf-norm of every iterate of the solve that
+    reached it, the last at x. The one LU of J serves the eigen solve at
+    sigma = 0 and, in continue_branch, the next corrector as its chord.
+    previous is the point before this one on a branch. When its leading
+    pair was complex and sigma = 0 finds a real value here, the eigen solve
+    is redone at the Gershgorin shift (see spectral.N_PAIRS)."""
     J = assemble_jacobian(params.with_mu(mu), x, geom)
-    ep = leading_eigenvalue(J, coupled_order(geom))
-    return BranchPoint(
+    order = coupled_order(geom)
+    lu = factor(J, SingularJacobian, "LU of J at the branch point failed", order)
+    ep = leading_eigenvalue(J, lu=lu)
+    if previous is not None and previous.complex_pair and not ep.complex_pair:
+        ep = leading_eigenvalue(J, order)
+    point = BranchPoint(
         mu=mu,
         x=x,
         s=s,
@@ -198,6 +208,7 @@ def _point_from_state(
         complex_pair=ep.complex_pair,
         corrector_iters=len(history) - 1,
     )
+    return point, lu
 
 
 def branch_switch(
@@ -228,7 +239,7 @@ def branch_switch(
     if amplitude_of(x, geom) < s0 / 10.0:
         return solve_at_amplitude(params, geom, s0, mu_star, predictor, newton_cfg=cfg)
     s_init = _metric_norm(x - base, mu_sw - mu_star)
-    return _point_from_state(x, mu_sw, s_init, params, geom, result.residual_history)
+    return _point_from_state(x, mu_sw, s_init, params, geom, result.residual_history)[0]
 
 
 def _metric_norm(dx: np.ndarray, dmu: float) -> float:
@@ -250,10 +261,12 @@ def continue_branch(
     direction is the initial tangent guess, a pair (dx, dmu) with dx an array
     over the unknowns (zeros for a pure-mu direction). Subsequent tangents are
     secants through the last two points. The corrector meets
-    newton_cfg.tol_residual within newton_cfg.max_iter iterations, and each
-    accepted step hands its LU of J to the next step's corrector as the
-    chord matrix (see bordered_newton), so J is refactored only where the
-    chord stops contracting. The step halves on corrector failure, and when
+    newton_cfg.tol_residual within newton_cfg.max_iter iterations. Each
+    accepted point costs one LU of J: its eigen solve runs on it at
+    sigma = 0, and the next step's corrector takes it as the chord matrix
+    (see bordered_newton), refactoring only where the chord stops
+    contracting. The first step starts from a fresh LU, since start carries
+    none. The step halves on corrector failure, and when
     the corrected point lies farther than MAX_STEP_RATIO*ds from the last
     one (the arclength hyperplane can cross another branch), down to
     ds/MIN_DS_FACTOR, after which ContinuationStalled is raised; it carries
@@ -272,7 +285,7 @@ def continue_branch(
     y_x = start.x
     y_mu = start.mu
     s_accum = start.s
-    lu = None  # the corrector's LU of J, carried from step to step
+    lu = None  # the LU of J at the last accepted point: the next corrector's chord
     for _ in range(n_steps):
         if amplitude_cap is not None and points[-1].amplitude >= amplitude_cap:
             break
@@ -282,7 +295,7 @@ def continue_branch(
         at_y = float(row_x @ y_x) + t_mu * y_mu
         while True:
             try:
-                x_new, mu_new, history, lu = bordered_newton(
+                x_new, mu_new, history = bordered_newton(
                     y_x + ds_cur * t_x, y_mu + ds_cur * t_mu, row_x, t_mu, at_y + ds_cur,
                     params, geom, cfg, lu=lu,
                 )
@@ -300,7 +313,8 @@ def continue_branch(
                         Branch(BranchLabel.NONTRIVIAL, points),
                     ) from exc
         s_accum += ds_cur
-        points.append(_point_from_state(x_new, mu_new, s_accum, params, geom, history))
+        point, lu = _point_from_state(x_new, mu_new, s_accum, params, geom, history, points[-1])
+        points.append(point)
 
         sec_x, sec_mu = x_new - y_x, mu_new - y_mu
         sec_nrm = _metric_norm(sec_x, sec_mu)
@@ -335,8 +349,8 @@ def solve_at_amplitude(
         x = constant_state(geom, params.lam, 0.0).as_vector() + amplitude * direction
     row_x = np.zeros(geom.n_unknowns)
     split(row_x, geom)[1][:] = 1.0 / geom.n_omega1
-    x, mu, history, _ = bordered_newton(x, mu_guess, row_x, 0.0, amplitude, params, geom, cfg)
-    return _point_from_state(x, mu, amplitude, params, geom, history)
+    x, mu, history = bordered_newton(x, mu_guess, row_x, 0.0, amplitude, params, geom, cfg)
+    return _point_from_state(x, mu, amplitude, params, geom, history)[0]
 
 
 @dataclass

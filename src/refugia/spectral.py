@@ -1,13 +1,15 @@
 """Leading-eigenvalue computation and linearized stability classification.
 
 The leading eigenvalue comes from one shift-invert Arnoldi solve (ARPACK
-through scipy.sparse.linalg.eigs). The shift sits just right of the
-Gershgorin right edge, which bounds every real part, so J - sigma*I is
-nonsingular and is factored exactly once; ARPACK returns the two pairs
-nearest the shift. Among them, the one of largest real part that meets the
-residual contract wins. Matrices too small for ARPACK take the same
-selection over a dense eigendecomposition. On the predator-free branch the
-leading eigenvalue has a closed form (the constant predator mode is
+through scipy.sparse.linalg.eigs), which returns the two pairs nearest the
+shift. A caller that holds an LU of J itself (continuation, at every branch
+point) hands it in, and the solve runs at sigma = 0 on it, so no LU is made
+here. Without one, the shift sits just right of the Gershgorin right edge,
+which bounds every real part, so J - sigma*I is nonsingular and is factored
+exactly once. Among the returned pairs, the one of largest real part that
+meets the residual contract wins. Matrices too small for ARPACK take the
+same selection over a dense eigendecomposition. On the predator-free branch
+the leading eigenvalue has a closed form (the constant predator mode is
 grid-exact), which serves as an analytic oracle.
 """
 
@@ -21,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EigenNoConvergence
-from .operators import ModelParams, factor
+from .operators import ModelParams, OrderedLU, factor
 
 #: eigenvalues within this margin of zero classify as MARGINAL
 STABILITY_MARGIN = 1e-6
@@ -31,16 +33,23 @@ RESIDUAL_TOL = 1e-8
 
 #: eigenpairs requested from ARPACK per call, and its Krylov basis size
 #: (ARPACK needs N_PAIRS < NCV <= n). The contract is one value, the largest
-#: real part. The shift lies right of the whole spectrum, so the values nearest
-#: it are the rightmost ones, unless a complex pair with a large imaginary part
-#: lies farther away than a real value to its left (the Hopf corner; Meerbergen
-#: & Spence, SIMAX 18, 1997). Two pairs leave one spare for that case. More
-#: pairs cost more: over the 27 eigen calls of a 64^2 verify run, k=2/ncv=8
-#: takes a median of 9 shift-invert solves per call, k=3/ncv=10 46, k=4/ncv=12
-#: 43 and k=6/ncv=13 45, and the k=2 leading value matches k=12 to 1.3e-15.
-#: On the 12^2 enriched branch through the Hopf bracket, with and without a
-#: refuge, and on random small geometries, it matches numpy.linalg.eigvals to
-#: 8e-12.
+#: real part. Right of the whole spectrum (the Gershgorin shift), the values
+#: nearest the shift are the rightmost ones, unless a complex pair with a large
+#: imaginary part lies farther away than a real value to its left (the Hopf
+#: corner; Meerbergen & Spence, SIMAX 18, 1997). At sigma = 0 the same corner
+#: opens wider: deep past the Hopf point, as u falls towards 0, prey modes with
+#: vanishing diffusion come nearer 0 than the leading complex pair. Random
+#: enriched branches on 16x10 missed it at 69 of 1,569 points at sigma = 0,
+#: each right after a point whose leading pair was complex, where
+#: continuation._point_from_state redoes the solve at the Gershgorin shift
+#: (no miss left). Two pairs leave one spare. More pairs cost more: over the
+#: 27 eigen calls of a 64^2 verify run at the Gershgorin shift, k=2/ncv=8 took
+#: a median of 9 shift-invert solves per call, k=3/ncv=10 46, k=4/ncv=12 43
+#: and k=6/ncv=13 45, and the k=2 leading value matched k=12 to 1.3e-15. At
+#: sigma = 0 its 25 branch points take 9 solves each, as at the Gershgorin
+#: shift. At the Gershgorin shift, on the 12^2 enriched branch through the Hopf
+#: bracket, with and without a refuge, and on random small geometries, the
+#: value matches numpy.linalg.eigvals to 8e-12.
 N_PAIRS = 2
 NCV = 8
 
@@ -72,38 +81,48 @@ def _gershgorin_right_edge(J: sp.spmatrix) -> float:
     return float(np.max(diag + (abs_rows - np.abs(diag))))
 
 
-def _candidates(J: sp.csr_matrix, order: np.ndarray | None):
-    """Eigenvalues and eigenvector columns nearest the right edge of the
-    spectrum: shift-invert Arnoldi with one LU, factored in order (see
-    operators.factor), or dense for tiny matrices."""
+def _candidates(J: sp.csr_matrix, order: np.ndarray | None, lu: OrderedLU | None):
+    """Eigenvalues and eigenvector columns nearest the shift: shift-invert
+    Arnoldi at sigma = 0 on lu, an LU of J, or else right of the spectrum
+    with one LU of J - sigma*I factored in order (see operators.factor);
+    dense for tiny matrices."""
     n = J.shape[0]
     if n <= NCV:  # ARPACK needs N_PAIRS < NCV <= n
         return np.linalg.eig(J.toarray())
-    edge = _gershgorin_right_edge(J)
-    sigma = edge + 0.01 * (1.0 + abs(edge))
-    what = f"shift-invert at sigma = {sigma:g} failed"
-    lu = factor(J - sigma * sp.identity(n, format="csr"), EigenNoConvergence, what, order)
+    if lu is None:
+        edge = _gershgorin_right_edge(J)
+        sigma = edge + 0.01 * (1.0 + abs(edge))
+        shifted = J - sigma * sp.identity(n, format="csr")
+        lu = factor(shifted, EigenNoConvergence, f"shift-invert at sigma = {sigma:g} failed", order)
+    else:
+        sigma = 0.0
     op = spla.LinearOperator(J.shape, matvec=lu.solve, dtype=float)
     try:
         return spla.eigs(J, k=N_PAIRS, sigma=sigma, ncv=NCV, OPinv=op, v0=np.ones(n))
     except spla.ArpackNoConvergence as exc:
         return exc.eigenvalues, exc.eigenvectors
     except RuntimeError as exc:  # any other ARPACK failure
-        raise EigenNoConvergence(f"{what}: {exc}") from exc
+        raise EigenNoConvergence(f"shift-invert at sigma = {sigma:g} failed: {exc}") from exc
 
 
-def leading_eigenvalue(J: sp.spmatrix, order: np.ndarray | None = None) -> EigenPair:
+def leading_eigenvalue(
+    J: sp.spmatrix, order: np.ndarray | None = None, lu: OrderedLU | None = None
+) -> EigenPair:
     """Eigenvalue of largest real part among the pairs nearest the shift.
 
-    order is the elimination order of the shift-invert LU:
+    lu, an LU of J itself (operators.factor), puts the shift at 0 and serves
+    as the shift-invert factor. Without it the shift lies right of the
+    spectrum, and order is the elimination order of the LU of J - sigma*I:
     operators.coupled_order(geom) for a coupled Jacobian, None (SuperLU's
-    own) otherwise.
+    own) otherwise. The predator-free blocks take no lu: on the v-block at
+    mu = 0 the leading value g_v0 can lie farther from 0 than a diffusion
+    mode below it.
     Raises EigenNoConvergence if no returned pair meets the residual contract.
     """
     if J.shape[0] != J.shape[1]:
         raise ValueError("operator must be square")
     J = J.tocsr()
-    values, vectors = _candidates(J, order)
+    values, vectors = _candidates(J, order, lu)
     residuals = []
     for i in np.argsort(-values.real, kind="stable"):
         lam = values[i]

@@ -90,7 +90,7 @@ def bordered_newton(
     geom: DomainGeometry,
     cfg: NewtonConfig,
     lu: OrderedLU | None = None,
-) -> tuple[np.ndarray, float, list[float], OrderedLU | None]:
+) -> tuple[np.ndarray, float, list[float]]:
     """Chord Newton on [steady residual; row_x.x + row_mu*mu - target] over (x, mu).
 
     The one Newton for every (state, mu) solve (Keller 1977; Govaerts 2000):
@@ -99,14 +99,14 @@ def bordered_newton(
     of J in coupled_order(geom), which is kept across iterations and
     refactored at the current iterate only when the residual inf-norm
     shrinks by less than CHORD_CONTRACTION. lu, an LU of J at an earlier
-    point (continuation passes the one its last step finished with), serves
-    as the chord matrix from the start; until it is refactored the solve
-    returns only when two successive residuals meet cfg.tol_residual, since
-    a stale chord contracts slowly and may stop just under the tolerance.
-    Iterates, the start included, are clamped to x >= 0. Returns x = [u; v],
-    mu, the residual inf-norm of every iterate, the last at the returned
-    point, and the LU the solve finished with. At most cfg.max_iter
-    residuals are evaluated.
+    point (continuation passes the one its last accepted point made for its
+    eigen solve), serves as the chord matrix from the start; until it is
+    refactored the solve returns only when two successive residuals meet
+    cfg.tol_residual, since a stale chord contracts slowly and may stop just
+    under the tolerance. Iterates, the start included, are clamped to
+    x >= 0. Returns x = [u; v], mu, and the residual inf-norm of every
+    iterate, the last at the returned point. At most cfg.max_iter residuals
+    are evaluated.
     Raises SingularJacobian when J cannot be factored or an update is
     non-finite or blows up, and NoConvergence when a mu iterate leaves
     mu >= 0, the Schur scalar is singular, or the budget runs out.
@@ -125,7 +125,7 @@ def bordered_newton(
         con = float(row_x @ x) + row_mu * mu - target
         if rnorm <= cfg.tol_residual and abs(con) <= con_tol:
             if not carried or (history and history[-1] <= cfg.tol_residual):
-                return x, mu, history + [rnorm], lu
+                return x, mu, history + [rnorm]
         if solve is None or rnorm > CHORD_CONTRACTION * history[-1]:
             if lu is None or solve is not None:  # a carried LU serves the first update
                 J = assemble_jacobian(p_mu, x, geom)
@@ -158,7 +158,7 @@ def newton_solve(
     it fails branch_switch or the runner's newton_solve stage.
     """
     x0 = state0.as_vector()
-    x, _, history, _ = bordered_newton(
+    x, _, history = bordered_newton(
         x0, params.mu, np.zeros_like(x0), 1.0, params.mu, params, geom, cfg
     )
     state = SystemState.from_vector(x, geom.n_omega)

@@ -17,6 +17,7 @@ from refugia.continuation import (
 )
 from refugia.errors import (
     ContinuationStalled,
+    EigenNoConvergence,
     NoConvergence,
     NoCrossing,
     RefugiaError,
@@ -409,31 +410,32 @@ def test_keller_update_matches_dense_bordered_solve(grid, refuge):
     assert np.linalg.norm(dx - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
-def test_corrector_factors_only_j_once_per_step(
+def test_one_lu_of_j_per_accepted_point(
     switch_point, mu_star, params, geom32, scipy_counters, monkeypatch
 ):
-    # the corrector factors J, never the (n+1)x(n+1) bordered matrix, and
-    # each step hands its LU of J to the next as the chord matrix, so one or
-    # two LUs serve all six steps (one per step without the carry); the one
-    # LU per point inside leading_eigenvalue is counted apart. A solve that
-    # ends on a carried LU stops only when two successive residuals meet the
-    # tolerance, since the stale chord contracts slowly
+    # each accepted point factors J once: its eigen solve runs at sigma = 0
+    # on that LU and makes none of its own, and the next step's corrector
+    # takes it as the chord matrix. Only the first step, which is handed no
+    # LU, factors in the corrector, and nothing factors the (n+1)x(n+1)
+    # bordered matrix. A solve that ends on a carried LU stops only when two
+    # successive residuals meet the tolerance, since the stale chord
+    # contracts slowly
     import refugia.continuation as cont
 
-    eigen_lus = []
-    solves = []  # (ran on a carried LU alone, residual history) per corrector call
+    eigen_lus = []  # (handed an LU, LUs made inside) per leading_eigenvalue call
+    solves = []  # (handed an LU, LUs made inside, residual history) per corrector call
     leading, corrector = cont.leading_eigenvalue, cont.bordered_newton
 
-    def counted_leading(J, *args, **kwargs):
+    def counted_leading(J, *args, lu=None):
         before = len(scipy_counters.splu_shapes)
-        ep = leading(J, *args, **kwargs)
-        eigen_lus.append(len(scipy_counters.splu_shapes) - before)
+        ep = leading(J, *args, lu=lu)
+        eigen_lus.append((lu is not None, len(scipy_counters.splu_shapes) - before))
         return ep
 
     def spy(*args, lu=None):
         before = len(scipy_counters.splu_shapes)
         out = corrector(*args, lu=lu)
-        solves.append((lu is not None and len(scipy_counters.splu_shapes) == before, out[2]))
+        solves.append((lu is not None, len(scipy_counters.splu_shapes) - before, out[2]))
         return out
 
     monkeypatch.setattr(cont, "leading_eigenvalue", counted_leading)
@@ -449,12 +451,12 @@ def test_corrector_factors_only_j_once_per_step(
     shapes = scipy_counters.splu_shapes
     assert (n + 1, n + 1) not in shapes
     assert set(shapes) == {(n, n)}
-    assert 1 <= len(shapes) - sum(eigen_lus) <= 2
-    carried = [h for on_carried, h in solves if on_carried]
-    assert len(carried) >= 4
+    assert len(shapes) == steps + 1
+    assert eigen_lus == [(True, 0)] * steps
+    assert [(handed, made) for handed, made, _ in solves] == [(False, 1)] + [(True, 0)] * (steps - 1)
     tol = NewtonConfig().tol_residual
-    assert all(h[-2] <= tol and h[-1] <= tol for h in carried)
-    assert [p.corrector_iters for p in branch.points[1:]] == [len(h) - 1 for _, h in solves]
+    assert all(h[-2] <= tol and h[-1] <= tol for handed, _, h in solves if handed)
+    assert [p.corrector_iters for p in branch.points[1:]] == [len(h) - 1 for _, _, h in solves]
 
 
 def test_failed_lu_of_j_is_no_convergence(params, geom16, monkeypatch):
@@ -519,6 +521,26 @@ def test_continuation_does_not_jump_off_the_branch():
         assert dist <= 2.0 * (b.s - a.s)
 
 
+@pytest.mark.xfail(strict=True, raises=EigenNoConvergence,
+                   reason="no eigen path handles the branch's end at mu = 0, u = 0")
+def test_branch_run_to_mu_zero_keeps_its_leading_eigenvalue():
+    # an enriched branch without a refuge walked to its end: continuation
+    # accepts mu = 1.7e-15 with u = 0 everywhere (the predator-only state),
+    # where the prey block is a multiple of the identity; the Gershgorin
+    # shift then finds no converged pair and sigma = 0 returns 0, against
+    # the many-fold dense value 0.0645
+    p = ModelParams(lam=1.0, m=2.25, c=1.1875, b=1.75, mu=1.1875 / 3.25)
+    geom = build_geometry(GridSpec(16, 10, lx=1.6), RefugeShape.empty())
+    top = p.m * (p.lam + 1.0 / p.m) ** 2 / (4.0 * p.b)  # the constant-mode fold
+    first = solve_at_amplitude(p, geom, 0.25 * top, p.mu)
+    second = solve_at_amplitude(p, geom, 0.5 * top, first.mu, x_guess=first.x)
+    direction = (second.x - first.x, second.mu - first.mu)
+    branch = continue_branch(second, direction, 8, 0.2 * top, p, geom)
+    for point in branch.points:
+        J = assemble_jacobian(p.with_mu(point.mu), point.x, geom)
+        assert point.gamma == pytest.approx(np.linalg.eigvals(J.toarray()).real.max(), abs=1e-8)
+
+
 @pytest.fixture
 def corrector_lus(monkeypatch):
     """Every LU bordered_newton makes, one entry per call of steady.factor."""
@@ -570,7 +592,7 @@ def test_carried_lu_branch_matches_fresh_lu_branch(
 
 
 def test_corrector_refactors_a_stale_lu(corrector_lus):
-    # the LU from the start of the 12x12 enriched branch (amplitude 0.2),
+    # the LU of J at the start of the 12x12 enriched branch (amplitude 0.2),
     # handed to an amplitude-pinned solve far along it (amplitude 3): the
     # chord stops contracting, the corrector refactors, and it lands on the
     # point a fresh-LU solve finds
@@ -583,15 +605,16 @@ def test_corrector_refactors_a_stale_lu(corrector_lus):
     n1 = geom.n_omega1
     row_x = np.concatenate([np.zeros(geom.n_omega), np.full(n1, 1.0 / n1)])
     cfg = NewtonConfig()
-    _, mu0, _, stale = steady.bordered_newton(
+    x0, mu0, _ = steady.bordered_newton(
         base + 0.2 * direction, 8.0 / 9.0, row_x, 0.0, 0.2, p, geom, cfg
     )
+    stale = factor(assemble_jacobian(p.with_mu(mu0), x0, geom), SingularJacobian, "test",
+                   coupled_order(geom))
     x = base + 3.0 * direction
     corrector_lus.clear()
-    x_new, mu, _, lu = steady.bordered_newton(x, mu0, row_x, 0.0, 3.0, p, geom, cfg, lu=stale)
+    x_new, mu, _ = steady.bordered_newton(x, mu0, row_x, 0.0, 3.0, p, geom, cfg, lu=stale)
     assert len(corrector_lus) >= 1
-    assert lu is not stale
-    x_ref, mu_ref, _, _ = steady.bordered_newton(x, mu0, row_x, 0.0, 3.0, p, geom, cfg)
+    x_ref, mu_ref, _ = steady.bordered_newton(x, mu0, row_x, 0.0, 3.0, p, geom, cfg)
     assert np.max(np.abs(x_new - x_ref)) <= 1e-10
     assert abs(mu - mu_ref) <= 1e-10
 

@@ -215,6 +215,33 @@ def test_verify_run_factors_the_cell_graph_once(tmp_path, scipy_counters):
     assert len(scipy_counters.splu_calls) == n_lu  # the second solve reuses the LU
     assert np.array_equal(again, first)
 
+def test_verify_run_factors_j_once_per_branch_point(tmp_path, scipy_counters, monkeypatch):
+    # every sparse LU of a small verify run: the two predator-free blocks;
+    # in the switch, the cell graph (its kernel-function solve is the first
+    # use), two in its fixed-mu Newton and one at its point; then one per
+    # continued point, plus the first step's, which is handed none
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            before = len(scipy_counters.splu_calls)
+            out = fn(*args, **kwargs)
+            calls[name] = len(scipy_counters.splu_calls) - before
+            return out
+        return wrapper
+
+    for name in ("trace_semitrivial", "branch_switch", "continue_branch"):
+        monkeypatch.setattr(runner, name, counted(name, getattr(runner, name)))
+    cfg = parse_config(BIF_SMALL.replace("bifurcate", "verify"))
+    assert run_experiment(cfg, out_dir=tmp_path).exit_ok
+    steps = cfg.continuation.n_steps
+    with open(tmp_path / "branch_nontrivial.csv", newline="", encoding="utf-8") as fh:
+        assert len(list(csv.DictReader(fh))) == 1 + steps
+    assert calls == {"trace_semitrivial": 2, "branch_switch": 1 + 2 + 1,
+                     "continue_branch": 1 + steps}
+    assert len(scipy_counters.splu_calls) == sum(calls.values())
+
+
 #: the benchmark's verify-64 case with the default continuation settings;
 #: its coexistence branch does not depend on the mu samples of the
 #: predator-free line, which the benchmark shifts per seed

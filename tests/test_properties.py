@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refugia.config import KINDS, RANGE_KINDS, parse_config
-from refugia.continuation import solve_at_amplitude
-from refugia.errors import RefugiaError
+from refugia.continuation import continue_branch, solve_at_amplitude
+from refugia.errors import ContinuationStalled, RefugiaError
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
 from refugia.operators import (
     ModelParams,
@@ -159,6 +159,55 @@ def test_leading_eigenvalue_matches_dense_on_enriched_branches(geom, lam, m_lam,
         lead = dense[np.argmax(dense.real)]
         assert ep.value == pytest.approx(lead.real, abs=1e-8)
         assert ep.complex_pair == (abs(lead.imag) > 1e-10)
+
+
+#: the shared-LU sweep's grid (nx != ny, lx != ly) and its three refuges
+SWEEP_GRID = GridSpec(16, 10, lx=1.6, ly=1.0)
+SWEEP_REFUGES = {
+    "none": RefugeShape.empty(),
+    "centred square": RefugeShape.rectangle((0.8, 0.5), (0.2, 0.2)),
+    "off-centre disc": RefugeShape.disc((0.6, 0.45), 0.2),
+}
+
+
+@settings(max_examples=12)
+@given(
+    st.sampled_from(sorted(SWEEP_REFUGES)),
+    st.floats(1.0, 4.0),
+    st.floats(1.2, 4.0),
+    st.floats(0.5, 3.0),
+    st.floats(0.5, 2.0),
+    st.floats(0.5, 0.9),
+)
+def test_branch_point_leading_eigenvalue_matches_dense(refuge, lam, m_lam, c, b, reach):
+    # a branch point's eigen solve runs at sigma = 0 on its LU of J, which
+    # returns the pairs nearest 0 rather than the rightmost. Walk an enriched
+    # branch: two amplitude-pinned points up to `reach` of the constant-mode
+    # fold, then continuation past the fold, where the leading pair turns
+    # complex and crosses into the right half-plane (without a refuge the
+    # Hopf point is the fold itself) and, as u falls towards 0, real prey
+    # modes with vanishing diffusion crowd in near 0
+    geom = build_geometry(SWEEP_GRID, SWEEP_REFUGES[refuge])
+    m = m_lam / lam
+    params = ModelParams(lam=lam, m=m, c=c, b=b, mu=c * lam / (1.0 + m_lam))
+    top = m * (lam + 1.0 / m) ** 2 / (4.0 * b)
+    first = solve_at_amplitude(params, geom, 0.5 * reach * top, params.mu)
+    second = solve_at_amplitude(params, geom, reach * top, first.mu, x_guess=first.x)
+    direction = (second.x - first.x, second.mu - first.mu)
+    try:
+        branch = continue_branch(second, direction, 8, 0.15 * top, params, geom)
+    except ContinuationStalled as exc:  # the branch ran into mu = 0: keep its points
+        branch = exc.branch
+    for point in [first, *branch.points]:
+        J = assemble_jacobian(params.with_mu(point.mu), point.x, geom)
+        dense = np.linalg.eigvals(J.toarray())
+        lead = dense[np.argmax(dense.real)]
+        assert point.gamma == pytest.approx(lead.real, abs=1e-8)
+        assert point.eigen_residual <= 1e-8
+        assert point.complex_pair == (abs(lead.imag) > 1e-10)
+    if refuge == "none":  # the walk reaches past the Hopf point
+        u_hopf = 0.5 * (lam - 1.0 / m)
+        assert branch.points[-1].mu < c * u_hopf / (1.0 + m * u_hopf)
 
 
 def _error_names(cls=RefugiaError) -> set[str]:

@@ -6,10 +6,10 @@ import scipy.sparse.linalg as spla
 from conftest import smooth_positive
 from refugia import spectral
 from refugia.continuation import continue_branch, solve_at_amplitude
-from refugia.errors import EigenNoConvergence
+from refugia.errors import EigenNoConvergence, SingularJacobian
 from refugia.fields import Region, ScalarField, SystemState, constant_state
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
-from refugia.operators import ModelParams, assemble_jacobian, coupled_order
+from refugia.operators import ModelParams, assemble_jacobian, coupled_order, factor
 from refugia.spectral import (
     NCV,
     StabilityFlag,
@@ -45,10 +45,11 @@ def test_semitrivial_leading_matches_formula(geom16):
 
 def test_failed_shift_invert_is_eigen_no_convergence(geom16, monkeypatch):
     # a failing LU of J - sigma*I, in SuperLU's order or in the geometry's,
-    # and an ARPACK failure other than non-convergence, all surface as
-    # EigenNoConvergence
+    # and an ARPACK failure other than non-convergence, at either shift, all
+    # surface as EigenNoConvergence
     J = _semitrivial_jacobian(ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.2), geom16)
     order = coupled_order(geom16)  # built before splu breaks
+    lu = factor(J, SingularJacobian, "test", order)
 
     def arpack_error(*args, **kwargs):
         raise spla.ArpackError(-9999)
@@ -59,6 +60,8 @@ def test_failed_shift_invert_is_eigen_no_convergence(geom16, monkeypatch):
     monkeypatch.setattr(spla, "eigs", arpack_error)
     with pytest.raises(EigenNoConvergence, match="shift-invert .* failed: ARPACK"):
         leading_eigenvalue(J)
+    with pytest.raises(EigenNoConvergence, match="shift-invert at sigma = 0 failed: ARPACK"):
+        leading_eigenvalue(J, lu=lu)
     monkeypatch.setattr(spla, "splu", singular)
     with pytest.raises(EigenNoConvergence, match="shift-invert .* failed: Factor"):
         leading_eigenvalue(J)
@@ -187,7 +190,9 @@ def test_dense_oracle_along_enriched_branch(grid, refuge):
         point = solve_at_amplitude(ENRICHED, geom, float(amplitude), mu, x_guess=x)
         mu, x = point.mu, point.x
         J = assemble_jacobian(ENRICHED.with_mu(mu), x, geom)
-        ep = leading_eigenvalue(J, coupled_order(geom))
+        # the branch point's path: sigma = 0 on an LU of J itself
+        lu = factor(J, SingularJacobian, "test", coupled_order(geom))
+        ep = leading_eigenvalue(J, lu=lu)
         dense = np.max(np.linalg.eigvals(J.toarray()).real)
         assert ep.value == pytest.approx(dense, abs=1e-8)
         assert ep.residual <= 1e-8
@@ -196,6 +201,31 @@ def test_dense_oracle_along_enriched_branch(grid, refuge):
         # without a refuge the branch ends near a Hopf point: -0.2 +/- 0.529i
         assert ep.complex_pair and point.complex_pair
         assert ep.value == pytest.approx(-0.2, abs=1e-8)
+
+
+def test_branch_points_keep_the_complex_pair_past_the_hopf_point():
+    # deep past the Hopf point without a refuge (u falls towards 0), real
+    # prey modes with vanishing diffusion come nearer 0 than the leading
+    # complex pair, so sigma = 0 alone returns a real value left of it; a
+    # branch point whose predecessor's pair was complex then redoes the
+    # solve at the Gershgorin shift
+    p = ModelParams(lam=2.0, m=2.0, c=1.0, b=1.0, mu=0.4)  # mu* = 0.4
+    geom = build_geometry(GridSpec(16, 10, lx=1.6), RefugeShape.empty())
+    top = p.m * (p.lam + 1.0 / p.m) ** 2 / (4.0 * p.b)  # the constant-mode fold
+    first = solve_at_amplitude(p, geom, 0.45 * top, p.mu)
+    second = solve_at_amplitude(p, geom, 0.9 * top, first.mu, x_guess=first.x)
+    direction = (second.x - first.x, second.mu - first.mu)
+    branch = continue_branch(second, direction, 8, 0.1 * top, p, geom)
+    misses = 0
+    for point in branch.points:
+        J = assemble_jacobian(p.with_mu(point.mu), point.x, geom)
+        dense = np.linalg.eigvals(J.toarray())
+        lead = dense[np.argmax(dense.real)]
+        at_zero = leading_eigenvalue(J, lu=factor(J, SingularJacobian, "test", coupled_order(geom)))
+        misses += abs(at_zero.value - lead.real) > 1e-8
+        assert point.gamma == pytest.approx(lead.real, abs=1e-8)
+        assert point.complex_pair and abs(lead.imag) > 1e-10
+    assert misses >= 2
 
 
 @pytest.mark.parametrize(
@@ -242,7 +272,8 @@ def test_dense_fallback_boundary(n, arpack_calls, scipy_counters):
 
 def test_shift_invert_solve_count(geom32, monkeypatch):
     # two pairs with an 8-vector Krylov basis take 9 shift-invert solves at
-    # this point; six pairs with ARPACK's default basis of 13 took 45
+    # this point, at the Gershgorin shift and at sigma = 0 on an LU of J; six
+    # pairs with ARPACK's default basis of 13 took 45
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
     point = solve_at_amplitude(p, geom32, 0.1, p.mu)
     J = assemble_jacobian(p.with_mu(point.mu), point.x, geom32)
@@ -257,7 +288,12 @@ def test_shift_invert_solve_count(geom32, monkeypatch):
             solves.append(1)
             return self.lu.solve(rhs)
 
+    lu = CountingLU(factor(J, SingularJacobian, "test", coupled_order(geom32)))
     monkeypatch.setattr(spectral, "factor", lambda *args: CountingLU(factor(*args)))
     ep = leading_eigenvalue(J, coupled_order(geom32))
     assert ep.residual <= 1e-8
+    assert len(solves) <= 15
+    solves.clear()
+    at_zero = leading_eigenvalue(J, lu=lu)
+    assert at_zero.value == pytest.approx(ep.value, abs=1e-10)
     assert len(solves) <= 15
