@@ -26,7 +26,8 @@ from .fields import SystemState, constant_state
 from .geometry import DomainGeometry
 from .operators import ModelParams, OrderedLU, assemble_jacobian, coupled_order, factor, split
 from .spectral import EigenPair, StabilityFlag, classify_value, leading_eigenvalue
-from .steady import NewtonConfig, bordered_newton, newton_solve, solve_kernel_function
+from .steady import (CONSTRAINT_TOL, NewtonConfig, bordered_newton, newton_solve,
+                     solve_kernel_function)
 
 #: |mu - mu*| band inside which the sign relation is not audited
 MU_BAND = 1e-4
@@ -271,7 +272,9 @@ def continue_branch(
     one (the arclength hyperplane can cross another branch), down to
     ds/MIN_DS_FACTOR, after which ContinuationStalled is raised; it carries
     the branch of the points accepted so far. A halved retry starts from a
-    fresh LU.
+    fresh LU. The branch ends before a corrected point at the predator-only
+    state (mu <= CONSTRAINT_TOL and max u <= newton_cfg.tol_residual), which
+    is neither kept nor classified.
     """
     cfg = newton_cfg or NewtonConfig()
     n = geom.n_unknowns
@@ -312,6 +315,8 @@ def continue_branch(
                         f"after {len(points) - 1} accepted steps, the last at mu = {y_mu:.6g}",
                         Branch(BranchLabel.NONTRIVIAL, points),
                     ) from exc
+        if mu_new <= CONSTRAINT_TOL and split(x_new, geom)[0].max() <= cfg.tol_residual:
+            break  # the predator-only state (u = 0 at mu = 0): the branch ends there
         s_accum += ds_cur
         point, lu = _point_from_state(x_new, mu_new, s_accum, params, geom, history, points[-1])
         points.append(point)

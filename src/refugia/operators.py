@@ -295,49 +295,36 @@ def frozen_diffusion_matrix(u_values: np.ndarray, geom: DomainGeometry) -> sp.cs
 
 
 def assemble_jacobian(params: ModelParams, x: np.ndarray, geom: DomainGeometry) -> sp.csr_matrix:
-    """Analytic Jacobian of the steady residual at x, ordered like x = [u; v].
+    """Analytic Jacobian of the steady residual at x, ordered like x = [u; v]:
+    the blocks [[J_uu, J_uv], [J_vu, J_vv]], the diagonal ones the prey
+    diffusion linearization and the predator Laplacian plus their reaction
+    terms. At the semitrivial state (lam, 0) J_vu vanishes (block-triangular
+    structure); J_uu reduces to lam*(lap - I), J_vv to lap - mu + c*lam/(1 + m*lam).
 
-    At the semitrivial state (lam, 0) the v-rows lose their u-dependence
-    (block-triangular structure); the u-block reduces to lam*(lap - I) and the
-    v-block to lap - mu + c*lam/(1 + m*lam).
+    The reaction terms go in by setdiag, not by adding sp.diags: a CSR sum
+    drops the entries it computes as 0, as the corrector's x >= 0 clamp makes
+    them, and the pattern would lose the symmetry factor's SymmetricMode
+    relies on. Both diagonal blocks already store every diagonal entry.
     """
-    uv, vv = split(x, geom)
-    n, n1 = geom.n_omega, geom.n_omega1
-    # the v-unknowns are the OMEGA1 cells in flat order: cell o1[k] is unknown n + k
+    u, v = split(x, geom)
+    # the v-unknowns are the OMEGA1 cells in flat order: cell o1[k] is v[k]
     o1 = np.flatnonzero(geom.omega1_flat)
-    vcols = n + np.arange(n1)
-    denom = 1.0 + params.m * uv
-    d1 = denom[o1]
+    k = np.arange(geom.n_omega1)
+    d1 = 1.0 + params.m * u[o1]
 
-    duu = diffusion_linearization(uv, geom).tocoo()
-    rows = [duu.row]
-    cols = [duu.col]
-    data = [duu.data]
-
-    # prey reaction diagonal: lam - 2u - b(x)*v / (1 + m*u)^2, b = 0 in the refuge
-    diag_u = params.lam - 2.0 * uv
-    diag_u[o1] -= params.b * vv / d1**2
-    cells = np.arange(n)
-    rows.append(cells), cols.append(cells), data.append(diag_u)
-
-    # d(prey)/dv: -b * u/(1 + m*u) on predator-domain cells
-    rows.append(o1)
-    cols.append(vcols)
-    data.append(-params.b * uv[o1] / d1)
-    # d(predator)/du: c * v / (1 + m*u)^2
-    rows.append(vcols)
-    cols.append(o1)
-    data.append(params.c * vv / d1**2)
-    # d(predator)/dv: lap - mu + c*u/(1 + m*u)
-    lv = geom.lap_omega1.tocoo()
-    rows.append(lv.row + n), cols.append(lv.col + n), data.append(lv.data)
-    diag_v = -params.mu + params.c * uv[o1] / d1
-    rows.append(vcols), cols.append(vcols), data.append(diag_v)
-
-    return sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n + n1, n + n1),
-    ).tocsr()
+    # prey: div(u grad .) + lam - 2u - b(x)*v/(1 + m*u)^2, b = 0 in the refuge
+    J_uu = diffusion_linearization(u, geom)
+    f_u = params.lam - 2.0 * u
+    f_u[o1] -= params.b * v / d1**2
+    J_uu.setdiag(J_uu.diagonal() + f_u)
+    # predator: lap - mu + c*u/(1 + m*u); the copy keeps the geometry's cache intact
+    J_vv = geom.lap_omega1.copy()
+    f_v = -params.mu + params.c * u[o1] / d1
+    J_vv.setdiag(J_vv.diagonal() + f_v)
+    # d(prey)/dv = -b*u/(1 + m*u) and d(predator)/du = c*v/(1 + m*u)^2
+    J_uv = sp.csr_matrix((-params.b * u[o1] / d1, (o1, k)), shape=(geom.n_omega, geom.n_omega1))
+    J_vu = sp.csr_matrix((params.c * v / d1**2, (k, o1)), shape=(geom.n_omega1, geom.n_omega))
+    return sp.bmat([[J_uu, J_uv], [J_vu, J_vv]], format="csr")
 
 
 def residual_mu_derivative(x: np.ndarray, geom: DomainGeometry) -> np.ndarray:

@@ -10,7 +10,7 @@ exactly once. Among the returned pairs, the one of largest real part that
 meets the residual contract wins. Matrices too small for ARPACK take the
 same selection over a dense eigendecomposition. On the predator-free branch
 the leading eigenvalue has a closed form (the constant predator mode is
-grid-exact), which serves as an analytic oracle.
+grid-exact); the tests hold it as their analytic oracle, in conftest.py.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EigenNoConvergence
-from .operators import ModelParams, OrderedLU, factor
+from .operators import OrderedLU, factor
 
 #: eigenvalues within this margin of zero classify as MARGINAL
 STABILITY_MARGIN = 1e-6
@@ -139,16 +139,6 @@ def leading_eigenvalue(
         f"no eigenpair met residual {RESIDUAL_TOL:g}; best of {len(residuals)} "
         f"was {min(residuals, default=np.inf):.3e}"
     )
-
-
-def semitrivial_leading_analytic(params: ModelParams) -> float:
-    """Exact leading eigenvalue of the linearization at the predator-free state.
-
-    The linearization is block triangular there: the prey block lam*(lap - I)
-    tops out at -lam (constant mode), the predator block at
-    c*lam/(1 + m*lam) - mu (constant Neumann mode, grid-exact).
-    """
-    return max(-params.lam, params.c * params.lam / (1.0 + params.m * params.lam) - params.mu)
 
 
 def classify_value(value: float) -> StabilityFlag:

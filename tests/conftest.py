@@ -104,3 +104,13 @@ def smooth_positive(grid, rng, base=1.0, wobble=0.1, floor=0.05):
                 np.pi * ky * Y / grid.ly
             )
     return np.maximum(f, floor)
+
+
+def semitrivial_leading_analytic(params: ModelParams) -> float:
+    """Exact leading eigenvalue of the linearization at the predator-free state.
+
+    The linearization is block triangular there: the prey block lam*(lap - I)
+    tops out at -lam (constant mode), the predator block at
+    c*lam/(1 + m*lam) - mu (constant Neumann mode, grid-exact).
+    """
+    return max(-params.lam, params.c * params.lam / (1.0 + params.m * params.lam) - params.mu)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import smooth_positive
+from conftest import semitrivial_leading_analytic, smooth_positive
 from refugia.continuation import (
     branch_switch,
     continue_branch,
@@ -30,12 +30,7 @@ from refugia.operators import (
     residual_steady,
     split,
 )
-from refugia.spectral import (
-    StabilityFlag,
-    classify_value,
-    leading_eigenvalue,
-    semitrivial_leading_analytic,
-)
+from refugia.spectral import StabilityFlag, classify_value, leading_eigenvalue
 from refugia.steady import NewtonConfig, newton_solve, solve_kernel_function
 
 

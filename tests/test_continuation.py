@@ -17,7 +17,6 @@ from refugia.continuation import (
 )
 from refugia.errors import (
     ContinuationStalled,
-    EigenNoConvergence,
     NoConvergence,
     NoCrossing,
     RefugiaError,
@@ -521,14 +520,11 @@ def test_continuation_does_not_jump_off_the_branch():
         assert dist <= 2.0 * (b.s - a.s)
 
 
-@pytest.mark.xfail(strict=True, raises=EigenNoConvergence,
-                   reason="no eigen path handles the branch's end at mu = 0, u = 0")
 def test_branch_run_to_mu_zero_keeps_its_leading_eigenvalue():
-    # an enriched branch without a refuge walked to its end: continuation
-    # accepts mu = 1.7e-15 with u = 0 everywhere (the predator-only state),
-    # where the prey block is a multiple of the identity; the Gershgorin
-    # shift then finds no converged pair and sigma = 0 returns 0, against
-    # the many-fold dense value 0.0645
+    # an enriched branch without a refuge walked to its end: the corrector
+    # after mu = 4.8e-2 lands on u = 0 everywhere at mu = 0 (the
+    # predator-only state), where the prey block is a multiple of the
+    # identity and no eigen path converges; the branch ends before it
     p = ModelParams(lam=1.0, m=2.25, c=1.1875, b=1.75, mu=1.1875 / 3.25)
     geom = build_geometry(GridSpec(16, 10, lx=1.6), RefugeShape.empty())
     top = p.m * (p.lam + 1.0 / p.m) ** 2 / (4.0 * p.b)  # the constant-mode fold

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import refugia
 from refugia import cli, runner
 from refugia.config import ContinuationSettings, parse_config
 from refugia.continuation import continue_branch, trace_semitrivial
@@ -572,3 +574,26 @@ def test_manifest_lists_stage_outcomes(tmp_path):
     assert "manifest.exit_ok = True" in text
     assert "config.experiment.kind = steady" in text
     assert not (tmp_path / LOCK_NAME).exists()  # lock released
+
+
+def test_every_public_src_name_has_a_src_caller():
+    # a public module-level function or class that no code in src/refugia
+    # reaches (outside its own definition) is dead, or a test helper that
+    # belongs in the tests; names in docstrings do not count
+    src = Path(refugia.__file__).parent
+    defined, users = [], {}  # users: name -> the top-level statements that use it
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            where = (path.stem, stmt.lineno)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+                defined.append((where, stmt.name))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    users.setdefault(node.id, set()).add(where)
+                elif isinstance(node, ast.Attribute):
+                    users.setdefault(node.attr, set()).add(where)
+                elif isinstance(node, ast.alias):
+                    users.setdefault(node.name, set()).add(where)
+    unused = [f"{mod}.{name}" for (mod, line), name in defined
+              if not users.get(name, set()) - {(mod, line)}]
+    assert unused == []

@@ -306,6 +306,24 @@ def test_block_triangular_spectrum_at_any_prey_profile():
     np.testing.assert_allclose(spectrum, blocks, rtol=0, atol=1e-7)
 
 
+def test_jacobian_keeps_its_stored_zeros(geom16):
+    # the corrector's x >= 0 clamp leaves exact zeros; the Jacobian still
+    # stores every entry of its pattern, which factor's SymmetricMode needs
+    # symmetric (a CSR sum would drop the entries it computes as 0)
+    rng = np.random.default_rng(37)
+    x = rng.uniform(0.05, 2.0, geom16.n_unknowns)
+    positive = assemble_jacobian(PARAMS, x, geom16)
+    u, v = split(x, geom16)
+    dead = rng.random(geom16.n_omega) < 0.3
+    u[dead] = 0.0
+    v[dead[geom16.omega1_flat]] = 0.0
+    J = assemble_jacobian(PARAMS, x, geom16)
+    assert J.nnz == positive.nnz == 2816
+    pattern = J.copy()
+    pattern.data[:] = 1.0
+    assert (pattern != pattern.T).nnz == 0
+
+
 VERIFY_DISC = """
 experiment.kind = verify
 geometry.nx = 14

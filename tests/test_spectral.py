@@ -3,20 +3,14 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import smooth_positive
+from conftest import semitrivial_leading_analytic, smooth_positive
 from refugia import spectral
 from refugia.continuation import continue_branch, solve_at_amplitude
 from refugia.errors import EigenNoConvergence, SingularJacobian
 from refugia.fields import Region, ScalarField, SystemState, constant_state
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
 from refugia.operators import ModelParams, assemble_jacobian, coupled_order, factor
-from refugia.spectral import (
-    NCV,
-    StabilityFlag,
-    classify_value,
-    leading_eigenvalue,
-    semitrivial_leading_analytic,
-)
+from refugia.spectral import NCV, StabilityFlag, classify_value, leading_eigenvalue
 from refugia.steady import NewtonConfig, newton_solve, solve_kernel_function
 
 
