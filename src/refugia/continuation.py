@@ -18,13 +18,15 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ContinuationStalled, NoConvergence, NoCrossing, SingularJacobian
 from .fields import SystemState, constant_state
 from .geometry import DomainGeometry
-from .operators import ModelParams, OrderedLU, assemble_jacobian, coupled_order, factor, split
+from .operators import (ModelParams, OrderedLU, assemble_jacobian, cell_graph, coupled_order,
+                        factor, jacobian_blocks, split)
 from .spectral import EigenPair, StabilityFlag, classify_value, leading_eigenvalue
 from .steady import (CONSTRAINT_TOL, NewtonConfig, bordered_newton, newton_solve,
                      solve_kernel_function)
@@ -88,32 +90,6 @@ def amplitude_of(x: np.ndarray, geom: DomainGeometry) -> float:
     return float(split(x, geom)[1].mean())
 
 
-def _semitrivial_blocks(
-    params: ModelParams, x: np.ndarray, geom: DomainGeometry
-) -> tuple[EigenPair, EigenPair]:
-    """Leading pairs of the two diagonal blocks of the linearization at x = (lam, 0).
-
-    There the Jacobian is block upper-triangular (the v-equation's u-derivative
-    carries a factor v = 0). The u-block does not involve mu, and the v-block
-    at mu is the v-block at mu = 0 minus mu*I, so the two pairs give the
-    leading eigenvalue max(g_u, g_v0 - mu) for every mu.
-    """
-    J = assemble_jacobian(params.with_mu(0.0), x, geom).tocsr()
-    n = geom.n_omega
-    return leading_eigenvalue(J[:n, :n]), leading_eigenvalue(J[n:, n:])
-
-
-def _semitrivial_leading(
-    blocks: tuple[EigenPair, EigenPair], mu: float
-) -> tuple[float, EigenPair]:
-    """Leading eigenvalue at mu on the predator-free line and the block pair
-    it comes from."""
-    g_u, g_v0 = blocks
-    if g_u.value >= g_v0.value - mu:
-        return g_u.value, g_u
-    return g_v0.value - mu, g_v0
-
-
 def trace_semitrivial(
     params_base: ModelParams,
     mu_range: tuple[float, float],
@@ -122,37 +98,35 @@ def trace_semitrivial(
 ) -> Branch:
     """The predator-free branch: states are exactly (lam, 0), no solve needed.
 
-    The leading eigenvalue needs two block eigen solves per branch, not one
-    full solve per point: gamma(mu) = max(g_u, g_v0 - mu), with g_u the
-    leading eigenvalue of the mu-independent u-block and g_v0 that of the
-    v-block at mu = 0. Both pairs stay on the branch for
-    detect_transcritical. The s field is not meaningful on this branch and is
-    recorded as 0.
+    There the Jacobian is block upper-triangular (J_vu carries a factor v = 0),
+    so gamma(mu) = max(g_u, g_v0 - mu) takes two block eigen solves per branch,
+    with g_u the leading eigenvalue of the mu-independent u-block and g_v0 that
+    of the v-block at mu = 0 (operators.jacobian_blocks). The u-block,
+    -lam*(I - lap_omega), is symmetric negative definite, so sigma = 0 finds its
+    rightmost value -lam, on the geometry's cell-graph LU scaled by -1/lam; the
+    v-block takes the Gershgorin shift (see spectral.leading_eigenvalue). Both
+    pairs stay on the branch for detect_transcritical. The s field is not
+    meaningful on this branch and is recorded as 0.
     """
     lo, hi = mu_range
     if lo <= 0 or hi < lo or (n_points > 1 and hi == lo):
         raise ValueError("mu_range must satisfy 0 < lo <= hi (lo < hi for several points)")
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
-    x = constant_state(geom, params_base.lam, 0.0).as_vector()  # every point shares it
-    blocks = _semitrivial_blocks(params_base, x, geom)
+    lam = params_base.lam
+    x = constant_state(geom, lam, 0.0).as_vector()  # every point shares it
+    J_uu, _, _, J_vv = jacobian_blocks(params_base.with_mu(0.0), x, geom)
+    cells = cell_graph(geom).lu
+    g_u = leading_eigenvalue(J_uu, lu=SimpleNamespace(solve=lambda r: cells.solve(r) / -lam))
+    g_v0 = leading_eigenvalue(J_vv)
     pts = []
-    for mu in np.linspace(lo, hi, n_points):
-        gamma, ep = _semitrivial_leading(blocks, float(mu))
-        pts.append(
-            BranchPoint(
-                mu=float(mu),
-                x=x,
-                s=0.0,
-                amplitude=0.0,
-                gamma=gamma,
-                flag=classify_value(gamma),
-                residual_norm=0.0,
-                eigen_residual=ep.residual,
-                complex_pair=ep.complex_pair,
-            )
-        )
-    return Branch(BranchLabel.SEMITRIVIAL, pts, blocks)
+    for mu in np.linspace(lo, hi, n_points).tolist():
+        gamma = max(g_u.value, g_v0.value - mu)
+        ep = g_u if gamma == g_u.value else g_v0
+        pts.append(BranchPoint(mu=mu, x=x, s=0.0, amplitude=0.0, gamma=gamma,
+                               flag=classify_value(gamma), residual_norm=0.0,
+                               eigen_residual=ep.residual, complex_pair=ep.complex_pair))
+    return Branch(BranchLabel.SEMITRIVIAL, pts, (g_u, g_v0))
 
 
 def detect_transcritical(branch: Branch) -> float:

@@ -23,9 +23,10 @@ structurally symmetric, which is what factor's SuperLU settings rely on.
 Single-field matrices are factored in SuperLU's own minimum-degree order;
 the coupled Jacobians in coupled_order(geom), which eliminates each cell's
 u and v next to each other. The cell graph I - lap_omega has one LU per
-geometry, cell_graph(geom): the kernel-function solve runs on it, and its
-column order is coupled_order's cell order. States are flat vectors
-x = [u on OMEGA; v on OMEGA1], a layout that split(x, geom) alone knows.
+geometry, cell_graph(geom): the kernel-function solve and the predator-free
+u-block's eigen solve run on it, and its column order is coupled_order's
+cell order. States are flat vectors x = [u on OMEGA; v on OMEGA1], a layout
+that split(x, geom) alone knows.
 """
 
 from __future__ import annotations
@@ -150,9 +151,10 @@ def cell_graph(geom: DomainGeometry) -> CellGraph:
     """I - lap_omega on the habitat, factored once per geometry by factor.
 
     The LU solves the kernel-function problem (steady.solve_kernel_function)
-    and its column order gives coupled_order's cell order. Built at the first
-    call for a geometry and cached with it; a failed LU raises
-    LinearSolveFailure.
+    and, scaled by -1/lam, the shift-invert steps of the predator-free
+    u-block (continuation.trace_semitrivial); its column order gives
+    coupled_order's cell order. Built at the first call for a geometry and
+    cached with it; a failed LU raises LinearSolveFailure.
     """
     graph = _CELL_GRAPHS.get(geom)
     if graph is None:
@@ -294,12 +296,14 @@ def frozen_diffusion_matrix(u_values: np.ndarray, geom: DomainGeometry) -> sp.cs
     return _face_matrix(geom.n_omega, geom.faces_u, avg, avg)
 
 
-def assemble_jacobian(params: ModelParams, x: np.ndarray, geom: DomainGeometry) -> sp.csr_matrix:
-    """Analytic Jacobian of the steady residual at x, ordered like x = [u; v]:
-    the blocks [[J_uu, J_uv], [J_vu, J_vv]], the diagonal ones the prey
-    diffusion linearization and the predator Laplacian plus their reaction
-    terms. At the semitrivial state (lam, 0) J_vu vanishes (block-triangular
-    structure); J_uu reduces to lam*(lap - I), J_vv to lap - mu + c*lam/(1 + m*lam).
+def jacobian_blocks(
+    params: ModelParams, x: np.ndarray, geom: DomainGeometry
+) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+    """The four blocks (J_uu, J_uv, J_vu, J_vv) of the steady residual's
+    analytic Jacobian at x: the diagonal ones the prey diffusion linearization
+    and the predator Laplacian plus their reaction terms. At the semitrivial
+    state (lam, 0) J_vu vanishes (block-triangular structure); J_uu reduces to
+    lam*(lap - I), J_vv to lap - mu + c*lam/(1 + m*lam).
 
     The reaction terms go in by setdiag, not by adding sp.diags: a CSR sum
     drops the entries it computes as 0, as the corrector's x >= 0 clamp makes
@@ -324,6 +328,13 @@ def assemble_jacobian(params: ModelParams, x: np.ndarray, geom: DomainGeometry) 
     # d(prey)/dv = -b*u/(1 + m*u) and d(predator)/du = c*v/(1 + m*u)^2
     J_uv = sp.csr_matrix((-params.b * u[o1] / d1, (o1, k)), shape=(geom.n_omega, geom.n_omega1))
     J_vu = sp.csr_matrix((params.c * v / d1**2, (k, o1)), shape=(geom.n_omega1, geom.n_omega))
+    return J_uu, J_uv, J_vu, J_vv
+
+
+def assemble_jacobian(params: ModelParams, x: np.ndarray, geom: DomainGeometry) -> sp.csr_matrix:
+    """Analytic Jacobian of the steady residual at x, ordered like x = [u; v]:
+    the blocks [[J_uu, J_uv], [J_vu, J_vv]] of jacobian_blocks."""
+    J_uu, J_uv, J_vu, J_vv = jacobian_blocks(params, x, geom)
     return sp.bmat([[J_uu, J_uv], [J_vu, J_vv]], format="csr")
 
 

@@ -2,9 +2,10 @@
 
 The leading eigenvalue comes from one shift-invert Arnoldi solve (ARPACK
 through scipy.sparse.linalg.eigs), which returns the two pairs nearest the
-shift. A caller that holds an LU of J itself (continuation, at every branch
-point) hands it in, and the solve runs at sigma = 0 on it, so no LU is made
-here. Without one, the shift sits just right of the Gershgorin right edge,
+shift. A caller that holds a solve with J itself (continuation: the LU of J
+at every branch point, the cell graph's LU for the predator-free u-block)
+hands it in, and the solve runs at sigma = 0 on it, so no LU is made here.
+Without one, the shift sits just right of the Gershgorin right edge,
 which bounds every real part, so J - sigma*I is nonsingular and is factored
 exactly once. Among the returned pairs, the one of largest real part that
 meets the residual contract wins. Matrices too small for ARPACK take the
@@ -23,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EigenNoConvergence
-from .operators import OrderedLU, factor
+from .operators import factor
 
 #: eigenvalues within this margin of zero classify as MARGINAL
 STABILITY_MARGIN = 1e-6
@@ -81,9 +82,9 @@ def _gershgorin_right_edge(J: sp.spmatrix) -> float:
     return float(np.max(diag + (abs_rows - np.abs(diag))))
 
 
-def _candidates(J: sp.csr_matrix, order: np.ndarray | None, lu: OrderedLU | None):
+def _candidates(J: sp.csr_matrix, order: np.ndarray | None, lu):
     """Eigenvalues and eigenvector columns nearest the shift: shift-invert
-    Arnoldi at sigma = 0 on lu, an LU of J, or else right of the spectrum
+    Arnoldi at sigma = 0 on lu, a solve with J, or else right of the spectrum
     with one LU of J - sigma*I factored in order (see operators.factor);
     dense for tiny matrices."""
     n = J.shape[0]
@@ -105,17 +106,16 @@ def _candidates(J: sp.csr_matrix, order: np.ndarray | None, lu: OrderedLU | None
         raise EigenNoConvergence(f"shift-invert at sigma = {sigma:g} failed: {exc}") from exc
 
 
-def leading_eigenvalue(
-    J: sp.spmatrix, order: np.ndarray | None = None, lu: OrderedLU | None = None
-) -> EigenPair:
+def leading_eigenvalue(J: sp.spmatrix, order: np.ndarray | None = None, lu=None) -> EigenPair:
     """Eigenvalue of largest real part among the pairs nearest the shift.
 
-    lu, an LU of J itself (operators.factor), puts the shift at 0 and serves
-    as the shift-invert factor. Without it the shift lies right of the
-    spectrum, and order is the elimination order of the LU of J - sigma*I:
-    operators.coupled_order(geom) for a coupled Jacobian, None (SuperLU's
-    own) otherwise. The predator-free blocks take no lu: on the v-block at
-    mu = 0 the leading value g_v0 can lie farther from 0 than a diffusion
+    lu, anything whose solve(r) applies J^-1 (an LU of J from operators.factor,
+    or a scaled one of a matrix J is a multiple of), puts the shift at 0 and
+    serves as the shift-invert operator. Without it the shift lies right of
+    the spectrum, and order is the elimination order of the LU of
+    J - sigma*I: operators.coupled_order(geom) for a coupled Jacobian, None
+    (SuperLU's own) otherwise. The predator-free v-block takes no lu: at
+    mu = 0 its leading value g_v0 can lie farther from 0 than a diffusion
     mode below it.
     Raises EigenNoConvergence if no returned pair meets the residual contract.
     """

@@ -7,6 +7,7 @@ from hypothesis import settings
 
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
 from refugia.operators import ModelParams
+from refugia.steady import solve_kernel_function
 
 CENTER_RECT = RefugeShape.rectangle((0.5, 0.5), (0.125, 0.125))
 
@@ -114,3 +115,12 @@ def semitrivial_leading_analytic(params: ModelParams) -> float:
     c*lam/(1 + m*lam) - mu (constant Neumann mode, grid-exact).
     """
     return max(-params.lam, params.c * params.lam / (1.0 + params.m * params.lam) - params.mu)
+
+
+def branch_slope_analytic(params: ModelParams, geom) -> float:
+    """The coexistence branch's slope d mu/d amplitude at mu*,
+    s1 = -c*mean_OMEGA1(alpha)/(1 + m*lam)^2, with alpha the kernel function
+    (Crandall & Rabinowitz, J. Funct. Anal. 8, 1971: left null vector (0, 1)
+    on the predator cells, right null vector (-alpha, 1))."""
+    alpha = solve_kernel_function(params, geom).alpha
+    return -params.c * alpha[geom.omega1_flat].mean() / (1.0 + params.m * params.lam) ** 2

@@ -65,7 +65,7 @@ def test_criterion_1_bifurcation_locus(geom64):
         t0 = time.perf_counter()
         p = ModelParams(lam=lam, m=m, c=c, b=1.0, mu=mu_expected)
         # 6 sample points leave mu* strictly between samples, so the
-        # bracketing root find is genuinely exercised
+        # crossing is read from the sign change, in closed form (g_v0)
         branch = trace_semitrivial(
             p, (0.8 * mu_expected, 1.2 * mu_expected), 6, geom64
         )

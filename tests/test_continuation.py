@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import CENTER_RECT, branch_slope_analytic
 from refugia.continuation import (
     Branch,
     BranchLabel,
@@ -84,22 +85,28 @@ def test_semitrivial_trace_gammas(semi):
 
 def test_semitrivial_blocks_match_full_jacobian(geom16):
     # gamma(mu) = max(g_u, g_v0 - mu) from the two diagonal blocks agrees with
-    # the full-Jacobian solve on both sides of the cap at -lam
-    p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
-    branch = trace_semitrivial(p, (0.5, 2.5), 5, geom16)
-    assert branch.blocks is not None
-    st = constant_state(geom16, p.lam, 0.0)
-    for point in branch.points:
-        ep = leading_eigenvalue(assemble_jacobian(p.with_mu(point.mu), st.as_vector(), geom16))
-        assert point.gamma == pytest.approx(ep.value, abs=1e-10)
-        assert point.eigen_residual <= 1e-10
-        assert not point.complex_pair
+    # the full-Jacobian solve on both sides of the cap at -lam; on the disc the
+    # u-block differs from -lam*(I - lap_omega), whose LU its solve runs on,
+    # by rounding
+    disc = build_geometry(GridSpec(14, 10, lx=1.4), RefugeShape.disc((0.6, 0.45), 0.2))
+    for geom in (geom16, disc):
+        for lam in (1.0, 1.7):
+            p = ModelParams(lam=lam, m=1.0, c=2.0, b=1.0, mu=1.0)
+            branch = trace_semitrivial(p, (0.5, 3.5), 6, geom)
+            assert branch.blocks is not None
+            x = constant_state(geom, p.lam, 0.0).as_vector()
+            for point in branch.points:
+                ep = leading_eigenvalue(assemble_jacobian(p.with_mu(point.mu), x, geom))
+                assert point.gamma == pytest.approx(ep.value, abs=1e-10)
+                assert point.eigen_residual <= 1e-10
+                assert not point.complex_pair
 
 
 def test_detect_transcritical_solves_no_eigenproblem(params, geom16, monkeypatch):
     import refugia.continuation as cont
 
-    # mu* = 1 falls strictly between samples, so the root find runs
+    # mu* = 1 falls strictly between samples, and the crossing still comes
+    # in closed form, g_v0, from the blocks the branch carries
     branch = trace_semitrivial(params, (0.805, 1.205), 9, geom16)
 
     def forbidden(J, *args, **kwargs):
@@ -639,3 +646,33 @@ def test_retried_step_starts_from_a_fresh_lu(switch_point, mu_star, params, geom
     assert len(handed) == 5
     assert handed[0] is None and handed[3] is None
     assert all(lu is not None for lu in (handed[1], handed[2], handed[4]))
+
+
+@pytest.mark.parametrize(
+    "grid,refuge,params",
+    [
+        (GridSpec(64, 64), CENTER_RECT, ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)),
+        (GridSpec(16, 10, lx=1.6), RefugeShape.disc((0.8, 0.5), 0.2),
+         ModelParams(lam=1.3, m=0.7, c=1.5, b=2.0, mu=1.0)),
+        (GridSpec(32, 32), CENTER_RECT, ModelParams(lam=2.0, m=1.0, c=2.0, b=1.0, mu=1.0)),
+    ],
+    ids=["square-64", "disc-16x10", "enriched-square-32"],
+)
+def test_exchange_of_stability_and_branch_slope_at_first_order(grid, refuge, params):
+    # Crandall & Rabinowitz (Arch. Rational Mech. Anal. 52, 1973): along the
+    # branch gamma/(mu - mu*) -> 1, and (mu - mu*)/a -> s1 < 0, both at first
+    # order in the predator amplitude a; one Richardson step lands near each limit
+    geom = build_geometry(grid, refuge)
+    s1 = branch_slope_analytic(params, geom)
+    assert s1 < 0
+    mu_star = params.c * params.lam / (1.0 + params.m * params.lam)
+    amps = 0.2 * 2.0 ** -np.arange(5)
+    points = [solve_at_amplitude(params, geom, a, mu_star + s1 * a) for a in amps]
+    gap = np.array([point.mu for point in points]) - mu_star
+    ratio = np.array([point.gamma for point in points]) / gap
+    slope = gap / amps
+    for err in (ratio - 1.0, slope - s1):
+        shrink = np.abs(err[:-1] / err[1:])
+        assert np.all((shrink >= 1.8) & (shrink <= 3.0)), shrink
+    assert abs(2.0 * ratio[-1] - ratio[-2] - 1.0) <= 1e-3
+    assert abs(2.0 * slope[-1] - slope[-2] - s1) <= 1e-3 * abs(s1)

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -200,8 +201,9 @@ def test_bifurcate_run_deterministic(tmp_path):
 
 
 def test_verify_run_factors_the_cell_graph_once(tmp_path, scipy_counters):
-    # the kernel-function solve and the coupled order share the geometry's
-    # one LU of the cell graph I - lap_omega (operators.cell_graph)
+    # the kernel-function solve, the predator-free u-block's eigen solve and
+    # the coupled order share the geometry's one LU of the cell graph
+    # I - lap_omega (operators.cell_graph)
     cfg = parse_config(BIF_SMALL.replace("bifurcate", "verify"))
     run_experiment(cfg, out_dir=tmp_path)
     geom = build_geometry(cfg.grid, cfg.refuge)
@@ -218,10 +220,12 @@ def test_verify_run_factors_the_cell_graph_once(tmp_path, scipy_counters):
     assert np.array_equal(again, first)
 
 def test_verify_run_factors_j_once_per_branch_point(tmp_path, scipy_counters, monkeypatch):
-    # every sparse LU of a small verify run: the two predator-free blocks;
-    # in the switch, the cell graph (its kernel-function solve is the first
-    # use), two in its fixed-mu Newton and one at its point; then one per
-    # continued point, plus the first step's, which is handed none
+    # every sparse LU of a small verify run: on the predator-free line, the
+    # cell graph (its first use: the u-block's eigen solve runs on it) and
+    # the v-block at its Gershgorin shift; in the switch, two in its fixed-mu
+    # Newton and one at its point (its kernel-function solve reuses the cell
+    # graph's); then one per continued point, plus the first step's, which
+    # is handed none
     calls = {}
 
     def counted(name, fn):
@@ -239,7 +243,7 @@ def test_verify_run_factors_j_once_per_branch_point(tmp_path, scipy_counters, mo
     steps = cfg.continuation.n_steps
     with open(tmp_path / "branch_nontrivial.csv", newline="", encoding="utf-8") as fh:
         assert len(list(csv.DictReader(fh))) == 1 + steps
-    assert calls == {"trace_semitrivial": 2, "branch_switch": 1 + 2 + 1,
+    assert calls == {"trace_semitrivial": 1 + 1, "branch_switch": 2 + 1,
                      "continue_branch": 1 + steps}
     assert len(scipy_counters.splu_calls) == sum(calls.values())
 
@@ -597,3 +601,16 @@ def test_every_public_src_name_has_a_src_caller():
     unused = [f"{mod}.{name}" for (mod, line), name in defined
               if not users.get(name, set()) - {(mod, line)}]
     assert unused == []
+
+
+def test_readme_library_layout_names_every_module():
+    # the first column of README's library-layout table names each module of
+    # src/refugia (the package's __init__ aside), and no other
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    listed = set()
+    for line in section.splitlines():
+        if line.startswith("| `refugia."):
+            listed.update(re.findall(r"`refugia\.(\w+)`", line.split("|")[1]))
+    src = Path(refugia.__file__).parent
+    assert listed == {path.stem for path in src.glob("*.py")} - {"__init__"}

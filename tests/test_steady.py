@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import CENTER_RECT, branch_slope_analytic
 from refugia.dynamics import TransientConfig, run_to_steady
 from refugia.errors import LinearSolveFailure, NoConvergence, SingularJacobian
 from refugia.fields import SystemState, constant_state
@@ -170,3 +171,29 @@ def test_kernel_on_fine_off_centre_disc():
     J = assemble_jacobian(p, st.as_vector(), geom)
     d = kt.direction(geom)
     assert np.max(np.abs(J @ d)) <= 1e-8 * np.max(np.abs(d))
+
+
+def test_kernel_slope_converges_at_second_order_on_both_cell_shapes():
+    # the branch slope s1 from kernel solves alone: second order on the
+    # centred square, and on lx = 1.6 the Richardson limits of square cells
+    # and of cells with hx = 1.6*hy agree; swapping the two axes' face
+    # weights keeps every order near 2 but splits the limits
+    p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
+
+    def slopes(refuge, grids, lx=1.0):
+        return np.array([branch_slope_analytic(p, build_geometry(GridSpec(nx, ny, lx), refuge))
+                         for nx, ny in grids])
+
+    def orders(s):
+        d = np.diff(s)
+        return np.log2(np.abs(d[:-1] / d[1:]))
+
+    centred = slopes(CENTER_RECT, [(n, n) for n in (16, 32, 64, 128)])
+    np.testing.assert_allclose(orders(centred), 2.0, rtol=0, atol=0.05)
+    refuge = RefugeShape.rectangle((0.6, 0.5), (0.2, 0.2))  # its edges lie on faces
+    limits = []
+    for grids in ([(32, 20), (64, 40), (128, 80)], [(20, 20), (40, 40), (80, 80)]):
+        s = slopes(refuge, grids, lx=1.6)
+        np.testing.assert_allclose(orders(s), 2.0, rtol=0, atol=0.05)
+        limits.append(s[2] + (s[2] - s[1]) / 3)
+    assert abs(limits[0] - limits[1]) <= 1e-7
