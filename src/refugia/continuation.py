@@ -191,7 +191,7 @@ def branch_switch(
     params: ModelParams,
     geom: DomainGeometry,
     s0: float,
-    newton_cfg: NewtonConfig | None = None,
+    newton_cfg: NewtonConfig = NewtonConfig(),
 ) -> BranchPoint:
     """Step off the predator-free line onto the coexistence branch.
 
@@ -203,16 +203,15 @@ def branch_switch(
     """
     if not 0.0 < s0 <= 0.1 * params.lam:
         raise ValueError(f"s0 must lie in (0, 0.1*lam], got {s0}")
-    cfg = newton_cfg or NewtonConfig()
     mu_sw = mu_star - DELTA_SWITCH_FRACTION * mu_star
     direction = solve_kernel_function(params, geom).direction(geom)
     base = constant_state(geom, params.lam, 0.0).as_vector()
     predictor = base + s0 * direction
     result = newton_solve(SystemState.from_vector(predictor, geom.n_omega),
-                          params.with_mu(mu_sw), cfg, geom)
+                          params.with_mu(mu_sw), newton_cfg, geom)
     x = result.state.as_vector()
     if amplitude_of(x, geom) < s0 / 10.0:
-        return solve_at_amplitude(params, geom, s0, mu_star, predictor, newton_cfg=cfg)
+        return solve_at_amplitude(params, geom, s0, mu_star, predictor, newton_cfg)
     s_init = _metric_norm(x - base, mu_sw - mu_star)
     return _point_from_state(x, mu_sw, s_init, params, geom, result.residual_history)[0]
 
@@ -228,7 +227,7 @@ def continue_branch(
     ds: float,
     params: ModelParams,
     geom: DomainGeometry,
-    newton_cfg: NewtonConfig | None = None,
+    newton_cfg: NewtonConfig = NewtonConfig(),
     amplitude_cap: float | None = None,
 ) -> Branch:
     """Pseudo-arclength predictor-corrector continuation from a converged point.
@@ -250,7 +249,6 @@ def continue_branch(
     state (mu <= CONSTRAINT_TOL and max u <= newton_cfg.tol_residual), which
     is neither kept nor classified.
     """
-    cfg = newton_cfg or NewtonConfig()
     n = geom.n_unknowns
     dx0, dmu0 = direction
     nrm = _metric_norm(dx0, dmu0)
@@ -259,26 +257,25 @@ def continue_branch(
     t_x, t_mu = dx0 / nrm, dmu0 / nrm
 
     points = [start]
-    y_x = start.x
-    y_mu = start.mu
-    s_accum = start.s
     lu = None  # the LU of J at the last accepted point: the next corrector's chord
     for _ in range(n_steps):
-        if amplitude_cap is not None and points[-1].amplitude >= amplitude_cap:
+        last = points[-1]
+        if amplitude_cap is not None and last.amplitude >= amplitude_cap:
             break
         ds_cur = ds
-        # arclength constraint (t_x/n).(x - y_x) + t_mu*(mu - y_mu) = ds
+        # arclength constraint (t_x/n).(x - last.x) + t_mu*(mu - last.mu) = ds
         row_x = t_x / n
-        at_y = float(row_x @ y_x) + t_mu * y_mu
+        at_last = float(row_x @ last.x) + t_mu * last.mu
         while True:
             try:
                 x_new, mu_new, history = bordered_newton(
-                    y_x + ds_cur * t_x, y_mu + ds_cur * t_mu, row_x, t_mu, at_y + ds_cur,
-                    params, geom, cfg, lu=lu,
+                    last.x + ds_cur * t_x, last.mu + ds_cur * t_mu, row_x, t_mu,
+                    at_last + ds_cur, params, geom, newton_cfg, lu=lu,
                 )
-                jump = _metric_norm(x_new - y_x, mu_new - y_mu)
-                if jump > MAX_STEP_RATIO * ds_cur:
-                    raise NoConvergence(f"corrected point lies {jump / ds_cur:.3g} steps away")
+                sec_x, sec_mu = x_new - last.x, mu_new - last.mu
+                sec_nrm = _metric_norm(sec_x, sec_mu)
+                if sec_nrm > MAX_STEP_RATIO * ds_cur:
+                    raise NoConvergence(f"corrected point lies {sec_nrm / ds_cur:.3g} steps away")
                 break
             except NoConvergence as exc:
                 lu = None  # the retry starts from a fresh LU
@@ -286,23 +283,19 @@ def continue_branch(
                 if ds_cur < ds / MIN_DS_FACTOR:
                     raise ContinuationStalled(
                         f"corrector kept failing down to ds = {ds_cur:.3e} "
-                        f"after {len(points) - 1} accepted steps, the last at mu = {y_mu:.6g}",
+                        f"after {len(points) - 1} accepted steps, the last at mu = {last.mu:.6g}",
                         Branch(BranchLabel.NONTRIVIAL, points),
                     ) from exc
-        if mu_new <= CONSTRAINT_TOL and split(x_new, geom)[0].max() <= cfg.tol_residual:
+        if mu_new <= CONSTRAINT_TOL and split(x_new, geom)[0].max() <= newton_cfg.tol_residual:
             break  # the predator-only state (u = 0 at mu = 0): the branch ends there
-        s_accum += ds_cur
-        point, lu = _point_from_state(x_new, mu_new, s_accum, params, geom, history, points[-1])
+        point, lu = _point_from_state(x_new, mu_new, last.s + ds_cur, params, geom, history, last)
         points.append(point)
 
-        sec_x, sec_mu = x_new - y_x, mu_new - y_mu
-        sec_nrm = _metric_norm(sec_x, sec_mu)
         if sec_nrm > 0:
             sec_x, sec_mu = sec_x / sec_nrm, sec_mu / sec_nrm
             if np.mean(sec_x * t_x) + sec_mu * t_mu < 0:
                 sec_x, sec_mu = -sec_x, -sec_mu
             t_x, t_mu = sec_x, sec_mu
-        y_x, y_mu = x_new, mu_new
     return Branch(BranchLabel.NONTRIVIAL, points)
 
 
@@ -312,23 +305,22 @@ def solve_at_amplitude(
     amplitude: float,
     mu_guess: float,
     x_guess: np.ndarray | None = None,
-    newton_cfg: NewtonConfig | None = None,
+    newton_cfg: NewtonConfig = NewtonConfig(),
 ) -> BranchPoint:
     """Coexistence point with the predator amplitude pinned and mu free.
 
     Newton on [steady residual; mean(v) - amplitude = 0] over (state, mu),
-    from x_guess or else (lam, 0) + amplitude * (-alpha, 1). Used to sample
-    the branch at prescribed amplitudes when auditing the tangent structure,
-    and by branch_switch when its fixed-mu Newton collapses.
+    from x_guess or else (lam, 0) + amplitude * (-alpha, 1). branch_switch
+    calls it when its fixed-mu Newton collapses; it also samples the branch
+    at prescribed amplitudes.
     """
-    cfg = newton_cfg or NewtonConfig()
     x = x_guess
     if x is None:
         direction = solve_kernel_function(params, geom).direction(geom)
         x = constant_state(geom, params.lam, 0.0).as_vector() + amplitude * direction
     row_x = np.zeros(geom.n_unknowns)
     split(row_x, geom)[1][:] = 1.0 / geom.n_omega1
-    x, mu, history = bordered_newton(x, mu_guess, row_x, 0.0, amplitude, params, geom, cfg)
+    x, mu, history = bordered_newton(x, mu_guess, row_x, 0.0, amplitude, params, geom, newton_cfg)
     return _point_from_state(x, mu, amplitude, params, geom, history)[0]
 
 
@@ -368,13 +360,10 @@ def verify_sign_relation(branch: Branch, mu_star: float) -> SignRelationAudit:
         warnings.warn("audit fed the semitrivial branch: there the relation reads "
                       "sign(mu - mu*) = -sign(gamma)", RegionOfApplicabilityWarning, stacklevel=2)
     rows = []
-    n_excluded = 0
     for p in branch.points:
         if abs(p.mu - mu_star) <= MU_BAND or p.flag is StabilityFlag.MARGINAL:
-            n_excluded += 1
             continue
-        rows.append(
-            AuditRow(p.mu, p.gamma, np.sign(p.mu - mu_star) == np.sign(p.gamma))
-        )
+        rows.append(AuditRow(p.mu, p.gamma, np.sign(p.mu - mu_star) == np.sign(p.gamma)))
     n_pass = sum(r.passed for r in rows)
-    return SignRelationAudit(rows, n_pass, len(rows) - n_pass, n_excluded, applicable)
+    return SignRelationAudit(rows, n_pass, len(rows) - n_pass, len(branch.points) - len(rows),
+                             applicable)

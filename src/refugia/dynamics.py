@@ -168,7 +168,7 @@ def run_to_steady(
     solvers: dict[int, _ImplicitSolver] = {}  # level -> its solver, made on first use
     horizon = math.floor(cfg.t_end / cfg.dt + 1e-9)  # base steps that fit in t_end
     rows = []
-    units = steps = 0  # t = units * dt
+    units = 0  # t = units * dt
     level, top = 0, math.inf  # the ladder's level and its cap
     k, last = 0, None  # the last step's level and the rate before it
     low, stalled = math.inf, 0  # lowest rate norm since the last base step, steps since
@@ -178,8 +178,8 @@ def run_to_steady(
         rows.append((units * cfg.dt, *norms))
         rate_norm = max(norms[2:])
         converged = rate_norm <= cfg.steady_tol
-        if converged or steps >= cfg.max_steps or units >= horizon:
-            return TransientResult(x, converged, np.array(rows), units * cfg.dt, steps)
+        if converged or len(rows) > cfg.max_steps or units >= horizon:
+            return TransientResult(x, converged, np.array(rows), units * cfg.dt, len(rows) - 1)
         if k == 0 or rate_norm < low:
             low, stalled = rate_norm, 0
         else:
@@ -206,4 +206,3 @@ def run_to_steady(
                 top = level = step_k - 1
         k, last = step_k, rate
         units += 2**k
-        steps += 1

@@ -99,11 +99,8 @@ class RefugeShape:
         if self.kind == "empty":
             return float("inf")
         cx, cy = self.center
-        if self.kind == "rectangle":
-            wx, wy = self.half_width
-            return min(cx - wx, grid.lx - cx - wx, cy - wy, grid.ly - cy - wy)
-        r = self.radius
-        return min(cx - r, grid.lx - cx - r, cy - r, grid.ly - cy - r)
+        wx, wy = self.half_width if self.kind == "rectangle" else (self.radius, self.radius)
+        return min(cx - wx, grid.lx - cx - wx, cy - wy, grid.ly - cy - wy)
 
     def contains(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Membership of points in the refuge closure."""

@@ -25,14 +25,15 @@ the coupled Jacobians in coupled_order(geom), which eliminates each cell's
 u and v next to each other. The cell graph I - lap_omega has one LU per
 geometry, cell_graph(geom): the kernel-function solve and the predator-free
 u-block's eigen solve run on it, and its column order is coupled_order's
-cell order. States are flat vectors x = [u on OMEGA; v on OMEGA1], a layout
-that split(x, geom) alone knows.
+cell order. States are flat vectors x = [u on OMEGA; v on OMEGA1].
+split(x, geom) is the one reader of that layout; the states made here and in
+fields, steady, dynamics and runner concatenate u and v in that order.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,7 +79,7 @@ class ModelParams:
             raise ValueError("diffusivities must be positive")
 
     def with_mu(self, mu: float) -> "ModelParams":
-        return ModelParams(self.lam, self.m, self.c, self.b, mu, self.d_u, self.d_v, self.r)
+        return replace(self, mu=mu)
 
 
 def clamp_nonnegative(values: np.ndarray, what: str, floor: float = TOL_NEGATIVE,

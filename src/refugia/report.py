@@ -143,7 +143,7 @@ def _exchange_cell(branch: Branch, side: str, mu_star: float, expected: Stabilit
     counts = {flag: 0 for flag in StabilityFlag}
     for p in pts:
         counts[p.flag] += 1
-    ok = all(p.flag is expected for p in pts) if pts else True
+    ok = all(p.flag is expected for p in pts)
     return ExchangeCell(
         branch=branch.label.value,
         side=side,
@@ -198,18 +198,17 @@ def build_report(
         rep.tangent_ratios.append((p.amplitude, float(np.max(np.abs(diff)) / p.amplitude)))
         u_dev = float(np.max(np.abs(split(p.x, geom)[0] - params.lam)))
         rep.intersection.append((p.amplitude, u_dev, abs(p.mu - mu_star)))
-    if len(rep.intersection) >= 2:
-        udevs = [row[1] for row in rep.intersection]
-        gaps = [row[2] for row in rep.intersection]
-        rep.intersection_shrinks = all(
-            udevs[i] <= udevs[i + 1] and gaps[i] <= gaps[i + 1]
-            for i in range(len(rep.intersection) - 1)
-        )
+    udevs = [row[1] for row in rep.intersection]
+    gaps = [row[2] for row in rep.intersection]
+    rep.intersection_shrinks = all(
+        udevs[i] <= udevs[i + 1] and gaps[i] <= gaps[i + 1]
+        for i in range(len(rep.intersection) - 1)
+    )
 
     by_s = sorted(nontrivial.points, key=lambda p: p.s)
     mus = [p.mu for p in by_s[: min(10, len(by_s))]]
     rep.mu_strictly_decreasing_points = sum(mus[i + 1] < mus[i] for i in range(len(mus) - 1))
-    rep.slope_sign_negative = rep.mu_strictly_decreasing_points == len(mus) - 1 and len(mus) >= 2
+    rep.slope_sign_negative = rep.mu_strictly_decreasing_points == len(mus) - 1
 
     if len(nontrivial.points) >= 5:
         rep.audit = verify_sign_relation(nontrivial, mu_star)

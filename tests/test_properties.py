@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import branch_slope_analytic
 from refugia.config import KINDS, RANGE_KINDS, parse_config
 from refugia.continuation import continue_branch, solve_at_amplitude
 from refugia.errors import ContinuationStalled, RefugiaError
@@ -159,6 +160,37 @@ def test_leading_eigenvalue_matches_dense_on_enriched_branches(geom, lam, m_lam,
         lead = dense[np.argmax(dense.real)]
         assert ep.value == pytest.approx(lead.real, abs=1e-8)
         assert ep.complex_pair == (abs(lead.imag) > 1e-10)
+
+
+@given(
+    geometries(),
+    st.floats(0.3, 3.0),
+    st.floats(0.1, 6.0),
+    st.floats(0.5, 4.0),
+    st.floats(0.2, 3.0),
+)
+def test_transcritical_normal_form(geom, lam, m_lam, c, b):
+    # Crandall & Rabinowitz: at predator amplitude a, (mu - mu*)/a -> s1 < 0
+    # and gamma/(mu - mu*) -> 1, both at first order in a, so halving a
+    # halves each gap and one Richardson step lands near each limit. m*lam
+    # stays >= 0.1: at m = 0 without a refuge the branch is exactly linear
+    # and its gaps are rounding noise
+    m = m_lam / lam
+    mu_star = c * lam / (1.0 + m_lam)
+    params = ModelParams(lam=lam, m=m, c=c, b=b, mu=mu_star)
+    s1 = branch_slope_analytic(params, geom)
+    assert s1 < 0
+    amps = 0.02 * lam * 2.0 ** -np.arange(3)
+    points = [solve_at_amplitude(params, geom, a, mu_star + s1 * a) for a in amps]
+    gap = np.array([point.mu for point in points]) - mu_star
+    q = gap / amps
+    r = np.array([point.gamma for point in points]) / gap
+    assert np.all(q < 0), q
+    for err in (q - s1, r - 1.0):
+        shrink = np.abs(err[:-1] / err[1:])
+        assert np.all((shrink >= 1.8) & (shrink <= 3.0)), shrink
+    assert abs(2.0 * q[2] - q[1] - s1) <= 1e-3 * abs(s1)
+    assert abs(2.0 * r[2] - r[1] - 1.0) <= 1e-2
 
 
 #: the shared-LU sweep's grid (nx != ny, lx != ly) and its three refuges

@@ -1,6 +1,7 @@
 import pytest
 
 from refugia.continuation import (
+    Branch,
     branch_switch,
     continue_branch,
     detect_transcritical,
@@ -57,6 +58,18 @@ def test_report_without_nontrivial_branch(pipeline):
     assert rep.tangent_cosine is None
     assert rep.failed_gates()
     assert "audit_status = NOT_RUN" in rep.to_text()
+
+
+def test_report_on_a_two_point_branch(pipeline):
+    # the smallest branch past build_report's early return: every
+    # intersection and slope field is set, the sign-relation audit is not run
+    params, geom, semi, mu_star, branch = pipeline
+    short = Branch(branch.label, branch.points[:2])
+    rep = build_report(semi, short, mu_star, params, geom)
+    assert len(rep.intersection) == 2
+    assert isinstance(rep.intersection_shrinks, bool)
+    assert isinstance(rep.slope_sign_negative, bool)
+    assert rep.audit_status == "NOT_RUN"
 
 
 def test_report_names_its_failed_gates(pipeline):
