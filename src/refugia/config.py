@@ -83,7 +83,7 @@ _KEYS = (
     ("params.d_v", float, ModelParams.d_v, _POSITIVE),
     ("params.r", float, ModelParams.r, _POSITIVE),
     ("solver.newton.tol_residual", float, NewtonConfig.tol_residual, _POSITIVE),
-    ("solver.newton.max_iter", int, NewtonConfig.max_iter, (">=", 1)),
+    ("solver.newton.max_iter", int, NewtonConfig.max_iter, (">=", 2)),
     ("solver.transient.dt", float, TransientConfig.dt, _POSITIVE),
     ("solver.transient.t_end", float, TransientConfig.t_end, _POSITIVE),
     ("solver.transient.steady_tol", float, TransientConfig.steady_tol, _POSITIVE),

@@ -43,6 +43,9 @@ MIN_DS_FACTOR = 64
 #: a corrected point farther than MAX_STEP_RATIO*ds from the last one left the branch
 MAX_STEP_RATIO = 2.0
 
+#: the sign-relation audit needs a branch of at least this many points
+MIN_AUDIT_POINTS = 5
+
 
 class RegionOfApplicabilityWarning(UserWarning):
     """The sign-relation audit was fed a branch it is not meant for."""
@@ -74,6 +77,9 @@ class Branch:
     #: predator-free branch only: leading pairs of the u-block and of the
     #: v-block at mu = 0 (see trace_semitrivial)
     blocks: tuple[EigenPair, EigenPair] | None = None
+    #: coexistence branch only: why continue_branch stopped, "n_steps",
+    #: "amplitude_cap" or "predator_only" (see continue_branch)
+    end: str | None = None
 
     def mus(self) -> np.ndarray:
         return np.array([p.mu for p in self.points])
@@ -192,14 +198,15 @@ def branch_switch(
     geom: DomainGeometry,
     s0: float,
     newton_cfg: NewtonConfig = NewtonConfig(),
-) -> BranchPoint:
+) -> tuple[BranchPoint, OrderedLU | None]:
     """Step off the predator-free line onto the coexistence branch.
 
     Predictor: (lam, 0) + s0 * (-alpha, 1) at mu = mu* - DELTA_SWITCH_FRACTION*mu*,
     alpha from solve_kernel_function; corrector: newton_solve at that fixed
-    mu. When that Newton collapses onto the predator-free state (amplitude
-    below s0/10: s0 is small or the branch is flat in mu), the point is the
-    amplitude-pinned solve at s0 from mu*, started from the same predictor.
+    mu. Returns the point and its LU of J, continue_branch's first chord.
+    If that Newton collapses onto the predator-free state (amplitude below
+    s0/10: s0 is small or the branch is flat in mu), the LU is None and the
+    point solve_at_amplitude's at s0 from mu*, from the same predictor.
     """
     if not 0.0 < s0 <= 0.1 * params.lam:
         raise ValueError(f"s0 must lie in (0, 0.1*lam], got {s0}")
@@ -211,9 +218,9 @@ def branch_switch(
                           params.with_mu(mu_sw), newton_cfg, geom)
     x = result.state.as_vector()
     if amplitude_of(x, geom) < s0 / 10.0:
-        return solve_at_amplitude(params, geom, s0, mu_star, predictor, newton_cfg)
+        return solve_at_amplitude(params, geom, s0, mu_star, predictor, newton_cfg), None
     s_init = _metric_norm(x - base, mu_sw - mu_star)
-    return _point_from_state(x, mu_sw, s_init, params, geom, result.residual_history)[0]
+    return _point_from_state(x, mu_sw, s_init, params, geom, result.residual_history)
 
 
 def _metric_norm(dx: np.ndarray, dmu: float) -> float:
@@ -229,6 +236,7 @@ def continue_branch(
     geom: DomainGeometry,
     newton_cfg: NewtonConfig = NewtonConfig(),
     amplitude_cap: float | None = None,
+    lu: OrderedLU | None = None,
 ) -> Branch:
     """Pseudo-arclength predictor-corrector continuation from a converged point.
 
@@ -237,17 +245,18 @@ def continue_branch(
     secants through the last two points. The corrector meets
     newton_cfg.tol_residual within newton_cfg.max_iter iterations. Each
     accepted point costs one LU of J: its eigen solve runs on it at
-    sigma = 0, and the next step's corrector takes it as the chord matrix
-    (see bordered_newton), refactoring only where the chord stops
-    contracting. The first step starts from a fresh LU, since start carries
-    none. The step halves on corrector failure, and when
+    sigma = 0, and the next step's corrector, a halved retry too, takes it
+    as the chord matrix (see bordered_newton), refactoring only where the
+    chord stops contracting; lu, start's LU (from branch_switch), serves
+    the first step. The step halves on corrector failure, and when
     the corrected point lies farther than MAX_STEP_RATIO*ds from the last
     one (the arclength hyperplane can cross another branch), down to
     ds/MIN_DS_FACTOR, after which ContinuationStalled is raised; it carries
-    the branch of the points accepted so far. A halved retry starts from a
-    fresh LU. The branch ends before a corrected point at the predator-only
-    state (mu <= CONSTRAINT_TOL and max u <= newton_cfg.tol_residual), which
-    is neither kept nor classified.
+    the branch of the points accepted so far. The branch ends after n_steps
+    steps, at a point whose amplitude reaches amplitude_cap, or before a
+    corrected point at the predator-only state (mu <= CONSTRAINT_TOL and
+    max u <= newton_cfg.tol_residual), which is neither kept nor
+    classified; Branch.end says which.
     """
     n = geom.n_unknowns
     dx0, dmu0 = direction
@@ -256,11 +265,11 @@ def continue_branch(
         raise ValueError("direction must be nonzero")
     t_x, t_mu = dx0 / nrm, dmu0 / nrm
 
-    points = [start]
-    lu = None  # the LU of J at the last accepted point: the next corrector's chord
+    points, end = [start], "n_steps"
     for _ in range(n_steps):
         last = points[-1]
         if amplitude_cap is not None and last.amplitude >= amplitude_cap:
+            end = "amplitude_cap"
             break
         ds_cur = ds
         # arclength constraint (t_x/n).(x - last.x) + t_mu*(mu - last.mu) = ds
@@ -278,7 +287,6 @@ def continue_branch(
                     raise NoConvergence(f"corrected point lies {sec_nrm / ds_cur:.3g} steps away")
                 break
             except NoConvergence as exc:
-                lu = None  # the retry starts from a fresh LU
                 ds_cur *= 0.5
                 if ds_cur < ds / MIN_DS_FACTOR:
                     raise ContinuationStalled(
@@ -287,7 +295,8 @@ def continue_branch(
                         Branch(BranchLabel.NONTRIVIAL, points),
                     ) from exc
         if mu_new <= CONSTRAINT_TOL and split(x_new, geom)[0].max() <= newton_cfg.tol_residual:
-            break  # the predator-only state (u = 0 at mu = 0): the branch ends there
+            end = "predator_only"  # u = 0 at mu = 0: the branch ends there
+            break
         point, lu = _point_from_state(x_new, mu_new, last.s + ds_cur, params, geom, history, last)
         points.append(point)
 
@@ -296,7 +305,7 @@ def continue_branch(
             if np.mean(sec_x * t_x) + sec_mu * t_mu < 0:
                 sec_x, sec_mu = -sec_x, -sec_mu
             t_x, t_mu = sec_x, sec_mu
-    return Branch(BranchLabel.NONTRIVIAL, points)
+    return Branch(BranchLabel.NONTRIVIAL, points, end=end)
 
 
 def solve_at_amplitude(
@@ -353,8 +362,8 @@ def verify_sign_relation(branch: Branch, mu_star: float) -> SignRelationAudit:
     reversed (gamma = mu* - mu), so feeding that branch in draws a
     RegionOfApplicabilityWarning and an inapplicable audit.
     """
-    if len(branch.points) < 5:
-        raise ValueError("sign-relation audit needs at least 5 branch points")
+    if len(branch.points) < MIN_AUDIT_POINTS:
+        raise ValueError(f"sign-relation audit needs at least {MIN_AUDIT_POINTS} branch points")
     applicable = branch.label is BranchLabel.NONTRIVIAL
     if not applicable:
         warnings.warn("audit fed the semitrivial branch: there the relation reads "

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .continuation import (
+    MIN_AUDIT_POINTS,
     MU_BAND,
     Branch,
     BranchPoint,
@@ -60,6 +61,7 @@ class BifurcationReport:
     mu_star_analytic: float
     relative_gap: float
     exchange: list[ExchangeCell]
+    nontrivial_end: str | None = None  # the coexistence branch's Branch.end
     notes: list[str] = field(default_factory=list)
     tangent_cosine: float | None = None
     tangent_angle_deg: float | None = None
@@ -100,6 +102,7 @@ class BifurcationReport:
             f"audit_status = {self.audit_status}",
             f"no_both_stable = {self.no_both_stable}",
             f"intersection_shrinks = {self.intersection_shrinks}",
+            f"nontrivial_end = {self.nontrivial_end}",
         ]
         if self.audit is not None:
             lines.append(f"audit.n_pass = {self.audit.n_pass}")
@@ -173,6 +176,7 @@ def build_report(
             _exchange_cell(semitrivial, "mu>mu*", mu_star, StabilityFlag.STABLE),
             _exchange_cell(semitrivial, "mu<mu*", mu_star, StabilityFlag.UNSTABLE),
         ],
+        nontrivial_end=None if nontrivial is None else nontrivial.end,
     )
     if geom.refuge.kind == "empty":
         rep.notes.append(
@@ -210,7 +214,7 @@ def build_report(
     rep.mu_strictly_decreasing_points = sum(mus[i + 1] < mus[i] for i in range(len(mus) - 1))
     rep.slope_sign_negative = rep.mu_strictly_decreasing_points == len(mus) - 1
 
-    if len(nontrivial.points) >= 5:
+    if len(nontrivial.points) >= MIN_AUDIT_POINTS:
         rep.audit = verify_sign_relation(nontrivial, mu_star)
         rep.audit_status = "PASS" if rep.audit.all_pass else "FAIL"
 

@@ -231,8 +231,8 @@ def _dispatch(cfg: RunConfig, out: Path, stages: _Stages) -> None:
     with stages.stage("detect_transcritical"):
         mu_star = detect_transcritical(semi)
     with stages.stage("branch_switch"):
-        start_pt = branch_switch(mu_star, cfg.params, geom, s0=cfg.continuation.s0,
-                                 newton_cfg=cfg.newton)
+        start_pt, start_lu = branch_switch(mu_star, cfg.params, geom, s0=cfg.continuation.s0,
+                                           newton_cfg=cfg.newton)
     with stages.stage("continue_branch"):
         base = constant_state(geom, cfg.params.lam, 0.0).as_vector()
         try:
@@ -245,6 +245,7 @@ def _dispatch(cfg: RunConfig, out: Path, stages: _Stages) -> None:
                 geom=geom,
                 newton_cfg=cfg.newton,
                 amplitude_cap=cfg.continuation.amplitude_cap,
+                lu=start_lu,
             )
         except ContinuationStalled as exc:  # keep the accepted points, then fail the stage
             write_branch_csv(out / "branch_nontrivial.csv", exc.branch)

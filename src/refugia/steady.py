@@ -47,8 +47,8 @@ class NewtonConfig:
     def __post_init__(self):
         if self.tol_residual <= 0:
             raise ValueError("tol_residual must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if self.max_iter < 2:  # bordered_newton stops on two residuals
+            raise ValueError("max_iter must be >= 2")
 
 
 @dataclass
@@ -99,14 +99,14 @@ def bordered_newton(
     of J in coupled_order(geom), which is kept across iterations and
     refactored at the current iterate only when the residual inf-norm
     shrinks by less than CHORD_CONTRACTION. lu, an LU of J at an earlier
-    point (continuation passes the one its last accepted point made for its
-    eigen solve), serves as the chord matrix from the start; until it is
-    refactored the solve returns only when two successive residuals meet
-    cfg.tol_residual, since a stale chord contracts slowly and may stop just
-    under the tolerance. Iterates, the start included, are clamped to
-    x >= 0. Returns x = [u; v], mu, and the residual inf-norm of every
-    iterate, the last at the returned point. At most cfg.max_iter residuals
-    are evaluated.
+    point (continuation hands on the one its last point made), serves as
+    the chord matrix from the start. On any LU the solve returns when two
+    successive residuals meet cfg.tol_residual and the constraint meets
+    CONSTRAINT_TOL: a chord contracts only linearly (Deuflhard 2004, ch. 2),
+    so the confirming update takes the state past an iterate that only just
+    met the tolerance. Iterates, the start included, are clamped to x >= 0.
+    Returns x = [u; v], mu, and the residual inf-norm of every iterate, the
+    last at the returned point. At most cfg.max_iter residuals are evaluated.
     Raises SingularJacobian when J cannot be factored or an update is
     non-finite or blows up, and NoConvergence when a mu iterate leaves
     mu >= 0, the Schur scalar is singular, or the budget runs out.
@@ -115,7 +115,6 @@ def bordered_newton(
     con_tol = CONSTRAINT_TOL * max(1.0, abs(target))
     history: list[float] = []
     solve = None
-    carried = lu is not None
     for _ in range(cfg.max_iter):
         if not mu >= 0.0:
             raise NoConvergence(f"bordered Newton: mu iterate {mu:.6g} is negative")
@@ -123,15 +122,13 @@ def bordered_newton(
         res = residual_steady(p_mu, x, geom)
         rnorm = float(np.max(np.abs(res)))
         con = float(row_x @ x) + row_mu * mu - target
-        if rnorm <= cfg.tol_residual and abs(con) <= con_tol:
-            if not carried or (history and history[-1] <= cfg.tol_residual):
-                return x, mu, history + [rnorm]
+        if history and max(history[-1], rnorm) <= cfg.tol_residual and abs(con) <= con_tol:
+            return x, mu, history + [rnorm]
         if solve is None or rnorm > CHORD_CONTRACTION * history[-1]:
-            if lu is None or solve is not None:  # a carried LU serves the first update
+            if lu is None or solve is not None:  # a handed LU serves the first update
                 J = assemble_jacobian(p_mu, x, geom)
                 lu = factor(J, SingularJacobian, "bordered Newton: LU of J failed",
                             coupled_order(geom))
-                carried = False
             solve = _keller_solver(lu, residual_mu_derivative(x, geom), row_x, row_mu)
         history.append(rnorm)
         dx, dmu = solve(res, con)

@@ -48,11 +48,11 @@ def pipeline(geom64, params_std):
     """Shared branch computation for criteria 5-8."""
     semi = trace_semitrivial(params_std, (0.8, 1.2), 9, geom64)
     mu_star = detect_transcritical(semi)
-    start = branch_switch(mu_star, params_std, geom64, s0=0.05)
+    start, lu = branch_switch(mu_star, params_std, geom64, s0=0.05)
     base = constant_state(geom64, params_std.lam, 0.0).as_vector()
     direction = (start.x - base, start.mu - mu_star)
     branch = continue_branch(
-        start, direction, n_steps=22, ds=0.025, params=params_std, geom=geom64
+        start, direction, n_steps=22, ds=0.025, params=params_std, geom=geom64, lu=lu
     )
     return semi, mu_star, branch
 

@@ -89,6 +89,7 @@ def test_cli_reports_bad_refuge_size_without_traceback(tmp_path, capsys):
         ("solver.transient.t_end", "0"),
         ("geometry.refuge.center_x", "nan"),
         ("experiment.seed", "-1"),
+        ("solver.newton.max_iter", "1"),  # bordered_newton stops on two residuals
     ],
 )
 def test_non_finite_and_out_of_range_values_rejected(key, value):
@@ -171,7 +172,7 @@ def test_render_parse_round_trip(kind, refuge, data):
         "params.d_v": _positive(),
         "params.r": _positive(),
         "solver.newton.tol_residual": _positive(),
-        "solver.newton.max_iter": st.integers(min_value=1, max_value=10**6),
+        "solver.newton.max_iter": st.integers(min_value=2, max_value=10**6),
         "solver.transient.dt": _positive(),
         "solver.transient.t_end": _positive(),
         "solver.transient.steady_tol": _positive(),

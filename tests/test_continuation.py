@@ -54,16 +54,23 @@ def mu_star(semi):
 
 
 @pytest.fixture(scope="module")
-def switch_point(mu_star, params, geom32):
+def switch(mu_star, params, geom32):
+    """branch_switch's point and its LU of J."""
     return branch_switch(mu_star, params, geom32, s0=0.05)
 
 
 @pytest.fixture(scope="module")
-def nontrivial(switch_point, mu_star, params, geom32):
+def switch_point(switch):
+    return switch[0]
+
+
+@pytest.fixture(scope="module")
+def nontrivial(switch, mu_star, params, geom32):
+    point, lu = switch
     base = constant_state(geom32, params.lam, 0.0).as_vector()
-    direction = (switch_point.x - base, switch_point.mu - mu_star)
+    direction = (point.x - base, point.mu - mu_star)
     return continue_branch(
-        switch_point, direction, n_steps=14, ds=0.025, params=params, geom=geom32
+        point, direction, n_steps=14, ds=0.025, params=params, geom=geom32, lu=lu
     )
 
 
@@ -148,7 +155,8 @@ def test_branch_switch_amplitude_tracks_s0(switch_point, mu_star):
 def test_branch_switch_falls_back_for_tiny_s0(mu_star, params, geom32):
     # the fixed-mu Newton collapses onto (lam, 0) here; the amplitude-pinned
     # solve at s0 takes over
-    point = branch_switch(mu_star, params, geom32, s0=0.002)
+    point, lu = branch_switch(mu_star, params, geom32, s0=0.002)
+    assert lu is None  # solve_at_amplitude keeps its LU
     assert point.amplitude == pytest.approx(0.002, rel=1e-9)
     assert point.mu < mu_star
     assert np.all(split(point.x, geom32)[1] > 0)
@@ -159,7 +167,7 @@ def test_branch_switch_survives_a_flat_branch():
     # fixed mu* - 0.01*mu* lands on the predator-free state for every s0
     p = ModelParams(lam=4.0, m=2.0, c=2.0, b=1.0, mu=8.0 / 9.0)
     geom = build_geometry(GridSpec(16, 16), RefugeShape.rectangle((0.5, 0.5), (0.125, 0.125)))
-    point = branch_switch(8.0 / 9.0, p, geom, s0=0.05)
+    point, _ = branch_switch(8.0 / 9.0, p, geom, s0=0.05)
     assert point.amplitude == pytest.approx(0.05, rel=1e-9)
     assert np.all(split(point.x, geom)[1] > 0)
     assert point.residual_norm <= NewtonConfig().tol_residual
@@ -177,7 +185,7 @@ def test_branch_switch_deviation_aligns_with_kernel(mu_star, params, geom32):
 
     # at s0 = 0.02 the fixed mu offset overshoots the branch amplitude, so
     # the point comes from the amplitude-pinned fallback
-    point = branch_switch(mu_star, params, geom32, s0=0.02)
+    point, _ = branch_switch(mu_star, params, geom32, s0=0.02)
     kt = solve_kernel_function(params, geom32)
     dev_u = (params.lam - split(point.x, geom32)[0]) / point.amplitude
     cos = dev_u @ kt.alpha / (
@@ -416,20 +424,35 @@ def test_keller_update_matches_dense_bordered_solve(grid, refuge):
     assert np.linalg.norm(dx - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
-def test_one_lu_of_j_per_accepted_point(
-    switch_point, mu_star, params, geom32, scipy_counters, monkeypatch
-):
-    # each accepted point factors J once: its eigen solve runs at sigma = 0
-    # on that LU and makes none of its own, and the next step's corrector
-    # takes it as the chord matrix. Only the first step, which is handed no
-    # LU, factors in the corrector, and nothing factors the (n+1)x(n+1)
-    # bordered matrix. A solve that ends on a carried LU stops only when two
-    # successive residuals meet the tolerance, since the stale chord
-    # contracts slowly
+def _spy_point_lus(monkeypatch):
+    """The LU of J that each branch point continue_branch makes returns, in order."""
     import refugia.continuation as cont
 
+    lus = []
+    point_from_state = cont._point_from_state
+
+    def spy(*args, **kwargs):
+        point, lu = point_from_state(*args, **kwargs)
+        lus.append(lu)
+        return point, lu
+
+    monkeypatch.setattr(cont, "_point_from_state", spy)
+    return lus
+
+
+def test_one_lu_of_j_per_accepted_point(switch, mu_star, params, geom32, scipy_counters,
+                                        monkeypatch):
+    # each accepted point factors J once: its eigen solve runs at sigma = 0
+    # on that LU and makes none of its own, and the next step's corrector
+    # takes it as the chord matrix; the first step takes the switch point's.
+    # So no corrector factors, nothing factors the (n+1)x(n+1) bordered
+    # matrix, and every solve stops on two successive residuals under the
+    # tolerance
+    import refugia.continuation as cont
+
+    switch_point, switch_lu = switch
     eigen_lus = []  # (handed an LU, LUs made inside) per leading_eigenvalue call
-    solves = []  # (handed an LU, LUs made inside, residual history) per corrector call
+    solves = []  # (the LU handed, LUs made inside, residual history) per corrector call
     leading, corrector = cont.leading_eigenvalue, cont.bordered_newton
 
     def counted_leading(J, *args, lu=None):
@@ -441,27 +464,30 @@ def test_one_lu_of_j_per_accepted_point(
     def spy(*args, lu=None):
         before = len(scipy_counters.splu_shapes)
         out = corrector(*args, lu=lu)
-        solves.append((lu is not None, len(scipy_counters.splu_shapes) - before, out[2]))
+        solves.append((lu, len(scipy_counters.splu_shapes) - before, out[2]))
         return out
 
     monkeypatch.setattr(cont, "leading_eigenvalue", counted_leading)
     monkeypatch.setattr(cont, "bordered_newton", spy)
+    point_lus = _spy_point_lus(monkeypatch)
     n = geom32.n_unknowns
     scipy_counters.splu_shapes.clear()
     branch = continue_branch(
         switch_point, _switch_direction(switch_point, mu_star, params, geom32),
-        n_steps=6, ds=0.025, params=params, geom=geom32,
+        n_steps=6, ds=0.025, params=params, geom=geom32, lu=switch_lu,
     )
     steps = len(branch.points) - 1
     assert steps == 6
     shapes = scipy_counters.splu_shapes
     assert (n + 1, n + 1) not in shapes
     assert set(shapes) == {(n, n)}
-    assert len(shapes) == steps + 1
+    assert len(shapes) == steps
     assert eigen_lus == [(True, 0)] * steps
-    assert [(handed, made) for handed, made, _ in solves] == [(False, 1)] + [(True, 0)] * (steps - 1)
+    assert [made for _, made, _ in solves] == [0] * steps
+    handed = [lu for lu, _, _ in solves]
+    assert all(a is b for a, b in zip(handed, [switch_lu, *point_lus[:-1]], strict=True))
     tol = NewtonConfig().tol_residual
-    assert all(h[-2] <= tol and h[-1] <= tol for handed, _, h in solves if handed)
+    assert all(h[-2] <= tol and h[-1] <= tol for _, _, h in solves)
     assert [p.corrector_iters for p in branch.points[1:]] == [len(h) - 1 for _, _, h in solves]
 
 
@@ -572,16 +598,18 @@ def corrector_lus(monkeypatch):
 def test_carried_lu_branch_matches_fresh_lu_branch(
     grid, refuge, params, corrector_lus, monkeypatch
 ):
-    # the branch continued on carried LUs against the same branch with a
-    # fresh LU at every step; the carry must save LUs and move no point
+    # the branch continued on carried LUs, the switch point's first, against
+    # the same branch with a fresh LU at every step; the carry must save LUs
+    # and move no point
     import refugia.continuation as cont
 
     geom = build_geometry(grid, refuge)
     mu_star = detect_transcritical(trace_semitrivial(params, (0.8, 1.2), 9, geom))
-    start = branch_switch(mu_star, params, geom, s0=0.05)
+    start, start_lu = branch_switch(mu_star, params, geom, s0=0.05)
     direction = _switch_direction(start, mu_star, params, geom)
     corrector_lus.clear()
-    carried = continue_branch(start, direction, n_steps=12, ds=0.025, params=params, geom=geom)
+    carried = continue_branch(start, direction, n_steps=12, ds=0.025, params=params, geom=geom,
+                              lu=start_lu)
     n_carried = len(corrector_lus)
 
     corrector = cont.bordered_newton
@@ -622,11 +650,13 @@ def test_corrector_refactors_a_stale_lu(corrector_lus):
     assert abs(mu - mu_ref) <= 1e-10
 
 
-def test_retried_step_starts_from_a_fresh_lu(switch_point, mu_star, params, geom32, monkeypatch):
+def test_retried_step_keeps_the_last_points_lu(switch, mu_star, params, geom32, monkeypatch):
     # one corrector failure (the third step's first attempt): the halved
-    # retry gets no LU, and the steps around it get the carried one
+    # retry is handed the same LU as the failed attempt, that of the last
+    # accepted point, and every other step the LU of the point before it
     import refugia.continuation as cont
 
+    switch_point, switch_lu = switch
     corrector = cont.bordered_newton
     handed = []
 
@@ -637,15 +667,15 @@ def test_retried_step_starts_from_a_fresh_lu(switch_point, mu_star, params, geom
         return corrector(*args, lu=lu)
 
     monkeypatch.setattr(cont, "bordered_newton", failing_once)
+    point_lus = _spy_point_lus(monkeypatch)
     branch = continue_branch(
         switch_point, _switch_direction(switch_point, mu_star, params, geom32),
-        n_steps=4, ds=0.025, params=params, geom=geom32,
+        n_steps=4, ds=0.025, params=params, geom=geom32, lu=switch_lu,
     )
     assert len(branch.points) == 5
     assert branch.points[3].s - branch.points[2].s == pytest.approx(0.0125)
-    assert len(handed) == 5
-    assert handed[0] is None and handed[3] is None
-    assert all(lu is not None for lu in (handed[1], handed[2], handed[4]))
+    expected = [switch_lu, point_lus[0], point_lus[1], point_lus[1], point_lus[2]]
+    assert all(a is b for a, b in zip(handed, expected, strict=True))
 
 
 @pytest.mark.parametrize(

@@ -224,8 +224,8 @@ def test_verify_run_factors_j_once_per_branch_point(tmp_path, scipy_counters, mo
     # cell graph (its first use: the u-block's eigen solve runs on it) and
     # the v-block at its Gershgorin shift; in the switch, two in its fixed-mu
     # Newton and one at its point (its kernel-function solve reuses the cell
-    # graph's); then one per continued point, plus the first step's, which
-    # is handed none
+    # graph's); then one per continued point, the first step running on the
+    # switch point's
     calls = {}
 
     def counted(name, fn):
@@ -244,7 +244,7 @@ def test_verify_run_factors_j_once_per_branch_point(tmp_path, scipy_counters, mo
     with open(tmp_path / "branch_nontrivial.csv", newline="", encoding="utf-8") as fh:
         assert len(list(csv.DictReader(fh))) == 1 + steps
     assert calls == {"trace_semitrivial": 1 + 1, "branch_switch": 2 + 1,
-                     "continue_branch": 1 + steps}
+                     "continue_branch": steps}
     assert len(scipy_counters.splu_calls) == sum(calls.values())
 
 

@@ -10,7 +10,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import branch_slope_analytic
@@ -211,6 +211,7 @@ SWEEP_REFUGES = {
     st.floats(0.5, 2.0),
     st.floats(0.5, 0.9),
 )
+@example("none", 1.0, 1.203125, 0.5, 1.0, 0.5)  # ends at the predator-only state
 def test_branch_point_leading_eigenvalue_matches_dense(refuge, lam, m_lam, c, b, reach):
     # a branch point's eigen solve runs at sigma = 0 on its LU of J, which
     # returns the pairs nearest 0 rather than the rightmost. Walk an enriched
@@ -237,9 +238,10 @@ def test_branch_point_leading_eigenvalue_matches_dense(refuge, lam, m_lam, c, b,
         assert point.gamma == pytest.approx(lead.real, abs=1e-8)
         assert point.eigen_residual <= 1e-8
         assert point.complex_pair == (abs(lead.imag) > 1e-10)
-    if refuge == "none":  # the walk reaches past the Hopf point
+    if refuge == "none":  # the walk reaches past the Hopf point, or ends at u = 0
         u_hopf = 0.5 * (lam - 1.0 / m)
-        assert branch.points[-1].mu < c * u_hopf / (1.0 + m * u_hopf)
+        mu_hopf = c * u_hopf / (1.0 + m * u_hopf)
+        assert branch.end == "predator_only" or branch.points[-1].mu < mu_hopf
 
 
 def _error_names(cls=RefugiaError) -> set[str]:

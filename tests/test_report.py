@@ -18,11 +18,11 @@ def pipeline(geom32):
     params = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
     semi = trace_semitrivial(params, (0.8, 1.2), 9, geom32)
     mu_star = detect_transcritical(semi)
-    start = branch_switch(mu_star, params, geom32, s0=0.05)
+    start, lu = branch_switch(mu_star, params, geom32, s0=0.05)
     base = constant_state(geom32, params.lam, 0.0).as_vector()
     direction = (start.x - base, start.mu - mu_star)
     branch = continue_branch(start, direction, n_steps=12, ds=0.025,
-                             params=params, geom=geom32)
+                             params=params, geom=geom32, lu=lu)
     return params, geom32, semi, mu_star, branch
 
 
@@ -39,6 +39,7 @@ def test_report_full_pipeline(pipeline):
     text = rep.to_text()
     assert "verdict = PASS" in text
     assert "mu_star_detected" in text
+    assert "\nnontrivial_end = n_steps\n" in text
 
 
 def test_report_ratios_decrease_with_amplitude(pipeline):
@@ -58,6 +59,7 @@ def test_report_without_nontrivial_branch(pipeline):
     assert rep.tangent_cosine is None
     assert rep.failed_gates()
     assert "audit_status = NOT_RUN" in rep.to_text()
+    assert "\nnontrivial_end = None\n" in rep.to_text()
 
 
 def test_report_on_a_two_point_branch(pipeline):
