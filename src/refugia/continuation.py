@@ -198,15 +198,15 @@ def branch_switch(
     geom: DomainGeometry,
     s0: float,
     newton_cfg: NewtonConfig = NewtonConfig(),
-) -> tuple[BranchPoint, OrderedLU | None]:
+) -> tuple[BranchPoint, OrderedLU]:
     """Step off the predator-free line onto the coexistence branch.
 
     Predictor: (lam, 0) + s0 * (-alpha, 1) at mu = mu* - DELTA_SWITCH_FRACTION*mu*,
     alpha from solve_kernel_function; corrector: newton_solve at that fixed
-    mu. Returns the point and its LU of J, continue_branch's first chord.
-    If that Newton collapses onto the predator-free state (amplitude below
-    s0/10: s0 is small or the branch is flat in mu), the LU is None and the
-    point solve_at_amplitude's at s0 from mu*, from the same predictor.
+    mu. If that Newton collapses onto the predator-free state (amplitude
+    below s0/10: s0 is small or the branch is flat in mu), the corrector is
+    solve_at_amplitude at s0 from mu*, from the same predictor. Either way
+    it returns the point and its LU of J, continue_branch's first chord.
     """
     if not 0.0 < s0 <= 0.1 * params.lam:
         raise ValueError(f"s0 must lie in (0, 0.1*lam], got {s0}")
@@ -218,7 +218,7 @@ def branch_switch(
                           params.with_mu(mu_sw), newton_cfg, geom)
     x = result.state.as_vector()
     if amplitude_of(x, geom) < s0 / 10.0:
-        return solve_at_amplitude(params, geom, s0, mu_star, predictor, newton_cfg), None
+        return solve_at_amplitude(params, geom, s0, mu_star, predictor, newton_cfg)
     s_init = _metric_norm(x - base, mu_sw - mu_star)
     return _point_from_state(x, mu_sw, s_init, params, geom, result.residual_history)
 
@@ -256,7 +256,9 @@ def continue_branch(
     steps, at a point whose amplitude reaches amplitude_cap, or before a
     corrected point at the predator-only state (mu <= CONSTRAINT_TOL and
     max u <= newton_cfg.tol_residual), which is neither kept nor
-    classified; Branch.end says which.
+    classified; a step that lands there is retried once at half its ds,
+    like a failed corrector, and the branch ends only if the retry lands
+    there too. Branch.end says which.
     """
     n = geom.n_unknowns
     dx0, dmu0 = direction
@@ -271,7 +273,7 @@ def continue_branch(
         if amplitude_cap is not None and last.amplitude >= amplitude_cap:
             end = "amplitude_cap"
             break
-        ds_cur = ds
+        ds_cur, retried = ds, False
         # arclength constraint (t_x/n).(x - last.x) + t_mu*(mu - last.mu) = ds
         row_x = t_x / n
         at_last = float(row_x @ last.x) + t_mu * last.mu
@@ -285,6 +287,11 @@ def continue_branch(
                 sec_nrm = _metric_norm(sec_x, sec_mu)
                 if sec_nrm > MAX_STEP_RATIO * ds_cur:
                     raise NoConvergence(f"corrected point lies {sec_nrm / ds_cur:.3g} steps away")
+                at_end = (mu_new <= CONSTRAINT_TOL  # u = 0 at mu = 0, the predator-only state
+                          and split(x_new, geom)[0].max() <= newton_cfg.tol_residual)
+                if at_end and not retried:
+                    retried = True
+                    raise NoConvergence("corrected point at the predator-only state")
                 break
             except NoConvergence as exc:
                 ds_cur *= 0.5
@@ -294,8 +301,8 @@ def continue_branch(
                         f"after {len(points) - 1} accepted steps, the last at mu = {last.mu:.6g}",
                         Branch(BranchLabel.NONTRIVIAL, points),
                     ) from exc
-        if mu_new <= CONSTRAINT_TOL and split(x_new, geom)[0].max() <= newton_cfg.tol_residual:
-            end = "predator_only"  # u = 0 at mu = 0: the branch ends there
+        if at_end:
+            end = "predator_only"
             break
         point, lu = _point_from_state(x_new, mu_new, last.s + ds_cur, params, geom, history, last)
         points.append(point)
@@ -315,13 +322,13 @@ def solve_at_amplitude(
     mu_guess: float,
     x_guess: np.ndarray | None = None,
     newton_cfg: NewtonConfig = NewtonConfig(),
-) -> BranchPoint:
+) -> tuple[BranchPoint, OrderedLU]:
     """Coexistence point with the predator amplitude pinned and mu free.
 
     Newton on [steady residual; mean(v) - amplitude = 0] over (state, mu),
-    from x_guess or else (lam, 0) + amplitude * (-alpha, 1). branch_switch
-    calls it when its fixed-mu Newton collapses; it also samples the branch
-    at prescribed amplitudes.
+    from x_guess or else (lam, 0) + amplitude * (-alpha, 1); returns the
+    point and its LU of J. branch_switch calls it when its fixed-mu Newton
+    collapses; it also samples the branch at prescribed amplitudes.
     """
     x = x_guess
     if x is None:
@@ -330,7 +337,7 @@ def solve_at_amplitude(
     row_x = np.zeros(geom.n_unknowns)
     split(row_x, geom)[1][:] = 1.0 / geom.n_omega1
     x, mu, history = bordered_newton(x, mu_guess, row_x, 0.0, amplitude, params, geom, newton_cfg)
-    return _point_from_state(x, mu, amplitude, params, geom, history)[0]
+    return _point_from_state(x, mu, amplitude, params, geom, history)
 
 
 @dataclass

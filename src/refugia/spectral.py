@@ -54,6 +54,13 @@ RESIDUAL_TOL = 1e-8
 N_PAIRS = 2
 NCV = 8
 
+#: ARPACK's relative accuracy of the Ritz values; scipy's default, 0, asks for
+#: machine precision, and the pairs are held to RESIDUAL_TOL anyway. At 1e-12
+#: the predator-free line of a 64^2 verify run takes 33 shift-invert solves
+#: instead of 58, with mu*, every gamma and every eigen residual bitwise
+#: unchanged; the 25 branch points of the 128^2 disc run take 225 instead of 300
+EIGS_TOL = 1e-12
+
 
 class StabilityFlag(enum.Enum):
     STABLE = "stable"
@@ -99,7 +106,8 @@ def _candidates(J: sp.csr_matrix, order: np.ndarray | None, lu):
         sigma = 0.0
     op = spla.LinearOperator(J.shape, matvec=lu.solve, dtype=float)
     try:
-        return spla.eigs(J, k=N_PAIRS, sigma=sigma, ncv=NCV, OPinv=op, v0=np.ones(n))
+        return spla.eigs(J, k=N_PAIRS, sigma=sigma, ncv=NCV, OPinv=op, v0=np.ones(n),
+                         tol=EIGS_TOL)
     except spla.ArpackNoConvergence as exc:
         return exc.eigenvalues, exc.eigenvectors
     except RuntimeError as exc:  # any other ARPACK failure

@@ -223,7 +223,7 @@ def test_criterion_8_tangent_structure(geom64, params_std, pipeline):
     ratios = []
     cos_at_002 = None
     for a in (0.08, 0.04, 0.02):
-        point = solve_at_amplitude(params_std, geom64, a, mu_star)
+        point, _ = solve_at_amplitude(params_std, geom64, a, mu_star)
         u, v = split(point.x, geom64)
         dev = np.concatenate([params_std.lam - u, v]) / a
         diff = dev - tangent

@@ -156,10 +156,13 @@ def test_branch_switch_falls_back_for_tiny_s0(mu_star, params, geom32):
     # the fixed-mu Newton collapses onto (lam, 0) here; the amplitude-pinned
     # solve at s0 takes over
     point, lu = branch_switch(mu_star, params, geom32, s0=0.002)
-    assert lu is None  # solve_at_amplitude keeps its LU
     assert point.amplitude == pytest.approx(0.002, rel=1e-9)
     assert point.mu < mu_star
     assert np.all(split(point.x, geom32)[1] > 0)
+    # the pinned point comes with its LU of J, continue_branch's first chord
+    J = assemble_jacobian(params.with_mu(point.mu), point.x, geom32)
+    r = np.random.default_rng(0).normal(size=J.shape[0])
+    assert np.allclose(lu.solve(J @ r), r, rtol=0.0, atol=1e-10)
 
 
 def test_branch_switch_survives_a_flat_branch():
@@ -198,7 +201,7 @@ def test_branch_intersection_limit(mu_star, params, geom32):
     # sampling the branch at shrinking amplitudes: state -> (lam, 0), mu -> mu*
     u_devs, mu_gaps = [], []
     for a in (0.08, 0.04, 0.02):
-        point = solve_at_amplitude(params, geom32, a, mu_star)
+        point, _ = solve_at_amplitude(params, geom32, a, mu_star)
         u_devs.append(np.max(np.abs(split(point.x, geom32)[0] - params.lam)))
         mu_gaps.append(abs(point.mu - mu_star))
     assert u_devs[0] > u_devs[1] > u_devs[2]
@@ -280,7 +283,7 @@ def test_amplitude_cap_stops_early(switch_point, mu_star, params, geom32):
 
 
 def test_solve_at_amplitude_contract(mu_star, params, geom32):
-    point = solve_at_amplitude(params, geom32, 0.05, mu_star)
+    point, _ = solve_at_amplitude(params, geom32, 0.05, mu_star)
     assert point.amplitude == pytest.approx(0.05, abs=1e-12)
     assert point.mu < mu_star
     assert point.residual_norm <= 1e-10
@@ -294,7 +297,7 @@ def test_pinned_sweep_past_the_fold_raises_no_convergence():
     geom = build_geometry(GridSpec(12, 12), RefugeShape.empty())
     mu, x = p.mu, None
     for amplitude in np.linspace(0.5, 10.0, 20):
-        point = solve_at_amplitude(p, geom, float(amplitude), mu, x_guess=x)
+        point, _ = solve_at_amplitude(p, geom, float(amplitude), mu, x_guess=x)
         mu, x = point.mu, point.x
     assert point.complex_pair
     with pytest.raises(NoConvergence, match="is negative") as info:
@@ -308,7 +311,7 @@ def test_stalled_continuation_carries_its_accepted_points():
     # the 122 accepted steps and names the last mu
     p = ModelParams(lam=4.0, m=2.0, c=2.0, b=1.0, mu=8.0 / 9.0)
     geom = build_geometry(GridSpec(12, 12), RefugeShape.empty())
-    start = solve_at_amplitude(p, geom, 0.2, p.mu)
+    start, _ = solve_at_amplitude(p, geom, 0.2, p.mu)
     base = constant_state(geom, p.lam, 0.0).as_vector()
     direction = (start.x - base, start.mu - p.mu)
     with pytest.raises(ContinuationStalled, match="after 122 accepted steps") as info:
@@ -540,7 +543,7 @@ def test_continuation_does_not_jump_off_the_branch():
     # 62 steps away), leaving amplitude-0 points on the "nontrivial" branch
     p = ModelParams(lam=4.0, m=2.0, c=2.0, b=1.0, mu=8.0 / 9.0)
     geom = build_geometry(GridSpec(12, 12), RefugeShape.rectangle((0.5, 0.5), (0.125, 0.125)))
-    start = solve_at_amplitude(p, geom, 0.2, 8.0 / 9.0)
+    start, _ = solve_at_amplitude(p, geom, 0.2, 8.0 / 9.0)
     base = constant_state(geom, p.lam, 0.0).as_vector()
     direction = (start.x - base, start.mu - 8.0 / 9.0)
     branch = continue_branch(start, direction, n_steps=126, ds=0.1, params=p, geom=geom)
@@ -554,20 +557,39 @@ def test_continuation_does_not_jump_off_the_branch():
 
 
 def test_branch_run_to_mu_zero_keeps_its_leading_eigenvalue():
-    # an enriched branch without a refuge walked to its end: the corrector
-    # after mu = 4.8e-2 lands on u = 0 everywhere at mu = 0 (the
-    # predator-only state), where the prey block is a multiple of the
-    # identity and no eigen path converges; the branch ends before it
+    # an enriched branch without a refuge walked towards its end at mu = 0:
+    # past mu = 4.8e-2 the step halves down to reach mu = 1.2e-3, where
+    # u is near 0 and the prey block near a multiple of the identity (at
+    # the predator-only state itself no eigen path converges)
     p = ModelParams(lam=1.0, m=2.25, c=1.1875, b=1.75, mu=1.1875 / 3.25)
     geom = build_geometry(GridSpec(16, 10, lx=1.6), RefugeShape.empty())
     top = p.m * (p.lam + 1.0 / p.m) ** 2 / (4.0 * p.b)  # the constant-mode fold
-    first = solve_at_amplitude(p, geom, 0.25 * top, p.mu)
-    second = solve_at_amplitude(p, geom, 0.5 * top, first.mu, x_guess=first.x)
+    first, _ = solve_at_amplitude(p, geom, 0.25 * top, p.mu)
+    second, _ = solve_at_amplitude(p, geom, 0.5 * top, first.mu, x_guess=first.x)
     direction = (second.x - first.x, second.mu - first.mu)
     branch = continue_branch(second, direction, 8, 0.2 * top, p, geom)
     for point in branch.points:
         J = assemble_jacobian(p.with_mu(point.mu), point.x, geom)
         assert point.gamma == pytest.approx(np.linalg.eigvals(J.toarray()).real.max(), abs=1e-8)
+
+
+def test_a_step_onto_the_predator_only_state_is_retried_at_half_ds():
+    # an enriched branch without a refuge: after mu = 0.0400 a halved step
+    # lands on u = 0 at mu = 0, above the Hopf point mu_H = 0.0383; retried
+    # at half that step it stays on the branch, which goes on below mu_H
+    lam, m_lam, c, b = 1.0, 1.203125, 0.5, 1.0
+    m = m_lam / lam
+    p = ModelParams(lam=lam, m=m, c=c, b=b, mu=c * lam / (1.0 + m_lam))
+    geom = build_geometry(GridSpec(16, 10, lx=1.6), RefugeShape.empty())
+    top = m * (lam + 1.0 / m) ** 2 / (4.0 * b)  # the constant-mode fold
+    first, _ = solve_at_amplitude(p, geom, 0.25 * top, p.mu)
+    second, _ = solve_at_amplitude(p, geom, 0.5 * top, first.mu, x_guess=first.x)
+    direction = (second.x - first.x, second.mu - first.mu)
+    branch = continue_branch(second, direction, 8, 0.15 * top, p, geom)
+    u_hopf = 0.5 * (lam - 1.0 / m)
+    mu_hopf = c * u_hopf / (1.0 + m * u_hopf)
+    assert branch.end != "predator_only"
+    assert branch.points[-1].mu < mu_hopf
 
 
 @pytest.fixture
@@ -697,7 +719,7 @@ def test_exchange_of_stability_and_branch_slope_at_first_order(grid, refuge, par
     assert s1 < 0
     mu_star = params.c * params.lam / (1.0 + params.m * params.lam)
     amps = 0.2 * 2.0 ** -np.arange(5)
-    points = [solve_at_amplitude(params, geom, a, mu_star + s1 * a) for a in amps]
+    points = [solve_at_amplitude(params, geom, a, mu_star + s1 * a)[0] for a in amps]
     gap = np.array([point.mu for point in points]) - mu_star
     ratio = np.array([point.gamma for point in points]) / gap
     slope = gap / amps

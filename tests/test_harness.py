@@ -219,13 +219,9 @@ def test_verify_run_factors_the_cell_graph_once(tmp_path, scipy_counters):
     assert len(scipy_counters.splu_calls) == n_lu  # the second solve reuses the LU
     assert np.array_equal(again, first)
 
-def test_verify_run_factors_j_once_per_branch_point(tmp_path, scipy_counters, monkeypatch):
-    # every sparse LU of a small verify run: on the predator-free line, the
-    # cell graph (its first use: the u-block's eigen solve runs on it) and
-    # the v-block at its Gershgorin shift; in the switch, two in its fixed-mu
-    # Newton and one at its point (its kernel-function solve reuses the cell
-    # graph's); then one per continued point, the first step running on the
-    # switch point's
+def _verify_lus(tmp_path, scipy_counters, monkeypatch, text):
+    """The sparse LUs of a verify run of text, per runner stage, and its
+    continuation steps."""
     calls = {}
 
     def counted(name, fn):
@@ -238,14 +234,36 @@ def test_verify_run_factors_j_once_per_branch_point(tmp_path, scipy_counters, mo
 
     for name in ("trace_semitrivial", "branch_switch", "continue_branch"):
         monkeypatch.setattr(runner, name, counted(name, getattr(runner, name)))
-    cfg = parse_config(BIF_SMALL.replace("bifurcate", "verify"))
+    cfg = parse_config(text.replace("bifurcate", "verify"))
     assert run_experiment(cfg, out_dir=tmp_path).exit_ok
     steps = cfg.continuation.n_steps
     with open(tmp_path / "branch_nontrivial.csv", newline="", encoding="utf-8") as fh:
         assert len(list(csv.DictReader(fh))) == 1 + steps
+    assert len(scipy_counters.splu_calls) == sum(calls.values())
+    return calls, steps
+
+
+def test_verify_run_factors_j_once_per_branch_point(tmp_path, scipy_counters, monkeypatch):
+    # every sparse LU of a small verify run: on the predator-free line, the
+    # cell graph (its first use: the u-block's eigen solve runs on it) and
+    # the v-block at its Gershgorin shift; in the switch, two in its fixed-mu
+    # Newton and one at its point (its kernel-function solve reuses the cell
+    # graph's); then one per continued point, the first step running on the
+    # switch point's
+    calls, steps = _verify_lus(tmp_path, scipy_counters, monkeypatch, BIF_SMALL)
     assert calls == {"trace_semitrivial": 1 + 1, "branch_switch": 2 + 1,
                      "continue_branch": steps}
-    assert len(scipy_counters.splu_calls) == sum(calls.values())
+
+
+def test_verify_run_hands_the_pinned_switch_points_lu_on(tmp_path, scipy_counters,
+                                                         monkeypatch):
+    # at s0 = 0.002 the switch's fixed-mu Newton (two LUs) collapses onto the
+    # predator-free state, and the amplitude-pinned solve (one LU) and its
+    # point (one more) take over; the first step runs on that point's LU
+    text = BIF_SMALL + "solver.continuation.s0 = 0.002\n"
+    calls, steps = _verify_lus(tmp_path, scipy_counters, monkeypatch, text)
+    assert calls == {"trace_semitrivial": 1 + 1, "branch_switch": 2 + 1 + 1,
+                     "continue_branch": steps}
 
 
 #: the benchmark's verify-64 case with the default continuation settings;

@@ -437,7 +437,7 @@ def test_paired_order_fill_is_no_worse_than_minimum_degree(geom32):
     # at this 32^2 coexistence point the paired order's LU of J keeps 80,196
     # entries and SuperLU's minimum-degree one 81,334
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
-    point = solve_at_amplitude(p, geom32, 0.1, p.mu)
+    point, _ = solve_at_amplitude(p, geom32, 0.1, p.mu)
     J = assemble_jacobian(p.with_mu(point.mu), point.x, geom32)
     paired = factor(J, SingularJacobian, "paired", coupled_order(geom32)).lu.nnz
     assert paired <= factor(J, SingularJacobian, "minimum degree").nnz

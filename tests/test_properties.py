@@ -151,7 +151,7 @@ def test_leading_eigenvalue_matches_dense_on_enriched_branches(geom, lam, m_lam,
     top = m * (lam + 1.0 / m) ** 2 / (4.0 * b)
     mu, x = params.mu, None
     for fraction in (0.5, 0.9):
-        point = solve_at_amplitude(params, geom, fraction * top, mu, x_guess=x)
+        point, _ = solve_at_amplitude(params, geom, fraction * top, mu, x_guess=x)
         mu, x = point.mu, point.x
         assert mu > 0.0
         J = assemble_jacobian(params.with_mu(mu), x, geom)
@@ -181,7 +181,7 @@ def test_transcritical_normal_form(geom, lam, m_lam, c, b):
     s1 = branch_slope_analytic(params, geom)
     assert s1 < 0
     amps = 0.02 * lam * 2.0 ** -np.arange(3)
-    points = [solve_at_amplitude(params, geom, a, mu_star + s1 * a) for a in amps]
+    points = [solve_at_amplitude(params, geom, a, mu_star + s1 * a)[0] for a in amps]
     gap = np.array([point.mu for point in points]) - mu_star
     q = gap / amps
     r = np.array([point.gamma for point in points]) / gap
@@ -211,7 +211,7 @@ SWEEP_REFUGES = {
     st.floats(0.5, 2.0),
     st.floats(0.5, 0.9),
 )
-@example("none", 1.0, 1.203125, 0.5, 1.0, 0.5)  # ends at the predator-only state
+@example("none", 1.0, 1.203125, 0.5, 1.0, 0.5)  # a step lands on u = 0; its halved retry does not
 def test_branch_point_leading_eigenvalue_matches_dense(refuge, lam, m_lam, c, b, reach):
     # a branch point's eigen solve runs at sigma = 0 on its LU of J, which
     # returns the pairs nearest 0 rather than the rightmost. Walk an enriched
@@ -224,8 +224,8 @@ def test_branch_point_leading_eigenvalue_matches_dense(refuge, lam, m_lam, c, b,
     m = m_lam / lam
     params = ModelParams(lam=lam, m=m, c=c, b=b, mu=c * lam / (1.0 + m_lam))
     top = m * (lam + 1.0 / m) ** 2 / (4.0 * b)
-    first = solve_at_amplitude(params, geom, 0.5 * reach * top, params.mu)
-    second = solve_at_amplitude(params, geom, reach * top, first.mu, x_guess=first.x)
+    first, _ = solve_at_amplitude(params, geom, 0.5 * reach * top, params.mu)
+    second, _ = solve_at_amplitude(params, geom, reach * top, first.mu, x_guess=first.x)
     direction = (second.x - first.x, second.mu - first.mu)
     try:
         branch = continue_branch(second, direction, 8, 0.15 * top, params, geom)

@@ -181,7 +181,7 @@ def test_dense_oracle_along_enriched_branch(grid, refuge):
     geom = build_geometry(grid, refuge)
     mu, x = ENRICHED.mu, None
     for amplitude in np.linspace(0.5, 10.0, 20):
-        point = solve_at_amplitude(ENRICHED, geom, float(amplitude), mu, x_guess=x)
+        point, _ = solve_at_amplitude(ENRICHED, geom, float(amplitude), mu, x_guess=x)
         mu, x = point.mu, point.x
         J = assemble_jacobian(ENRICHED.with_mu(mu), x, geom)
         # the branch point's path: sigma = 0 on an LU of J itself
@@ -206,8 +206,8 @@ def test_branch_points_keep_the_complex_pair_past_the_hopf_point():
     p = ModelParams(lam=2.0, m=2.0, c=1.0, b=1.0, mu=0.4)  # mu* = 0.4
     geom = build_geometry(GridSpec(16, 10, lx=1.6), RefugeShape.empty())
     top = p.m * (p.lam + 1.0 / p.m) ** 2 / (4.0 * p.b)  # the constant-mode fold
-    first = solve_at_amplitude(p, geom, 0.45 * top, p.mu)
-    second = solve_at_amplitude(p, geom, 0.9 * top, first.mu, x_guess=first.x)
+    first, _ = solve_at_amplitude(p, geom, 0.45 * top, p.mu)
+    second, _ = solve_at_amplitude(p, geom, 0.9 * top, first.mu, x_guess=first.x)
     direction = (second.x - first.x, second.mu - first.mu)
     branch = continue_branch(second, direction, 8, 0.1 * top, p, geom)
     misses = 0
@@ -236,7 +236,7 @@ def test_dense_oracle_inside_hopf_bracket(refuge, bracket):
     # inside are where two pairs nearest the shift could miss the rightmost
     lo, hi = bracket
     geom = build_geometry(GridSpec(12, 12), refuge)
-    start = solve_at_amplitude(ENRICHED, geom, 0.2, ENRICHED.mu)
+    start, _ = solve_at_amplitude(ENRICHED, geom, 0.2, ENRICHED.mu)
     base = constant_state(geom, ENRICHED.lam, 0.0).as_vector()
     direction = (start.x - base, start.mu - ENRICHED.mu)
     branch = continue_branch(start, direction, 80, 0.1, ENRICHED, geom)
@@ -269,7 +269,7 @@ def test_shift_invert_solve_count(geom32, monkeypatch):
     # this point, at the Gershgorin shift and at sigma = 0 on an LU of J; six
     # pairs with ARPACK's default basis of 13 took 45
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
-    point = solve_at_amplitude(p, geom32, 0.1, p.mu)
+    point, _ = solve_at_amplitude(p, geom32, 0.1, p.mu)
     J = assemble_jacobian(p.with_mu(point.mu), point.x, geom32)
     solves = []
     factor = spectral.factor
