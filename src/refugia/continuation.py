@@ -242,29 +242,35 @@ def continue_branch(
 
     direction is the initial tangent guess, a pair (dx, dmu) with dx an array
     over the unknowns (zeros for a pure-mu direction). Subsequent tangents are
-    secants through the last two points. The corrector meets
+    the unit secants through the last two points. The arclength constraint
+    fixes a secant's metric dot with the tangent at ds_cur, up to the
+    constraint tolerance, and its length is at most MAX_STEP_RATIO*ds_cur, so
+    it keeps the tangent's orientation while ds_cur (>= ds/MIN_DS_FACTOR)
+    exceeds that tolerance; a smaller ds stalls at once. The corrector meets
     newton_cfg.tol_residual within newton_cfg.max_iter iterations. Each
-    accepted point costs one LU of J: its eigen solve runs on it at
-    sigma = 0, and the next step's corrector, a halved retry too, takes it
-    as the chord matrix (see bordered_newton), refactoring only where the
-    chord stops contracting; lu, start's LU (from branch_switch), serves
-    the first step. The step halves on corrector failure, and when
-    the corrected point lies farther than MAX_STEP_RATIO*ds from the last
-    one (the arclength hyperplane can cross another branch), down to
-    ds/MIN_DS_FACTOR, after which ContinuationStalled is raised; it carries
-    the branch of the points accepted so far. The branch ends after n_steps
-    steps, at a point whose amplitude reaches amplitude_cap, or before a
-    corrected point at the predator-only state (mu <= CONSTRAINT_TOL and
-    max u <= newton_cfg.tol_residual), which is neither kept nor
-    classified; a step that lands there is retried once at half its ds,
-    like a failed corrector, and the branch ends only if the retry lands
-    there too. Branch.end says which.
+    accepted point costs one LU of J: its eigen solve runs on it at sigma = 0,
+    and the next step's corrector, a halved retry too, takes it as the chord
+    matrix (see bordered_newton), refactoring only where the chord stops
+    contracting; lu, start's LU (from branch_switch), serves the first step.
+    The step halves on corrector failure, and when the corrected point lies
+    farther than MAX_STEP_RATIO*ds from the last one (the arclength hyperplane
+    can cross another branch), down to ds/MIN_DS_FACTOR, after which
+    ContinuationStalled is raised; it carries the branch of the points accepted
+    so far. The branch ends after n_steps steps, at a point whose amplitude
+    reaches amplitude_cap, or before a corrected point at the predator-only
+    state (mu <= CONSTRAINT_TOL and max u <= newton_cfg.tol_residual), which is
+    neither kept nor classified; a step that lands there is retried once at
+    half its ds, like a failed corrector, and the branch ends only if the retry
+    lands there too. Branch.end says which.
     """
     n = geom.n_unknowns
     dx0, dmu0 = direction
     nrm = _metric_norm(dx0, dmu0)
     if nrm == 0.0:
         raise ValueError("direction must be nonzero")
+    if not ds / MIN_DS_FACTOR > CONSTRAINT_TOL * max(1.0, _metric_norm(start.x, start.mu) + ds):
+        raise ContinuationStalled(f"ds = {ds!r} is not above the corrector's constraint "
+                                  "tolerance", Branch(BranchLabel.NONTRIVIAL, [start]))
     t_x, t_mu = dx0 / nrm, dmu0 / nrm
 
     points, end = [start], "n_steps"
@@ -306,12 +312,7 @@ def continue_branch(
             break
         point, lu = _point_from_state(x_new, mu_new, last.s + ds_cur, params, geom, history, last)
         points.append(point)
-
-        if sec_nrm > 0:
-            sec_x, sec_mu = sec_x / sec_nrm, sec_mu / sec_nrm
-            if np.mean(sec_x * t_x) + sec_mu * t_mu < 0:
-                sec_x, sec_mu = -sec_x, -sec_mu
-            t_x, t_mu = sec_x, sec_mu
+        t_x, t_mu = sec_x / sec_nrm, sec_mu / sec_nrm
     return Branch(BranchLabel.NONTRIVIAL, points, end=end)
 
 

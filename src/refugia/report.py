@@ -9,6 +9,7 @@ lists its points (mu, gamma, flag, complex pair) in the text report.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,13 +140,9 @@ def _fmt(x):
 
 
 def _exchange_cell(branch: Branch, side: str, mu_star: float, expected: StabilityFlag):
-    if side == "mu<mu*":
-        pts = [p for p in branch.points if p.mu < mu_star - MU_BAND]
-    else:
-        pts = [p for p in branch.points if p.mu > mu_star + MU_BAND]
-    counts = {flag: 0 for flag in StabilityFlag}
-    for p in pts:
-        counts[p.flag] += 1
+    sign = -1.0 if side == "mu<mu*" else 1.0
+    pts = [p for p in branch.points if sign * (p.mu - mu_star) > MU_BAND]
+    counts = Counter(p.flag for p in pts)
     ok = all(p.flag is expected for p in pts)
     return ExchangeCell(
         branch=branch.label.value,

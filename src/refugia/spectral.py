@@ -2,9 +2,11 @@
 
 The leading eigenvalue comes from one shift-invert Arnoldi solve (ARPACK
 through scipy.sparse.linalg.eigs), which returns the two pairs nearest the
-shift. A caller that holds a solve with J itself (continuation: the LU of J
-at every branch point, the cell graph's LU for the predator-free u-block)
-hands it in, and the solve runs at sigma = 0 on it, so no LU is made here.
+shift, one of them spare (N_PAIRS; tests/test_spectral.py's
+test_sigma_zero_keeps_a_spare_pair fails with one). A caller that holds a
+solve with J itself (continuation: the LU of J at every branch point, the
+cell graph's LU for the predator-free u-block) hands it in, and the solve
+runs at sigma = 0 on it, so no LU is made here.
 Without one, the shift sits just right of the Gershgorin right edge,
 which bounds every real part, so J - sigma*I is nonsingular and is factored
 exactly once. Among the returned pairs, the one of largest real part that

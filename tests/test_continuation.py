@@ -338,6 +338,22 @@ def test_continue_branch_keeps_mu_positive(params, geom16):
         )
 
 
+def test_continue_branch_rejects_a_step_at_the_constraint_tolerance(switch, mu_star, params,
+                                                                   geom32):
+    # below MIN_DS_FACTOR * CONSTRAINT_TOL (scaled by the start's size) a
+    # halved step could no longer tell a secant's orientation from rounding,
+    # so the branch stalls at its start; a step of 1e-7 lies far above that
+    # floor and is taken
+    point, lu = switch
+    direction = _switch_direction(point, mu_star, params, geom32)
+    for ds in (1e-12, 0.0, -0.025, float("nan")):
+        with pytest.raises(ContinuationStalled, match="constraint tolerance") as stalled:
+            continue_branch(point, direction, 1, ds, params, geom32, lu=lu)
+        assert stalled.value.branch.points == [point]
+    branch = continue_branch(point, direction, 1, 1e-7, params, geom32, lu=lu)
+    assert [p.s for p in branch.points] == [point.s, point.s + 1e-7]
+
+
 def test_sign_relation_on_physical_branch(nontrivial, mu_star):
     audit = verify_sign_relation(nontrivial, mu_star)
     assert audit.applicable
@@ -378,9 +394,25 @@ def test_sign_relation_excludes_marginal_points(nontrivial, mu_star):
 
 
 def test_sign_relation_needs_five_points(nontrivial, mu_star):
-    stub = Branch(BranchLabel.NONTRIVIAL, nontrivial.points[:3])
-    with pytest.raises(ValueError):
-        verify_sign_relation(stub, mu_star)
+    for n in (3, 4):
+        stub = Branch(BranchLabel.NONTRIVIAL, nontrivial.points[:n])
+        with pytest.raises(ValueError):
+            verify_sign_relation(stub, mu_star)
+    audit = verify_sign_relation(Branch(BranchLabel.NONTRIVIAL, nontrivial.points[:5]), mu_star)
+    assert audit.n_pass + audit.n_fail + audit.n_excluded == 5
+
+
+def test_sign_relation_band_is_mu_band_wide(nontrivial, mu_star):
+    # a wrong-sign point (stable above mu*) fails the audit 5e-3 from mu* and
+    # is excluded 5e-5 from it, inside MU_BAND = 1e-4
+    points = list(nontrivial.points)
+    audited = verify_sign_relation(nontrivial, mu_star)
+    for offset, n_fail in ((5e-3, 1), (5e-5, 0)):
+        points[-1] = dataclasses.replace(points[-1], mu=mu_star + offset, gamma=-0.01,
+                                         flag=StabilityFlag.STABLE)
+        audit = verify_sign_relation(Branch(BranchLabel.NONTRIVIAL, points), mu_star)
+        assert audit.n_fail == n_fail
+        assert audit.n_excluded == audited.n_excluded + 1 - n_fail
 
 
 def test_amplitude_of_helper(nontrivial, geom32):

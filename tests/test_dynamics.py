@@ -412,6 +412,32 @@ def test_slow_prey_solve_refactors_the_preconditioner(geom16, scipy_counters, mo
     assert scipy_counters.splu_shapes.count((geom16.n_omega, geom16.n_omega)) == 3
 
 
+def test_preconditioner_refresh_keeps_an_enriched_run_cheap(scipy_counters):
+    """The enriched square's first 100 steps: refactoring the lagged prey LU
+    after each solve of more than REFACTOR_ITERS iterations keeps CG at 729
+    iterations with 5 prey LUs; never refactoring it took 2,166 with 3."""
+    geom = build_geometry(GridSpec(16, 16), CENTER_RECT)
+    enriched = ModelParams(lam=4.0, m=2.0, c=2.0, b=1.0, mu=0.5, r=1.0)
+    cfg = TransientConfig(max_steps=100)
+    out = run_to_steady(constant_state(geom, 4.0, 0.2).as_vector(), enriched, cfg, geom)
+    assert out.steps == cfg.max_steps
+    levels = len(set(_base_steps(out, cfg.dt)))
+    assert scipy_counters.splu_shapes.count((geom.n_omega,) * 2) > levels
+    assert scipy_counters.cg_iters <= 10 * out.steps
+
+
+def test_stall_cap_lets_a_weakly_damped_spiral_converge():
+    """A weakly damped spiral that the ladder's upper levels stop damping:
+    the stall cap walks the ladder back down, and the run converges in
+    1,981 steps at t = 199.7. Without the cap it is unconverged at t = 400
+    after 297 steps."""
+    geom = build_geometry(GridSpec(16, 16), CENTER_RECT)
+    spiral = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=0.5, r=1.0)
+    out = run_to_steady(constant_state(geom, 1.0, 0.05).as_vector(), spiral,
+                        TransientConfig(), geom)
+    assert out.converged
+
+
 def test_lu_failure_is_a_linear_solve_failure(geom16, monkeypatch):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")

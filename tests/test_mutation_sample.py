@@ -1,0 +1,58 @@
+"""The mutation sample in tools/mutants.py stays in step with src: each entry's
+text to edit occurs exactly once in its file, every solver constant is
+sampled, and every entry names a killing test that exists or says why it is
+equivalent. Running the sample itself is the script's job, not tier-1's."""
+
+import ast
+import importlib.util
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SOLVER_MODULES = ("continuation", "dynamics", "operators", "report", "spectral", "steady")
+
+
+def _load_sample():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SAMPLE = _load_sample()
+
+
+@pytest.mark.parametrize("mutant", SAMPLE.MUTANTS, ids=lambda m: m.name)
+def test_each_mutant_edits_text_that_occurs_once(mutant):
+    text = (ROOT / mutant.file).read_text(encoding="utf-8")
+    assert text.count(mutant.old) == 1
+    assert mutant.new != mutant.old
+
+
+def test_every_solver_constant_is_sampled():
+    names = [m.name for m in SAMPLE.MUTANTS]
+    assert len(set(names)) == len(names)
+    constants = []
+    for module in SOLVER_MODULES:
+        path = Path("src") / "refugia" / f"{module}.py"
+        tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            for target in targets:
+                if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id):
+                    constants.append(target.id)
+                    assert any(m.file == str(path) and m.old.startswith(f"{target.id} = ")
+                               for m in SAMPLE.MUTANTS), target.id
+    assert len(constants) == 22
+
+
+def test_every_mutant_names_its_killer_or_why_it_is_equivalent():
+    equivalent = {m.name for m in SAMPLE.MUTANTS if m.killer is None}
+    assert set(SAMPLE.EQUIVALENT) == equivalent
+    assert all(SAMPLE.EQUIVALENT[name].strip() for name in equivalent)
+    for m in SAMPLE.MUTANTS:
+        if m.killer is not None:
+            file, test = m.killer.split("::")
+            assert f"\ndef {test}(" in (ROOT / file).read_text(encoding="utf-8"), m.killer

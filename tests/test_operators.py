@@ -14,6 +14,7 @@ from refugia.operators import (
     PERMC_SPEC,
     ModelParams,
     assemble_jacobian,
+    clamp_nonnegative,
     coupled_order,
     factor,
     laplacian_neumann,
@@ -117,6 +118,7 @@ def test_tiny_negative_clamped(geom16):
     u[7] = -5e-13  # inside the clamp band
     out = nonlinear_diffusion(u, geom16)
     assert np.all(np.isfinite(out))
+    assert clamp_nonnegative(np.array([-5e-13, 1.0]), "prey").tolist() == [0.0, 1.0]
 
 
 def test_nonlinear_diffusion_requires_prey_region(geom16):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from refugia.continuation import (
@@ -10,7 +12,8 @@ from refugia.continuation import (
 from refugia.fields import constant_state
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
 from refugia.operators import ModelParams
-from refugia.report import build_report
+from refugia.report import BifurcationReport, build_report
+from refugia.spectral import StabilityFlag
 
 
 @pytest.fixture(scope="module")
@@ -130,3 +133,27 @@ def test_failing_exchange_cell_lists_its_points(pipeline):
     assert f"{name}.point.{cell.n_points} " not in text
     assert text.count(".point.") == cell.n_points  # passing cells list none
     assert ".point." not in build_report(semi, branch, mu_star, params, geom).to_text()
+
+
+def test_exchange_band_is_mu_band_wide(pipeline):
+    # a stable coexistence point 5e-3 above mu* breaks the exchange; 5e-5
+    # above it, inside MU_BAND = 1e-4, it lies in neither quadrant
+    params, geom, semi, mu_star, branch = pipeline
+    for offset, n_points in ((5e-3, 1), (5e-5, 0)):
+        moved = dataclasses.replace(branch.points[-1], mu=mu_star + offset, gamma=-0.01,
+                                    flag=StabilityFlag.STABLE)
+        short = Branch(branch.label, branch.points[:-1] + [moved])
+        rep = build_report(semi, short, mu_star, params, geom)
+        above = next(c for c in rep.exchange if (c.branch, c.side) == ("nontrivial", "mu>mu*"))
+        assert above.n_points == n_points
+        assert above.ok is (n_points == 0)
+
+
+def test_tangent_gate_is_cosine_min():
+    # with every other gate passing, a tangent cosine of 0.98 fails the
+    # verdict and 0.995 passes it (COSINE_MIN = 0.99)
+    for cosine, failed in ((0.98, ["tangent_cosine 0.97999999999999998"]), (0.995, [])):
+        rep = BifurcationReport(mu_star_detected=1.0, mu_star_analytic=1.0, relative_gap=0.0,
+                                exchange=[], tangent_cosine=cosine, slope_sign_negative=True,
+                                audit_status="PASS", no_both_stable=True)
+        assert rep.failed_gates() == failed

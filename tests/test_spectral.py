@@ -163,6 +163,39 @@ def test_complex_pair_is_flagged():
     assert classify_value(ep.value) is StabilityFlag.MARGINAL
 
 
+def test_slowly_rotating_pair_is_flagged():
+    # eigenvalues -0.1 +/- 1e-6 i on the ARPACK path: the real part of the
+    # eigenvector alone misses the residual contract by about 1e-6, so the
+    # pair must be taken as complex however slowly it rotates
+    rotation = np.array([[-0.1, 1e-6], [-1e-6, -0.1]])
+    J = sp.block_diag([rotation, sp.diags(-np.arange(1.0, 21.0))]).tocsr()
+    ep = leading_eigenvalue(J)
+    assert ep.complex_pair
+    assert ep.value == pytest.approx(-0.1, abs=1e-12)
+    assert ep.residual <= 1e-12
+
+
+def test_sigma_zero_keeps_a_spare_pair():
+    # the value nearest 0 is -0.1 and the rightmost 0.3: a single pair
+    # (N_PAIRS = 1) at sigma = 0 would return -0.1
+    J = sp.diags(np.concatenate([[-0.1, 0.3], -np.arange(1.0, 41.0)])).tocsr()
+    ep = leading_eigenvalue(J, lu=factor(J, SingularJacobian, "test"))
+    assert ep.value == pytest.approx(0.3, abs=1e-12)
+
+
+def test_pair_off_the_residual_contract_is_refused(monkeypatch):
+    # ARPACK stubbed to return the two leading pairs of a diagonal matrix,
+    # each vector off by 1e-6 in the next entry: both residuals are 1e-6
+    n = 20
+    J = sp.diags(-np.arange(1.0, n + 1)).tocsr()
+    eye = np.eye(n)
+    vectors = eye[:, :2] + 1e-6 * eye[:, 1:3]
+    monkeypatch.setattr(spla, "eigs", lambda *args, **kwargs: (np.array([-1.0, -2.0]) + 0j,
+                                                               vectors + 0j))
+    with pytest.raises(EigenNoConvergence, match="best of 2 was 1.000e-06"):
+        leading_eigenvalue(J)
+
+
 ENRICHED = ModelParams(lam=4.0, m=2.0, c=2.0, b=1.0, mu=8.0 / 9.0)  # mu* = 8/9
 
 
@@ -266,8 +299,9 @@ def test_dense_fallback_boundary(n, arpack_calls, scipy_counters):
 
 def test_shift_invert_solve_count(geom32, monkeypatch):
     # two pairs with an 8-vector Krylov basis take 9 shift-invert solves at
-    # this point, at the Gershgorin shift and at sigma = 0 on an LU of J; six
-    # pairs with ARPACK's default basis of 13 took 45
+    # this point, one Arnoldi pass without a restart, at the Gershgorin shift
+    # and at sigma = 0 on an LU of J; six pairs with ARPACK's default basis
+    # of 13 took 45, and a basis of 6 (NCV) takes 7
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
     point, _ = solve_at_amplitude(p, geom32, 0.1, p.mu)
     J = assemble_jacobian(p.with_mu(point.mu), point.x, geom32)
@@ -286,8 +320,8 @@ def test_shift_invert_solve_count(geom32, monkeypatch):
     monkeypatch.setattr(spectral, "factor", lambda *args: CountingLU(factor(*args)))
     ep = leading_eigenvalue(J, coupled_order(geom32))
     assert ep.residual <= 1e-8
-    assert len(solves) <= 15
+    assert len(solves) == 9
     solves.clear()
     at_zero = leading_eigenvalue(J, lu=lu)
     assert at_zero.value == pytest.approx(ep.value, abs=1e-10)
-    assert len(solves) <= 15
+    assert len(solves) == 9

@@ -1,13 +1,17 @@
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from conftest import CENTER_RECT, branch_slope_analytic
+from refugia import steady
 from refugia.dynamics import TransientConfig, run_to_steady
 from refugia.errors import LinearSolveFailure, NoConvergence, SingularJacobian
 from refugia.fields import SystemState, constant_state
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
-from refugia.operators import ModelParams, assemble_jacobian, coupled_order
-from refugia.steady import NewtonConfig, newton_solve, solve_kernel_function
+from refugia.operators import ModelParams, assemble_jacobian, cell_graph, coupled_order
+from refugia.steady import NewtonConfig, bordered_newton, newton_solve, solve_kernel_function
 
 CFG = NewtonConfig()
 
@@ -96,6 +100,28 @@ def test_failed_factorization_raises_singular_jacobian(geom16, monkeypatch):
     fresh = build_geometry(GridSpec(16, 16), geom16.refuge)  # geom16's cell graph is cached
     with pytest.raises(LinearSolveFailure, match="cell graph I - lap_omega failed: Factor"):
         solve_kernel_function(p, fresh)
+
+
+def test_blown_up_update_is_a_singular_jacobian(geom16, scipy_counters):
+    # a handed LU whose solves come back 1e20 times too large: the first
+    # update is refused before any LU of J is made
+    p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=0.9)
+    x = constant_state(geom16, 0.5, 0.5).as_vector()
+    huge = SimpleNamespace(solve=lambda r: 1e20 * r)
+    with pytest.raises(SingularJacobian, match="blew up"):
+        bordered_newton(x, p.mu, np.zeros_like(x), 1.0, p.mu, p, geom16, CFG, lu=huge)
+    assert scipy_counters.splu_shapes == []
+
+
+def test_kernel_solve_is_held_to_the_backward_error_bound(geom16, monkeypatch):
+    # a solve off by 1e-9 relative, alternating in sign from cell to cell,
+    # has a backward error of about 5e-10, far above LINSOLVE_RTOL = 1e-12
+    graph = cell_graph(geom16)
+    signs = (-1.0) ** np.arange(geom16.n_omega)
+    noisy = SimpleNamespace(solve=lambda r: graph.lu.solve(r) * (1.0 + 1e-9 * signs))
+    monkeypatch.setattr(steady, "cell_graph", lambda geom: dataclasses.replace(graph, lu=noisy))
+    with pytest.raises(LinearSolveFailure, match="backward error"):
+        solve_kernel_function(ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0), geom16)
 
 
 def test_newton_at_threshold_still_finds_a_root(geom16):
