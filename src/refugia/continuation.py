@@ -77,8 +77,8 @@ class Branch:
     #: predator-free branch only: leading pairs of the u-block and of the
     #: v-block at mu = 0 (see trace_semitrivial)
     blocks: tuple[EigenPair, EigenPair] | None = None
-    #: coexistence branch only: why continue_branch stopped, "n_steps",
-    #: "amplitude_cap" or "predator_only" (see continue_branch)
+    #: coexistence branch only: why continue_branch stopped, "n_steps" or
+    #: "amplitude_cap" (see continue_branch)
     end: str | None = None
 
     def mus(self) -> np.ndarray:
@@ -256,12 +256,10 @@ def continue_branch(
     farther than MAX_STEP_RATIO*ds from the last one (the arclength hyperplane
     can cross another branch), down to ds/MIN_DS_FACTOR, after which
     ContinuationStalled is raised; it carries the branch of the points accepted
-    so far. The branch ends after n_steps steps, at a point whose amplitude
-    reaches amplitude_cap, or before a corrected point at the predator-only
-    state (mu <= CONSTRAINT_TOL and max u <= newton_cfg.tol_residual), which is
-    neither kept nor classified; a step that lands there is retried once at
-    half its ds, like a failed corrector, and the branch ends only if the retry
-    lands there too. Branch.end says which.
+    so far. A corrected point at the predator-only state (mu <= CONSTRAINT_TOL
+    and max u <= newton_cfg.tol_residual), where no eigen solve converges,
+    counts as a failed corrector. The branch ends after n_steps steps or at a
+    point whose amplitude reaches amplitude_cap; Branch.end says which.
     """
     n = geom.n_unknowns
     dx0, dmu0 = direction
@@ -279,7 +277,7 @@ def continue_branch(
         if amplitude_cap is not None and last.amplitude >= amplitude_cap:
             end = "amplitude_cap"
             break
-        ds_cur, retried = ds, False
+        ds_cur = ds
         # arclength constraint (t_x/n).(x - last.x) + t_mu*(mu - last.mu) = ds
         row_x = t_x / n
         at_last = float(row_x @ last.x) + t_mu * last.mu
@@ -295,8 +293,7 @@ def continue_branch(
                     raise NoConvergence(f"corrected point lies {sec_nrm / ds_cur:.3g} steps away")
                 at_end = (mu_new <= CONSTRAINT_TOL  # u = 0 at mu = 0, the predator-only state
                           and split(x_new, geom)[0].max() <= newton_cfg.tol_residual)
-                if at_end and not retried:
-                    retried = True
+                if at_end:
                     raise NoConvergence("corrected point at the predator-only state")
                 break
             except NoConvergence as exc:
@@ -307,9 +304,6 @@ def continue_branch(
                         f"after {len(points) - 1} accepted steps, the last at mu = {last.mu:.6g}",
                         Branch(BranchLabel.NONTRIVIAL, points),
                     ) from exc
-        if at_end:
-            end = "predator_only"
-            break
         point, lu = _point_from_state(x_new, mu_new, last.s + ds_cur, params, geom, history, last)
         points.append(point)
         t_x, t_mu = sec_x / sec_nrm, sec_mu / sec_nrm

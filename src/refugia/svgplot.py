@@ -31,8 +31,6 @@ _STYLE = {
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from refugia import cli
 from refugia.config import _KEYS, KINDS, RANGE_KINDS, REFUGE_KINDS, parse_config
-from refugia.errors import ValidationError
+from refugia.errors import ParseError, ValidationError
 from refugia.geometry import GridSpec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -95,6 +95,39 @@ def test_cli_reports_bad_refuge_size_without_traceback(tmp_path, capsys):
 def test_non_finite_and_out_of_range_values_rejected(key, value):
     text, lineno = _text(key, value)
     _assert_rejected_on_line(text, key, lineno)
+
+
+VERIFY = {**{k: v for k, v in RECT_STEADY.items() if k != "params.mu"},
+          "experiment.kind": "verify", "params.mu_min": "0.8", "params.mu_max": "1.2",
+          "params.mu_points": "9"}
+
+
+@pytest.mark.parametrize("base,edits,key,error,message", [
+    (RECT_STEADY, {"params.r": ""}, "params.r", ParseError, "empty key or value"),
+    (RECT_STEADY, {"params.c": None}, None, ValidationError, "missing required key 'params.c'"),
+    (RECT_STEADY, {"geometry.refuge.half_width_y": None}, None, ValidationError,
+     "geometry.refuge.half_width_y required for geometry.refuge.kind = rectangle"),
+    (RECT_STEADY, {"geometry.refuge.radius": "0.1"}, "geometry.refuge.radius", ValidationError,
+     "geometry.refuge.radius does not apply to geometry.refuge.kind = rectangle"),
+    (RECT_STEADY, {"experiment.kind": "sweep"}, "experiment.kind", ValidationError,
+     f"experiment.kind must be one of {KINDS}"),
+    (RECT_STEADY, {"geometry.refuge.kind": "triangle"}, "geometry.refuge.kind", ValidationError,
+     f"geometry.refuge.kind must be one of {REFUGE_KINDS}"),
+    (VERIFY, {"params.mu_max": "0.8"}, "params.mu_max", ValidationError,
+     "params.mu_max must exceed params.mu_min"),
+    (RECT_STEADY, {"solver.continuation.s0": "0.2"}, "solver.continuation.s0", ValidationError,
+     "solver.continuation.s0 must be <= 0.1*params.lambda = 0.1"),
+], ids=["empty-value", "missing-key", "required-for", "does-not-apply", "unknown-kind",
+        "unknown-refuge", "empty-mu-range", "large-s0"])
+def test_each_rule_reports_its_message_and_line(base, edits, key, error, message):
+    # edits sets keys (appending new ones) or, with None, drops them; the one
+    # reported problem names key's line, or line 0 when key is None
+    cfg = {k: v for k, v in {**base, **edits}.items() if v is not None}
+    text = "".join(f"{k} = {v}\n" for k, v in cfg.items())
+    with pytest.raises(error) as err:
+        parse_config(text)
+    lineno = 0 if key is None else 1 + list(cfg).index(key)
+    assert err.value.issues == [(lineno, message)]
 
 
 def _refuge_outside_habitat() -> tuple[str, int]:

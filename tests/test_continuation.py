@@ -146,6 +146,20 @@ def test_detect_no_crossing(params, geom16):
         detect_transcritical(branch)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda p, g, start: trace_semitrivial(p, (0.0, 1.0), 3, g), "mu_range"),
+    (lambda p, g, start: trace_semitrivial(p, (1.0, 1.0), 3, g), "mu_range"),
+    (lambda p, g, start: trace_semitrivial(p, (0.8, 1.2), 0, g), "n_points"),
+    (lambda p, g, start: detect_transcritical(Branch(BranchLabel.NONTRIVIAL, [start])),
+     "trace_semitrivial"),
+    (lambda p, g, start: continue_branch(start, (np.zeros(g.n_unknowns), 0.0), 1, 0.02, p, g),
+     "direction must be nonzero"),
+], ids=["mu-range", "one-mu-several-points", "no-points", "coexistence-branch", "zero-direction"])
+def test_continuation_rejects_bad_arguments(call, message, params, geom32, switch_point):
+    with pytest.raises(ValueError, match=message):
+        call(params, geom32, switch_point)
+
+
 def test_branch_switch_amplitude_tracks_s0(switch_point, mu_star):
     assert switch_point.amplitude == pytest.approx(0.05, rel=0.2)
     assert switch_point.mu < mu_star
@@ -605,23 +619,40 @@ def test_branch_run_to_mu_zero_keeps_its_leading_eigenvalue():
         assert point.gamma == pytest.approx(np.linalg.eigvals(J.toarray()).real.max(), abs=1e-8)
 
 
-def test_a_step_onto_the_predator_only_state_is_retried_at_half_ds():
-    # an enriched branch without a refuge: after mu = 0.0400 a halved step
-    # lands on u = 0 at mu = 0, above the Hopf point mu_H = 0.0383; retried
-    # at half that step it stays on the branch, which goes on below mu_H
-    lam, m_lam, c, b = 1.0, 1.203125, 0.5, 1.0
-    m = m_lam / lam
-    p = ModelParams(lam=lam, m=m, c=c, b=b, mu=c * lam / (1.0 + m_lam))
+#: an enriched case without a refuge (m*lam = 1.203125) on 16x10
+WALK = ModelParams(lam=1.0, m=1.203125, c=0.5, b=1.0, mu=0.5 / (1.0 + 1.203125))
+
+
+def _walk_to_mu_zero(step: float) -> Branch:
+    """WALK's branch from its points at a quarter and half of the
+    constant-mode fold, continued over 8 steps of step times the fold's
+    amplitude: past the Hopf point and towards the branch's end at mu = 0."""
+    p = WALK
     geom = build_geometry(GridSpec(16, 10, lx=1.6), RefugeShape.empty())
-    top = m * (lam + 1.0 / m) ** 2 / (4.0 * b)  # the constant-mode fold
+    top = p.m * (p.lam + 1.0 / p.m) ** 2 / (4.0 * p.b)  # the constant-mode fold
     first, _ = solve_at_amplitude(p, geom, 0.25 * top, p.mu)
     second, _ = solve_at_amplitude(p, geom, 0.5 * top, first.mu, x_guess=first.x)
     direction = (second.x - first.x, second.mu - first.mu)
-    branch = continue_branch(second, direction, 8, 0.15 * top, p, geom)
-    u_hopf = 0.5 * (lam - 1.0 / m)
-    mu_hopf = c * u_hopf / (1.0 + m * u_hopf)
-    assert branch.end != "predator_only"
+    return continue_branch(second, direction, 8, step * top, p, geom)
+
+
+def test_a_step_onto_the_predator_only_state_is_retried_at_half_ds():
+    # after mu = 0.0400 a halved step lands on u = 0 at mu = 0, above the
+    # Hopf point mu_H = 0.0383; retried at half that step it stays on the
+    # branch, which goes on below mu_H
+    branch = _walk_to_mu_zero(0.15)
+    u_hopf = 0.5 * (WALK.lam - 1.0 / WALK.m)
+    mu_hopf = WALK.c * u_hopf / (1.0 + WALK.m * u_hopf)
+    assert branch.end == "n_steps"
     assert branch.points[-1].mu < mu_hopf
+
+
+@pytest.mark.xfail(strict=True, raises=ContinuationStalled,
+                   reason="the corrector stalls as u -> 0 near mu = 0 (ROADMAP item 7)")
+def test_a_walk_to_mu_zero_does_not_stall():
+    # steps of half the fold: two are accepted, the second at mu = 2.9e-12,
+    # and every step after it fails, down to ds/64
+    assert len(_walk_to_mu_zero(0.5).points) == 9
 
 
 @pytest.fixture

@@ -353,6 +353,14 @@ def test_stale_history_is_harmless(scipy_counters):
     assert np.max(np.abs(again - first)) <= 1e-12
 
 
+def test_failed_cg_is_a_linear_solve_failure(geom16, monkeypatch):
+    # CG stubbed to report a breakdown on the first prey solve
+    monkeypatch.setattr(spla, "cg", lambda A, b, **kwargs: (np.zeros_like(b), -10))
+    x = constant_state(geom16, 0.5, 0.5).as_vector()
+    with pytest.raises(LinearSolveFailure, match="info=-10"):
+        run_to_steady(x, COEXIST, COEXIST_RUN, geom16)
+
+
 def test_rejected_step_is_retried_one_level_down(geom16, monkeypatch):
     """Predators far above their coexistence density: the first step of 32*dt
     overshoots into negative prey, so the ladder caps itself below that level

@@ -53,6 +53,18 @@ def test_degenerate_grid_rejected():
         GridSpec(16, 16, lx=0.0)
 
 
+@pytest.mark.parametrize("kind,shape,message", [
+    ("triangle", {}, "refuge kind must be one of"),
+    ("rectangle", {"center": (0.5, 0.5)}, "needs center and half_width"),
+    ("disc", {"center": (0.5, 0.5)}, "needs center and radius"),
+    ("rectangle", {"center": (0.5, 0.5), "half_width": (0.1, 0.0)}, "half widths must be positive"),
+    ("disc", {"center": (0.5, 0.5), "radius": -0.1}, "radius must be positive"),
+])
+def test_refuge_shape_rejects_bad_arguments(kind, shape, message):
+    with pytest.raises(ValueError, match=message):
+        RefugeShape(kind, **shape)
+
+
 @pytest.mark.parametrize(
     "refuge",
     [

@@ -510,6 +510,15 @@ def test_output_dir_lock(tmp_path):
     assert (tmp_path / LOCK_NAME).read_text() == str(os.getpid())
 
 
+def test_unreadable_output_dir_lock_counts_as_live(tmp_path):
+    # a lock whose content is no PID may belong to a live run: never taken over
+    cfg = parse_config(MINIMAL + "geometry.nx = 16\ngeometry.ny = 16\n")
+    (tmp_path / LOCK_NAME).write_text("not-a-pid")
+    with pytest.raises(OutputDirLocked):
+        run_experiment(cfg, out_dir=tmp_path)
+    assert (tmp_path / LOCK_NAME).read_text() == "not-a-pid"
+
+
 def test_stale_output_dir_lock_is_taken_over(tmp_path):
     # a lock left by a dead run (the PID of an already reaped child) is stale
     child = subprocess.Popen([sys.executable, "-c", "pass"])

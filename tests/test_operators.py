@@ -121,6 +121,16 @@ def test_tiny_negative_clamped(geom16):
     assert clamp_nonnegative(np.array([-5e-13, 1.0]), "prey").tolist() == [0.0, 1.0]
 
 
+@pytest.mark.parametrize("name,value,message", [
+    ("lam", 0.0, "lam must be positive"),
+    ("r", -1.0, "r must be nonnegative"),
+    ("d_v", 0.0, "diffusivities must be positive"),
+])
+def test_model_params_reject_bad_values(name, value, message):
+    with pytest.raises(ValueError, match=message):
+        ModelParams(**{"lam": 1.0, "m": 1.0, "c": 2.0, "b": 1.0, "mu": 1.0, name: value})
+
+
 def test_nonlinear_diffusion_requires_prey_region(geom16):
     v = np.ones(geom16.n_omega1)
     with pytest.raises(RegionMismatch):

@@ -238,10 +238,10 @@ def test_branch_point_leading_eigenvalue_matches_dense(refuge, lam, m_lam, c, b,
         assert point.gamma == pytest.approx(lead.real, abs=1e-8)
         assert point.eigen_residual <= 1e-8
         assert point.complex_pair == (abs(lead.imag) > 1e-10)
-    if refuge == "none":  # the walk reaches past the Hopf point, or ends at u = 0
+    if refuge == "none":  # the walk reaches past the Hopf point
         u_hopf = 0.5 * (lam - 1.0 / m)
         mu_hopf = c * u_hopf / (1.0 + m * u_hopf)
-        assert branch.end == "predator_only" or branch.points[-1].mu < mu_hopf
+        assert branch.points[-1].mu < mu_hopf
 
 
 def _error_names(cls=RefugiaError) -> set[str]:

@@ -113,6 +113,37 @@ def test_blown_up_update_is_a_singular_jacobian(geom16, scipy_counters):
     assert scipy_counters.splu_shapes == []
 
 
+def test_singular_schur_scalar_is_no_convergence(geom16):
+    # a constraint row of zeros on x and on mu: the bordered matrix is
+    # singular, its Schur scalar row_mu - row_x.J^-1 f_mu exactly 0
+    p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=0.9)
+    x = constant_state(geom16, 1.0, 0.1).as_vector()
+    with pytest.raises(NoConvergence, match="Schur scalar 0.000e\\+00 is singular"):
+        bordered_newton(x, p.mu, np.zeros_like(x), 0.0, 0.0, p, geom16, CFG)
+
+
+def test_a_constraint_the_clamp_keeps_unmet_is_not_converged(geom16):
+    # the amplitude pinned at -1e-8 from a start at +1e-8 across the
+    # bifurcation (mu* = 1): the update lands on the branch's mirror image,
+    # whose predator density is negative, and the clamp zeroes it. There the
+    # residual, 5e-9, meets tol_residual, but the constraint misses by 1e-8,
+    # so that point is not returned; the next update finds no mu direction
+    p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
+    base = constant_state(geom16, 1.0, 0.0).as_vector()
+    x = base + 1e-8 * solve_kernel_function(p, geom16).direction(geom16)
+    n1 = geom16.n_omega1
+    row_x = np.concatenate([np.zeros(geom16.n_omega), np.full(n1, 1.0 / n1)])
+    with pytest.raises(NoConvergence, match="Schur scalar"):
+        bordered_newton(x, 1.0, row_x, 0.0, -1e-8, p, geom16, NewtonConfig(tol_residual=1e-7))
+
+
+@pytest.mark.parametrize("bad,message", [({"tol_residual": 0.0}, "tol_residual must be positive"),
+                                         ({"max_iter": 1}, "max_iter must be >= 2")])
+def test_newton_config_rejects_bad_values(bad, message):
+    with pytest.raises(ValueError, match=message):
+        NewtonConfig(**bad)
+
+
 def test_kernel_solve_is_held_to_the_backward_error_bound(geom16, monkeypatch):
     # a solve off by 1e-9 relative, alternating in sign from cell to cell,
     # has a backward error of about 5e-10, far above LINSOLVE_RTOL = 1e-12

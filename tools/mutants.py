@@ -69,7 +69,7 @@ MUTANTS = [
     _m("ds-floor", "continuation",
        "if not ds / MIN_DS_FACTOR >", "if False and ds / MIN_DS_FACTOR >",
        "tests/test_continuation.py::test_continue_branch_rejects_a_step_at_the_constraint_tolerance"),
-    _m("predator-only-retry", "continuation", "if at_end and not retried:", "if False:",
+    _m("predator-only-retry", "continuation", "if at_end:", "if False:",
        "tests/test_continuation.py::test_a_step_onto_the_predator_only_state_is_retried_at_half_ds"),
     # dynamics
     _m("REJECT_BELOW", "dynamics", "REJECT_BELOW = -1e-8", "REJECT_BELOW = -1e-2",
@@ -103,7 +103,7 @@ MUTANTS = [
        "tests/test_spectral.py::test_pair_off_the_residual_contract_is_refused"),
     _m("N_PAIRS", "spectral", "N_PAIRS = 2", "N_PAIRS = 1",
        "tests/test_spectral.py::test_sigma_zero_keeps_a_spare_pair"),
-    _m("NCV", "spectral", "NCV = 8", "NCV = 6",
+    _m("NCV", "spectral", "NCV = 6", "NCV = 8",
        "tests/test_spectral.py::test_shift_invert_solve_count"),
     _m("EIGS_TOL", "spectral", "EIGS_TOL = 1e-12", "EIGS_TOL = 1e-4",
        "tests/test_continuation.py::test_stalled_continuation_carries_its_accepted_points"),
@@ -118,6 +118,10 @@ MUTANTS = [
        "tests/test_steady.py::test_kernel_solve_is_held_to_the_backward_error_bound"),
     _m("CONSTRAINT_TOL", "steady", "CONSTRAINT_TOL = 1e-12", "CONSTRAINT_TOL = 1e-6",
        "tests/test_continuation.py::test_continue_branch_rejects_a_step_at_the_constraint_tolerance"),
+    _m("constraint-tol-in-newton", "steady",
+       "con_tol = CONSTRAINT_TOL * max(1.0, abs(target))",
+       "con_tol = 1e-6 * max(1.0, abs(target))",
+       "tests/test_steady.py::test_a_constraint_the_clamp_keeps_unmet_is_not_converged"),
     _m("CHORD_CONTRACTION", "steady", "CHORD_CONTRACTION = 0.1", "CHORD_CONTRACTION = 0.9",
        "tests/test_continuation.py::test_stalled_continuation_carries_its_accepted_points"),
     _m("mu-guard", "steady", "if not mu >= 0.0:", "if False:",
