@@ -137,8 +137,7 @@ class _ImplicitSolver:
         if self.history:
             X, B = (np.column_stack(cols) for cols in zip(*self.history))
             x0 = X @ np.linalg.lstsq(B, b, rcond=None)[0]
-        du, info = spla.cg(M_u, b, x0=x0, rtol=0.0,
-                           atol=CG_RTOL * np.linalg.norm(u), maxiter=20 * n,
+        du, info = spla.cg(M_u, b, x0=x0, rtol=0.0, atol=CG_RTOL * np.linalg.norm(u),
                            M=self.precond_u, callback=count)
         if info != 0:
             raise LinearSolveFailure(f"CG for prey update returned info={info}")

@@ -179,6 +179,18 @@ def test_branch_switch_falls_back_for_tiny_s0(mu_star, params, geom32):
     assert np.allclose(lu.solve(J @ r), r, rtol=0.0, atol=1e-10)
 
 
+def test_branch_switch_keeps_a_point_between_the_collapse_bounds(mu_star, params, geom32,
+                                                                 scipy_counters):
+    # at s0 = 0.1 the fixed-mu Newton lands on the branch at amplitude 0.042,
+    # between s0/10, below which it counts as collapsed, and s0/2: the switch
+    # keeps that point, and costs the Newton's 4 LUs and the point's one,
+    # where the amplitude-pinned fallback would add its own
+    point, _ = branch_switch(mu_star, params, geom32, s0=0.1)
+    assert 0.01 < point.amplitude < 0.05
+    assert point.mu == pytest.approx(0.99 * mu_star, rel=1e-15)
+    assert scipy_counters.splu_shapes.count((geom32.n_unknowns,) * 2) == 5
+
+
 def test_branch_switch_survives_a_flat_branch():
     # with lam = 4, m = 2 the branch is flat in mu, and the Newton at the
     # fixed mu* - 0.01*mu* lands on the predator-free state for every s0

@@ -407,6 +407,16 @@ def test_run_ends_on_the_horizon():
     assert out.history[-1, 0] == out.t_final
 
 
+def test_a_horizon_that_rounds_below_its_step_count_is_reached():
+    """0.3 / 0.1 evaluates to 2.9999999999999996: the run still takes its
+    three base steps and ends at t = 0.3."""
+    geom = build_geometry(GridSpec(12, 12), CENTER_RECT)
+    cfg = TransientConfig(dt=0.1, t_end=0.3, steady_tol=1e-300)
+    out = run_to_steady(constant_state(geom, 1.0, 0.05).as_vector(), COEXIST, cfg, geom)
+    assert _base_steps(out, cfg.dt).sum() == 3
+    assert out.t_final == pytest.approx(0.3, rel=1e-15)
+
+
 def test_slow_prey_solve_refactors_the_preconditioner(geom16, scipy_counters, monkeypatch):
     """With a zero iteration budget every solve is slow, so every next step refactors."""
     monkeypatch.setattr(dynamics, "REFACTOR_ITERS", 0)

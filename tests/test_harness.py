@@ -475,6 +475,12 @@ def test_simulate_run(tmp_path):
     lines = (tmp_path / "timeseries.csv").read_text().splitlines()
     assert lines[0] == "t,u_inf,v_inf,dudt_inf,dvdt_inf"
     assert len(lines) > 2
+    # the start: prey at lam and predators at 0.05*lam, each within 1% noise
+    t0, u_inf, v_inf = (float(x) for x in lines[1].split(",")[:3])
+    lam = cfg.params.lam
+    assert t0 == 0.0
+    assert lam < u_inf <= 1.01 * lam
+    assert 0.05 * lam < v_inf <= 0.0505 * lam
 
 
 def test_unconverged_simulate_fails_with_its_own_error(tmp_path):

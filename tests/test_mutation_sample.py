@@ -1,7 +1,8 @@
 """The mutation sample in tools/mutants.py stays in step with src: each entry's
-text to edit occurs exactly once in its file, every solver constant is
-sampled, and every entry names a killing test that exists or says why it is
-equivalent. Running the sample itself is the script's job, not tier-1's."""
+text to edit occurs exactly once in its file, every solver constant and every
+inline number that steers a run is sampled, and every entry names a killing
+test that exists or says why it is equivalent. Running the sample itself is
+the script's job, not tier-1's."""
 
 import ast
 import importlib.util
@@ -12,6 +13,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOLVER_MODULES = ("continuation", "dynamics", "operators", "report", "spectral", "steady")
+#: modules whose every inline number is sampled, and the classes elsewhere
+#: whose field defaults are
+INLINE_MODULES = ("continuation", "dynamics", "report", "runner", "spectral", "steady")
+DEFAULTS_CLASSES = {"config": ("ContinuationSettings",)}
 
 
 def _load_sample():
@@ -56,3 +61,38 @@ def test_every_mutant_names_its_killer_or_why_it_is_equivalent():
         if m.killer is not None:
             file, test = m.killer.split("::")
             assert f"\ndef {test}(" in (ROOT / file).read_text(encoding="utf-8"), m.killer
+
+
+def _numbers(tree: ast.AST):
+    """The numeric literals under tree, other than 0, 1 and 2 (indices, the
+    predator-free state's zeros, unit rows and squares, the ladder's base)."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+                and node.value not in (0, 1, 2)):
+            yield node
+
+
+def test_every_inline_number_is_sampled():
+    # each literal lies inside the text that some entry of its file edits
+    sampled = 0
+    for module in INLINE_MODULES + tuple(DEFAULTS_CLASSES):
+        path = Path("src") / "refugia" / f"{module}.py"
+        data = (ROOT / path).read_bytes()
+        tree = ast.parse(data)
+        if module in DEFAULTS_CLASSES:
+            tree = ast.Module([node for node in tree.body if isinstance(node, ast.ClassDef)
+                               and node.name in DEFAULTS_CLASSES[module]], [])
+        line_start = [0]
+        for line in data.splitlines(keepends=True):
+            line_start.append(line_start[-1] + len(line))
+        spans = []
+        for m in SAMPLE.MUTANTS:
+            if m.file == str(path):
+                start = data.index(m.old.encode())
+                spans.append((start, start + len(m.old.encode())))
+        for node in _numbers(tree):
+            offset = line_start[node.lineno - 1] + node.col_offset
+            assert any(lo <= offset < hi for lo, hi in spans), (
+                f"{path}:{node.lineno}: {node.value!r} is in no mutant's text")
+            sampled += 1
+    assert sampled == 43

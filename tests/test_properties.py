@@ -212,26 +212,36 @@ SWEEP_REFUGES = {
     st.floats(0.5, 0.9),
 )
 @example("none", 1.0, 1.203125, 0.5, 1.0, 0.5)  # a step lands on u = 0; its halved retry does not
+@example("none", 1.0, 1.5, 2.0, 2.0, 0.5)  # 8 steps end at mu = 0.2888, above mu_H = 0.2667
 def test_branch_point_leading_eigenvalue_matches_dense(refuge, lam, m_lam, c, b, reach):
     # a branch point's eigen solve runs at sigma = 0 on its LU of J, which
     # returns the pairs nearest 0 rather than the rightmost. Walk an enriched
     # branch: two amplitude-pinned points up to `reach` of the constant-mode
     # fold, then continuation past the fold, where the leading pair turns
     # complex and crosses into the right half-plane (without a refuge the
-    # Hopf point is the fold itself) and, as u falls towards 0, real prey
+    # Hopf point is the fold itself, and the walk goes on, 4 steps at a time
+    # up to 16, until it is past it) and, as u falls towards 0, real prey
     # modes with vanishing diffusion crowd in near 0
     geom = build_geometry(SWEEP_GRID, SWEEP_REFUGES[refuge])
     m = m_lam / lam
     params = ModelParams(lam=lam, m=m, c=c, b=b, mu=c * lam / (1.0 + m_lam))
     top = m * (lam + 1.0 / m) ** 2 / (4.0 * b)
+    u_hopf = 0.5 * (lam - 1.0 / m)
+    mu_hopf = c * u_hopf / (1.0 + m * u_hopf)
     first, _ = solve_at_amplitude(params, geom, 0.5 * reach * top, params.mu)
     second, _ = solve_at_amplitude(params, geom, reach * top, first.mu, x_guess=first.x)
-    direction = (second.x - first.x, second.mu - first.mu)
-    try:
-        branch = continue_branch(second, direction, 8, 0.15 * top, params, geom)
-    except ContinuationStalled as exc:  # the branch ran into mu = 0: keep its points
-        branch = exc.branch
-    for point in [first, *branch.points]:
+    walk = [first, second]
+    for n_steps in (8, 4, 4):
+        start = walk[-1]
+        direction = (start.x - walk[-2].x, start.mu - walk[-2].mu)
+        try:
+            branch = continue_branch(start, direction, n_steps, 0.15 * top, params, geom)
+        except ContinuationStalled as exc:  # the branch ran into mu = 0: keep its points
+            branch = exc.branch
+        walk += branch.points[1:]
+        if refuge != "none" or walk[-1].mu < mu_hopf or branch.end is None:  # None: stalled
+            break
+    for point in walk:
         J = assemble_jacobian(params.with_mu(point.mu), point.x, geom)
         dense = np.linalg.eigvals(J.toarray())
         lead = dense[np.argmax(dense.real)]
@@ -239,8 +249,6 @@ def test_branch_point_leading_eigenvalue_matches_dense(refuge, lam, m_lam, c, b,
         assert point.eigen_residual <= 1e-8
         assert point.complex_pair == (abs(lead.imag) > 1e-10)
     if refuge == "none":  # the walk reaches past the Hopf point
-        u_hopf = 0.5 * (lam - 1.0 / m)
-        mu_hopf = c * u_hopf / (1.0 + m * u_hopf)
         assert branch.points[-1].mu < mu_hopf
 
 

@@ -54,6 +54,18 @@ def test_report_ratios_decrease_with_amplitude(pipeline):
     assert ratios == sorted(ratios)  # first-order error ratio shrinks with s
 
 
+def test_report_windows(pipeline):
+    # the tangent and intersection lines read the three smallest-amplitude
+    # points, and the slope sign the first ten points by arclength
+    params, geom, semi, mu_star, branch = pipeline
+    assert len(branch.points) >= 11
+    text = build_report(semi, branch, mu_star, params, geom).to_text()
+    for name in ("tangent_ratio", "intersection"):
+        assert [line.split(" = ")[0] for line in text.splitlines()
+                if line.startswith(name + ".")] == [f"{name}.{i}" for i in range(3)]
+    assert "\nmu_strictly_decreasing_points = 9\n" in text
+
+
 def test_report_without_nontrivial_branch(pipeline):
     params, geom, semi, mu_star, _ = pipeline
     rep = build_report(semi, None, mu_star, params, geom)

@@ -30,6 +30,19 @@ def test_newton_keeps_origin(geom32):
     assert np.max(np.abs(out.state.as_vector())) == 0.0
 
 
+@pytest.mark.parametrize("mu", [0.9, 1.1])
+def test_constant_start_lands_on_the_predator_free_state(geom16, mu):
+    # the steady run starts from the constant (lam, 0.05*lam); from any
+    # constant predator level, on either side of mu* = 1, Newton lands on
+    # (lam, 0) in two iterations, so that level decides no state
+    p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=mu)
+    free = constant_state(geom16, 1.0, 0.0).as_vector()
+    for level in (0.05, 0.5, 1.0):
+        out = newton_solve(constant_state(geom16, 1.0, level), p, CFG, geom16)
+        assert out.iterations == 2
+        assert np.max(np.abs(out.state.as_vector() - free)) <= CFG.tol_residual
+
+
 def test_newton_coexistence_matches_transient(geom32):
     # the coexistence branch sits at amplitude ~0.35 at mu = 0.9, so the
     # tangent offset must be of that size to land in its Newton basin
@@ -146,13 +159,16 @@ def test_newton_config_rejects_bad_values(bad, message):
 
 def test_kernel_solve_is_held_to_the_backward_error_bound(geom16, monkeypatch):
     # a solve off by 1e-9 relative, alternating in sign from cell to cell,
-    # has a backward error of about 5e-10, far above LINSOLVE_RTOL = 1e-12
+    # has a backward error of about 5e-10, far above LINSOLVE_RTOL = 1e-12;
+    # the error is relative, so it reads the same at b = 1e-9, where its
+    # scale ||A||*||alpha|| + ||rhs|| is 9.6e-7 and its residual 4.8e-16
     graph = cell_graph(geom16)
     signs = (-1.0) ** np.arange(geom16.n_omega)
     noisy = SimpleNamespace(solve=lambda r: graph.lu.solve(r) * (1.0 + 1e-9 * signs))
     monkeypatch.setattr(steady, "cell_graph", lambda geom: dataclasses.replace(graph, lu=noisy))
-    with pytest.raises(LinearSolveFailure, match="backward error"):
-        solve_kernel_function(ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0), geom16)
+    for b in (1.0, 1e-9):
+        with pytest.raises(LinearSolveFailure, match="backward error"):
+            solve_kernel_function(ModelParams(lam=1.0, m=1.0, c=2.0, b=b, mu=1.0), geom16)
 
 
 def test_newton_at_threshold_still_finds_a_root(geom16):
