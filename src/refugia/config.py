@@ -79,15 +79,11 @@ _KEYS = (
     ("params.mu_min", float, None, _POSITIVE),
     ("params.mu_max", float, None, None),
     ("params.mu_points", int, None, (">=", 2)),
-    ("params.d_u", float, ModelParams.d_u, _POSITIVE),
-    ("params.d_v", float, ModelParams.d_v, _POSITIVE),
-    ("params.r", float, ModelParams.r, _POSITIVE),
     ("solver.newton.tol_residual", float, NewtonConfig.tol_residual, _POSITIVE),
     ("solver.newton.max_iter", int, NewtonConfig.max_iter, (">=", 2)),
     ("solver.transient.dt", float, TransientConfig.dt, _POSITIVE),
     ("solver.transient.t_end", float, TransientConfig.t_end, _POSITIVE),
     ("solver.transient.steady_tol", float, TransientConfig.steady_tol, _POSITIVE),
-    ("solver.transient.max_steps", int, TransientConfig.max_steps, (">=", 1)),
     ("solver.continuation.ds", float, ContinuationSettings.ds, _POSITIVE),
     ("solver.continuation.n_steps", int, ContinuationSettings.n_steps, (">=", 1)),
     ("solver.continuation.s0", float, ContinuationSettings.s0, _POSITIVE),
@@ -233,13 +229,11 @@ def parse_config(text: str, kind_override: str | None = None) -> RunConfig:
         grid=grid,
         refuge=refuge,
         params=ModelParams(v["params.lambda"], v["params.m"], v["params.c"], v["params.b"],
-                           mu if mu is not None else mu_min,
-                           v["params.d_u"], v["params.d_v"], v["params.r"]),
+                           mu if mu is not None else mu_min),
         mu_range=(mu_min, mu_max, v["params.mu_points"]) if kind in RANGE_KINDS else None,
         newton=NewtonConfig(v["solver.newton.tol_residual"], v["solver.newton.max_iter"]),
         transient=TransientConfig(v["solver.transient.dt"], v["solver.transient.t_end"],
-                                  v["solver.transient.steady_tol"],
-                                  v["solver.transient.max_steps"]),
+                                  v["solver.transient.steady_tol"]),
         continuation=ContinuationSettings(v["solver.continuation.ds"],
                                           v["solver.continuation.n_steps"],
                                           v["solver.continuation.s0"],

@@ -6,9 +6,11 @@ reactions explicitly. Time accuracy is deliberately first order: only the
 attractor is consumed, as independent evidence for the stability assignments
 made by the eigenvalue machinery.
 
-Steps are taken in increment (delta) form over the one right-hand side
-F = rhs_transient(x) per state x = [u; v], which also gives the rate history:
-u_new = u + (I - dt*d_u*A(u))^-1 (dt*F_u), v_new = v + (I - dt*d_v*L)^-1 (dt*F_v).
+The transient system is x' = F(x) with F = residual_steady, the steady
+residual, so a converged run ends on a steady state. Steps are taken in
+increment (delta) form over the one rate F(x) per state x = [u; v], which also
+gives the rate history:
+u_new = u + (I - dt*A(u))^-1 (dt*F_u), v_new = v + (I - dt*L)^-1 (dt*F_v).
 As A(u)*u = div(u grad u) on the grid, this is the frozen-coefficient step.
 Its fixed points are the steady states for every dt, so a run grows its step
 toward the attractor (pseudo-transient continuation, after the switched
@@ -52,7 +54,7 @@ import scipy.sparse.linalg as spla
 from .errors import LinearSolveFailure, StepRejected
 from .geometry import DomainGeometry
 from .operators import (ModelParams, clamp_nonnegative, factor, frozen_diffusion,
-                        frozen_diffusion_matrix, rhs_transient, split)
+                        frozen_diffusion_matrix, residual_steady, split)
 
 #: post-solve values below this reject the step (dt too large)
 REJECT_BELOW = -1e-8
@@ -75,15 +77,12 @@ class TransientConfig:
     dt: float = 0.1
     t_end: float = 400.0
     steady_tol: float = 1e-7  # inf-norm of (du/dt, dv/dt) declaring convergence
-    max_steps: int = 100_000
 
     def __post_init__(self):
         for name in ("dt", "t_end", "steady_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps!r}")
 
 
 @dataclass
@@ -96,43 +95,43 @@ class TransientResult:
 
 
 class _ImplicitSolver:
-    """Implicit solves of IMEX steps with one (geom, params, dt): the predator
-    LU, and the prey solve with its lagged-LU preconditioner."""
+    """Implicit solves of IMEX steps with one (geom, dt): the predator LU, and
+    the prey solve with its lagged-LU preconditioner."""
 
-    def __init__(self, geom: DomainGeometry, params: ModelParams, dt: float):
+    def __init__(self, geom: DomainGeometry, dt: float):
         self.geom = geom
         self.dt = dt
-        self.prey_scale = dt * params.d_u
         eye = sp.identity(geom.n_omega1, format="csc")
-        self.lu_v = factor(eye - (dt * params.d_v) * geom.lap_omega1, LinearSolveFailure,
+        self.lu_v = factor(eye - dt * geom.lap_omega1, LinearSolveFailure,
                            "LU of the predator matrix failed")
         self.precond_u = None  # solve with the LU of a lagged prey matrix, built on first use
         self.history = deque(maxlen=HISTORY)  # (du, dt*rate_u) of the latest prey solves
 
     def advance(self, x: np.ndarray, rate: np.ndarray) -> np.ndarray:
-        """The step from x = [u; v] driven by its rates [rate_u; rate_v] = rhs_transient(x).
+        """The step from x = [u; v] driven by the rates [rate_u; rate_v], residual_steady(x)
+        in a run.
 
-        The prey increment solves (I - dt*d_u*A(u)) du = b = dt*rate_u by CG to an
+        The prey increment solves (I - dt*A(u)) du = b = dt*rate_u by CG to an
         unpreconditioned residual of CG_RTOL*||u||_2, started from X c: the
         columns of X and B are the increments and right-hand sides of the last
         HISTORY solves, and c minimises ||B c - b||_2 (zero before the first
         solve). A start that already meets the tolerance takes no iteration.
         """
         (u, v), (rate_u, rate_v) = split(x, self.geom), split(rate, self.geom)
-        n, s = u.size, self.prey_scale
+        n, dt = u.size, self.dt
         if self.precond_u is None:
-            lagged = sp.identity(n, format="csr") - s * frozen_diffusion_matrix(u, self.geom)
+            lagged = sp.identity(n, format="csr") - dt * frozen_diffusion_matrix(u, self.geom)
             lu = factor(lagged, LinearSolveFailure, "LU of the prey matrix failed")
             self.precond_u = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
         A_u = frozen_diffusion(u, self.geom)
-        M_u = spla.LinearOperator((n, n), matvec=lambda x: x - s * A_u(x), dtype=float)
+        M_u = spla.LinearOperator((n, n), matvec=lambda x: x - dt * A_u(x), dtype=float)
         iters = 0
 
         def count(_):
             nonlocal iters
             iters += 1
 
-        b = self.dt * rate_u
+        b = dt * rate_u
         x0 = None
         if self.history:
             X, B = (np.column_stack(cols) for cols in zip(*self.history))
@@ -144,7 +143,7 @@ class _ImplicitSolver:
         self.history.append((du, b))
         if iters > REFACTOR_ITERS:
             self.precond_u = None
-        dv = self.lu_v.solve(self.dt * rate_v)
+        dv = self.lu_v.solve(dt * rate_v)
         return np.concatenate([clamp_nonnegative(u + du, "prey", REJECT_BELOW, StepRejected),
                                clamp_nonnegative(v + dv, "predator", REJECT_BELOW, StepRejected)])
 
@@ -158,11 +157,12 @@ def run_to_steady(
     """Step from x = [u; v] until the instantaneous rates drop below
     steady_tol, on the ladder of steps dt * 2**k (see the module docstring).
 
-    Each state's right-hand side is evaluated once: it is the history row's
-    rates, the convergence test and the drive of the next step and of its
-    retries. t counts base steps dt, so it is exact, and no step carries it
-    past t_end. Non-convergence within the horizon is a flag, not an error;
-    callers inspect the rate history.
+    Each state's rate F(x) is evaluated once: it is the history row's rates,
+    the convergence test and the drive of the next step and of its retries.
+    t counts base steps dt, so it is exact, and no step carries it past
+    t_end; at the horizon t reads t_end, not a product rounded past it.
+    Non-convergence within the horizon is a flag, not an error; callers
+    inspect the rate history.
     """
     solvers: dict[int, _ImplicitSolver] = {}  # level -> its solver, made on first use
     horizon = math.floor(cfg.t_end / cfg.dt + 1e-9)  # base steps that fit in t_end
@@ -172,13 +172,14 @@ def run_to_steady(
     k, last = 0, None  # the last step's level and the rate before it
     low, stalled = math.inf, 0  # lowest rate norm since the last base step, steps since
     while True:
-        rate = rhs_transient(params, x, geom)
+        rate = residual_steady(params, x, geom)
         norms = [float(np.max(np.abs(f))) for f in (*split(x, geom), *split(rate, geom))]
-        rows.append((units * cfg.dt, *norms))
+        t = min(units * cfg.dt, cfg.t_end)
+        rows.append((t, *norms))
         rate_norm = max(norms[2:])
         converged = rate_norm <= cfg.steady_tol
-        if converged or len(rows) > cfg.max_steps or units >= horizon:
-            return TransientResult(x, converged, np.array(rows), units * cfg.dt, len(rows) - 1)
+        if converged or units >= horizon:
+            return TransientResult(x, converged, np.array(rows), t, len(rows) - 1)
         if k == 0 or rate_norm < low:
             low, stalled = rate_norm, 0
         else:
@@ -195,7 +196,7 @@ def run_to_steady(
         while True:
             step_k = min(level, (horizon - units).bit_length() - 1)  # 2**step_k fits
             if step_k not in solvers:
-                solvers[step_k] = _ImplicitSolver(geom, params, cfg.dt * 2**step_k)
+                solvers[step_k] = _ImplicitSolver(geom, cfg.dt * 2**step_k)
             try:
                 x = solvers[step_k].advance(x, rate)
                 break

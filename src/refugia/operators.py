@@ -8,13 +8,13 @@ Steady system (dimensionless), discretized with zero-flux conditions:
 The density-dependent diffusion div(u grad u) is discretized in conservative
 flux form with arithmetic face averages, so constants are annihilated and the
 discrete integral over the habitat telescopes to zero. The transient system
-carries coefficients d_u, d_v and logistic rate r in front of the same terms,
-with the prey growth written as (r/lam)*(lam*u - u^2).
+is x' = F(x) with F the steady residual, so its fixed points are exactly the
+steady states.
 
 Both diffusion operators act through the geometry's face tables, which no
 module outside this one and geometry reads: the difference form of
-_face_divergence for residuals, right-hand sides and the implicit step's prey
-operator (frozen_diffusion), the matrix form of geometry._face_matrix for
+_face_divergence for the residual and the implicit step's prey operator
+(frozen_diffusion), the matrix form of geometry._face_matrix for
 Jacobians and preconditioners. The pointwise kinetics are written once, in
 reaction_terms, and every sparse LU of these operators is made by factor. Every
 face table holds each neighbour pair both ways and the Jacobian's coupling
@@ -52,12 +52,11 @@ PERMC_SPEC = "MMD_AT_PLUS_A"
 @dataclass(frozen=True)
 class ModelParams:
     """Model parameters: lam (carrying capacity), m (handling time),
-    c (conversion), b (attack rate), mu (predator mortality); the transient
-    form also uses diffusivities d_u, d_v and logistic rate r.
+    c (conversion), b (attack rate), mu (predator mortality).
 
     Validation is permissive enough for degenerate test configurations
-    (e.g. pure-diffusion checks set r = b = mu = c = 0); the run-config layer
-    enforces the stricter biological ranges.
+    (e.g. logistic-prey checks set b = 0); the run-config layer enforces the
+    stricter biological ranges.
     """
 
     lam: float
@@ -65,18 +64,13 @@ class ModelParams:
     c: float
     b: float
     mu: float
-    d_u: float = 1.0
-    d_v: float = 1.0
-    r: float = 1.0
 
     def __post_init__(self):
         if self.lam <= 0:
             raise ValueError("lam must be positive")
-        for name in ("m", "c", "b", "mu", "r"):
+        for name in ("m", "c", "b", "mu"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.d_u <= 0 or self.d_v <= 0:
-            raise ValueError("diffusivities must be positive")
 
     def with_mu(self, mu: float) -> "ModelParams":
         return replace(self, mu=mu)
@@ -233,51 +227,32 @@ def frozen_diffusion(u_values: np.ndarray, geom: DomainGeometry):
 
 
 def reaction_terms(
-    params: ModelParams, u: np.ndarray, v: np.ndarray, geom: DomainGeometry, r: float
+    params: ModelParams, u: np.ndarray, v: np.ndarray, geom: DomainGeometry
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise kinetics (f_u, f_v), flat over OMEGA and OMEGA1.
 
-        f_u = (r/lam)*(lam*u - u^2) - b(x)*u*v/(1 + m*u)
+        f_u = lam*u - u^2 - b(x)*u*v/(1 + m*u)
         f_v = -mu*v + c*u*v/(1 + m*u)
 
-    The steady system passes r = lam (then r/lam is exactly 1), the transient
-    one its logistic rate. Inside the refuge the attack rate is zero, so the
-    prey equation has no predation term there.
+    Inside the refuge the attack rate is zero, so the prey equation has no
+    predation term there.
     """
     o1 = geom.omega1_flat
     u1 = u[o1]
     holling = u1 / (1.0 + params.m * u1)
-    f_u = (r / params.lam) * (params.lam * u - u**2)
+    f_u = params.lam * u - u**2
     f_u[o1] -= params.b * holling * v
     f_v = -params.mu * v + params.c * holling * v
     return f_u, f_v
 
 
-def _rates(params: ModelParams, x: np.ndarray, geom: DomainGeometry, d_u, d_v, r) -> np.ndarray:
-    """[d_u*div(u grad u) + f_u; d_v*lap v + f_v] at x, (f_u, f_v) = reaction_terms at
-    rate r; the diffusion sees u clamped to u >= 0, the kinetics the raw u."""
-    u, v = split(x, geom)
-    diff_u = nonlinear_diffusion(u, geom)
-    lap_v = laplacian_neumann(v, geom)
-    f_u, f_v = reaction_terms(params, u, v, geom, r)
-    return np.concatenate([d_u * diff_u + f_u, d_v * lap_v + f_v])
-
-
 def residual_steady(params: ModelParams, x: np.ndarray, geom: DomainGeometry) -> np.ndarray:
-    """Steady residual [prey equation on OMEGA; predator on OMEGA1] at x = [u; v]: the
-    transient right-hand side at d_u = d_v = 1 and r = lam, where 1.0*a is exact."""
-    return _rates(params, x, geom, 1.0, 1.0, params.lam)
-
-
-def rhs_transient(params: ModelParams, x: np.ndarray, geom: DomainGeometry) -> np.ndarray:
-    """Right-hand side [du/dt; dv/dt] of the transient system at x = [u; v].
-
-        du/dt = d_u * div(u grad u) + (r/lam)*(lam*u - u^2) - b(x)*u*v/(1 + m*u)
-        dv/dt = d_v * lap v - mu*v + c*u*v/(1 + m*u)
-
-    With d_u = d_v = 1 and r = lam (prey reaction lam*u - u^2) it is the steady residual.
-    """
-    return _rates(params, x, geom, params.d_u, params.d_v, params.r)
+    """Steady residual [div(u grad u) + f_u; lap v + f_v] at x = [u; v], (f_u, f_v) =
+    reaction_terms; it is also the transient rate [du/dt; dv/dt]. The diffusion sees
+    u clamped to u >= 0, the kinetics the raw u."""
+    u, v = split(x, geom)
+    f_u, f_v = reaction_terms(params, u, v, geom)
+    return np.concatenate([nonlinear_diffusion(u, geom) + f_u, laplacian_neumann(v, geom) + f_v])
 
 
 def diffusion_linearization(u_values: np.ndarray, geom: DomainGeometry) -> sp.csr_matrix:

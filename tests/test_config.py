@@ -103,7 +103,7 @@ VERIFY = {**{k: v for k, v in RECT_STEADY.items() if k != "params.mu"},
 
 
 @pytest.mark.parametrize("base,edits,key,error,message", [
-    (RECT_STEADY, {"params.r": ""}, "params.r", ParseError, "empty key or value"),
+    (RECT_STEADY, {"params.m": ""}, "params.m", ParseError, "empty key or value"),
     (RECT_STEADY, {"params.c": None}, None, ValidationError, "missing required key 'params.c'"),
     (RECT_STEADY, {"geometry.refuge.half_width_y": None}, None, ValidationError,
      "geometry.refuge.half_width_y required for geometry.refuge.kind = rectangle"),
@@ -117,8 +117,14 @@ VERIFY = {**{k: v for k, v in RECT_STEADY.items() if k != "params.mu"},
      "params.mu_max must exceed params.mu_min"),
     (RECT_STEADY, {"solver.continuation.s0": "0.2"}, "solver.continuation.s0", ValidationError,
      "solver.continuation.s0 must be <= 0.1*params.lambda = 0.1"),
+    # the transient run steps the steady residual: no diffusivity, logistic
+    # rate or step budget of its own
+    *[(RECT_STEADY, {key: value}, key, ValidationError, f"unknown key {key!r}")
+      for key, value in (("params.d_u", "1.0"), ("params.d_v", "1.0"), ("params.r", "1.0"),
+                         ("solver.transient.max_steps", "100000"))],
 ], ids=["empty-value", "missing-key", "required-for", "does-not-apply", "unknown-kind",
-        "unknown-refuge", "empty-mu-range", "large-s0"])
+        "unknown-refuge", "empty-mu-range", "large-s0", "unknown-d_u", "unknown-d_v",
+        "unknown-r", "unknown-max_steps"])
 def test_each_rule_reports_its_message_and_line(base, edits, key, error, message):
     # edits sets keys (appending new ones) or, with None, drops them; the one
     # reported problem names key's line, or line 0 when key is None
@@ -201,15 +207,11 @@ def test_render_parse_round_trip(kind, refuge, data):
         "geometry.ny": st.integers(min_value=4, max_value=4096),
         "geometry.lx": _positive(),
         "geometry.ly": _positive(),
-        "params.d_u": _positive(),
-        "params.d_v": _positive(),
-        "params.r": _positive(),
         "solver.newton.tol_residual": _positive(),
         "solver.newton.max_iter": st.integers(min_value=2, max_value=10**6),
         "solver.transient.dt": _positive(),
         "solver.transient.t_end": _positive(),
         "solver.transient.steady_tol": _positive(),
-        "solver.transient.max_steps": st.integers(min_value=1, max_value=10**9),
         "solver.continuation.ds": _positive(),
         "solver.continuation.n_steps": st.integers(min_value=1, max_value=10**4),
         "solver.continuation.amplitude_cap": _positive(),

@@ -23,11 +23,12 @@ from refugia.errors import (
     ParseError,
     ValidationError,
 )
+from refugia.fields import SystemState, constant_state
 from refugia.geometry import build_geometry
 from refugia.operators import ModelParams
 from refugia.report import build_report
 from refugia.runner import LOCK_NAME, MANIFEST_NAME, run_experiment
-from refugia.steady import solve_kernel_function
+from refugia.steady import newton_solve, solve_kernel_function
 from refugia.svgplot import emit_plot
 
 MINIMAL = """
@@ -107,15 +108,11 @@ def test_config_text_is_canonical():
         "params.mu_min = 0.80000000000000004\n"
         "params.mu_max = 1.2\n"
         "params.mu_points = 5\n"
-        "params.d_u = 1\n"
-        "params.d_v = 1\n"
-        "params.r = 1\n"
         "solver.newton.tol_residual = 1e-10\n"
         "solver.newton.max_iter = 50\n"
         "solver.transient.dt = 0.10000000000000001\n"
         "solver.transient.t_end = 400\n"
         "solver.transient.steady_tol = 9.9999999999999995e-08\n"
-        "solver.transient.max_steps = 100000\n"
         "solver.continuation.ds = 0.029999999999999999\n"
         "solver.continuation.n_steps = 6\n"
         "solver.continuation.s0 = 0.050000000000000003\n"
@@ -315,7 +312,7 @@ TRACED_COUNTERS = {
         "operators.assemble_jacobian.calls",
         "spectral.leading_eigenvalue.calls",
     ),
-    "simulate": ("operators.rhs_transient.calls", "dynamics.run_to_steady.steps"),
+    "simulate": ("operators.residual_steady.calls", "dynamics.run_to_steady.steps"),
 }
 
 
@@ -483,17 +480,42 @@ def test_simulate_run(tmp_path):
     assert 0.05 * lam < v_inf <= 0.0505 * lam
 
 
+def test_simulate_away_from_unit_lambda_ends_on_the_newton_state(tmp_path):
+    """The transient run steps the steady residual, so at lam = 2 (16^2
+    centred square, mu = 1.2 = 0.9*mu*) it ends on the coexistence state that
+    Newton reaches from the kernel tangent at amplitude 1. A transient rate
+    whose prey growth is (1/lam)*(lam*u - u^2) ends 0.666 from it."""
+    text = (
+        BIF_SMALL.replace("bifurcate", "simulate").split("params.lambda")[0]
+        + "params.lambda = 2.0\nparams.m = 1.0\nparams.c = 2.0\nparams.b = 1.0\n"
+        + "params.mu = 1.2\nexperiment.seed = 1\n"
+    )
+    cfg = parse_config(text)
+    assert run_experiment(cfg, out_dir=tmp_path).exit_ok
+    geom = build_geometry(cfg.grid, cfg.refuge)
+    kt = solve_kernel_function(cfg.params, geom)
+    start = constant_state(geom, 2.0, 0.0).as_vector() + kt.direction(geom)
+    newton = newton_solve(SystemState.from_vector(np.maximum(start, 0.0), geom.n_omega),
+                          cfg.params, cfg.newton, geom).state
+    assert newton.v.values.min() > 0.0
+    with open(tmp_path / "state_final.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    u = np.array([float(r["u"]) for r in rows])
+    v = np.array([float(r["v"]) for r in rows])[geom.omega1_flat]
+    gap = max(np.max(np.abs(u - newton.u.values)), np.max(np.abs(v - newton.v.values)))
+    assert gap <= 1e-4
+
+
 def test_unconverged_simulate_fails_with_its_own_error(tmp_path):
     text = (
         BIF_SMALL.replace("bifurcate", "simulate").split("params.mu_min")[0]
-        + "params.mu = 0.9\nsolver.transient.max_steps = 5\n"
+        + "params.mu = 0.9\nsolver.transient.t_end = 0.5\n"
     )
     manifest = run_experiment(parse_config(text), out_dir=tmp_path)
     assert not manifest.exit_ok
     assert manifest.stages[-1][:2] == ("converged", "error")
-    assert "detail = TransientNotConverged: transient run not converged after 5 steps" in (
-        tmp_path / MANIFEST_NAME
-    ).read_text()
+    assert ("detail = TransientNotConverged: transient run not converged after 4 steps "
+            "(t = 0.5)") in (tmp_path / MANIFEST_NAME).read_text()
 
 
 def test_failed_verify_gate_fails_with_its_own_error(tmp_path):

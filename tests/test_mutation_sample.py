@@ -95,4 +95,4 @@ def test_every_inline_number_is_sampled():
             assert any(lo <= offset < hi for lo, hi in spans), (
                 f"{path}:{node.lineno}: {node.value!r} is in no mutant's text")
             sampled += 1
-    assert sampled == 43
+    assert sampled == 42

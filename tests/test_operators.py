@@ -23,7 +23,6 @@ from refugia.operators import (
     reaction_terms,
     residual_mu_derivative,
     residual_steady,
-    rhs_transient,
     split,
 )
 
@@ -123,8 +122,7 @@ def test_tiny_negative_clamped(geom16):
 
 @pytest.mark.parametrize("name,value,message", [
     ("lam", 0.0, "lam must be positive"),
-    ("r", -1.0, "r must be nonnegative"),
-    ("d_v", 0.0, "diffusivities must be positive"),
+    ("mu", -1.0, "mu must be nonnegative"),
 ])
 def test_model_params_reject_bad_values(name, value, message):
     with pytest.raises(ValueError, match=message):
@@ -152,7 +150,6 @@ def test_wrong_lengths_are_region_mismatches(grid, refuge):
     short, short_u, short_v = x[:-1], x[: geom.n_omega - 1], x[: geom.n_omega1 - 1]
     calls = [
         lambda: residual_steady(PARAMS, short, geom),
-        lambda: rhs_transient(PARAMS, short, geom),
         lambda: assemble_jacobian(PARAMS, short, geom),
         lambda: residual_mu_derivative(short, geom),
         lambda: nonlinear_diffusion(short_u, geom),
@@ -178,14 +175,14 @@ def test_reaction_terms_vanish_at_carrying_capacity(geom32):
     for lam in (1.0, 2.0, 0.5):
         p = ModelParams(lam=lam, m=1.0, c=2.0, b=1.0, mu=0.9)
         st = constant_state(geom32, lam, 0.0)
-        f_u, f_v = reaction_terms(p, st.u.values, st.v.values, geom32, p.lam)
+        f_u, f_v = reaction_terms(p, st.u.values, st.v.values, geom32)
         assert np.max(np.abs(f_u)) == 0.0
         assert np.max(np.abs(f_v)) == 0.0
 
 
 def test_reaction_terms_vanish_at_origin(geom32):
     st = constant_state(geom32, 0.0, 0.0)
-    f_u, f_v = reaction_terms(PARAMS, st.u.values, st.v.values, geom32, PARAMS.lam)
+    f_u, f_v = reaction_terms(PARAMS, st.u.values, st.v.values, geom32)
     assert np.max(np.abs(f_u)) == 0.0
     assert np.max(np.abs(f_v)) == 0.0
 
@@ -193,7 +190,7 @@ def test_reaction_terms_vanish_at_origin(geom32):
 def test_reaction_terms_hand_values(geom32):
     p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=1.0)
     st = constant_state(geom32, 1.0, 1.0)
-    f_u, f_v = reaction_terms(p, st.u.values, st.v.values, geom32, p.lam)
+    f_u, f_v = reaction_terms(p, st.u.values, st.v.values, geom32)
     fu_grid = f_u.reshape(geom32.grid.nx, geom32.grid.ny)
     # on a predator-domain cell: 1 - 1 - (1*1*1)/2 = -0.5; inside the refuge: 0
     assert fu_grid[geom32.omega1_mask] == pytest.approx(-0.5)
@@ -209,7 +206,7 @@ def test_reaction_terms_against_scalar_oracle(geom16):
     vg = smooth_positive(geom16.grid, rng, base=0.6)
     u = ScalarField(ug.ravel(), Region.OMEGA)
     v = ScalarField(vg[geom16.omega1_mask], Region.OMEGA1)
-    f_u, f_v = reaction_terms(p, u.values, v.values, geom16, p.lam)
+    f_u, f_v = reaction_terms(p, u.values, v.values, geom16)
 
     def scalar_fu(uu, vv, in_omega1):
         bb = p.b if in_omega1 else 0.0
@@ -242,37 +239,11 @@ def test_residual_recomposition(geom32):
     u = ScalarField(smooth_positive(geom32.grid, rng).ravel(), Region.OMEGA)
     v = ScalarField(smooth_positive(geom32.grid, rng, base=0.5)[geom32.omega1_mask], Region.OMEGA1)
     res = residual_steady(PARAMS, SystemState(u, v).as_vector(), geom32)
-    f_u, f_v = reaction_terms(PARAMS, u.values, v.values, geom32, PARAMS.lam)
+    f_u, f_v = reaction_terms(PARAMS, u.values, v.values, geom32)
     expected_u = nonlinear_diffusion(u.values, geom32) + f_u
     expected_v = laplacian_neumann(v.values, geom32) + f_v
     np.testing.assert_allclose(res[: geom32.n_omega], expected_u, rtol=0, atol=1e-14)
     np.testing.assert_allclose(res[geom32.n_omega :], expected_v, rtol=0, atol=1e-14)
-
-
-def test_rhs_transient_equilibrium(geom32):
-    p = ModelParams(lam=1.5, m=1.0, c=2.0, b=1.0, mu=0.9, r=3.7)
-    st = constant_state(geom32, 1.5, 0.0)
-    rate = rhs_transient(p, st.as_vector(), geom32)
-    assert np.max(np.abs(rate)) == 0.0
-
-
-def test_rhs_transient_matches_steady_residual(geom32):
-    # with d_u = d_v = 1 and r = lam the prey reaction is lam*u - u^2
-    rng = np.random.default_rng(23)
-    p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=0.9, d_u=1.0, d_v=1.0, r=1.0)
-    u = ScalarField(smooth_positive(geom32.grid, rng).ravel(), Region.OMEGA)
-    v = ScalarField(smooth_positive(geom32.grid, rng, base=0.4)[geom32.omega1_mask], Region.OMEGA1)
-    x = SystemState(u, v).as_vector()
-    np.testing.assert_allclose(
-        rhs_transient(p, x, geom32), residual_steady(p, x, geom32), rtol=0, atol=1e-12
-    )
-
-
-def test_rhs_transient_pointwise_logistic(geom32):
-    p = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=0.9, r=2.5)
-    st = constant_state(geom32, 0.5, 0.0)
-    du, _ = split(rhs_transient(p, st.as_vector(), geom32), geom32)
-    assert du == pytest.approx(2.5 * 0.5 * 0.5)  # r * (lam/2) * (1 - 1/2)
 
 
 def test_jacobian_block_structure_at_semitrivial(geom32):
@@ -369,7 +340,7 @@ def test_every_lu_is_pattern_symmetric_in_symmetric_mode(scipy_counters, tmp_pat
     geom = build_geometry(cfg.grid, cfg.refuge)
     coexist = ModelParams(lam=1.0, m=1.0, c=2.0, b=1.0, mu=0.9)
     start = constant_state(geom, 1.0, 0.05).as_vector()
-    run_to_steady(start, coexist, TransientConfig(max_steps=5), geom)
+    run_to_steady(start, coexist, TransientConfig(t_end=0.5), geom)
 
     calls = list(scipy_counters.splu_calls)
     # the runner built an equal geometry of its own, and the order is deterministic

@@ -258,8 +258,8 @@ def _error_names(cls=RefugiaError) -> set[str]:
 
 def _config_text(geom, kind, lam, m, c, b, lo, hi, step) -> str:
     """A run config on geom's grid and refuge. The scalar kinds run at
-    mu = lo*mu* with time step step*50, the range kinds over the window
-    [lo, hi]*mu* with arclength step step and up to 16 steps."""
+    mu = lo*mu* with time step step*50 up to 200 such steps, the range kinds
+    over the window [lo, hi]*mu* with arclength step step and up to 16 steps."""
     grid, refuge = geom.grid, geom.refuge
     keys = {"experiment.kind": kind, "geometry.nx": grid.nx, "geometry.ny": grid.ny,
             "geometry.lx": grid.lx, "geometry.ly": grid.ly, "geometry.refuge.kind": refuge.kind,
@@ -279,7 +279,7 @@ def _config_text(geom, kind, lam, m, c, b, lo, hi, step) -> str:
                      "solver.continuation.ds": step})
     else:
         keys.update({"params.mu": lo * mu_star, "solver.transient.dt": 50 * step,
-                     "solver.transient.max_steps": 200})
+                     "solver.transient.t_end": 10_000 * step})
     return "".join(f"{key} = {value}\n" for key, value in keys.items())
 
 
