@@ -152,12 +152,12 @@ class DomainGeometry:
     @cached_property
     def lap_omega(self) -> sp.csr_matrix:
         """Zero-flux 5-point Laplacian over OMEGA (symmetric, rows sum to 0)."""
-        return _face_matrix(self.n_omega, self.faces_u, 1.0, 1.0)
+        return _face_matrix(self.n_omega, self.faces_u, 1.0)
 
     @cached_property
     def lap_omega1(self) -> sp.csr_matrix:
         """Zero-flux 5-point Laplacian over OMEGA1 (refuge faces excluded)."""
-        return _face_matrix(self.n_omega1, self.faces_v, 1.0, 1.0)
+        return _face_matrix(self.n_omega1, self.faces_v, 1.0)
 
 
 def _face_table(index: np.ndarray, inside: np.ndarray, grid: GridSpec):
@@ -177,20 +177,19 @@ def _face_table(index: np.ndarray, inside: np.ndarray, grid: GridSpec):
     return a, b, w
 
 
-def _face_matrix(n, table, pa, pb):
-    """Assemble a flux-divergence matrix from a face table.
+def _face_matrix(n, table, coef):
+    """Assemble a symmetric flux-divergence matrix from a face table.
 
-    For a face (a, b) with weight w and side values (pa, pb) the matrix gets
-    entries (a,b) += w*pb, (b,a) += w*pa, (a,a) -= w*pa, (b,b) -= w*pb.
-    With pa = pb = 1 this is the Laplacian; with pa = pb = face-average it is
-    the frozen-coefficient diffusion operator; with pa, pb = cell values it is
-    the linearization of the density-dependent diffusion.
+    A face (a, b) with weight w and coefficient coef (a scalar or one value
+    per face) adds w*coef at (a,b) and (b,a) and subtracts it at (a,a) and
+    (b,b). With coef = 1 this is the Laplacian; with the face average of u
+    it is the frozen-coefficient diffusion operator.
     """
     a, b, w = table
-    wa, wb = w * pa, w * pb
+    wc = w * coef
     rows = np.concatenate([a, b, a, b])
     cols = np.concatenate([b, a, a, b])
-    data = np.concatenate([wb, wa, -wa, -wb])
+    data = np.concatenate([wc, wc, -wc, -wc])
     return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 

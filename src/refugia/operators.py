@@ -14,10 +14,12 @@ steady states.
 Both diffusion operators act through the geometry's face tables, which no
 module outside this one and geometry reads: the difference form of
 _face_divergence for the residual and the implicit step's prey operator
-(frozen_diffusion), the matrix form of geometry._face_matrix for
-Jacobians and preconditioners. The pointwise kinetics are written once, in
+(frozen_diffusion), the matrix form of geometry._face_matrix for the
+Laplacians and the prey preconditioner. The Jacobian's diffusion blocks are
+copies of the cached Laplacians, the prey one with its columns scaled by u
+(the exact derivative of the flux form). The pointwise kinetics are written once, in
 reaction_terms, and every sparse LU of these operators is made by factor. Every
-face table holds each neighbour pair both ways and the Jacobian's coupling
+face matrix holds each neighbour pair both ways and the Jacobian's coupling
 blocks have transposed patterns, so every matrix factored here is
 structurally symmetric, which is what factor's SuperLU settings rely on.
 Single-field matrices are factored in SuperLU's own minimum-degree order;
@@ -255,36 +257,27 @@ def residual_steady(params: ModelParams, x: np.ndarray, geom: DomainGeometry) ->
     return np.concatenate([nonlinear_diffusion(u, geom) + f_u, laplacian_neumann(v, geom) + f_v])
 
 
-def diffusion_linearization(u_values: np.ndarray, geom: DomainGeometry) -> sp.csr_matrix:
-    """Exact derivative of the flux-form div(u grad u) with respect to u.
-
-    A perturbation a contributes div(a grad u) + div(u grad a); per face
-    (p, q) the flux derivative is w*(u_q*a_q - u_p*a_p), i.e. side values
-    (u_p, u_q) in the face-matrix convention.
-    """
-    a, b, _ = geom.faces_u
-    return _face_matrix(geom.n_omega, geom.faces_u, u_values[a], u_values[b])
-
-
 def frozen_diffusion_matrix(u_values: np.ndarray, geom: DomainGeometry) -> sp.csr_matrix:
     """Matrix of a -> div(ubar grad a) with face coefficients frozen at u."""
-    avg = _face_average(geom.faces_u, u_values)
-    return _face_matrix(geom.n_omega, geom.faces_u, avg, avg)
+    return _face_matrix(geom.n_omega, geom.faces_u, _face_average(geom.faces_u, u_values))
 
 
 def jacobian_blocks(
     params: ModelParams, x: np.ndarray, geom: DomainGeometry
 ) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
     """The four blocks (J_uu, J_uv, J_vu, J_vv) of the steady residual's
-    analytic Jacobian at x: the diagonal ones the prey diffusion linearization
-    and the predator Laplacian plus their reaction terms. At the semitrivial
-    state (lam, 0) J_vu vanishes (block-triangular structure); J_uu reduces to
+    analytic Jacobian at x. The diagonal ones are copies of the geometry's
+    cached Laplacians plus their reaction terms, the prey one with its
+    columns scaled by u: a face's flux w*(u_b^2 - u_a^2)/2 in div(u grad u)
+    has the derivatives -w*u_a and w*u_b. At the semitrivial state (lam, 0)
+    J_vu vanishes (block-triangular structure); J_uu reduces to
     lam*(lap - I), J_vv to lap - mu + c*lam/(1 + m*lam).
 
-    The reaction terms go in by setdiag, not by adding sp.diags: a CSR sum
-    drops the entries it computes as 0, as the corrector's x >= 0 clamp makes
-    them, and the pattern would lose the symmetry factor's SymmetricMode
-    relies on. Both diagonal blocks already store every diagonal entry.
+    The columns are scaled in place and the reaction terms go in by setdiag,
+    not by a product or sum with sp.diags: those drop the entries they
+    compute as 0, as the corrector's x >= 0 clamp makes them, and the pattern
+    would lose the symmetry factor's SymmetricMode relies on. Both diagonal
+    blocks already store every diagonal entry.
     """
     u, v = split(x, geom)
     # the v-unknowns are the OMEGA1 cells in flat order: cell o1[k] is v[k]
@@ -292,12 +285,14 @@ def jacobian_blocks(
     k = np.arange(geom.n_omega1)
     d1 = 1.0 + params.m * u[o1]
 
-    # prey: div(u grad .) + lam - 2u - b(x)*v/(1 + m*u)^2, b = 0 in the refuge
-    J_uu = diffusion_linearization(u, geom)
+    # prey: lap(u .) + lam - 2u - b(x)*v/(1 + m*u)^2, b = 0 in the refuge;
+    # the copies keep the geometry's cache intact
+    J_uu = geom.lap_omega.copy()
+    J_uu.data *= u[J_uu.indices]
     f_u = params.lam - 2.0 * u
     f_u[o1] -= params.b * v / d1**2
     J_uu.setdiag(J_uu.diagonal() + f_u)
-    # predator: lap - mu + c*u/(1 + m*u); the copy keeps the geometry's cache intact
+    # predator: lap - mu + c*u/(1 + m*u)
     J_vv = geom.lap_omega1.copy()
     f_v = -params.mu + params.c * u[o1] / d1
     J_vv.setdiag(J_vv.diagonal() + f_v)

@@ -124,3 +124,30 @@ def branch_slope_analytic(params: ModelParams, geom) -> float:
     on the predator cells, right null vector (-alpha, 1))."""
     alpha = solve_kernel_function(params, geom).alpha
     return -params.c * alpha[geom.omega1_flat].mean() / (1.0 + params.m * params.lam) ** 2
+
+
+def no_refuge_branch_oracle(params: ModelParams, mu: float, grid):
+    """The coexistence branch without a refuge in closed form at mu: its
+    constant state (u, v) and the eigenvalue of largest real part of its
+    Jacobian.
+
+    With b(x) = b the branch's states are the kinetic equilibria
+    u = mu/(c - m*mu), v = (lam - u)(1 + m*u)/b, and the Jacobian splits over
+    the grid's Neumann cosine modes: the mode with Laplacian eigenvalue
+    kappa = -(4/hx^2) sin^2(pi j/2nx) - (4/hy^2) sin^2(pi k/2ny) gives
+    [[u*kappa + a, -b*u/d1], [c*v/d1^2, kappa + d]], with d1 = 1 + m*u,
+    a = lam - 2u - b*v/d1^2 and d = c*u/d1 - mu.
+    """
+    u = mu / (params.c - params.m * mu)
+    d1 = 1.0 + params.m * u
+    v = (params.lam - u) * d1 / params.b
+    sx = np.sin(np.pi * np.arange(grid.nx) / (2 * grid.nx)) ** 2
+    sy = np.sin(np.pi * np.arange(grid.ny) / (2 * grid.ny)) ** 2
+    kappa = (-4.0 / grid.hx**2 * sx[:, None] - 4.0 / grid.hy**2 * sy[None, :]).ravel()
+    modes = np.empty((kappa.size, 2, 2))
+    modes[:, 0, 0] = u * kappa + params.lam - 2.0 * u - params.b * v / d1**2
+    modes[:, 0, 1] = -params.b * u / d1
+    modes[:, 1, 0] = params.c * v / d1**2
+    modes[:, 1, 1] = kappa + params.c * u / d1 - mu
+    values = np.linalg.eigvals(modes).ravel()
+    return u, v, values[np.argmax(values.real)]

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import CENTER_RECT, branch_slope_analytic
+from conftest import CENTER_RECT, branch_slope_analytic, no_refuge_branch_oracle
 from refugia.continuation import (
     Branch,
     BranchLabel,
@@ -665,6 +665,34 @@ def test_a_walk_to_mu_zero_does_not_stall():
     # steps of half the fold: two are accepted, the second at mu = 2.9e-12,
     # and every step after it fails, down to ds/64
     assert len(_walk_to_mu_zero(0.5).points) == 9
+
+
+@pytest.mark.parametrize("grid,p", [
+    (GridSpec(16, 10, lx=1.6), WALK),
+    (GridSpec(32, 32), ModelParams(lam=1.0, m=1.5, c=2.0, b=1.0, mu=0.5)),
+    (GridSpec(24, 12, ly=0.7), ModelParams(lam=1.5, m=0.5, c=2.0, b=1.3, mu=0.5)),
+], ids=["enriched-16x10", "enriched-32", "m-lam-below-1-24x12"])
+def test_no_refuge_branch_meets_its_closed_form(grid, p):
+    # without a refuge every branch state is constant and the Jacobian splits
+    # over the cosine modes (conftest.no_refuge_branch_oracle); 11 points from
+    # s0 = 0.05 in steps of 0.1, on both sides of m*lam = 1: the 16x10 walk
+    # passes the Hopf point mu_H = 0.038 and ends near mu = 0.031
+    geom = build_geometry(grid, RefugeShape.empty())
+    mu_star = p.c * p.lam / (1.0 + p.m * p.lam)
+    point, lu = branch_switch(mu_star, p, geom, s0=0.05)
+    direction = _switch_direction(point, mu_star, p, geom)
+    branch = continue_branch(point, direction, n_steps=10, ds=0.1, params=p, geom=geom, lu=lu)
+    assert len(branch.points) == 11
+    pairs = 0
+    for point in branch.points:
+        u, v, leading = no_refuge_branch_oracle(p, point.mu, grid)
+        got_u, got_v = split(point.x, geom)
+        assert max(np.abs(got_u - u).max(), np.abs(got_v - v).max()) <= 1e-9
+        assert point.gamma == pytest.approx(leading.real, abs=1e-9)
+        if abs(leading.imag) > 1e-6:
+            assert point.complex_pair
+            pairs += 1
+    assert pairs > 0
 
 
 @pytest.fixture

@@ -15,7 +15,12 @@ import scipy.sparse as sp
 import refugia
 from refugia import cli, runner
 from refugia.config import ContinuationSettings, parse_config
-from refugia.continuation import continue_branch, trace_semitrivial
+from refugia.continuation import (
+    branch_switch,
+    continue_branch,
+    detect_transcritical,
+    trace_semitrivial,
+)
 from refugia.errors import (
     ContinuationStalled,
     EmptyBranchList,
@@ -25,9 +30,10 @@ from refugia.errors import (
 )
 from refugia.fields import SystemState, constant_state
 from refugia.geometry import build_geometry
-from refugia.operators import ModelParams
+from refugia.operators import ModelParams, assemble_jacobian, coupled_order
 from refugia.report import build_report
 from refugia.runner import LOCK_NAME, MANIFEST_NAME, run_experiment
+from refugia.spectral import leading_eigenvalue
 from refugia.steady import newton_solve, solve_kernel_function
 from refugia.svgplot import emit_plot
 
@@ -286,18 +292,50 @@ params.mu_points = 9
 REFERENCE_64 = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify-64.csv"
 
 
+def _mu_gamma_rows(path) -> list[tuple[float, float]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [(float(r["mu"]), float(r["gamma"])) for r in csv.DictReader(fh)]
+
+
 def test_verify_64_branch_meets_the_benchmark_reference(tmp_path):
     # the benchmark's correctness gate: mu to 1e-9, gamma to 1e-8
     cfg = parse_config(VERIFY_64)
     assert (cfg.grid.nx, cfg.grid.ny, cfg.continuation) == (64, 64, ContinuationSettings())
     assert run_experiment(cfg, out_dir=tmp_path).exit_ok
-    with open(tmp_path / "branch_nontrivial.csv", newline="", encoding="utf-8") as fh:
-        got = [(float(r["mu"]), float(r["gamma"])) for r in csv.DictReader(fh)]
-    with open(REFERENCE_64, newline="", encoding="utf-8") as fh:
-        ref = [(float(r["mu"]), float(r["gamma"])) for r in csv.DictReader(fh)]
+    got = _mu_gamma_rows(tmp_path / "branch_nontrivial.csv")
+    ref = _mu_gamma_rows(REFERENCE_64)
     assert len(got) == len(ref) == 25
     assert max(abs(a[0] - b[0]) for a, b in zip(got, ref)) <= 1e-9
     assert max(abs(a[1] - b[1]) for a, b in zip(got, ref)) <= 1e-8
+
+
+def test_verify_64_branch_meets_the_benchmark_reference_as_a_curve():
+    # the reference as a curve, not a step sequence: a branch walked with
+    # other steps (ds = 0.031 from s0 = 0.07, 16 steps, against the run's
+    # 0.02, 0.05 and 24) is solved by a fixed-mu Newton at each reference
+    # mu from its nearest point, and its leading eigenvalue (at the
+    # Gershgorin shift, not the branch's sigma = 0) meets the reference gamma
+    # to 1e-8. Every row must be bridged; a reference mu may lie up to 1e-9
+    # (the point-by-point mu gate) outside the branch's range, as the first
+    # row's does, by 6e-11
+    cfg = parse_config(VERIFY_64)
+    geom = build_geometry(cfg.grid, cfg.refuge)
+    mu_min, mu_max, mu_points = cfg.mu_range
+    mu_star = detect_transcritical(trace_semitrivial(cfg.params, (mu_min, mu_max), mu_points, geom))
+    start, lu = branch_switch(mu_star, cfg.params, geom, s0=0.07, newton_cfg=cfg.newton)
+    base = constant_state(geom, cfg.params.lam, 0.0).as_vector()
+    branch = continue_branch(start, (start.x - base, start.mu - mu_star), n_steps=16, ds=0.031,
+                             params=cfg.params, geom=geom, newton_cfg=cfg.newton, lu=lu)
+    mus = branch.mus()
+    ref = _mu_gamma_rows(REFERENCE_64)
+    assert all(mus.min() - 1e-9 <= mu <= mus.max() + 1e-9 for mu, _ in ref)
+    for mu, gamma in ref:
+        nearest = branch.points[int(np.argmin(np.abs(mus - mu)))]
+        p = cfg.params.with_mu(mu)
+        start_state = SystemState.from_vector(nearest.x, geom.n_omega)
+        x = newton_solve(start_state, p, cfg.newton, geom).state.as_vector()
+        J = assemble_jacobian(p, x, geom)
+        assert leading_eigenvalue(J, coupled_order(geom)).value == pytest.approx(gamma, abs=1e-8)
 
 
 PERFBENCH = REFERENCE_64.parents[1]

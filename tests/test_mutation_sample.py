@@ -15,7 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SOLVER_MODULES = ("continuation", "dynamics", "operators", "report", "spectral", "steady")
 #: modules whose every inline number is sampled, and the classes elsewhere
 #: whose field defaults are
-INLINE_MODULES = ("continuation", "dynamics", "report", "runner", "spectral", "steady")
+INLINE_MODULES = ("continuation", "dynamics", "operators", "report", "runner", "spectral",
+                  "steady")
 DEFAULTS_CLASSES = {"config": ("ContinuationSettings",)}
 
 
@@ -95,4 +96,4 @@ def test_every_inline_number_is_sampled():
             assert any(lo <= offset < hi for lo, hi in spans), (
                 f"{path}:{node.lineno}: {node.value!r} is in no mutant's text")
             sampled += 1
-    assert sampled == 42
+    assert sampled == 44
