@@ -266,7 +266,7 @@ def continue_branch(
     nrm = _metric_norm(dx0, dmu0)
     if nrm == 0.0:
         raise ValueError("direction must be nonzero")
-    if not ds / MIN_DS_FACTOR > CONSTRAINT_TOL * max(1.0, _metric_norm(start.x, start.mu) + ds):
+    if not ds / MIN_DS_FACTOR > CONSTRAINT_TOL:
         raise ContinuationStalled(f"ds = {ds!r} is not above the corrector's constraint "
                                   "tolerance", Branch(BranchLabel.NONTRIVIAL, [start]))
     t_x, t_mu = dx0 / nrm, dmu0 / nrm

@@ -206,8 +206,7 @@ def build_report(
         for i in range(len(rep.intersection) - 1)
     )
 
-    by_s = sorted(nontrivial.points, key=lambda p: p.s)
-    mus = [p.mu for p in by_s[: min(10, len(by_s))]]
+    mus = [p.mu for p in nontrivial.points[:10]]  # continuation appends them in increasing s
     rep.mu_strictly_decreasing_points = sum(mus[i + 1] < mus[i] for i in range(len(mus) - 1))
     rep.slope_sign_negative = rep.mu_strictly_decreasing_points == len(mus) - 1
 

@@ -32,7 +32,7 @@ from .operators import (
 #: direct sparse solves must meet this normwise backward error
 LINSOLVE_RTOL = 1e-12
 
-#: the bordered Newton meets its linear constraint to this, relative to max(1, |target|)
+#: the bordered Newton meets its linear constraint to this absolute tolerance
 CONSTRAINT_TOL = 1e-12
 
 #: the chord iteration refactors J when the residual inf-norm shrinks by less than this
@@ -102,17 +102,17 @@ def bordered_newton(
     point (continuation hands on the one its last point made), serves as
     the chord matrix from the start. On any LU the solve returns when two
     successive residuals meet cfg.tol_residual and the constraint meets
-    CONSTRAINT_TOL: a chord contracts only linearly (Deuflhard 2004, ch. 2),
-    so the confirming update takes the state past an iterate that only just
-    met the tolerance. Iterates, the start included, are clamped to x >= 0.
-    Returns x = [u; v], mu, and the residual inf-norm of every iterate, the
-    last at the returned point. At most cfg.max_iter residuals are evaluated.
+    CONSTRAINT_TOL, both absolute tolerances: a chord contracts only
+    linearly (Deuflhard 2004, ch. 2), so the confirming update takes the
+    state past an iterate that only just met the tolerance. Iterates, the
+    start included, are clamped to x >= 0. Returns x = [u; v], mu, and the
+    residual inf-norm of every iterate, the last at the returned point. At
+    most cfg.max_iter residuals are evaluated.
     Raises SingularJacobian when J cannot be factored or an update is
     non-finite or blows up, and NoConvergence when a mu iterate leaves
     mu >= 0, the Schur scalar is singular, or the budget runs out.
     """
     x = np.maximum(x, 0.0)
-    con_tol = CONSTRAINT_TOL * max(1.0, abs(target))
     history: list[float] = []
     solve = None
     for _ in range(cfg.max_iter):
@@ -122,7 +122,7 @@ def bordered_newton(
         res = residual_steady(p_mu, x, geom)
         rnorm = float(np.max(np.abs(res)))
         con = float(row_x @ x) + row_mu * mu - target
-        if history and max(history[-1], rnorm) <= cfg.tol_residual and abs(con) <= con_tol:
+        if history and max(history[-1], rnorm) <= cfg.tol_residual and abs(con) <= CONSTRAINT_TOL:
             return x, mu, history + [rnorm]
         if solve is None or rnorm > CHORD_CONTRACTION * history[-1]:
             if lu is None or solve is not None:  # a handed LU serves the first update

@@ -34,11 +34,19 @@ DISC_STEADY = {
 }
 
 
-def _text(key: str, value: str) -> tuple[str, int]:
-    """A steady config with key set to value, and the line that key is on.
+VERIFY = {**{k: v for k, v in RECT_STEADY.items() if k != "params.mu"},
+          "experiment.kind": "verify", "params.mu_min": "0.8", "params.mu_max": "1.2",
+          "params.mu_points": "9"}
 
-    The refuge is a disc when key is its radius, a rectangle otherwise."""
-    base = DISC_STEADY if key == "geometry.refuge.radius" else RECT_STEADY
+
+def _text(key: str, value: str) -> tuple[str, int]:
+    """A config with key set to value, and the line that key is on.
+
+    It is the verify config when key belongs to the mu range, and otherwise a
+    steady one, whose refuge is a disc when key is its radius and a
+    rectangle otherwise."""
+    base = (VERIFY if key in ("params.mu_min", "params.mu_points")
+            else DISC_STEADY if key == "geometry.refuge.radius" else RECT_STEADY)
     lines = [f"{k} = {v}" for k, v in {**base, key: value}.items()]
     return "\n".join(lines) + "\n", 1 + [ln.split(" = ")[0] for ln in lines].index(key)
 
@@ -90,16 +98,28 @@ def test_cli_reports_bad_refuge_size_without_traceback(tmp_path, capsys):
         ("geometry.refuge.center_x", "nan"),
         ("experiment.seed", "-1"),
         ("solver.newton.max_iter", "1"),  # bordered_newton stops on two residuals
+        # each value at its key's bound
+        ("geometry.nx", "3"),
+        ("geometry.ny", "3"),
+        ("geometry.lx", "0"),
+        ("geometry.ly", "0"),
+        ("params.lambda", "0"),
+        ("params.c", "0"),
+        ("params.mu", "0"),
+        ("params.mu_min", "0"),
+        ("params.mu_points", "1"),  # one sample cannot bracket mu*: NoCrossing
+        ("solver.newton.tol_residual", "0"),
+        ("solver.transient.dt", "0"),  # TransientConfig's ValueError would escape
+        ("solver.transient.steady_tol", "0"),
+        ("solver.continuation.ds", "0"),  # continue_branch would stall at once
+        ("solver.continuation.n_steps", "0"),  # a one-point branch
+        ("solver.continuation.s0", "0"),
+        ("solver.continuation.amplitude_cap", "0"),
     ],
 )
 def test_non_finite_and_out_of_range_values_rejected(key, value):
     text, lineno = _text(key, value)
     _assert_rejected_on_line(text, key, lineno)
-
-
-VERIFY = {**{k: v for k, v in RECT_STEADY.items() if k != "params.mu"},
-          "experiment.kind": "verify", "params.mu_min": "0.8", "params.mu_max": "1.2",
-          "params.mu_points": "9"}
 
 
 @pytest.mark.parametrize("base,edits,key,error,message", [

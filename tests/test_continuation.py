@@ -366,7 +366,7 @@ def test_continue_branch_keeps_mu_positive(params, geom16):
 
 def test_continue_branch_rejects_a_step_at_the_constraint_tolerance(switch, mu_star, params,
                                                                    geom32):
-    # below MIN_DS_FACTOR * CONSTRAINT_TOL (scaled by the start's size) a
+    # below MIN_DS_FACTOR * CONSTRAINT_TOL, an absolute floor, a
     # halved step could no longer tell a secant's orientation from rounding,
     # so the branch stalls at its start; a step of 1e-7 lies far above that
     # floor and is taken

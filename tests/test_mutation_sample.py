@@ -13,11 +13,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOLVER_MODULES = ("continuation", "dynamics", "operators", "report", "spectral", "steady")
-#: modules whose every inline number is sampled, and the classes elsewhere
-#: whose field defaults are
-INLINE_MODULES = ("continuation", "dynamics", "operators", "report", "runner", "spectral",
-                  "steady")
-DEFAULTS_CLASSES = {"config": ("ContinuationSettings",)}
+#: modules whose every inline number is sampled
+INLINE_MODULES = ("config", "continuation", "dynamics", "operators", "report", "runner",
+                  "spectral", "steady")
 
 
 def _load_sample():
@@ -76,13 +74,10 @@ def _numbers(tree: ast.AST):
 def test_every_inline_number_is_sampled():
     # each literal lies inside the text that some entry of its file edits
     sampled = 0
-    for module in INLINE_MODULES + tuple(DEFAULTS_CLASSES):
+    for module in INLINE_MODULES:
         path = Path("src") / "refugia" / f"{module}.py"
         data = (ROOT / path).read_bytes()
         tree = ast.parse(data)
-        if module in DEFAULTS_CLASSES:
-            tree = ast.Module([node for node in tree.body if isinstance(node, ast.ClassDef)
-                               and node.name in DEFAULTS_CLASSES[module]], [])
         line_start = [0]
         for line in data.splitlines(keepends=True):
             line_start.append(line_start[-1] + len(line))
@@ -96,4 +91,29 @@ def test_every_inline_number_is_sampled():
             assert any(lo <= offset < hi for lo, hi in spans), (
                 f"{path}:{node.lineno}: {node.value!r} is in no mutant's text")
             sampled += 1
-    assert sampled == 44
+    assert sampled == 50
+
+
+def _key_rows(text: str) -> dict[str, list[ast.expr]]:
+    """key -> [default, bound] nodes of each row of config._KEYS in text."""
+    table = next(node.value for node in ast.parse(text).body if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "_KEYS")
+    return {row.elts[0].value: row.elts[2:] for row in table.elts}
+
+
+def test_every_config_key_bound_and_literal_default_is_sampled():
+    # some entry changes each bound, and each default written as a literal
+    # other than None; a default that names a class field is that field's,
+    # sampled where the class is
+    path = Path("src") / "refugia" / "config.py"
+    text = (ROOT / path).read_text(encoding="utf-8")
+    rows = _key_rows(text)
+    mutated = [_key_rows(text.replace(m.old, m.new)) for m in SAMPLE.MUTANTS
+               if m.file == str(path)]
+    steering = [(key, i) for key, nodes in rows.items() for i, node in enumerate(nodes)
+                if not (isinstance(node, ast.Constant) and node.value is None)
+                and (i == 1 or isinstance(node, ast.Constant))]
+    for key, i in steering:
+        assert any(ast.dump(rows_m[key][i]) != ast.dump(rows[key][i]) for rows_m in mutated), (
+            f"config._KEYS {key}: no entry changes its {('default', 'bound')[i]}")
+    assert len(steering) == 28

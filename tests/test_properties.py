@@ -13,9 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import branch_slope_analytic
+from conftest import branch_slope_analytic, no_refuge_branch_oracle
 from refugia.config import KINDS, RANGE_KINDS, parse_config
-from refugia.continuation import continue_branch, solve_at_amplitude
+from refugia.continuation import branch_switch, continue_branch, solve_at_amplitude
 from refugia.errors import ContinuationStalled, RefugiaError
 from refugia.geometry import GridSpec, RefugeShape, build_geometry
 from refugia.operators import (
@@ -26,6 +26,7 @@ from refugia.operators import (
     laplacian_neumann,
     nonlinear_diffusion,
     residual_steady,
+    split,
 )
 from refugia.runner import run_experiment
 from refugia.spectral import leading_eigenvalue
@@ -250,6 +251,46 @@ def test_branch_point_leading_eigenvalue_matches_dense(refuge, lam, m_lam, c, b,
         assert point.complex_pair == (abs(lead.imag) > 1e-10)
     if refuge == "none":  # the walk reaches past the Hopf point
         assert branch.points[-1].mu < mu_hopf
+
+
+@settings(max_examples=8)
+@given(
+    st.integers(6, 64),
+    st.integers(6, 64),
+    st.floats(0.5, 2.0),
+    st.floats(0.5, 2.0),
+    st.floats(0.5, 2.0),
+    st.floats(0.2, 3.0),
+    st.floats(0.5, 3.0),
+    st.floats(0.5, 2.0),
+)
+def test_no_refuge_branch_meets_its_closed_form_on_any_grid(nx, ny, lx, ly, lam, m_lam, c, b):
+    # the closed-form branch (conftest.no_refuge_branch_oracle) on grids up
+    # to 64^2 with lx != ly, on both sides of m*lam = 1: from branch_switch,
+    # 6 steps of a sixth of the branch's arclength in the metric
+    # sqrt(mean(dx^2) + dmu^2) from (lam, 0) to its state u = 0.2*lam. The
+    # walks end at u between 0.09*lam and 0.34*lam, short of the stall near
+    # mu = 0 (ROADMAP item 7), most of them past the Hopf point
+    # u_H = (lam - 1/m)/2 where m*lam > 5/3
+    grid = GridSpec(nx, ny, lx, ly)
+    geom = build_geometry(grid, RefugeShape.empty())
+    m = m_lam / lam
+    mu_star = c * lam / (1.0 + m_lam)
+    params = ModelParams(lam=lam, m=m, c=c, b=b, mu=mu_star)
+    us = np.linspace(lam, 0.2 * lam, 200)
+    mus, vs = c * us / (1.0 + m * us), (lam - us) * (1.0 + m * us) / b
+    reach = np.sum(np.sqrt(0.5 * (np.diff(us) ** 2 + np.diff(vs) ** 2) + np.diff(mus) ** 2))
+    start, lu = branch_switch(mu_star, params, geom, s0=0.05 * lam)
+    base = np.concatenate([np.full(geom.n_omega, lam), np.zeros(geom.n_omega1)])
+    direction = (start.x - base, start.mu - mu_star)
+    branch = continue_branch(start, direction, 6, reach / 6, params, geom, lu=lu)
+    for point in branch.points:
+        u, v, leading = no_refuge_branch_oracle(params, point.mu, grid)
+        got_u, got_v = split(point.x, geom)
+        assert max(np.abs(got_u - u).max(), np.abs(got_v - v).max()) <= 1e-9
+        assert point.gamma == pytest.approx(leading.real, abs=1e-9)
+        if abs(leading.imag) > 1e-6:
+            assert point.complex_pair
 
 
 def _error_names(cls=RefugiaError) -> set[str]:

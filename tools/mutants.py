@@ -2,9 +2,11 @@
 
 Each entry edits one piece of text in one file of src/refugia: a module-level
 constant of continuation, dynamics, operators, report, spectral or steady; an
-inline number other than 0, 1 and 2 in continuation, dynamics, operators,
-report, runner, spectral or steady, or a field default of NewtonConfig,
-TransientConfig or ContinuationSettings; or a guard inside a solver. The
+inline number other than 0, 1 and 2 in config, continuation, dynamics,
+operators, report, runner, spectral or steady, or a field default of
+NewtonConfig, TransientConfig or ContinuationSettings; a bound or a literal
+default of config's key table (_KEYS), or the rule on s0 across keys; or a
+guard inside a solver. The
 mutant runs the tier-1 suite with -x in a temporary copy of the checkout
 (never in the checkout itself), less tests/test_mutation_sample.py, which
 checks the sample against the unmutated text; it is killed when a test
@@ -19,7 +21,7 @@ Usage, from anywhere (standard library only):
     python tools/mutants.py --only NAME   # run one entry (repeatable)
 
 The exit status is 0 when every mutant is killed by the test it names and
-every equivalent one survives. The full sample of 58 entries took 17 minutes
+every equivalent one survives. The full sample of 88 entries took 31 minutes
 on a 2-vCPU box; a survivor runs the whole suite.
 """
 
@@ -50,6 +52,22 @@ class Mutant(NamedTuple):
 
 def _m(name, module, old, new, killer=None):
     return Mutant(name, str(SRC / f"{module}.py"), old, new, killer)
+
+
+def _bound(key, head, bound, looser, killer):
+    """bound-<key's last part>: config._KEYS's row (key, head..., bound) with
+    the next weaker bound, looser."""
+    return _m(f"bound-{key.rsplit('.', 1)[1]}", "config", f'("{key}", {head}, {bound})',
+              f'("{key}", {head}, {looser})', killer)
+
+
+_POSITIVE = "_POSITIVE"
+_NONNEGATIVE = '(">=", 0)'
+_REJECTED = "tests/test_config.py::test_non_finite_and_out_of_range_values_rejected"
+#: parse_config's bound on s0 and its message, which quotes the bound
+S0_RULE = """s0 > 0.1 * lam:
+        issues.append((line_of("solver.continuation.s0"),
+                       f"solver.continuation.s0 must be <= 0.1*params.lambda = {0.1 * lam:g}"))"""
 
 
 MUTANTS = [
@@ -130,8 +148,10 @@ MUTANTS = [
        "tests/test_report.py::test_tangent_gate_is_cosine_min"),
     _m("tangent-window", "report", "by_amp[:3]", "by_amp[:2]",
        "tests/test_report.py::test_report_windows"),
-    _m("slope-window", "report", "min(10, len(by_s))", "min(5, len(by_s))",
+    _m("slope-window", "report", "nontrivial.points[:10]", "nontrivial.points[:5]",
        "tests/test_report.py::test_report_windows"),
+    _m("two-point-minimum", "report", "len(nontrivial.points) < 2:",
+       "len(nontrivial.points) < 3:", "tests/test_report.py::test_report_on_a_two_point_branch"),
     # runner
     _m("prey-perturbation", "runner", "0.01 * rng.uniform(-1.0, 1.0, geom.n_omega)",
        "0.1 * rng.uniform(-1.0, 1.0, geom.n_omega)",
@@ -165,8 +185,7 @@ MUTANTS = [
     _m("CONSTRAINT_TOL", "steady", "CONSTRAINT_TOL = 1e-12", "CONSTRAINT_TOL = 1e-6",
        "tests/test_continuation.py::test_continue_branch_rejects_a_step_at_the_constraint_tolerance"),
     _m("constraint-tol-in-newton", "steady",
-       "con_tol = CONSTRAINT_TOL * max(1.0, abs(target))",
-       "con_tol = 1e-6 * max(1.0, abs(target))",
+       "abs(con) <= CONSTRAINT_TOL:", "abs(con) <= 1e-6:",
        "tests/test_steady.py::test_a_constraint_the_clamp_keeps_unmet_is_not_converged"),
     _m("CHORD_CONTRACTION", "steady", "CHORD_CONTRACTION = 0.1", "CHORD_CONTRACTION = 0.9",
        "tests/test_continuation.py::test_branch_switch_keeps_a_point_between_the_collapse_bounds"),
@@ -191,6 +210,57 @@ MUTANTS = [
        "tests/test_harness.py::test_verify_64_branch_meets_the_benchmark_reference"),
     _m("default-s0", "config", "s0: float = 0.05", "s0: float = 0.04",
        "tests/test_harness.py::test_config_text_is_canonical"),
+    # config: _KEYS, each bound loosened by one step (> 0 to >= 0, >= k to
+    # >= k - 1), then the literal defaults, then the rule across keys
+    _bound("experiment.seed", "int, 0", _NONNEGATIVE, '(">=", -1)', _REJECTED),
+    _bound("geometry.nx", "int, 64", '(">=", 4)', '(">=", 3)', _REJECTED),
+    _bound("geometry.ny", "int, 64", '(">=", 4)', '(">=", 3)', _REJECTED),
+    _bound("geometry.lx", "float, GridSpec.lx", _POSITIVE, _NONNEGATIVE, _REJECTED),
+    _bound("geometry.ly", "float, GridSpec.ly", _POSITIVE, _NONNEGATIVE, _REJECTED),
+    _bound("geometry.refuge.half_width_x", "float, None", _POSITIVE, _NONNEGATIVE,
+           "tests/test_config.py::test_bad_refuge_size_is_a_validation_issue"),
+    _bound("geometry.refuge.half_width_y", "float, None", _POSITIVE, _NONNEGATIVE,
+           "tests/test_config.py::test_bad_refuge_size_is_a_validation_issue"),
+    _bound("geometry.refuge.radius", "float, None", _POSITIVE, _NONNEGATIVE,
+           "tests/test_config.py::test_bad_refuge_size_is_a_validation_issue"),
+    _bound("params.lambda", "float, _REQUIRED", _POSITIVE, _NONNEGATIVE, _REJECTED),
+    _bound("params.m", "float, _REQUIRED", _NONNEGATIVE, '(">=", -1)',
+           "tests/test_harness.py::test_negative_m_rejected_with_field_and_bound"),
+    _bound("params.c", "float, _REQUIRED", _POSITIVE, _NONNEGATIVE, _REJECTED),
+    _bound("params.b", "float, _REQUIRED", _POSITIVE, _NONNEGATIVE,
+           "tests/test_harness.py::test_errors_are_aggregated"),
+    _bound("params.mu", "float, None", _POSITIVE, _NONNEGATIVE, _REJECTED),
+    _bound("params.mu_min", "float, None", _POSITIVE, _NONNEGATIVE, _REJECTED),
+    _bound("params.mu_points", "int, None", '(">=", 2)', '(">=", 1)', _REJECTED),
+    _bound("solver.newton.tol_residual", "float, NewtonConfig.tol_residual", _POSITIVE,
+           _NONNEGATIVE, _REJECTED),
+    _bound("solver.newton.max_iter", "int, NewtonConfig.max_iter", '(">=", 2)', '(">=", 1)',
+           _REJECTED),
+    _bound("solver.transient.dt", "float, TransientConfig.dt", _POSITIVE, _NONNEGATIVE,
+           _REJECTED),
+    _bound("solver.transient.t_end", "float, TransientConfig.t_end", _POSITIVE, _NONNEGATIVE,
+           _REJECTED),
+    _bound("solver.transient.steady_tol", "float, TransientConfig.steady_tol", _POSITIVE,
+           _NONNEGATIVE, _REJECTED),
+    _bound("solver.continuation.ds", "float, ContinuationSettings.ds", _POSITIVE, _NONNEGATIVE,
+           _REJECTED),
+    _bound("solver.continuation.n_steps", "int, ContinuationSettings.n_steps", '(">=", 1)',
+           '(">=", 0)', _REJECTED),
+    _bound("solver.continuation.s0", "float, ContinuationSettings.s0", _POSITIVE,
+           _NONNEGATIVE, _REJECTED),
+    _bound("solver.continuation.amplitude_cap", "float, ContinuationSettings.amplitude_cap",
+           _POSITIVE, _NONNEGATIVE, _REJECTED),
+    _m("default-seed", "config", '("experiment.seed", int, 0,', '("experiment.seed", int, 1,',
+       "tests/test_harness.py::test_minimal_config_fills_defaults"),
+    _m("default-nx", "config", '("geometry.nx", int, 64,', '("geometry.nx", int, 32,',
+       "tests/test_harness.py::test_minimal_config_fills_defaults"),
+    _m("default-ny", "config", '("geometry.ny", int, 64,', '("geometry.ny", int, 32,',
+       "tests/test_harness.py::test_minimal_config_fills_defaults"),
+    _m("default-refuge-kind", "config", '("geometry.refuge.kind", str, "empty",',
+       '("geometry.refuge.kind", str, "disc",',
+       "tests/test_config.py::test_render_parse_round_trip"),
+    _m("s0-rule", "config", S0_RULE, S0_RULE.replace("0.1", "1.0"),
+       "tests/test_config.py::test_each_rule_reports_its_message_and_line"),
 ]
 
 #: why each mutant without a killer cannot change what the package computes
